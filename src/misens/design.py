@@ -8,8 +8,10 @@ switching hyperplane: the slope difference of models r and s equals the
 hyperplane normal AND the offset difference equals the hyperplane offset,
 which together make the prediction continuous across the switch.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
-MILP minimizes the summed absolute errors over labelings, then the labels
-are fixed and the final models come from the MIS-con QP (least squares).
+MILP minimizes the summed absolute errors over labelings, subject to the
+same continuity equalities, then the labels are fixed and the final models
+come from the MIS-con QP (least squares).  Both programs share one variable
+layout, whose head is the hyperplanes (w, b_w) and the models (p, b_p).
 """
 
 from __future__ import annotations
@@ -180,16 +182,22 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
 
 
 # ---------------------------------------------------------------------------
-# MIS-con: continuity-coupled joint training (one convex QP)
+# The variable layout shared by the MIS-con QP and the labeling MILP
 
 @dataclass(frozen=True)
-class MisConLayout:
-    """Variable order of the MIS-con QP: w, b_w, e (members only), p, b_p."""
+class VariableLayout:
+    """Deterministic variable order of the MIS-con QP and the labeling MILP.
+
+    Shared head: w (n_sp * n_p), b_w (n_sp), p (n_cl * n_p), b_p (n_cl).
+    The MILP continues with t (n), then the binary block z (n * n_cl),
+    row-major over (i, j); the QP continues with its SVM slacks instead.
+    Derivable from (n, n_p, n_cl) alone, so builders and extractors agree
+    without passing maps around.
+    """
 
     n: int
     n_p: int
     n_cl: int
-    e_index: dict
 
     @property
     def n_sp(self) -> int:
@@ -201,43 +209,61 @@ class MisConLayout:
     def b_w(self, k: int) -> int:
         return self.n_sp * self.n_p + (k - 1)
 
-    def e(self, k: int, i: int) -> int:
-        return self.e_index[(k, i)]
-
     def p(self, j: int, d: int) -> int:
-        return self.n_sp * (self.n_p + 1) + len(self.e_index) + (j - 1) * self.n_p + d
+        return self.n_sp * (self.n_p + 1) + (j - 1) * self.n_p + d
 
     def b_p(self, j: int) -> int:
-        return self.n_sp * (self.n_p + 1) + len(self.e_index) + self.n_cl * self.n_p + (j - 1)
+        return self.n_sp * (self.n_p + 1) + self.n_cl * self.n_p + (j - 1)
+
+    @property
+    def n_head(self) -> int:
+        return (self.n_sp + self.n_cl) * (self.n_p + 1)
+
+    def t(self, i: int) -> int:
+        return self.n_head + i
+
+    def z(self, i: int, j: int) -> int:
+        return self.n_continuous + i * self.n_cl + (j - 1)
+
+    @property
+    def n_continuous(self) -> int:
+        return self.n_head + self.n
 
     @property
     def n_vars(self) -> int:
-        return self.n_sp * (self.n_p + 1) + len(self.e_index) + self.n_cl * (self.n_p + 1)
+        return self.n_continuous + self.n * self.n_cl
+
+    @property
+    def binaries(self) -> tuple[int, ...]:
+        return tuple(range(self.n_continuous, self.n_vars))
 
 
-def _mis_con_layout(n: int, n_p: int, n_cl: int, labels: LabelingMatrix) -> MisConLayout:
-    e_index = {}
-    pairs = expected_pairs(n_cl)
-    assign = labels.assignments()
-    for k, (r, s) in enumerate(pairs, start=1):
-        for i in range(n):
-            if assign[i] in (r, s):
-                e_index[(k, i)] = len(e_index)
-    # the e block sits right after the b_w block
-    base = len(pairs) * (n_p + 1)
-    e_index = {key: base + idx for key, idx in e_index.items()}
-    return MisConLayout(n, n_p, n_cl, e_index)
+def variable_layout(n: int, n_p: int, n_cl: int) -> VariableLayout:
+    return VariableLayout(n, n_p, n_cl)
 
+
+def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constraint]:
+    """p_r - p_s = w_k and b_p,r - b_p,s = b_w,k for pair k = (r, s)."""
+    rows = [Constraint.of({lay.p(r, d): 1.0, lay.p(s, d): -1.0, lay.w(k, d): -1.0}, "=", 0.0)
+            for d in range(lay.n_p)]
+    rows.append(Constraint.of({lay.b_p(r): 1.0, lay.b_p(s): -1.0, lay.b_w(k): -1.0}, "=", 0.0))
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# MIS-con: continuity-coupled joint training (one convex QP)
 
 def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig):
     n, n_p = train.n, train.n_p
     n_cl = labels.n_cl
-    lay = _mis_con_layout(n, n_p, n_cl, labels)
-    nv = lay.n_vars
+    lay = variable_layout(n, n_p, n_cl)
+    assign = labels.assignments()
+    pairs = expected_pairs(n_cl)
+    # the SVM slacks e follow the head: one per (pair, point of either class)
+    nv = lay.n_head + sum(int(np.isin(assign, pair).sum()) for pair in pairs)
     q = np.zeros((nv, nv))
     c = np.zeros(nv)
     constant = 0.0
-    assign = labels.assignments()
     x, y = train.inputs, train.outputs
     for j in range(1, n_cl + 1):
         rows = np.nonzero(assign == j)[0]
@@ -252,34 +278,26 @@ def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig)
         for k in range(1, lay.n_sp + 1):
             for d in range(n_p):
                 q[lay.w(k, d), lay.w(k, d)] += cfg.regularization_weight
-        for key in lay.e_index:
-            c[lay.e_index[key]] += cfg.regularization_weight * cfg.gamma
+        c[lay.n_head:] += cfg.regularization_weight * cfg.gamma
     cons = []
-    for k, (r, s) in enumerate(expected_pairs(n_cl), start=1):
+    e = lay.n_head
+    for k, (r, s) in enumerate(pairs, start=1):
         for i in range(n):
-            if assign[i] == r:
-                coeffs = {lay.w(k, d): float(x[i, d]) for d in range(n_p)}
-                coeffs[lay.b_w(k)] = 1.0
-                coeffs[lay.e(k, i)] = 1.0
+            if assign[i] in (r, s):
+                sign = 1.0 if assign[i] == r else -1.0
+                coeffs = {lay.w(k, d): sign * float(x[i, d]) for d in range(n_p)}
+                coeffs[lay.b_w(k)] = sign
+                coeffs[e] = 1.0
                 cons.append(Constraint.of(coeffs, ">=", 1.0))
-            elif assign[i] == s:
-                coeffs = {lay.w(k, d): float(-x[i, d]) for d in range(n_p)}
-                coeffs[lay.b_w(k)] = -1.0
-                coeffs[lay.e(k, i)] = 1.0
-                cons.append(Constraint.of(coeffs, ">=", 1.0))
-        for d in range(n_p):
-            cons.append(Constraint.of(
-                {lay.p(r, d): 1.0, lay.p(s, d): -1.0, lay.w(k, d): -1.0}, "=", 0.0))
-        cons.append(Constraint.of(
-            {lay.b_p(r): 1.0, lay.b_p(s): -1.0, lay.b_w(k): -1.0}, "=", 0.0))
+                e += 1
+        cons.extend(_continuity_rows(lay, k, r, s))
     lo = np.full(nv, -np.inf)
+    lo[lay.n_head:] = 0.0
     hi = np.full(nv, np.inf)
-    for key, idx in lay.e_index.items():
-        lo[idx] = 0.0
     return QuadraticProgram(q, c, cons, lo, hi, constant), lay
 
 
-def _extract_sensor(values: np.ndarray, lay: MisConLayout, scaler, method: str) -> SensorModel:
+def _extract_sensor(values: np.ndarray, lay: VariableLayout, scaler, method: str) -> SensorModel:
     models = tuple(
         AffineModel(np.array([values[lay.p(j, d)] for d in range(lay.n_p)]),
                     float(values[lay.b_p(j)]))
@@ -366,71 +384,16 @@ def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
 # ---------------------------------------------------------------------------
 # MIS-con-lab: optimal labeling MILP (epigraph + big-M), then fix Z and refit
 
-@dataclass(frozen=True)
-class MilpLayout:
-    """Deterministic variable order of the labeling MILP.
-
-    Continuous block: w (n_sp * n_p), b_w (n_sp), e (n_sp * n), p (n_cl * n_p),
-    b_p (n_cl), t (n); binary block: z (n * n_cl), row-major over (i, j).
-    Derivable from (n, n_p, n_cl) alone, so builders and extractors agree
-    without passing maps around.
-    """
-
-    n: int
-    n_p: int
-    n_cl: int
-
-    @property
-    def n_sp(self) -> int:
-        return self.n_cl * (self.n_cl - 1) // 2
-
-    def w(self, k: int, d: int) -> int:
-        return (k - 1) * self.n_p + d
-
-    def b_w(self, k: int) -> int:
-        return self.n_sp * self.n_p + (k - 1)
-
-    def e(self, k: int, i: int) -> int:
-        return self.n_sp * (self.n_p + 1) + (k - 1) * self.n + i
-
-    def p(self, j: int, d: int) -> int:
-        return self.n_sp * (self.n_p + 1) + self.n_sp * self.n + (j - 1) * self.n_p + d
-
-    def b_p(self, j: int) -> int:
-        return (self.n_sp * (self.n_p + 1) + self.n_sp * self.n
-                + self.n_cl * self.n_p + (j - 1))
-
-    def t(self, i: int) -> int:
-        return self.n_sp * (self.n_p + 1) + self.n_sp * self.n + self.n_cl * (self.n_p + 1) + i
-
-    def z(self, i: int, j: int) -> int:
-        return self.n_continuous + i * self.n_cl + (j - 1)
-
-    @property
-    def n_continuous(self) -> int:
-        return (self.n_sp * (self.n_p + 1) + self.n_sp * self.n
-                + self.n_cl * (self.n_p + 1) + self.n)
-
-    @property
-    def n_vars(self) -> int:
-        return self.n_continuous + self.n * self.n_cl
-
-    @property
-    def binaries(self) -> tuple[int, ...]:
-        return tuple(range(self.n_continuous, self.n_vars))
-
-
-def variable_layout(n: int, n_p: int, n_cl: int) -> MilpLayout:
-    return MilpLayout(n, n_p, n_cl)
-
-
 def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerProgram:
     """Big-M linearization of the optimal-labeling problem (L1 objective).
 
     Rows, in order: one labeling row-sum equality per point; two epigraph
-    rows per (point, class); two soft-margin rows per (pair, point);
-    continuity equalities per pair; offset-ordering symmetry breaking; and a
-    minimum class size of n_p + 1 points.
+    rows per (point, class); n_p + 1 continuity equalities per pair;
+    offset-ordering symmetry breaking; and a minimum class size of n_p + 1
+    points.  The objective prices fit error only, so the program has no
+    margin rows: with free slacks they would cut nothing.  w and b_w stay,
+    boxed by param_bound, so the continuity rows also bound the differences
+    between the models of each pair.
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     if n < n_cl * (n_p + 1):
@@ -455,30 +418,13 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
             minus[lay.b_p(j)] = -1.0
             cons.append(Constraint.of(plus, ">=", float(y[i]) - big_m))
             cons.append(Constraint.of(minus, ">=", float(-y[i]) - big_m))
-    # (c) soft-margin rows with big-M deactivation
+    # (c) continuity couplings
     for k, (r, s) in enumerate(expected_pairs(n_cl), start=1):
-        for i in range(n):
-            pos = {lay.w(k, d): float(x[i, d]) for d in range(n_p)}
-            pos[lay.b_w(k)] = 1.0
-            pos[lay.e(k, i)] = 1.0
-            pos[lay.z(i, r)] = -big_m
-            cons.append(Constraint.of(pos, ">=", 1.0 - big_m))
-            neg = {lay.w(k, d): float(-x[i, d]) for d in range(n_p)}
-            neg[lay.b_w(k)] = -1.0
-            neg[lay.e(k, i)] = 1.0
-            neg[lay.z(i, s)] = -big_m
-            cons.append(Constraint.of(neg, ">=", 1.0 - big_m))
-    # (d) continuity couplings
-    for k, (r, s) in enumerate(expected_pairs(n_cl), start=1):
-        for d in range(n_p):
-            cons.append(Constraint.of(
-                {lay.p(r, d): 1.0, lay.p(s, d): -1.0, lay.w(k, d): -1.0}, "=", 0.0))
-        cons.append(Constraint.of(
-            {lay.b_p(r): 1.0, lay.b_p(s): -1.0, lay.b_w(k): -1.0}, "=", 0.0))
-    # (e) symmetry breaking: offsets in nondecreasing class order
+        cons.extend(_continuity_rows(lay, k, r, s))
+    # (d) symmetry breaking: offsets in nondecreasing class order
     for j in range(1, n_cl):
         cons.append(Constraint.of({lay.b_p(j): 1.0, lay.b_p(j + 1): -1.0}, "<=", 0.0))
-    # (f) minimum class size
+    # (e) minimum class size
     for j in range(1, n_cl + 1):
         cons.append(Constraint.of({lay.z(i, j): 1.0 for i in range(n)}, ">=", float(n_p + 1)))
     objective = np.zeros(lay.n_vars)
@@ -486,9 +432,6 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
         objective[lay.t(i)] = 1.0
     lo = np.full(lay.n_vars, -cfg.param_bound)
     hi = np.full(lay.n_vars, cfg.param_bound)
-    for k in range(1, lay.n_sp + 1):
-        for i in range(n):
-            lo[lay.e(k, i)], hi[lay.e(k, i)] = 0.0, np.inf
     for i in range(n):
         lo[lay.t(i)], hi[lay.t(i)] = 0.0, np.inf
     for j in lay.binaries:
@@ -497,7 +440,7 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     return MixedIntegerProgram(base, lay.binaries)
 
 
-def labeling_l1_objective(program: MixedIntegerProgram, lay: MilpLayout,
+def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
                           labels: LabelingMatrix) -> tuple[float | None, np.ndarray | None]:
     """Score a fixed labeling as a feasible point of the MILP (LP with Z pinned).
 
@@ -557,7 +500,7 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     stats = {
         "timings": watch.laps,
         "milp": result.summary(),
-        "milp_timed_out": result.status in (MipStatus.TIMED_OUT, MipStatus.FEASIBLE),
+        "milp_timed_out": result.status == MipStatus.TIMED_OUT,
         "l1_objective": result.objective_value,
         "kmeans_labeling_l1_objective": kmeans_objective,
         "hint_l1_objective": hint_objective,
@@ -698,14 +641,9 @@ def _split_merge_starts(train: Dataset, labels: LabelingMatrix) -> list[np.ndarr
                  for ai, a in enumerate(others) for b in others[ai + 1:]}
         (ma, mb) = min(dists, key=dists.get)
         new = np.empty(train.n, dtype=int)
-        # classes: 1 and 2 are the split halves, merged pair shares one index,
-        # remaining classes fill the rest in order
-        next_free = 3
-        remap = {}
-        for k in others:
-            if k == ma or k == mb:
-                remap[k] = 3 if n_cl > 3 else 3  # merged class index
-        merged_index = 3
+        # classes: 1 and 2 are the split halves, 3 is the merged pair, and
+        # the remaining classes fill 4 and up in order
+        remap = {ma: 3, mb: 3}
         next_free = 4
         for k in others:
             if k not in (ma, mb):

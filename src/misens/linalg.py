@@ -35,6 +35,23 @@ def _as_vector(b, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _reflect(r: np.ndarray, j: int) -> np.ndarray | None:
+    """Apply the Householder reflector that zeroes r[j+1:, j] to r[j:, j:].
+
+    Works in place and returns the unit vector v of H = I - 2 v v^T (acting
+    on rows j and below), or None when the column is already zero.
+    """
+    x = r[j:, j]
+    norm_x = np.sqrt(x @ x)
+    if norm_x <= 1e-300:
+        return None
+    v = x.copy()
+    v[0] += np.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
+    v /= np.sqrt(v @ v)
+    r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+    return v
+
+
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Full Householder QR of an m x n matrix: A = Q @ R.
 
@@ -46,15 +63,9 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     m, n = r.shape
     q = np.eye(m)
     for j in range(min(m - 1, n)):
-        x = r[j:, j]
-        norm_x = np.sqrt(x @ x)
-        if norm_x <= 1e-300:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-        v /= np.sqrt(v @ v)
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
+        v = _reflect(r, j)
+        if v is not None:
+            q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
     # reflectors leave roundoff noise below the diagonal
     r[np.tril_indices(m, -1, n)] = 0.0
     return q, r
@@ -96,16 +107,10 @@ def least_squares(a, b) -> np.ndarray:
         raise LinAlgError(f"shape mismatch: A is {m}x{k}, b has length {rhs.shape[0]}")
     if m < k:
         raise LinAlgError(f"underdetermined system: {m} rows < {k} columns")
-    for j in range(min(m - 1, k) if m > k else k - 1):
-        x = r[j:, j]
-        norm_x = np.sqrt(x @ x)
-        if norm_x <= 1e-300:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-        v /= np.sqrt(v @ v)
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        rhs[j:] -= 2.0 * v * (v @ rhs[j:])
+    for j in range(min(m - 1, k)):
+        v = _reflect(r, j)
+        if v is not None:
+            rhs[j:] -= 2.0 * v * (v @ rhs[j:])
     diag = np.abs(np.diag(r[:k, :k]))
     scale = diag.max() if diag.size else 0.0
     if scale <= 0.0:

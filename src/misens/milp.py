@@ -8,9 +8,10 @@ order depends only on the instance and the limits, never on wall-clock
 time (a time limit, when set, naturally breaks run-to-run reproducibility).
 
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
-cap stopped the search with an incumbent in hand; TIMED_OUT means a limit
-stopped the search (always used when no incumbent was found); INFEASIBLE is
-a proof that no integer-feasible point exists.
+cap stopped the search with an incumbent in hand; TIMED_OUT means the time
+limit stopped the search, or a limit stopped it before any incumbent was
+found; INFEASIBLE is a proof that no integer-feasible point exists.  The gap
+is relative to the incumbent: (incumbent - bound) / |incumbent|.
 """
 
 from __future__ import annotations
@@ -91,15 +92,34 @@ class MipResult:
     nodes_explored: int
     best_bound: float
 
+    @property
+    def abs_gap(self) -> float:
+        """incumbent - best bound; inf without an incumbent."""
+        if self.objective_value is None:
+            return np.inf
+        return max(0.0, self.objective_value - self.best_bound)
+
     def summary(self) -> dict:
         return {
             "schema": 1,
             "status": self.status.value,
             "objective_value": self.objective_value,
             "gap": self.gap,
+            "abs_gap": self.abs_gap,
             "nodes_explored": self.nodes_explored,
             "best_bound": self.best_bound,
         }
+
+
+def _relative_gap(incumbent: float, bound: float) -> float:
+    """(incumbent - bound) / |incumbent|: 0 once the bound reaches the
+    incumbent, inf when the incumbent is 0 and the bound is still below it."""
+    diff = incumbent - bound
+    if diff <= 0.0:
+        return 0.0
+    if incumbent == 0.0:
+        return np.inf
+    return diff / abs(incumbent)
 
 
 class _Node:
@@ -252,7 +272,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 bound_global = max(bound_global, inc_obj - CUTOFF_TOL)
                 exhausted = True
                 break
-            if (inc_obj - bound_global) / max(1.0, abs(inc_obj)) <= limits.gap_target:
+            if _relative_gap(inc_obj, bound_global) <= limits.gap_target:
                 break  # certified within the requested gap
         dive = nodes_explored % 10 == 0
         current = node
@@ -264,7 +284,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                          nodes_explored, len(heap),
                          f"{inc_obj:.9g}" if inc_val is not None else "-",
                          bound_global,
-                         (inc_obj - bound_global) / max(1.0, abs(inc_obj))
+                         _relative_gap(inc_obj, bound_global)
                          if inc_val is not None else np.inf)
             lo, hi = _materialize(prob.base.lower, prob.base.upper, current.fixes)
             sol = solve_compiled(comp, lo, hi, warm=current.basis, hot=hot,
@@ -299,7 +319,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         bound_global = inc_obj if inc_val is not None else np.inf
 
     if inc_val is not None:
-        gap = max(0.0, (inc_obj - bound_global) / max(1.0, abs(inc_obj)))
+        gap = _relative_gap(inc_obj, bound_global)
         if gap <= limits.gap_target:
             status = MipStatus.OPTIMAL
         elif timed_out:

@@ -6,6 +6,7 @@ import pytest
 from misens.core import Dataset, LabelingMatrix, predict, predict_batch, rmse
 from misens.design import (
     DesignConfig,
+    _split_merge_starts,
     build_mis_con_lab_milp,
     continuity_violation,
     design_mis_con,
@@ -220,15 +221,15 @@ class TestMisCon:
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
         lay = variable_layout(8, 2, 2)
-        assert lay.n_continuous == 25   # 3 (w,b_w) + 8 (e) + 6 (p,b_p) + 8 (t)
+        assert lay.n_continuous == 17   # 3 (w,b_w) + 6 (p,b_p) + 8 (t)
         assert len(lay.binaries) == 16
 
     def test_constraint_count(self):
         rng = np.random.default_rng(9)
         train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=2))
-        # 8 row sums + 32 epigraph + 16 margin + 3 continuity + 1 symmetry + 2 size
-        assert len(prog.base.constraints) == 62
+        # 8 row sums + 32 epigraph + 3 continuity + 1 symmetry + 2 size
+        assert len(prog.base.constraints) == 46
 
     def test_big_m_invariant_enforced(self):
         rng = np.random.default_rng(10)
@@ -308,6 +309,15 @@ class TestMisConLab:
         b = design_mis_con_lab(train, cfg)
         assert a.to_dict(timing="fixed") == b.to_dict(timing="fixed")
 
+    def test_node_cap_is_not_a_time_out(self):
+        rng = np.random.default_rng(17)
+        train = dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12))
+        cfg = DesignConfig(n_cl=2, param_bound=4.0,
+                           milp_limits=MilpLimits(node_cap=1))
+        stats = design_mis_con_lab(train, cfg).solver_stats
+        assert stats["milp"]["status"] == "feasible"
+        assert stats["milp_timed_out"] is False
+
     def test_no_incumbent_raises(self):
         rng = np.random.default_rng(16)
         train, _ = sample_two_piece(rng, 12)
@@ -320,3 +330,23 @@ class TestMisConLab:
         prog = build_mis_con_lab_milp(train, cfg)
         res = solve_milp(prog, cfg.milp_limits)
         assert res.values is None
+
+
+class TestSplitMergeStarts:
+    def test_proposals_for_four_classes(self):
+        # four classes of four points on a line, centroids 0.15, 2.15, 2.65
+        # and 9.15; points are interleaved so the proposals follow the labels
+        x = np.array([0.0, 2.0, 2.5, 9.0, 0.1, 2.1, 2.6, 9.1,
+                      0.2, 2.2, 2.7, 9.2, 0.3, 2.3, 2.8, 9.3])
+        assign = np.tile([1, 2, 3, 4], 4)
+        train = dataset(x[:, None], x)
+        starts = _split_merge_starts(train, LabelingMatrix.from_assignments(assign, 4))
+        # split class j at its median (halves 1 and 2), merge the closest two
+        # of the others into 3, and number the remaining class 4
+        expected = [
+            [1, 3, 3, 4, 1, 3, 3, 4, 2, 3, 3, 4, 2, 3, 3, 4],  # split 1, merge 2+3
+            [3, 1, 3, 4, 3, 1, 3, 4, 3, 2, 3, 4, 3, 2, 3, 4],  # split 2, merge 1+3
+            [3, 3, 1, 4, 3, 3, 1, 4, 3, 3, 2, 4, 3, 3, 2, 4],  # split 3, merge 1+2
+            [4, 3, 3, 1, 4, 3, 3, 1, 4, 3, 3, 2, 4, 3, 3, 2],  # split 4, merge 2+3
+        ]
+        assert [list(p) for p in starts] == expected

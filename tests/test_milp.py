@@ -160,6 +160,18 @@ class TestLimitsAndHints:
             assert res.gap >= 0.0
             assert res.objective_value >= res.best_bound - 1e-9
 
+    def test_gap_is_relative_to_the_incumbent(self):
+        # min t with t >= |0.6 x - 0.3|: the relaxation reaches 0 at x = 0.5,
+        # every integer point costs 0.3, so one node leaves a 100% gap
+        mip = make_mip([0.0, 1.0],
+                       [({1: 1.0, 0: 0.6}, ">=", 0.3), ({1: 1.0, 0: -0.6}, ">=", -0.3)],
+                       [0.0, 0.0], [1.0, np.inf], [0])
+        res = solve_milp(mip, MilpLimits(node_cap=1), incumbent_hint=np.array([1.0, 0.3]))
+        assert res.status == MipStatus.FEASIBLE
+        assert res.best_bound == pytest.approx(0.0, abs=1e-12)
+        assert res.gap == pytest.approx(1.0)
+        assert res.summary()["abs_gap"] == pytest.approx(0.3)
+
     def test_time_limit_zero_stops_immediately(self):
         mip = self._bigger_mip()
         res = solve_milp(mip, MilpLimits(time_limit_s=0.0))
