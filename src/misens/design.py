@@ -374,6 +374,7 @@ def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
     watch.lap("verify")
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     stats = {"timings": watch.laps, "qp_iterations": sol.iterations,
+             "qp_adds": sol.adds, "qp_drops": sol.drops,
              "kkt_residual": sol.kkt_residual, "continuity_max": cont,
              "objective_value": sol.objective_value}
     if labels.n_cl >= 3:
@@ -393,7 +394,9 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     points.  The objective prices fit error only, so the program has no
     margin rows: with free slacks they would cut nothing.  w and b_w stay,
     boxed by param_bound, so the continuity rows also bound the differences
-    between the models of each pair.
+    between the models of each pair.  Raises ValueError when big-M is below
+    |y_i| + param_bound * (||x_i||_1 + 1) for some point i (data outside the
+    unit box that `required_big_m` assumes).
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     if n < n_cl * (n_p + 1):
@@ -401,6 +404,14 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     big_m = cfg.effective_big_m(n_p)
     lay = variable_layout(n, n_p, n_cl)
     x, y = train.inputs, train.outputs
+    # a row with z_ij = 0 cuts nothing only if M >= |y_i| + B (||x_i||_1 + 1)
+    need = np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)
+    worst = int(np.argmax(need))
+    if big_m < need[worst]:
+        raise ValueError(
+            f"big-M {big_m} could cut feasible labelings: point {worst} needs "
+            f"M >= {need[worst]:.6g} (required_big_m assumes inputs and outputs "
+            f"in [0, 1]; normalize the data)")
     cons = []
     # (a) unique labeling
     for i in range(n):

@@ -1,9 +1,13 @@
-"""Dense linear-algebra kernels: Householder QR, least squares, Cholesky.
+"""Dense linear-algebra kernels: Householder QR and its column updates,
+least squares, Cholesky.
 
 The factorizations are written directly against float64 numpy arrays so
 that the LP/QP solvers and the regression paths do not depend on LAPACK
-behavior.  All instances in this project are tiny (a few hundred rows at
-most), so dense storage and O(n^3) factorizations are fine.
+behavior.  The one exception is `invert`, which calls `np.linalg.inv` for
+the simplex basis refactorizations.  All instances in this project are tiny
+(a few hundred rows at most), so dense storage and O(n^3) factorizations
+are fine; the QP keeps its working-set factors current with the O(n^2)
+column updates `qr_append` and `qr_delete` instead of refactoring.
 """
 
 from __future__ import annotations
@@ -69,6 +73,55 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     # reflectors leave roundoff noise below the diagonal
     r[np.tril_indices(m, -1, n)] = 0.0
     return q, r
+
+
+def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
+    """QR factors of [A a] from those of an m x w matrix A = Q[:, :w] @ R.
+
+    Q is m x m orthogonal and R the w x w upper triangle.  Returns new
+    arrays (the inputs are left alone, so a caller can reject the column):
+    Q with its trailing columns Q[:, w:] turned by one Householder
+    reflector, and the (w+1) x (w+1) R whose last diagonal entry is
+    +-||Q[:, w:]' a||, the part of a outside the range of A.
+    """
+    m, w = q.shape[0], r.shape[0]
+    if w >= m:
+        raise LinAlgError(f"cannot append a column to a full {m} x {w} factorization")
+    u = q.T @ _as_vector(a, "a")
+    tail = u[w:, None].copy()
+    q = q.copy()
+    v = _reflect(tail, 0)
+    if v is not None:
+        q[:, w:] -= 2.0 * np.outer(q[:, w:] @ v, v)
+    r_new = np.zeros((w + 1, w + 1))
+    r_new[:w, :w] = r
+    r_new[:w, w] = u[:w]
+    r_new[w, w] = tail[0, 0]
+    return q, r_new
+
+
+def qr_delete(q, r, k) -> tuple[np.ndarray, np.ndarray]:
+    """QR factors of A with column k removed, from A = Q[:, :w] @ R.
+
+    Removing column k leaves R upper Hessenberg from column k on; Givens
+    rotations on rows (j, j+1), j = k..w-2, restore the triangle, and the
+    same rotations turn columns k..w-1 of Q.  Returns new arrays: Q, and
+    the (w-1) x (w-1) R.
+    """
+    q = q.copy()
+    r = np.delete(r, k, axis=1)
+    w = r.shape[0]
+    for j in range(k, w - 1):
+        a, b = r[j, j], r[j + 1, j]
+        h = np.hypot(a, b)
+        if h == 0.0:
+            continue
+        c, s = a / h, b / h
+        rot = np.array([[c, s], [-s, c]])
+        r[j:j + 2, j:] = rot @ r[j:j + 2, j:]
+        r[j + 1, j] = 0.0
+        q[:, j:j + 2] = q[:, j:j + 2] @ rot.T
+    return q, r[:w - 1]
 
 
 def solve_upper(r, y) -> np.ndarray:

@@ -2,10 +2,14 @@
 method.
 
 Objective convention: minimize 0.5 * v @ Q @ v + c @ v + constant.  The
-feasible start comes from a zero-objective LP solve; equality-constrained
-subproblems are solved through a null-space basis built from Householder QR,
-with the reduced Hessian factored by Cholesky.  When Q is singular the
-solver lifts it to Q + 1e-9 I, which keeps the reduced Hessian positive
+feasible start comes from a zero-objective LP solve.  One QR factorization
+of the working rows' transpose, A_w' = Q [R; 0], lives for the whole solve:
+each row added to or dropped from the working set updates it in O(n^2)
+(`linalg.qr_append`, `linalg.qr_delete`), and the append's new diagonal is
+the rank test that keeps the working rows independent.  Equality-constrained
+subproblems are solved in the null-space basis Z, the trailing columns of
+Q, with the reduced Hessian Z'QZ factored by Cholesky.  When Q is singular
+the solver lifts it to Q + 1e-9 I, which keeps the reduced Hessian positive
 definite while perturbing the reported KKT residual only at the 1e-9 level.
 """
 
@@ -79,6 +83,9 @@ class QpSolution:
     objective_value: float | None
     kkt_residual: float = np.nan
     iterations: int = 0
+    adds: int = 0           # inequality rows taken into the working set
+    drops: int = 0          # rows dropped for a negative multiplier
+    lifted: bool = False    # Q was singular and solved as Q + LIFT * I
 
 
 def _gather_rows(prob: QuadraticProgram):
@@ -122,24 +129,63 @@ def _feasible_start(prob: QuadraticProgram) -> np.ndarray | None:
     return sol.values.copy()
 
 
-def _null_space_solve(q_mat, c_vec, a_w, b_w, x0):
-    """Exact minimizer of 0.5 v'Qv + c'v on the affine set A_w v = b_w.
+class _WorkingSet:
+    """Rows of G v >= g held at equality, with the QR factors of their
+    transpose: G[rows]' = Y R, where Y = q[:, :w] spans the rows and
+    Z = q[:, w:] their null space.
+    """
 
-    Returns (x, lam) where lam solves the stationarity system on the active
+    def __init__(self, g_mat: np.ndarray, g_rhs: np.ndarray):
+        self.g_mat, self.g_rhs = g_mat, g_rhs
+        self.rows: list[int] = []
+        self.q = np.eye(g_mat.shape[1])
+        self.r = np.zeros((0, 0))
+
+    @property
+    def b(self) -> np.ndarray:
+        return self.g_rhs[self.rows]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.q[:, :len(self.rows)]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.q[:, len(self.rows):]
+
+    def add(self, i: int, check: bool = True) -> bool:
+        """Take row i in; with `check`, only if the rows stay independent:
+        min |diag R| > RANK_TOL * max(1, max |diag R|)."""
+        if check and len(self.rows) >= self.q.shape[0]:
+            return False
+        q, r = linalg.qr_append(self.q, self.r, self.g_mat[i])
+        diag = np.abs(np.diag(r))
+        if check and not diag.min() > linalg.RANK_TOL * max(1.0, diag.max()):
+            return False
+        self.q, self.r = q, r
+        self.rows.append(i)
+        return True
+
+    def drop(self, i: int) -> None:
+        k = self.rows.index(i)
+        self.q, self.r = linalg.qr_delete(self.q, self.r, k)
+        del self.rows[k]
+
+
+def _null_space_solve(q_mat, c_vec, work: _WorkingSet, x0):
+    """Exact minimizer of 0.5 v'Qv + c'v on the affine set A_w v = b_w of
+    the working rows.
+
+    Returns (x, lam) where lam solves the stationarity system on the working
     rows.  One iterative-refinement pass keeps residuals near machine
     precision even when the reduced Hessian is badly scaled.
     """
-    n = q_mat.shape[0]
-    w = a_w.shape[0]
-    if w == 0:
+    if not work.rows:
         x = x0 - linalg.cholesky_solve(q_mat, q_mat @ x0 + c_vec)
         return x, np.zeros(0)
-    q_full, r_full = linalg.householder_qr(a_w.T)
-    r1 = r_full[:w, :w]
-    y_basis = q_full[:, :w]
-    z_basis = q_full[:, w:]
+    r1, y_basis, z_basis = work.r, work.y, work.z
     # particular solution: A_w = R1' Y', so solve R1' t = b_w and take x = Y t
-    t = linalg.solve_lower(r1.T, b_w)
+    t = linalg.solve_lower(r1.T, work.b)
     x = y_basis @ t
     if z_basis.shape[1]:
         h = z_basis.T @ q_mat @ z_basis
@@ -152,16 +198,6 @@ def _null_space_solve(q_mat, c_vec, a_w, b_w, x0):
     grad = q_mat @ x + c_vec
     lam = linalg.solve_upper(r1, y_basis.T @ grad)
     return x, lam
-
-
-def _independent_rows(a_rows: np.ndarray) -> bool:
-    if a_rows.shape[0] == 0:
-        return True
-    if a_rows.shape[0] > a_rows.shape[1]:
-        return False
-    _, r = linalg.householder_qr(a_rows.T)
-    diag = np.abs(np.diag(r[:a_rows.shape[0], :a_rows.shape[0]]))
-    return bool(diag.min() > 1e-10 * max(1.0, diag.max()))
 
 
 def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
@@ -178,6 +214,7 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
 
     q_work = prob.q
     lifted = False
+    adds = drops = 0
 
     def ensure_lifted():
         nonlocal q_work, lifted
@@ -186,13 +223,16 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
             lifted = True
 
     # initial working set: equalities plus independent active inequalities
-    work: list[int] = list(range(n_eq))
+    work = _WorkingSet(g_mat, g_rhs)
+    for i in range(n_eq):
+        work.add(i, check=False)
     resid = g_mat @ x - g_rhs if n_rows else np.zeros(0)
     for i in range(n_eq, n_rows):
-        if resid[i] <= ACTIVE_TOL:
-            cand = work + [i]
-            if _independent_rows(g_mat[cand]):
-                work = cand
+        if resid[i] <= ACTIVE_TOL and work.add(i):
+            adds += 1
+    # rows a step may block on: inequalities outside the working set
+    free = np.arange(n_rows) >= n_eq
+    free[work.rows] = False
 
     seen_since_progress: set[frozenset] = set()
     last_obj = prob.objective(x)
@@ -201,21 +241,23 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
         if iterations >= max_iter:
             raise ActiveSetCycleError("active-set iteration cap exceeded")
         iterations += 1
-        a_w = g_mat[work] if work else np.zeros((0, n))
-        b_w = g_rhs[work] if work else np.zeros(0)
         try:
-            x_star, lam = _null_space_solve(q_work, prob.c, a_w, b_w, x)
+            x_star, lam = _null_space_solve(q_work, prob.c, work, x)
         except linalg.LinAlgError:
             ensure_lifted()
-            x_star, lam = _null_space_solve(q_work, prob.c, a_w, b_w, x)
+            x_star, lam = _null_space_solve(q_work, prob.c, work, x)
         p = x_star - x
         if np.max(np.abs(p)) <= 1e-11 * max(1.0, np.max(np.abs(x))):
             # subspace minimizer: check multipliers of active inequalities
-            ineq_lams = [(lam[t], work[t]) for t in range(len(work)) if work[t] >= n_eq]
-            if not ineq_lams or min(l for l, _ in ineq_lams) >= -MULT_TOL:
-                return _finish(prob, q_work, g_mat, g_rhs, n_eq, work, x, iterations)
-            worst = min(ineq_lams, key=lambda t: (t[0], t[1]))
-            key = frozenset(work)
+            # (the equalities are the first n_eq working rows, never dropped);
+            # ties go to the lowest row index
+            worst_lam, worst = min(zip(lam[n_eq:].tolist(), work.rows[n_eq:]),
+                                   default=(0.0, -1))
+            if worst_lam >= -MULT_TOL:
+                sol = _finish(prob, q_work, n_eq, work, x, iterations)
+                sol.adds, sol.drops, sol.lifted = adds, drops, lifted
+                return sol
+            key = frozenset(work.rows)
             obj = prob.objective(x)
             if obj < last_obj - 1e-12 * max(1.0, abs(last_obj)):
                 seen_since_progress.clear()
@@ -223,43 +265,46 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
             if key in seen_since_progress:
                 raise ActiveSetCycleError("active-set cycle detected")
             seen_since_progress.add(key)
-            work = [r for r in work if r != worst[1]]
+            work.drop(worst)
+            free[worst] = True
+            drops += 1
             continue
-        # step toward the subspace minimizer, stopping at a blocking row
+        # step toward the subspace minimizer, stopping at the first row (in
+        # ascending order) whose ratio undercuts the step so far by 1e-14;
+        # only rows with a ratio below 1 - 1e-14 can do so
+        s = g_mat @ p
+        rows = np.flatnonzero(free & (s < -1e-12))
+        ratios = (g_rhs - g_mat @ x)[rows] / s[rows]
         alpha = 1.0
         blocking = -1
-        for i in range(n_eq, n_rows):
-            if i in work:
-                continue
-            s = g_mat[i] @ p
-            if s >= -1e-12:
-                continue
-            ai = (g_rhs[i] - g_mat[i] @ x) / s
+        keep = ratios < 1.0 - 1e-14
+        for i, ai in zip(rows[keep].tolist(), ratios[keep].tolist()):
             if ai < alpha - 1e-14:
                 alpha = max(ai, 0.0)
                 blocking = i
         x = x + alpha * p
-        if blocking >= 0:
-            cand = work + [blocking]
-            if _independent_rows(g_mat[cand]):
-                work = cand
-            # dependent blocking rows are ignored; the next subspace solve
-            # re-evaluates the geometry from the updated point
+        # a dependent blocking row is ignored; the next subspace solve
+        # re-evaluates the geometry from the updated point
+        if blocking >= 0 and work.add(blocking):
+            free[blocking] = False
+            adds += 1
 
 
-def _finish(prob, q_work, g_mat, g_rhs, n_eq, work, x, iterations) -> QpSolution:
-    a_w = g_mat[work] if work else np.zeros((0, prob.n_vars))
-    b_w = g_rhs[work] if work else np.zeros(0)
-    x_fin, lam = _null_space_solve(q_work, prob.c, a_w, b_w, x)
-    # KKT residual against the ORIGINAL Q
+def _finish(prob, q_work, n_eq, work: _WorkingSet, x, iterations) -> QpSolution:
+    """Final subspace solve and its KKT residual against the original Q:
+    stationarity, primal feasibility, and the sign of the working
+    inequalities' multipliers."""
+    g_mat, g_rhs = work.g_mat, work.g_rhs
+    x_fin, lam = _null_space_solve(q_work, prob.c, work, x)
     stat = prob.q @ x_fin + prob.c
-    if len(work):
-        stat = stat - a_w.T @ lam
+    if work.rows:
+        stat = stat - g_mat[work.rows].T @ lam
     feas = 0.0
     if g_mat.shape[0]:
         resid = g_mat @ x_fin - g_rhs
         feas = max(0.0, float(-resid[n_eq:].min())) if resid.shape[0] > n_eq else 0.0
         if n_eq:
             feas = max(feas, float(np.max(np.abs(resid[:n_eq]))))
-    kkt = max(float(np.max(np.abs(stat))) if stat.size else 0.0, feas)
+    dual = max(0.0, float(-lam[n_eq:].min())) if lam.shape[0] > n_eq else 0.0
+    kkt = max(float(np.max(np.abs(stat))) if stat.size else 0.0, feas, dual)
     return QpSolution(QpStatus.OPTIMAL, x_fin, prob.objective(x_fin), kkt, iterations)

@@ -6,6 +6,7 @@ import pytest
 from misens.core import Dataset, LabelingMatrix, predict, predict_batch, rmse
 from misens.design import (
     DesignConfig,
+    _build_mis_con_qp,
     _split_merge_starts,
     build_mis_con_lab_milp,
     continuity_violation,
@@ -19,6 +20,7 @@ from misens.design import (
 )
 from misens.lp import Constraint, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
+from misens.qp import solve_qp
 
 
 def dataset(inputs, outputs):
@@ -217,6 +219,16 @@ class TestMisCon:
         assert report.solver_stats["normal_dependencies"]
         assert continuity_violation(report.sensor, n_samples=500, seed=1) <= 1e-6
 
+    def test_qp_counters_in_stats(self):
+        rng = np.random.default_rng(5)
+        train, labels = sample_two_piece(rng, 40)
+        cfg = DesignConfig(n_cl=2)
+        stats = design_mis_con(train, labels, cfg).solver_stats
+        sol = solve_qp(_build_mis_con_qp(train, labels, cfg)[0])
+        assert sol.adds > 0
+        assert (stats["qp_iterations"], stats["qp_adds"], stats["qp_drops"]) == (
+            sol.iterations, sol.adds, sol.drops)
+
 
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
@@ -238,6 +250,18 @@ class TestMilpBuild:
         with pytest.raises(ValueError, match="big_m"):
             build_mis_con_lab_milp(train, cfg)
         assert required_big_m(10.0, 2) == pytest.approx(62.0)
+
+    def test_raw_unit_data_rejected(self):
+        # x in the thousands: a big-M row with z_ij = 0 could cut a feasible
+        # labeling, so the build refuses and names the worst point
+        rng = np.random.default_rng(10)
+        x = rng.uniform(1000.0, 5000.0, size=(8, 2))
+        y = x @ np.array([0.01, -0.02]) + 3.0
+        cfg = DesignConfig(n_cl=2)
+        need = np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)
+        worst = int(np.argmax(need))
+        with pytest.raises(ValueError, match=rf"point {worst} needs M >= {need[worst]:.6g}"):
+            build_mis_con_lab_milp(dataset(x, y), cfg)
 
     def test_fixed_z_matches_l1_regression(self):
         rng = np.random.default_rng(5)  # both classes above the minimum size

@@ -96,3 +96,48 @@ def test_solve_square_matches_numpy():
     b = rng.normal(size=(12, 3))
     x = linalg.solve_square(a, b)
     assert np.max(np.abs(x - np.linalg.solve(a, b))) <= 1e-9
+
+
+def test_qr_updates_match_a_fresh_factorization():
+    # 200 random column appends and deletes on a 20-row matrix A, whose
+    # factors must stay those of householder_qr(A) up to column signs
+    rng = np.random.default_rng(17)
+    m = 20
+    q, r = np.eye(m), np.zeros((0, 0))
+    cols = []
+    for _ in range(200):
+        if cols and (len(cols) == m or rng.random() < 0.45):
+            k = int(rng.integers(len(cols)))
+            q, r = linalg.qr_delete(q, r, k)
+            del cols[k]
+        else:
+            cols.append(rng.normal(size=m))
+            q, r = linalg.qr_append(q, r, cols[-1])
+        a = np.array(cols).T if cols else np.zeros((m, 0))
+        w = a.shape[1]
+        assert r.shape == (w, w)
+        assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-12
+        assert np.max(np.abs(q[:, :w] @ r - a), initial=0.0) <= 1e-12
+        assert np.max(np.abs(np.tril(r, -1)), initial=0.0) == 0.0
+        _, r_fresh = linalg.householder_qr(a)
+        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(r_fresh[:w, :w])),
+                           rtol=1e-10, atol=1e-12)
+
+
+def test_qr_append_measures_the_new_direction():
+    # appending e1 + 2 e2 to span{e1}: the part outside the span has norm 2
+    q, r = linalg.qr_append(np.eye(3), np.zeros((0, 0)), [1.0, 0.0, 0.0])
+    q2, r2 = linalg.qr_append(q, r, [1.0, 2.0, 0.0])
+    assert abs(r2[1, 1]) == pytest.approx(2.0, abs=1e-15)
+    assert abs(r2[0, 1]) == pytest.approx(1.0, abs=1e-15)
+    # a column inside the span leaves a zero diagonal; the inputs are untouched
+    q_before, r_before = q.copy(), r.copy()
+    _, r3 = linalg.qr_append(q, r, [-3.0, 0.0, 0.0])
+    assert abs(r3[1, 1]) <= 1e-15
+    assert np.array_equal(q, q_before) and np.array_equal(r, r_before)
+
+
+def test_qr_append_rejects_a_full_factorization():
+    q, r = linalg.householder_qr(np.eye(2))
+    with pytest.raises(linalg.LinAlgError, match="full"):
+        linalg.qr_append(q, r, [1.0, 1.0])

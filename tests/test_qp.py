@@ -3,7 +3,7 @@ import pytest
 
 from misens import linalg
 from misens.lp import Constraint
-from misens.qp import QpStatus, QuadraticProgram, solve_qp
+from misens.qp import QpStatus, QuadraticProgram, _finish, _gather_rows, _WorkingSet, solve_qp
 
 
 def make_qp(q, c, cons=(), lo=None, hi=None, constant=0.0):
@@ -145,3 +145,87 @@ class TestInequalities:
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(prob)  # min ||v - (4, -1)||^2 on the unit box
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-8)
+
+
+class TestCounters:
+    def test_box_projection_counts(self):
+        # min ||v - (4, -1)||^2 on the unit box.  The feasibility LP starts at
+        # the vertex (0, 0), with both lower bounds in the working set (2
+        # adds).  There grad = (-8, 2), so v0 >= 0 has multiplier -8 and is
+        # dropped; the step toward v0 = 4 blocks on v0 <= 1 at alpha 1/4 (the
+        # third add), where both multipliers (6 and 2) are nonnegative.
+        prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+        sol = solve_qp(prob)
+        assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
+        assert (sol.iterations, sol.adds, sol.drops, sol.lifted) == (3, 3, 1, False)
+
+    def test_finish_charges_a_negative_multiplier(self):
+        # min (v - 1)^2 with v >= 0 held in the working set: at v = 0 the
+        # multiplier of that row is -2, so v = 0 is not optimal
+        prob = make_qp([[2.0]], [-2.0], lo=[0.0], constant=1.0)
+        g_mat, g_rhs, n_eq = _gather_rows(prob)
+        work = _WorkingSet(g_mat, g_rhs)
+        assert work.add(0)
+        sol = _finish(prob, prob.q, n_eq, work, np.zeros(1), 1)
+        assert sol.values[0] == 0.0
+        assert sol.kkt_residual >= 2.0
+
+
+def planted_qp(seed, n, n_singular=0, duplicate=False):
+    """A QP on the box [-1/2, 1/2]^n with n general rows and a known optimum.
+
+    Pick x*, make a quarter of the bounds and about 30% of the general rows
+    active at x* with multipliers in [0.5, 2], and set c = -Q x* + A'lambda,
+    so x* satisfies the KKT conditions.  Q is positive definite except on
+    its last n_singular coordinates, which no general row touches and which
+    sit at their upper bound with a positive multiplier: that pins x*, and
+    a start at their lower bound must move through a singular reduced
+    Hessian (the lift).  `duplicate` repeats the first active general row.
+    """
+    rng = np.random.default_rng(seed)
+    half = 0.5
+    m = rng.normal(size=(n, n))
+    q = m @ m.T / n + 0.1 * np.eye(n)
+    q[n - n_singular:, :] = 0.0
+    q[:, n - n_singular:] = 0.0
+    x_star = rng.uniform(-0.4, 0.4, size=n)
+    a_lam = np.zeros(n)
+    at_bound = set(rng.choice(n - n_singular, size=n // 4, replace=False).tolist())
+    for j in sorted(at_bound | set(range(n - n_singular, n))):
+        side = 1.0 if j >= n - n_singular else float(rng.choice([-1.0, 1.0]))
+        x_star[j] = side * half
+        a_lam[j] -= side * rng.uniform(0.5, 2.0)  # v >= -1/2 is +e_j, v <= 1/2 is -e_j
+    g = rng.normal(size=(n, n))
+    g[:, n - n_singular:] = 0.0
+    slack = np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.1, 1.0, size=n))
+    lam = np.where(slack == 0.0, rng.uniform(0.5, 2.0, size=n), 0.0)
+    a_lam += g.T @ lam
+    rows = list(zip(g, g @ x_star - slack))
+    if duplicate:
+        rows.append(rows[int(np.flatnonzero(slack == 0.0)[0])])
+    cons = [({j: float(a[j]) for j in range(n)}, ">=", float(b)) for a, b in rows]
+    prob = make_qp(q, a_lam - q @ x_star, cons, lo=np.full(n, -half), hi=np.full(n, half))
+    return prob, x_star
+
+
+class TestPlantedOptimum:
+    @pytest.mark.parametrize("seed, n, n_singular, duplicate", [
+        (1, 40, 0, False), (1, 50, 0, True), (3, 60, 5, False), (2, 50, 4, True)])
+    def test_recovers_the_planted_optimum(self, monkeypatch, seed, n, n_singular, duplicate):
+        appends = []
+        qr_append = linalg.qr_append
+
+        def counting_append(*args):
+            appends.append(args)
+            return qr_append(*args)
+
+        monkeypatch.setattr(linalg, "qr_append", counting_append)
+        prob, x_star = planted_qp(seed, n, n_singular, duplicate)
+        sol = solve_qp(prob)
+        assert sol.status == QpStatus.OPTIMAL
+        assert np.max(np.abs(sol.values - x_star)) <= 1e-7
+        # the lift adds 1e-9 * |v| <= 5e-10 to the stationarity residual
+        assert sol.kkt_residual <= 1e-9
+        assert sol.lifted == (n_singular > 0)
+        # every append the rank test turned down is one without an add
+        assert (len(appends) > sol.adds) == duplicate
