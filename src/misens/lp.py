@@ -7,12 +7,18 @@ cold solve runs a two-phase method with artificial variables; a warm solve
 with the bounded-variable dual simplex when the old basis is primal
 infeasible but dual feasible, and falls back to the cold path otherwise, so
 correctness never depends on the warm start.
+
+The basis exported with an optimal solution carries its inverse.  The
+inverse depends only on the basic columns, never on the bounds, so a warm
+start from it (a branch-and-bound child with one bound tightened) skips the
+refactorization unless the basic values it gives, or the inverse itself
+(Freivalds' check), fail a residual test.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,24 +113,15 @@ class Basis:
     """Warm-start state: basic column per row plus status per column.
 
     Columns are indexed over structural variables followed by one slack per
-    constraint row; status codes are BASIC/AT_LO/AT_UP/FREE.
+    constraint row; status codes are BASIC/AT_LO/AT_UP/FREE.  `binv`, when
+    set, is the inverse of the basic columns; it is shared, never written,
+    and left out of comparisons.  A warm start checks it against the basic
+    columns of its own LP and refactorizes when it does not fit.
     """
 
     basic: tuple[int, ...]
     status: tuple[int, ...]
-
-
-@dataclass
-class HotStart:
-    """Warm start plus the parent's basis inverse, skipping refactorization.
-
-    Only valid for a problem with identical rows/columns and (possibly)
-    different bounds — exactly the branch-and-bound child case.
-    """
-
-    basic: np.ndarray
-    vstat: np.ndarray
-    binv: np.ndarray
+    binv: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -136,7 +133,6 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     basis: Basis | None = None
     iterations: int = 0
-    hot: "HotStart | None" = None  # internal re-solve accelerator
 
 
 def format_lp(prob: LinearProgram) -> str:
@@ -253,6 +249,14 @@ class _Simplex:
         scale = max(1.0, float(np.abs(target).max()) if self.m else 1.0)
         return bool(np.abs(resid).max() <= 1e-8 * scale) if self.m else True
 
+    def _inverse_ok(self) -> bool:
+        """Freivalds' check that binv inverts the basic columns: B (binv u) = u
+        for one fixed vector u without structure.  The beta residual cannot
+        see a wrong inverse when the vector it tests is 0."""
+        u = np.cos(np.arange(self.m))
+        resid = self.a[:, self.basic] @ (self.binv @ u) - u
+        return bool(np.abs(resid).max() <= 1e-8) if self.m else True
+
     def _settled(self) -> bool:
         """Accept the current optimum, refactorizing only when drift shows."""
         if self._beta_residual_ok() and self._beta_feasible():
@@ -260,17 +264,15 @@ class _Simplex:
         self._refactorize()
         return self._beta_feasible()
 
-    def _default_status(self, j: int) -> int:
-        if np.isfinite(self.lo[j]):
-            return AT_LO
-        if np.isfinite(self.hi[j]):
-            return AT_UP
-        return FREE
+    def _default_statuses(self) -> np.ndarray:
+        """AT_LO at a finite lower bound, else AT_UP at a finite upper, else FREE."""
+        return np.where(np.isfinite(self.lo), AT_LO,
+                        np.where(np.isfinite(self.hi), AT_UP, FREE))
 
     # -- start-up paths -----------------------------------------------------
 
     def _cold_start(self) -> None:
-        self.vstat = np.array([self._default_status(j) for j in range(self.n_cols)], dtype=int)
+        self.vstat = self._default_statuses()
         x_n = self._nonbasic_values()
         x_n[self.n_struct:] = 0.0
         slack_target = self.rhs - self.a[:, :self.n_struct] @ x_n[:self.n_struct]
@@ -307,49 +309,33 @@ class _Simplex:
 
     def _repair_statuses(self) -> None:
         """Fix statuses that reference bounds the caller changed or removed."""
-        for j in range(self.n_cols):
-            st = self.vstat[j]
-            if st == AT_LO and not np.isfinite(self.lo[j]):
-                self.vstat[j] = self._default_status(j)
-            elif st == AT_UP and not np.isfinite(self.hi[j]):
-                self.vstat[j] = self._default_status(j)
-            elif st == FREE and (np.isfinite(self.lo[j]) or np.isfinite(self.hi[j])):
-                self.vstat[j] = self._default_status(j)
+        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
+        st = self.vstat
+        stale = (((st == AT_LO) & ~fin_lo) | ((st == AT_UP) & ~fin_hi)
+                 | ((st == FREE) & (fin_lo | fin_hi)))
+        self.vstat = np.where(stale, self._default_statuses(), st)
 
     def _try_warm_start(self, warm: Basis) -> bool:
         n_base = self.n_struct + self.m
         if len(warm.status) != n_base or len(warm.basic) != self.m:
             return False
         basic = np.array(warm.basic, dtype=int)
-        if len(set(basic.tolist())) != self.m or basic.min() < 0 or basic.max() >= n_base:
+        if len(set(basic.tolist())) != self.m or (
+                self.m and (basic.min() < 0 or basic.max() >= n_base)):
             return False
         self.vstat = np.array(warm.status, dtype=int)
         self._repair_statuses()
         self.vstat[basic] = BASIC
         self.basic = basic
         try:
+            if warm.binv is not None and warm.binv.shape == (self.m, self.m):
+                self.binv = warm.binv.copy()
+                self._recompute_beta()
+                if self._beta_residual_ok() and self._inverse_ok():
+                    return True
             self._refactorize()
         except linalg.LinAlgError:
             return False
-        return True
-
-    def _try_hot_start(self, hot: HotStart) -> bool:
-        n_base = self.n_struct + self.m
-        if hot.basic.shape != (self.m,) or hot.vstat.shape[0] != n_base:
-            return False
-        if hot.basic.size and hot.basic.max() >= n_base:
-            return False
-        self.basic = hot.basic.copy()
-        self.vstat = hot.vstat.copy()
-        self.binv = hot.binv.copy()
-        self._repair_statuses()
-        self.vstat[self.basic] = BASIC
-        self._recompute_beta()
-        if not self._beta_residual_ok():
-            try:
-                self._refactorize()
-            except linalg.LinAlgError:
-                return False
         return True
 
     # -- pricing ------------------------------------------------------------
@@ -358,9 +344,6 @@ class _Simplex:
         y = self.binv.T @ cost[self.basic]
         d = cost - self.a.T @ y
         return y, d
-
-    def _movable(self, j: int) -> bool:
-        return self.hi[j] - self.lo[j] > 1e-12
 
     def _movable_mask(self) -> np.ndarray:
         return (self.hi - self.lo) > 1e-12
@@ -553,25 +536,17 @@ class _Simplex:
 
     # -- driver --------------------------------------------------------------
 
-    def solve(self, warm: Basis | None,
-              hot: HotStart | None = None) -> tuple[Status, np.ndarray | None]:
-        warmed = False
-        if hot is not None:
-            warmed = self._try_hot_start(hot)
-        if not warmed and warm is not None:
-            warmed = self._try_warm_start(warm)
-        if warmed:
+    def solve(self, warm: Basis | None) -> tuple[Status, np.ndarray | None]:
+        if warm is not None and self._try_warm_start(warm):
             try:
-                feasible = self._beta_feasible()
-                if not feasible:
+                warmed = self._beta_feasible()
+                if not warmed:
                     _, d = self._duals_and_reduced(self.cost)
                     if self._dual_feasible(d):
                         st = self._dual(self.cost)
                         if st == Status.INFEASIBLE:
                             return Status.INFEASIBLE, None
                         warmed = st is not None
-                    else:
-                        warmed = False
                 if warmed:
                     status = self._primal(self.cost, phase=2)
                     if status == Status.OPTIMAL:
@@ -616,38 +591,30 @@ class _Simplex:
         return bool(np.all(self.beta >= lo_b - FEAS_TOL) and np.all(self.beta <= hi_b + FEAS_TOL))
 
     def _dual_feasible(self, d: np.ndarray) -> bool:
-        for j in range(self.n_cols):
-            st = self.vstat[j]
-            if st == BASIC or not self._movable(j):
-                continue
-            if st == AT_LO and d[j] < -OPT_TOL:
-                return False
-            if st == AT_UP and d[j] > OPT_TOL:
-                return False
-            if st == FREE and abs(d[j]) > OPT_TOL:
-                return False
-        return True
+        st = self.vstat
+        wrong_sign = (((st == AT_LO) & (d < -OPT_TOL)) | ((st == AT_UP) & (d > OPT_TOL))
+                      | ((st == FREE) & (np.abs(d) > OPT_TOL)))
+        return not np.any(wrong_sign & self._movable_mask())
 
     def export_basis(self) -> Basis:
+        """The final basis with the working inverse attached (not copied: this
+        solve is over), or without it while an artificial is basic."""
         n_base = self.n_struct + self.m
         status = list(self.vstat[:n_base])
         basic = []
-        for i, bi in enumerate(self.basic):
+        binv = self.binv
+        for bi in self.basic:
             if bi >= n_base:
                 # artificial stuck in the basis: its column is +/- the slack
-                # column of its row, so the slack can stand in for it
+                # column of its row, so the slack can stand in for it, but
+                # the inverse (sign included) does not transfer
                 s = self.n_struct + self.art_rows[bi - n_base]
                 basic.append(int(s))
                 status[s] = BASIC
+                binv = None
             else:
                 basic.append(int(bi))
-        return Basis(tuple(basic), tuple(int(v) for v in status))
-
-    def export_hot(self) -> HotStart | None:
-        n_base = self.n_struct + self.m
-        if self.basic.size and self.basic.max() >= n_base:
-            return None  # an artificial is still basic; Binv will not transfer
-        return HotStart(self.basic.copy(), self.vstat[:n_base].copy(), self.binv.copy())
+        return Basis(tuple(basic), tuple(int(v) for v in status), binv)
 
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
         y, d = self._duals_and_reduced(self.cost)
@@ -655,21 +622,19 @@ class _Simplex:
 
 
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
-                   max_iter: int | None = None, bland_after: int = 1000,
-                   hot: HotStart | None = None, want_hot: bool = False) -> LpSolution:
+                   max_iter: int | None = None, bland_after: int = 1000) -> LpSolution:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if max_iter is None:
         max_iter = 50 * (comp.n_struct + comp.m)
     s = _Simplex(comp, lower, upper, max_iter, bland_after)
-    status, full = s.solve(warm, hot)
+    status, full = s.solve(warm)
     if status != Status.OPTIMAL:
         return LpSolution(status, None, None, None, iterations=s.iterations)
     values = full[:comp.n_struct]
     y, red = s.duals()
     obj = float(comp.cost[:comp.n_struct] @ values)
-    return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(),
-                      s.iterations, s.export_hot() if want_hot else None)
+    return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), s.iterations)
 
 
 def solve_lp(prob: LinearProgram, warm: Basis | None = None,

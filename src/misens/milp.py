@@ -3,9 +3,13 @@
 Search order is best-bound-first with a depth-first dive every 10 nodes to
 find incumbents early; branching picks the binary whose relaxation value is
 closest to 0.5 (ties to the lowest index).  Child nodes warm-start from the
-parent's simplex basis.  The default mode is fully deterministic: node
-order depends only on the instance and the limits, never on wall-clock
-time (a time limit, when set, naturally breaks run-to-run reproducibility).
+parent's simplex basis, which carries its inverse, so a child skips the
+refactorization; both children share the parent's one inverse.  Once the
+open list holds as many nodes as BINV_STORE_BYTES allows inverses, a node
+pushed onto it keeps its basis without the inverse.  The default mode is
+fully deterministic: node order depends only on the instance and the
+limits, never on wall-clock time (a time limit, when set, naturally breaks
+run-to-run reproducibility).
 
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
 cap stopped the search with an incumbent in hand; TIMED_OUT means the time
@@ -20,15 +24,12 @@ import enum
 import heapq
 import logging
 import time
-from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .lp import (
-    Basis,
     CompiledLp,
-    HotStart,
     LinearProgram,
     Status,
     compile_lp,
@@ -40,7 +41,7 @@ log = logging.getLogger("misens.milp")
 INT_TOL = 1e-6
 CUTOFF_TOL = 1e-9
 BASIS_STORE_CAP = 50_000  # stop attaching bases when the open list is huge
-BINV_CACHE_BYTES = 64_000_000  # budget for cached basis inverses
+BINV_STORE_BYTES = 64_000_000  # budget for basis inverses on the open list
 
 
 class MipStatus(enum.Enum):
@@ -181,7 +182,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         else:
             log.info("incumbent hint rejected (infeasible or fractional)")
 
-    root_sol = solve_compiled(comp, prob.base.lower, prob.base.upper, want_hot=True)
+    root_sol = solve_compiled(comp, prob.base.lower, prob.base.upper)
     if root_sol.status == Status.INFEASIBLE:
         return MipResult(MipStatus.INFEASIBLE, None, None, np.inf, 1, np.inf)
     if root_sol.status == Status.UNBOUNDED:
@@ -193,36 +194,16 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     bound_global = root_sol.objective_value
     timed_out = False
     node_capped = False
-    binv_cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+    binv_cap = max(8, BINV_STORE_BYTES // max(1, 8 * comp.m * comp.m))
 
     def push(key, node):
         nonlocal seq
         if len(heap) >= BASIS_STORE_CAP:
             node.basis = None
+        elif len(heap) >= binv_cap and node.basis.binv is not None:
+            node.basis = replace(node.basis, binv=None)
         heapq.heappush(heap, (key, seq, node))
         seq += 1
-
-    cache_cap = max(8, BINV_CACHE_BYTES // max(1, comp.m * comp.m * 8))
-
-    def remember(sol):
-        if sol.hot is None:
-            return
-        key = tuple(int(v) for v in sol.hot.basic)
-        binv_cache[key] = sol.hot.binv
-        binv_cache.move_to_end(key)
-        while len(binv_cache) > cache_cap:
-            binv_cache.popitem(last=False)
-
-    def recall(basis: Basis | None) -> HotStart | None:
-        # the inverse depends only on the basic set, never on bounds,
-        # so a cached one transfers to any node sharing the basis
-        if basis is None:
-            return None
-        binv = binv_cache.get(basis.basic)
-        if binv is None:
-            return None
-        return HotStart(np.array(basis.basic, dtype=int),
-                        np.array(basis.status, dtype=int), binv.copy())
 
     def frac_branch_var(values) -> int | None:
         v = values[binaries]
@@ -251,7 +232,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         return False
 
     # root handling
-    remember(root_sol)
     j = frac_branch_var(root_sol.values)
     if j is None:
         consider_incumbent(root_sol)
@@ -276,7 +256,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 break  # certified within the requested gap
         dive = nodes_explored % 10 == 0
         current = node
-        hot = recall(node.basis)
         while True:  # runs once unless diving
             nodes_explored += 1
             if log_interval and nodes_explored % log_interval == 0:
@@ -287,9 +266,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                          _relative_gap(inc_obj, bound_global)
                          if inc_val is not None else np.inf)
             lo, hi = _materialize(prob.base.lower, prob.base.upper, current.fixes)
-            sol = solve_compiled(comp, lo, hi, warm=current.basis, hot=hot,
-                                 want_hot=True)
-            remember(sol)
+            sol = solve_compiled(comp, lo, hi, warm=current.basis)
             if sol.status != Status.OPTIMAL:
                 break  # infeasible subtree (children only tighten bounds)
             if sol.objective_value >= inc_obj - CUTOFF_TOL:
@@ -307,7 +284,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
             push(sol.objective_value,
                  _Node((j, 1.0 - nearest, current.fixes), sol.basis, current.depth + 1))
             current = _Node((j, nearest, current.fixes), sol.basis, current.depth + 1)
-            hot = sol.hot
             if limits_hit():
                 break
         if timed_out or node_capped:

@@ -188,13 +188,11 @@ def _null_space_solve(q_mat, c_vec, work: _WorkingSet, x0):
     t = linalg.solve_lower(r1.T, work.b)
     x = y_basis @ t
     if z_basis.shape[1]:
-        h = z_basis.T @ q_mat @ z_basis
-        rhs = -z_basis.T @ (q_mat @ x + c_vec)
-        v = linalg.cholesky_solve(h, rhs)
-        x = x + z_basis @ v
-        # one refinement pass
-        rhs2 = -z_basis.T @ (q_mat @ x + c_vec)
-        x = x + z_basis @ linalg.cholesky_solve(h, rhs2)
+        # one factor of Z'QZ serves the step and one refinement pass
+        l = linalg.cholesky_factor(z_basis.T @ q_mat @ z_basis)
+        for _ in range(2):
+            rhs = -z_basis.T @ (q_mat @ x + c_vec)
+            x = x + z_basis @ linalg.solve_upper(l.T, linalg.solve_lower(l, rhs))
     grad = q_mat @ x + c_vec
     lam = linalg.solve_upper(r1, y_basis.T @ grad)
     return x, lam

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -86,6 +87,38 @@ def random_lp(rng):
         rhs = float(np.round(rng.uniform(-2, 3), 3))
         cons.append((coeffs, str(sense), rhs))
     return make_lp(c, cons, lo, hi)
+
+
+def branch_children(seed, tries=150):
+    """Random LPs solved to optimality, each paired with a child that fixes
+    one variable at one of its ends, as a branch-and-bound branch does."""
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        prob = random_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status != Status.OPTIMAL:
+            continue
+        j = int(rng.integers(prob.n_vars))
+        fix = float(rng.choice([prob.lower[j], prob.upper[j]]))
+        child = LinearProgram(prob.objective, prob.constraints,
+                              prob.lower.copy(), prob.upper.copy())
+        child.lower[j] = fix
+        child.upper[j] = fix
+        yield sol, child
+
+
+@pytest.fixture
+def inverted(monkeypatch):
+    """Every matrix the simplex refactorizes, in call order."""
+    seen = []
+    invert = lp.linalg.invert
+
+    def counting(a):
+        seen.append(np.array(a))
+        return invert(a)
+
+    monkeypatch.setattr(lp.linalg, "invert", counting)
+    return seen
 
 
 class TestBasics:
@@ -195,20 +228,8 @@ class TestRandomizedAgainstOracle:
 
 class TestWarmStart:
     def test_warm_start_matches_cold_after_bound_tightening(self):
-        rng = np.random.default_rng(99)
         checked = 0
-        for _ in range(150):
-            prob = random_lp(rng)
-            sol = solve_lp(prob)
-            if sol.status != Status.OPTIMAL:
-                continue
-            # branch-like tightening: fix one variable to one of its ends
-            j = int(rng.integers(prob.n_vars))
-            fix = float(rng.choice([prob.lower[j], prob.upper[j]]))
-            tight = LinearProgram(prob.objective, prob.constraints,
-                                  prob.lower.copy(), prob.upper.copy())
-            tight.lower[j] = fix
-            tight.upper[j] = fix
+        for sol, tight in branch_children(99):
             warm_sol = solve_lp(tight, warm=sol.basis)
             cold_sol = solve_lp(tight)
             assert warm_sol.status == cold_sol.status
@@ -218,12 +239,134 @@ class TestWarmStart:
                     cold_sol.objective_value, abs=1e-8)
         assert checked >= 20
 
+    def test_child_reuses_the_parent_inverse(self, inverted):
+        checked = 0
+        for parent, child in branch_children(99):
+            basis = parent.basis
+            assert basis.binv is not None
+            assert basis == lp.Basis(basis.basic, basis.status)  # binv not compared
+            inverted.clear()
+            warm_sol = solve_lp(child, warm=basis)
+            refactorized = len(inverted)
+            cold_sol = solve_lp(child)
+            assert warm_sol.status == cold_sol.status
+            if cold_sol.status == Status.OPTIMAL:
+                checked += 1
+                assert refactorized == 0
+                assert warm_sol.objective_value == pytest.approx(
+                    cold_sol.objective_value, abs=1e-8)
+        assert checked >= 20
+
+    def test_wrong_inverse_is_caught(self, inverted):
+        checked = 0
+        for parent, child in branch_children(99):
+            b = lp.compile_lp(child).a[:, list(parent.basis.basic)]
+            if np.array_equal(b, np.eye(child.n_rows)):
+                continue  # the identity is this basis's true inverse
+            wrong = dataclasses.replace(parent.basis, binv=np.eye(child.n_rows))
+            inverted.clear()
+            warm_sol = solve_lp(child, warm=wrong)
+            # the first refactorization is of the parent's basis, not a cold one
+            assert inverted and np.array_equal(inverted[0], b)
+            cold_sol = solve_lp(child)
+            assert warm_sol.status == cold_sol.status
+            if cold_sol.status == Status.OPTIMAL:
+                checked += 1
+                assert warm_sol.objective_value == pytest.approx(
+                    cold_sol.objective_value, abs=1e-8)
+        assert checked >= 20
+
+    def test_inverse_of_another_lp_is_not_trusted(self):
+        # zero right-hand sides make the beta residual 0 for any inverse,
+        # so only the check of the inverse itself can turn it down
+        rng = np.random.default_rng(1)
+
+        def homogeneous_lp(c, hi, m):
+            cons = []
+            for _ in range(m):
+                coeffs = {j: float(v) for j, v in enumerate(rng.integers(-3, 4, size=c.size))
+                          if v} or {0: 1.0}
+                cons.append((coeffs, str(rng.choice(["<=", ">="])), 0.0))
+            return make_lp(c, cons, np.zeros(c.size), hi)
+
+        checked = 0
+        for _ in range(300):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(1, 6))
+            c = rng.integers(-3, 4, size=n).astype(float)
+            hi = rng.uniform(0.5, 2.0, size=n)
+            first, second = homogeneous_lp(c, hi, m), homogeneous_lp(c, hi, m)
+            sol = solve_lp(first)
+            if sol.status != Status.OPTIMAL:
+                continue
+            warm_sol = solve_lp(second, warm=sol.basis)
+            cold_sol = solve_lp(second)
+            assert warm_sol.status == cold_sol.status
+            checked += 1
+            assert warm_sol.objective_value == pytest.approx(
+                cold_sol.objective_value, abs=1e-8)
+        assert checked >= 200
+
+    def test_warm_start_without_rows(self):
+        prob = make_lp([1.0, -1.0], [], [0.0, 0.0], [1.0, 2.0])
+        sol = solve_lp(prob, warm=solve_lp(prob).basis)
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
+
     def test_warm_start_with_garbage_basis_falls_back(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
         bad = lp.Basis((0, 0), (0, 0, 0))
         sol = solve_lp(prob, warm=bad)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+
+
+class TestStatusMasks:
+    """The simplex's vectorized status repair and dual-feasibility test
+    against the per-column rules they implement."""
+
+    @staticmethod
+    def _default(lo, hi):
+        return lp.AT_LO if np.isfinite(lo) else lp.AT_UP if np.isfinite(hi) else lp.FREE
+
+    def _repaired(self, vstat, lo, hi):
+        out = vstat.copy()
+        for j, st in enumerate(vstat):
+            if ((st == lp.AT_LO and not np.isfinite(lo[j]))
+                    or (st == lp.AT_UP and not np.isfinite(hi[j]))
+                    or (st == lp.FREE and (np.isfinite(lo[j]) or np.isfinite(hi[j])))):
+                out[j] = self._default(lo[j], hi[j])
+        return out
+
+    @staticmethod
+    def _dual_feasible(vstat, lo, hi, d):
+        for j, st in enumerate(vstat):
+            if st == lp.BASIC or not hi[j] - lo[j] > 1e-12:
+                continue
+            if ((st == lp.AT_LO and d[j] < -lp.OPT_TOL) or (st == lp.AT_UP and d[j] > lp.OPT_TOL)
+                    or (st == lp.FREE and abs(d[j]) > lp.OPT_TOL)):
+                return False
+        return True
+
+    def test_match_the_per_column_rules(self):
+        rng = np.random.default_rng(21)
+        n = 6
+        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
+        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100, 1000)
+        outcomes = set()
+        for _ in range(400):
+            lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
+            hi = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
+            vstat = rng.integers(0, 4, size=n + 1)
+            d = rng.choice([0.0, 1e-8, -1e-8, 1.0, -1.0], p=[0.6, 0.1, 0.1, 0.1, 0.1],
+                           size=n + 1)
+            simplex.lo, simplex.hi, simplex.vstat = lo, hi, vstat.copy()
+            simplex._repair_statuses()
+            np.testing.assert_array_equal(simplex.vstat, self._repaired(vstat, lo, hi))
+            simplex.vstat = vstat
+            expected = self._dual_feasible(vstat, lo, hi, d)
+            assert simplex._dual_feasible(d) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestDegenerateAndScale:

@@ -4,6 +4,9 @@ import logging
 import numpy as np
 import pytest
 
+from misens import lp, milp
+from misens.core import Dataset
+from misens.design import DesignConfig, build_mis_con_lab_milp
 from misens.lp import Constraint, LinearProgram, solve_lp, Status
 from misens.milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
 
@@ -207,3 +210,37 @@ class TestLimitsAndHints:
         assert r1.nodes_explored == r2.nodes_explored
         if r1.values is not None:
             assert np.array_equal(r1.values, r2.values)
+
+
+class TestInverseStore:
+    def _labeling_mip(self):
+        rng = np.random.default_rng(12)
+        n = 8
+        train = Dataset(rng.uniform(size=(n, 1)), rng.uniform(size=n), np.arange(n))
+        return build_mis_con_lab_milp(train, DesignConfig(n_cl=2, param_bound=2.0))
+
+    @pytest.mark.parametrize("which", ["knapsack", "labeling"])
+    def test_capped_store_gives_the_same_search(self, monkeypatch, which):
+        mip = (TestLimitsAndHints()._bigger_mip() if which == "knapsack"
+               else self._labeling_mip())
+        inverted = []
+        invert = lp.linalg.invert
+
+        def counting(a):
+            inverted.append(a.shape)
+            return invert(a)
+
+        monkeypatch.setattr(lp.linalg, "invert", counting)
+        full = solve_milp(mip)
+        full_inverts = len(inverted)
+        # a zero budget keeps inverses on at most 8 open nodes
+        monkeypatch.setattr(milp, "BINV_STORE_BYTES", 0)
+        inverted.clear()
+        capped = solve_milp(mip)
+        assert full.status == capped.status == MipStatus.OPTIMAL
+        assert full.nodes_explored == capped.nodes_explored
+        np.testing.assert_allclose(capped.values, full.values, rtol=0, atol=1e-9)
+        # every child reuses its parent's inverse: only the root is factorized,
+        # while the capped store makes the nodes past the budget refactorize
+        assert full_inverts == 1
+        assert len(inverted) > 1
