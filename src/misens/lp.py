@@ -2,11 +2,16 @@
 
 Constraints are held in equality form with one slack per row; the working
 basis inverse is maintained explicitly and refactorized periodically.  A
-cold solve runs a two-phase method with artificial variables; a warm solve
-(from a caller-supplied basis, e.g. a branch-and-bound parent) re-optimizes
-with the bounded-variable dual simplex when the old basis is primal
-infeasible but dual feasible, and falls back to the cold path otherwise, so
-correctness never depends on the warm start.
+cold solve starts from the all-slack basis, whose inverse is the identity.
+Its phase 1 minimizes the sum of infeasibilities (Maros, *Computational
+Techniques of the Simplex Method*, 2003): a slack that starts outside its
+box is given only the side it violates, at a cost that drives it back, and
+gets its box again once it leaves the basis at that bound; the LP is
+infeasible when a basic value still violates its box after phase 1.  A
+warm solve (from a caller-supplied basis, e.g. a branch-and-bound parent)
+re-optimizes with the bounded-variable dual simplex when the old basis is
+primal infeasible but dual feasible, and falls back to the cold path
+otherwise, so correctness never depends on the warm start.
 
 The basis exported with an optimal solution carries its inverse.  The
 inverse depends only on the basic columns, never on the bounds, so a warm
@@ -29,6 +34,7 @@ OPT_TOL = 1e-7
 PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-10
 REFACTOR_EVERY = 128
+BLAND_AFTER = 1000  # degenerate pivots before Bland's rule takes over
 
 # column status codes
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
@@ -184,7 +190,7 @@ def compile_lp(prob: LinearProgram) -> CompiledLp:
 class _Simplex:
     """One solve over the compiled arrays; not reusable."""
 
-    def __init__(self, comp: CompiledLp, lower, upper, max_iter, bland_after):
+    def __init__(self, comp: CompiledLp, lower, upper, max_iter):
         self.comp = comp
         self.m = comp.m
         self.n_struct = comp.n_struct
@@ -195,13 +201,14 @@ class _Simplex:
         self.rhs = comp.rhs
         self.n_cols = self.a.shape[1]
         self.max_iter = max_iter
-        self.bland_after = bland_after
         self.iterations = 0
         self.degenerate = 0
         self.bland = False
         self.pivots_since_refactor = 0
-        self.art_rows: list[int] = []   # row index per artificial column
-        # state set up by _cold_start or _warm_start
+        # phase-1 cost: -1/+1 on a slack whose box is relaxed because it
+        # starts below/above it, 0 elsewhere; None outside phase 1
+        self.phase1_cost: np.ndarray | None = None
+        # state set up by _cold_start or _try_warm_start
         self.vstat = np.empty(0, dtype=int)
         self.basic = np.empty(0, dtype=int)
         self.binv = np.empty((0, 0))
@@ -257,12 +264,22 @@ class _Simplex:
         resid = self.a[:, self.basic] @ (self.binv @ u) - u
         return bool(np.abs(resid).max() <= 1e-8) if self.m else True
 
-    def _settled(self) -> bool:
-        """Accept the current optimum, refactorizing only when drift shows."""
-        if self._beta_residual_ok() and self._beta_feasible():
-            return True
+    def _phase2(self) -> Status | None:
+        """Primal phase 2 from a feasible basis.  An optimum is accepted when
+        beta reproduces the right-hand side and is feasible; otherwise the
+        basis is refactorized once and priced again by a second pass.  None
+        when the refactorized basis, or the end of that pass, is infeasible:
+        a primal step from an infeasible basis breaks the rows."""
+        status = self._primal(self.cost)
+        if status != Status.OPTIMAL or (self._beta_residual_ok() and self._beta_feasible()):
+            return status
         self._refactorize()
-        return self._beta_feasible()
+        if not self._beta_feasible():
+            return None
+        status = self._primal(self.cost)
+        if status == Status.OPTIMAL and not self._beta_feasible():
+            return None
+        return status
 
     def _default_statuses(self) -> np.ndarray:
         """AT_LO at a finite lower bound, else AT_UP at a finite upper, else FREE."""
@@ -272,40 +289,26 @@ class _Simplex:
     # -- start-up paths -----------------------------------------------------
 
     def _cold_start(self) -> None:
+        """The all-slack basis.  A slack that starts more than FEAS_TOL
+        outside its box keeps only the bound it violates, now on its other
+        side, and gets the phase-1 cost that drives it towards that bound."""
+        n = self.n_struct
         self.vstat = self._default_statuses()
-        x_n = self._nonbasic_values()
-        x_n[self.n_struct:] = 0.0
-        slack_target = self.rhs - self.a[:, :self.n_struct] @ x_n[:self.n_struct]
-        basic = []
-        art_cols = []
-        extra = []
-        for k in range(self.m):
-            s = self.n_struct + k
-            v = slack_target[k]
-            if self.lo[s] - FEAS_TOL <= v <= self.hi[s] + FEAS_TOL:
-                basic.append(s)
-                self.vstat[s] = BASIC
-            else:
-                # slack pinned at its nearest bound; artificial absorbs the rest
-                pin = np.clip(v, self.lo[s], self.hi[s])
-                self.vstat[s] = AT_LO if pin == self.lo[s] else AT_UP
-                resid = v - pin
-                col = np.zeros(self.m)
-                col[k] = 1.0 if resid >= 0 else -1.0
-                extra.append(col)
-                art_col_index = self.n_cols + len(extra) - 1
-                art_cols.append(art_col_index)
-                self.art_rows.append(k)
-                basic.append(art_col_index)
-        if extra:
-            self.a = np.hstack([self.a, np.column_stack(extra)])
-            self.lo = np.concatenate([self.lo, np.zeros(len(extra))])
-            self.hi = np.concatenate([self.hi, np.full(len(extra), np.inf)])
-            self.cost = np.concatenate([self.cost, np.zeros(len(extra))])
-            self.vstat = np.concatenate([self.vstat, np.full(len(extra), BASIC, dtype=int)])
-            self.n_cols = self.a.shape[1]
-        self.basic = np.array(basic, dtype=int)
-        self._refactorize()
+        self.basic = np.arange(n, n + self.m)
+        self.vstat[self.basic] = BASIC
+        self.binv = np.eye(self.m)
+        self.pivots_since_refactor = 0
+        self._recompute_beta()
+        lo_s, hi_s = self.lo[n:], self.hi[n:]  # views: writes reach lo/hi
+        below = self.beta < lo_s - FEAS_TOL
+        above = self.beta > hi_s + FEAS_TOL
+        if not (below.any() or above.any()):
+            return
+        self.phase1_cost = np.zeros(self.n_cols)
+        self.phase1_cost[n:][below] = -1.0
+        self.phase1_cost[n:][above] = 1.0
+        hi_s[below], lo_s[below] = lo_s[below], -np.inf
+        lo_s[above], hi_s[above] = hi_s[above], np.inf
 
     def _repair_statuses(self) -> None:
         """Fix statuses that reference bounds the caller changed or removed."""
@@ -363,7 +366,7 @@ class _Simplex:
 
     # -- primal simplex -----------------------------------------------------
 
-    def _primal(self, cost: np.ndarray, phase: int) -> Status:
+    def _primal(self, cost: np.ndarray) -> Status:
         local_iter = 0
         while True:
             if local_iter >= self.max_iter:
@@ -423,7 +426,7 @@ class _Simplex:
 
     def _count_degenerate(self) -> None:
         self.degenerate += 1
-        if self.degenerate >= self.bland_after:
+        if self.degenerate >= BLAND_AFTER:
             self.bland = True
 
     def _pivot(self, e: int, slot: int, leave_to: int, theta: float, w: np.ndarray,
@@ -431,9 +434,14 @@ class _Simplex:
         enter_val = self._nonbasic_value(e) + theta * t
         self.beta -= theta * t * w
         leaving = self.basic[slot]
+        if self.phase1_cost is not None and self.phase1_cost[leaving]:
+            # a relaxed slack reached the bound it violated: its box is back,
+            # and it rests at that bound
+            k = leaving - self.n_struct
+            self.lo[leaving], self.hi[leaving] = self.comp.slack_lo[k], self.comp.slack_hi[k]
+            leave_to = AT_LO if self.phase1_cost[leaving] < 0 else AT_UP
+            self.phase1_cost[leaving] = 0.0
         self.vstat[leaving] = leave_to
-        if leaving >= self.n_struct + self.m:
-            self.hi[leaving] = 0.0  # an artificial that left never re-enters
         self.basic[slot] = e
         self.vstat[e] = BASIC
         self.beta[slot] = enter_val
@@ -536,7 +544,7 @@ class _Simplex:
 
     # -- driver --------------------------------------------------------------
 
-    def solve(self, warm: Basis | None) -> tuple[Status, np.ndarray | None]:
+    def solve(self, warm: Basis | None) -> Status:
         if warm is not None and self._try_warm_start(warm):
             try:
                 warmed = self._beta_feasible()
@@ -545,45 +553,30 @@ class _Simplex:
                     if self._dual_feasible(d):
                         st = self._dual(self.cost)
                         if st == Status.INFEASIBLE:
-                            return Status.INFEASIBLE, None
+                            return Status.INFEASIBLE
                         warmed = st is not None
                 if warmed:
-                    status = self._primal(self.cost, phase=2)
-                    if status == Status.OPTIMAL:
-                        if self._settled():
-                            return Status.OPTIMAL, self._full_values()
-                    # drift or unbounded: resolve from scratch for a clean answer
-                    if status == Status.UNBOUNDED:
-                        return Status.UNBOUNDED, None
+                    status = self._phase2()
+                    if status is not None:
+                        return status
             except linalg.LinAlgError:
                 pass  # numerically wrecked warm basis; the cold path decides
         return self._cold_solve()
 
-    def _cold_solve(self) -> tuple[Status, np.ndarray | None]:
-        self.art_rows = []
+    def _cold_solve(self) -> Status:
         self._cold_start()
-        if self.art_rows:
-            phase1 = np.zeros(self.n_cols)
-            phase1[-len(self.art_rows):] = 1.0
-            status = self._primal(phase1, phase=1)
-            assert status == Status.OPTIMAL  # phase 1 is bounded below by 0
-            infeas = float(phase1 @ self._full_values())
-            if infeas > FEAS_TOL * max(1.0, np.abs(self.rhs).max()):
-                return Status.INFEASIBLE, None
-            # artificials are done: pin them to zero
-            n_art = len(self.art_rows)
-            self.lo[-n_art:] = 0.0
-            self.hi[-n_art:] = 0.0
-        status = self._primal(self.cost, phase=2)
-        if status != Status.OPTIMAL:
-            return status, None
-        if not self._settled():
-            # one more pass after refactorization fixes residual drift
-            status = self._primal(self.cost, phase=2)
-            self._refactorize()
-            if status != Status.OPTIMAL or not self._beta_feasible():
-                raise SimplexStalledError("stalled: could not restore feasibility")
-        return Status.OPTIMAL, self._full_values()
+        if self.phase1_cost is not None:
+            status = self._primal(self.phase1_cost)
+            assert status == Status.OPTIMAL  # phase 1 is bounded below
+            self.phase1_cost = None
+            n = self.n_struct
+            self.lo[n:], self.hi[n:] = self.comp.slack_lo, self.comp.slack_hi
+            if not self._beta_feasible():
+                return Status.INFEASIBLE
+        status = self._phase2()
+        if status is None:
+            raise SimplexStalledError("stalled: could not restore feasibility")
+        return status
 
     def _beta_feasible(self) -> bool:
         lo_b = self.lo[self.basic]
@@ -598,23 +591,8 @@ class _Simplex:
 
     def export_basis(self) -> Basis:
         """The final basis with the working inverse attached (not copied: this
-        solve is over), or without it while an artificial is basic."""
-        n_base = self.n_struct + self.m
-        status = list(self.vstat[:n_base])
-        basic = []
-        binv = self.binv
-        for bi in self.basic:
-            if bi >= n_base:
-                # artificial stuck in the basis: its column is +/- the slack
-                # column of its row, so the slack can stand in for it, but
-                # the inverse (sign included) does not transfer
-                s = self.n_struct + self.art_rows[bi - n_base]
-                basic.append(int(s))
-                status[s] = BASIC
-                binv = None
-            else:
-                basic.append(int(bi))
-        return Basis(tuple(basic), tuple(int(v) for v in status), binv)
+        solve is over)."""
+        return Basis(tuple(self.basic.tolist()), tuple(self.vstat.tolist()), self.binv)
 
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
         y, d = self._duals_and_reduced(self.cost)
@@ -622,26 +600,26 @@ class _Simplex:
 
 
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
-                   max_iter: int | None = None, bland_after: int = 1000) -> LpSolution:
+                   max_iter: int | None = None) -> LpSolution:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
     if max_iter is None:
         max_iter = 50 * (comp.n_struct + comp.m)
-    s = _Simplex(comp, lower, upper, max_iter, bland_after)
-    status, full = s.solve(warm)
+    s = _Simplex(comp, lower, upper, max_iter)
+    status = s.solve(warm)
     if status != Status.OPTIMAL:
         return LpSolution(status, None, None, None, iterations=s.iterations)
-    values = full[:comp.n_struct]
+    values = s._full_values()[:comp.n_struct]
     y, red = s.duals()
     obj = float(comp.cost[:comp.n_struct] @ values)
     return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), s.iterations)
 
 
 def solve_lp(prob: LinearProgram, warm: Basis | None = None,
-             max_iter: int | None = None, bland_after: int = 1000) -> LpSolution:
+             max_iter: int | None = None) -> LpSolution:
     """Solve min c @ v s.t. constraints, bounds.  See module docstring."""
     comp = compile_lp(prob)
-    return solve_compiled(comp, prob.lower, prob.upper, warm, max_iter, bland_after)
+    return solve_compiled(comp, prob.lower, prob.upper, warm, max_iter)
 
 
 def duality_gap(prob: LinearProgram, sol: LpSolution) -> float:

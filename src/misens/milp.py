@@ -124,12 +124,11 @@ def _relative_gap(incumbent: float, bound: float) -> float:
 
 
 class _Node:
-    __slots__ = ("fixes", "basis", "depth")
+    __slots__ = ("fixes", "basis")
 
-    def __init__(self, fixes, basis, depth):
+    def __init__(self, fixes, basis):
         self.fixes = fixes          # linked chain: (var, value, parent_chain)
         self.basis = basis
-        self.depth = depth
 
 
 def _materialize(lo0, hi0, fixes):
@@ -153,12 +152,9 @@ def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint) -> float | No
     bins = v[list(prob.binary_vars)]
     if np.max(np.abs(bins - np.round(bins))) > INT_TOL:
         return None
-    act = comp.a[:, :comp.n_struct] @ v
-    for k in range(comp.m):
-        lo_s, hi_s = comp.slack_lo[k], comp.slack_hi[k]
-        slack = comp.rhs[k] - act[k]
-        if slack < lo_s - 1e-6 or slack > hi_s + 1e-6:
-            return None
+    slack = comp.rhs - comp.a[:, :comp.n_struct] @ v
+    if np.any(slack < comp.slack_lo - 1e-6) or np.any(slack > comp.slack_hi + 1e-6):
+        return None
     return float(prob.base.objective @ v)
 
 
@@ -238,7 +234,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         bound_global = inc_obj
     else:
         for val in (0.0, 1.0):
-            push(root_sol.objective_value, _Node((j, val, None), root_sol.basis, 1))
+            push(root_sol.objective_value, _Node((j, val, None), root_sol.basis))
 
     exhausted = not heap  # search proven complete (vs stopped by a limit/gap)
     while heap:
@@ -277,13 +273,11 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 break
             if not dive:
                 for val in (0.0, 1.0):
-                    push(sol.objective_value,
-                         _Node((j, val, current.fixes), sol.basis, current.depth + 1))
+                    push(sol.objective_value, _Node((j, val, current.fixes), sol.basis))
                 break
             nearest = 1.0 if sol.values[j] >= 0.5 else 0.0
-            push(sol.objective_value,
-                 _Node((j, 1.0 - nearest, current.fixes), sol.basis, current.depth + 1))
-            current = _Node((j, nearest, current.fixes), sol.basis, current.depth + 1)
+            push(sol.objective_value, _Node((j, 1.0 - nearest, current.fixes), sol.basis))
+            current = _Node((j, nearest, current.fixes), sol.basis)
             if limits_hit():
                 break
         if timed_out or node_capped:

@@ -320,6 +320,73 @@ class TestWarmStart:
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
 
+class TestPhaseOne:
+    """Phase 1 from the all-slack basis, judged row by row."""
+
+    def test_row_short_by_a_millionth_is_infeasible(self):
+        # x + y reaches at most 63 - 1e-6: a per-row violation of 10 FEAS_TOL,
+        # below the tolerance once it is scaled by the right-hand side
+        prob = make_lp([0.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 63.0)],
+                       [0.0, 0.0], [1.0, 62.0 - 1e-6])
+        assert solve_lp(prob).status == Status.INFEASIBLE
+
+    @pytest.mark.parametrize("c", [1.0, -1.0])
+    def test_bound_past_a_row_is_infeasible(self, c):
+        prob = make_lp([c], [({0: 1.0}, "<=", 1000.0)], [1000.00001], [np.inf])
+        assert solve_lp(prob).status == Status.INFEASIBLE
+
+    def test_redundant_equalities_keep_the_inverse(self, inverted):
+        prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0),
+                                    ({0: 2.0, 1: 2.0}, "=", 2.0)],
+                       [0.0, 0.0], [1.0, 1.0])
+        parent = solve_lp(prob)
+        assert parent.status == Status.OPTIMAL
+        assert parent.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert parent.basis.binv is not None
+        child = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0),
+                                     ({0: 2.0, 1: 2.0}, "=", 2.0)],
+                        [0.0, 0.0], [0.5, 1.0])
+        inverted.clear()
+        warm_sol = solve_lp(child, warm=parent.basis)
+        assert not inverted
+        assert warm_sol.status == Status.OPTIMAL
+        assert warm_sol.objective_value == pytest.approx(1.5, abs=1e-12)
+
+    def test_cold_solve_does_not_factorize(self, inverted):
+        rng = np.random.default_rng(8)
+        statuses = {solve_lp(random_lp(rng)).status for _ in range(100)}
+        assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
+        assert not inverted
+
+
+class TestPhaseTwo:
+    def test_refactorization_is_priced_again(self):
+        # a wrong inverse makes the first pass pivot on wrong prices; once the
+        # basic values show the drift, the basis is refactorized, and only
+        # pricing it again finds the child's optimum (seeds 8 and 10 each hold
+        # a child where the refactorized basis is feasible but not optimal)
+        checked = 0
+        for seed in (8, 9, 10):
+            for parent, child in branch_children(seed, tries=300):
+                simplex = lp._Simplex(lp.compile_lp(child), child.lower, child.upper, 1000)
+                assert simplex._try_warm_start(parent.basis)
+                if not simplex._beta_feasible():
+                    continue  # phase 2 starts from a feasible basis
+                simplex.binv = np.eye(child.n_rows)
+                try:
+                    status = simplex._phase2()
+                except lp.linalg.LinAlgError:
+                    continue  # the wrong pivots made the basis singular
+                if status is None:
+                    continue  # infeasible after refactorizing: the cold path decides
+                cold_sol = solve_lp(child)
+                assert status == cold_sol.status == Status.OPTIMAL
+                checked += 1
+                value = child.objective @ simplex._full_values()[:child.n_vars]
+                assert value == pytest.approx(cold_sol.objective_value, abs=1e-8)
+        assert checked >= 100
+
+
 class TestStatusMasks:
     """The simplex's vectorized status repair and dual-feasibility test
     against the per-column rules they implement."""
@@ -351,7 +418,7 @@ class TestStatusMasks:
         rng = np.random.default_rng(21)
         n = 6
         prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
-        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100, 1000)
+        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
         outcomes = set()
         for _ in range(400):
             lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)

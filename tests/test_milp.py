@@ -195,6 +195,29 @@ class TestLimitsAndHints:
         assert res.status == MipStatus.OPTIMAL
         assert res.objective_value == pytest.approx(-1.0, abs=1e-9)
 
+    def test_hint_rows_match_the_per_row_rule(self):
+        rng = np.random.default_rng(4)
+        n, m = 4, 6
+        outcomes = set()
+        for _ in range(300):
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            hint = rng.integers(0, 2, size=n).astype(float)
+            # right-hand sides within a few 1e-6 of the hint's activity
+            rhs = a @ hint + rng.choice([-2e-6, -5e-7, 0.0, 5e-7, 2e-6, 1.0], size=m)
+            senses = rng.choice(["<=", "=", ">="], size=m)
+            mip = make_mip(np.ones(n), [({j: a[k, j] for j in range(n)}, str(senses[k]), rhs[k])
+                                        for k in range(m)],
+                           np.zeros(n), np.ones(n), range(n))
+            mip.validate()
+            comp = lp.compile_lp(mip.base)
+            act = comp.a[:, :n] @ hint
+            rows_ok = all(comp.slack_lo[k] - 1e-6 <= comp.rhs[k] - act[k]
+                          <= comp.slack_hi[k] + 1e-6 for k in range(m))
+            got = milp._check_hint(mip, comp, hint)
+            assert (got is not None) == rows_ok
+            outcomes.add(rows_ok)
+        assert outcomes == {True, False}
+
     def test_progress_logging(self, caplog):
         mip = self._bigger_mip()
         with caplog.at_level(logging.INFO, logger="misens.milp"):
@@ -240,7 +263,8 @@ class TestInverseStore:
         assert full.status == capped.status == MipStatus.OPTIMAL
         assert full.nodes_explored == capped.nodes_explored
         np.testing.assert_allclose(capped.values, full.values, rtol=0, atol=1e-9)
-        # every child reuses its parent's inverse: only the root is factorized,
-        # while the capped store makes the nodes past the budget refactorize
-        assert full_inverts == 1
+        # the root starts from the all-slack basis and every child reuses its
+        # parent's inverse, so nothing is factorized, while the capped store
+        # makes the nodes past the budget refactorize
+        assert full_inverts == 0
         assert len(inverted) > 1
