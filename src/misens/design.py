@@ -547,49 +547,50 @@ def _order_labels(train: Dataset, labels: LabelingMatrix) -> LabelingMatrix:
 
 
 def _lad_fit(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:
-    """Least-absolute-deviations affine fit via the epigraph LP."""
+    """Least-absolute-deviations affine fit via the LP dual of its epigraph
+    form: max y'u s.t. [X 1]'u = 0, -1 <= u <= 1, with n_p + 1 rows.  The
+    fit's parameters are minus the row duals.  Raises RuntimeError when the
+    LP cannot be solved."""
     n, d = inputs.shape
-    nv = d + 1 + n
-    cons = []
-    for i in range(n):
-        plus = {j: float(inputs[i, j]) for j in range(d)}
-        plus[d] = 1.0
-        plus[d + 1 + i] = 1.0
-        cons.append(Constraint.of(plus, ">=", float(outputs[i])))
-        minus = {j: float(-inputs[i, j]) for j in range(d)}
-        minus[d] = -1.0
-        minus[d + 1 + i] = 1.0
-        cons.append(Constraint.of(minus, ">=", float(-outputs[i])))
-    c = np.zeros(nv)
-    c[d + 1:] = 1.0
-    lo = np.full(nv, -np.inf)
-    lo[d + 1:] = 0.0
-    sol = solve_lp(LinearProgram(c, cons, lo, np.full(nv, np.inf)))
+    cons = [Constraint(tuple(enumerate(column.tolist())), "=", 0.0)
+            for column in np.column_stack([inputs, np.ones(n)]).T]
+    prob = LinearProgram(-np.asarray(outputs, dtype=float), cons,
+                         np.full(n, -1.0), np.ones(n))
+    try:
+        sol = solve_lp(prob)
+    except linalg.LinAlgError as exc:
+        raise RuntimeError("LAD fit LP is numerically singular") from exc
     if sol.status != Status.OPTIMAL:
         raise RuntimeError("LAD fit LP unexpectedly not optimal")
-    return AffineModel(sol.values[:d], float(sol.values[d]))
+    return AffineModel(-sol.dual_values[:d], float(-sol.dual_values[d]))
 
 
-def _class_models(train: Dataset, assign: np.ndarray, n_cl: int) -> list[AffineModel]:
+def _class_models(train: Dataset, assign: np.ndarray, n_cl: int,
+                  memo: dict[bytes, AffineModel]) -> list[AffineModel]:
+    """Per-class LAD models; `memo` holds the model of every row set fit so far."""
     models = []
     for j in range(1, n_cl + 1):
         rows = np.nonzero(assign == j)[0]
-        model = None
-        if rows.shape[0] >= train.n_p + 1:
-            try:
-                model = _lad_fit(train.inputs[rows], train.outputs[rows])
-            except RuntimeError:
-                model = None
-        if model is None:
-            mean = float(train.outputs[rows].mean()) if rows.size else \
-                float(train.outputs.mean())
-            model = AffineModel(np.zeros(train.n_p), mean)
-        models.append(model)
+        key = rows.tobytes()
+        if key not in memo:
+            memo[key] = _class_model(train, rows)
+        models.append(memo[key])
     return models
 
 
+def _class_model(train: Dataset, rows: np.ndarray) -> AffineModel:
+    """The LAD fit of the rows, or their mean when they cannot identify one."""
+    if rows.shape[0] >= train.n_p + 1:
+        try:
+            return _lad_fit(train.inputs[rows], train.outputs[rows])
+        except RuntimeError:
+            pass
+    mean = float(train.outputs[rows].mean()) if rows.size else float(train.outputs.mean())
+    return AffineModel(np.zeros(train.n_p), mean)
+
+
 def _l1_descent(train: Dataset, assign: np.ndarray, n_cl: int,
-                max_rounds: int = 30) -> np.ndarray:
+                memo: dict[bytes, AffineModel], max_rounds: int = 30) -> np.ndarray:
     """Reassign-and-refit descent on the summed absolute errors.
 
     Alternates per-class LAD fits with reassigning every point to its
@@ -600,7 +601,7 @@ def _l1_descent(train: Dataset, assign: np.ndarray, n_cl: int,
     min_size = n_p + 1
     assign = assign.copy()
     for _ in range(max_rounds):
-        models = _class_models(train, assign, n_cl)
+        models = _class_models(train, assign, n_cl, memo)
         resid = np.abs(np.stack(
             [train.inputs @ m.p + m.b_p - train.outputs for m in models], axis=1))
         new_assign = resid.argmin(axis=1) + 1
@@ -692,12 +693,13 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
         starts.append(pert)
     best_assign = None
     best_obj = np.inf
+    memo: dict[bytes, AffineModel] = {}  # starts often reach the same classes
     for start in starts:
-        assign = _l1_descent(train, np.asarray(start, dtype=int), n_cl)
+        assign = _l1_descent(train, np.asarray(start, dtype=int), n_cl, memo)
         sizes = np.bincount(assign, minlength=n_cl + 1)[1:]
         if sizes.min() < n_p + 1:
             continue
-        models = _class_models(train, assign, n_cl)
+        models = _class_models(train, assign, n_cl, memo)
         resid = np.abs(np.stack(
             [train.inputs @ m.p + m.b_p - train.outputs for m in models], axis=1))
         obj = float(resid[np.arange(n), assign - 1].sum())

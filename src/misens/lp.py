@@ -1,9 +1,13 @@
 """Linear programming over bounded variables by the revised simplex method.
 
 Constraints are held in equality form with one slack per row; the working
-basis inverse is maintained explicitly and refactorized periodically.  A
-cold solve starts from the all-slack basis, whose inverse is the identity.
-Its phase 1 minimizes the sum of infeasibilities (Maros, *Computational
+basis inverse is maintained explicitly and refactorized periodically.  The
+reduced costs are carried from pivot to pivot, each pivot updating them
+with its row of B^-1 A, and are computed afresh at a refactorization or
+when the phase-1 cost changes (Koberstein, *The dual simplex method,
+techniques for a fast and stable implementation*, 2005).  A cold solve
+starts from the all-slack basis, whose inverse is the identity.  Its
+phase 1 minimizes the sum of infeasibilities (Maros, *Computational
 Techniques of the Simplex Method*, 2003): a slack that starts outside its
 box is given only the side it violates, at a cost that drives it back, and
 gets its box again once it leaves the basis at that bound; the LP is
@@ -139,6 +143,9 @@ class LpSolution:
     reduced_costs: np.ndarray | None = None
     basis: Basis | None = None
     iterations: int = 0
+    dual_iterations: int = 0    # the share of `iterations` spent in the dual simplex
+    refactorizations: int = 0
+    cold_fallback: bool = False  # a warm start was offered, the cold path decided
 
 
 def format_lp(prob: LinearProgram) -> str:
@@ -202,6 +209,9 @@ class _Simplex:
         self.n_cols = self.a.shape[1]
         self.max_iter = max_iter
         self.iterations = 0
+        self.dual_iterations = 0
+        self.refactorizations = 0
+        self.cold_fallback = False
         self.degenerate = 0
         self.bland = False
         self.pivots_since_refactor = 0
@@ -213,6 +223,7 @@ class _Simplex:
         self.basic = np.empty(0, dtype=int)
         self.binv = np.empty((0, 0))
         self.beta = np.empty(0)
+        self.d = np.empty(0)  # reduced costs, carried from pivot to pivot
 
     # -- state helpers ------------------------------------------------------
 
@@ -244,17 +255,21 @@ class _Simplex:
 
     def _refactorize(self) -> None:
         self.binv = linalg.invert(self.a[:, self.basic])
+        self.refactorizations += 1
         self.pivots_since_refactor = 0
         self._recompute_beta()
 
     def _beta_residual_ok(self) -> bool:
         """Cheap drift check: does B @ beta reproduce the nonbasic-adjusted rhs?"""
-        x_n = self._nonbasic_values()
-        x_n[self.basic] = 0.0
-        target = self.rhs - self.a @ x_n
-        resid = self.a[:, self.basic] @ self.beta - target
-        scale = max(1.0, float(np.abs(target).max()) if self.m else 1.0)
-        return bool(np.abs(resid).max() <= 1e-8 * scale) if self.m else True
+        if not self.m:
+            return True
+        x = self._nonbasic_values()
+        x[self.basic] = 0.0
+        target = self.rhs - self.a @ x
+        x[self.basic] = self.beta
+        resid = self.a @ x - self.rhs  # = B @ beta - target
+        scale = max(1.0, float(np.abs(target).max()))
+        return bool(np.abs(resid).max() <= 1e-8 * scale)
 
     def _inverse_ok(self) -> bool:
         """Freivalds' check that binv inverts the basic columns: B (binv u) = u
@@ -343,16 +358,13 @@ class _Simplex:
 
     # -- pricing ------------------------------------------------------------
 
-    def _duals_and_reduced(self, cost) -> tuple[np.ndarray, np.ndarray]:
-        y = self.binv.T @ cost[self.basic]
-        d = cost - self.a.T @ y
-        return y, d
+    def _reduced_costs(self, cost) -> np.ndarray:
+        return cost - self.a.T @ (self.binv.T @ cost[self.basic])
 
     def _movable_mask(self) -> np.ndarray:
         return (self.hi - self.lo) > 1e-12
 
-    def _entering(self, d: np.ndarray) -> int | None:
-        movable = self._movable_mask()
+    def _entering(self, d: np.ndarray, movable: np.ndarray) -> int | None:
         score = np.where(self.vstat == AT_LO, -d,
                          np.where(self.vstat == AT_UP, d,
                                   np.where(self.vstat == FREE, np.abs(d), -np.inf)))
@@ -367,7 +379,11 @@ class _Simplex:
     # -- primal simplex -----------------------------------------------------
 
     def _primal(self, cost: np.ndarray) -> Status:
+        """Primal simplex on `cost`, pricing from the reduced costs that
+        each pivot carries in self.d."""
         local_iter = 0
+        self.d = self._reduced_costs(cost)
+        movable = self._movable_mask()
         while True:
             if local_iter >= self.max_iter:
                 raise SimplexStalledError(
@@ -376,8 +392,8 @@ class _Simplex:
             self.iterations += 1
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactorize()
-            _, d = self._duals_and_reduced(cost)
-            e = self._entering(d)
+                self.d = self._reduced_costs(cost)
+            e = self._entering(self.d, movable)
             if e is None:
                 return Status.OPTIMAL
             # direction: +1 when the entering variable increases
@@ -386,7 +402,7 @@ class _Simplex:
             elif self.vstat[e] == AT_UP:
                 theta = -1.0
             else:
-                theta = 1.0 if d[e] < 0 else -1.0
+                theta = 1.0 if self.d[e] < 0 else -1.0
             w = self.binv @ self.a[:, e]
             g = theta * w
             # ratio test: basics leave at the bound they hit first
@@ -422,7 +438,9 @@ class _Simplex:
                 continue
             if t_best < DEGEN_TOL:
                 self._count_degenerate()
-            self._pivot(e, leave_slot, leave_to, theta, w, t_best)
+            alpha = self.a.T @ self.binv[leave_slot]
+            if self._pivot(e, leave_slot, leave_to, theta, w, t_best, alpha):
+                movable = self._movable_mask()  # a slack got its box back
 
     def _count_degenerate(self) -> None:
         self.degenerate += 1
@@ -430,11 +448,17 @@ class _Simplex:
             self.bland = True
 
     def _pivot(self, e: int, slot: int, leave_to: int, theta: float, w: np.ndarray,
-               t: float) -> None:
+               t: float, alpha: np.ndarray) -> bool:
+        """Swap column e into the basis at `slot`, moving t along theta * w,
+        and carry the inverse and the reduced costs along; alpha is the
+        pivot row of B^-1 A.  True when the leaving column was a relaxed
+        phase-1 slack whose box this restores: the phase-1 cost changed, so
+        the reduced costs are priced afresh."""
         enter_val = self._nonbasic_value(e) + theta * t
         self.beta -= theta * t * w
         leaving = self.basic[slot]
-        if self.phase1_cost is not None and self.phase1_cost[leaving]:
+        restored = self.phase1_cost is not None and bool(self.phase1_cost[leaving])
+        if restored:
             # a relaxed slack reached the bound it violated: its box is back,
             # and it rests at that bound
             k = leaving - self.n_struct
@@ -445,54 +469,62 @@ class _Simplex:
         self.basic[slot] = e
         self.vstat[e] = BASIC
         self.beta[slot] = enter_val
-        # elementary update of the explicit inverse (one full rank-1 update;
-        # zeroing the pivot slot keeps that row untouched)
-        piv = w[slot]
-        self.binv[slot, :] /= piv
-        w_rest = w.copy()
-        w_rest[slot] = 0.0
-        self.binv -= np.outer(w_rest, self.binv[slot, :])
+        # elementary update of the explicit inverse: one full rank-1 update,
+        # then the pivot row is put in place
+        row = self.binv[slot] / w[slot]
+        self.binv -= w[:, None] * row
+        self.binv[slot] = row
         self.pivots_since_refactor += 1
+        if restored:
+            self.d = self._reduced_costs(self.phase1_cost)
+        else:
+            step = self.d[e] / alpha[e]
+            self.d -= step * alpha
+            self.d[e] = 0.0
+            self.d[leaving] = -step
+        return restored
 
     # -- dual simplex (warm re-optimization) --------------------------------
 
-    def _dual(self, cost: np.ndarray) -> Status | None:
+    def _dual(self, d: np.ndarray) -> Status | None:
         """Restore primal feasibility keeping dual feasibility.
 
-        Returns a Status when conclusive, or None to request a cold restart.
-        The attempt is best-effort: it gets a small sub-budget so degenerate
-        cycling can never starve the cold path that guarantees correctness.
+        `d` holds the reduced costs of the starting basis; each pivot carries
+        them in self.d with the pivot row it forms anyway.  Returns a Status
+        when conclusive, or None to request a cold restart.  The attempt is
+        best-effort: it gets a small sub-budget so degenerate cycling can
+        never starve the cold path that guarantees correctness.
         """
         local_iter = 0
         budget = min(self.max_iter, 3 * self.m + 50)
+        self.d = d
+        movable = self._movable_mask()
+        # the dual objective is the monotone quantity here; stalling in it
+        # for many pivots indicates degenerate cycling.  It starts at the basic
+        # solution's cost, and each pivot raises it by |d_q / alpha_q| |delta|
+        dual_obj = float(self.cost @ self._full_values())
         last_dual_obj = -np.inf
         since_progress = 0
+        lo_b = self.lo[self.basic]
+        hi_b = self.hi[self.basic]
         while True:
             if local_iter >= budget:
                 return None
             local_iter += 1
             self.iterations += 1
+            self.dual_iterations += 1
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactorize()
-            lo_b = self.lo[self.basic]
-            hi_b = self.hi[self.basic]
+                self.d = self._reduced_costs(self.cost)
             viol = np.maximum(lo_b - self.beta, self.beta - hi_b)
-            viol[viol <= FEAS_TOL] = 0.0
             slot = int(viol.argmax())
-            if viol[slot] <= 0.0:
+            if viol[slot] <= FEAS_TOL:
                 return Status.OPTIMAL  # primal feasible again; caller polishes
             bi = self.basic[slot]
             below = self.beta[slot] < self.lo[bi]
             delta = self.beta[slot] - (self.lo[bi] if below else self.hi[bi])
             rho = self.binv[slot, :]
             alpha = self.a.T @ rho
-            y, d = self._duals_and_reduced(cost)
-            # the dual objective is the monotone quantity here; stalling in it
-            # for many pivots indicates degenerate cycling
-            at_lo = (self.vstat == AT_LO) & np.isfinite(self.lo)
-            at_up = (self.vstat == AT_UP) & np.isfinite(self.hi)
-            dual_obj = float(y @ self.rhs + d[at_lo] @ self.lo[at_lo]
-                             + d[at_up] @ self.hi[at_up])
             if dual_obj > last_dual_obj + 1e-12 * max(1.0, abs(last_dual_obj)):
                 last_dual_obj = dual_obj
                 since_progress = 0
@@ -500,26 +532,19 @@ class _Simplex:
                 since_progress += 1
                 if since_progress > 40:
                     return None  # cycling; the cold path decides
-            movable = self._movable_mask()
-            # stricter pivot quality than the primal: dual updates feed the
-            # explicit inverse and a weak pivot wrecks it quickly
-            if below:  # leaving at its lower bound, delta < 0
-                ok = ((self.vstat == AT_LO) & (alpha < -1e-7)) | \
-                     ((self.vstat == AT_UP) & (alpha > 1e-7)) | \
-                     ((self.vstat == FREE) & (np.abs(alpha) > 1e-7))
-            else:      # leaving at its upper bound, delta > 0
-                ok = ((self.vstat == AT_LO) & (alpha > 1e-7)) | \
-                     ((self.vstat == AT_UP) & (alpha < -1e-7)) | \
-                     ((self.vstat == FREE) & (np.abs(alpha) > 1e-7))
-            ok &= movable
-            best = None
-            if ok.any():
-                idx = np.nonzero(ok)[0]
-                ratios = np.abs(d[idx] / alpha[idx])
-                rmin = float(ratios.min())
-                ties = idx[ratios <= rmin + 1e-12]
-                best = int(ties[0])
-            if best is None:
+            # a column may enter when moving it off its bound moves the leaving
+            # row towards its violated bound (g = alpha at the upper, -alpha at
+            # the lower).  Stricter pivot quality than the primal: dual updates
+            # feed the explicit inverse and a weak pivot wrecks it quickly
+            g = -alpha if below else alpha
+            st = self.vstat
+            ok = (((st == AT_LO) & (g > 1e-7)) | ((st == AT_UP) & (g < -1e-7))
+                  | ((st == FREE) & (np.abs(g) > 1e-7))) & movable
+            idx = ok.nonzero()[0]
+            if idx.size:
+                ratios = np.abs(self.d[idx] / alpha[idx])
+                best = int(idx[ratios <= ratios.min() + 1e-12][0])
+            else:
                 # row certificate: check the violated bound is truly unreachable
                 nb = (self.vstat != BASIC) & (np.abs(alpha) > PIVOT_TOL)
                 idx = np.nonzero(nb)[0]
@@ -540,7 +565,9 @@ class _Simplex:
             w = self.binv @ self.a[:, best]
             t = delta / w[slot]
             theta = 1.0 if t >= 0 else -1.0
-            self._pivot(best, slot, AT_LO if below else AT_UP, theta, w, abs(t))
+            dual_obj += abs(self.d[best] / alpha[best]) * abs(delta)
+            self._pivot(best, slot, AT_LO if below else AT_UP, theta, w, abs(t), alpha)
+            lo_b[slot], hi_b[slot] = self.lo[best], self.hi[best]
 
     # -- driver --------------------------------------------------------------
 
@@ -549,9 +576,9 @@ class _Simplex:
             try:
                 warmed = self._beta_feasible()
                 if not warmed:
-                    _, d = self._duals_and_reduced(self.cost)
+                    d = self._reduced_costs(self.cost)
                     if self._dual_feasible(d):
-                        st = self._dual(self.cost)
+                        st = self._dual(d)
                         if st == Status.INFEASIBLE:
                             return Status.INFEASIBLE
                         warmed = st is not None
@@ -561,6 +588,7 @@ class _Simplex:
                         return status
             except linalg.LinAlgError:
                 pass  # numerically wrecked warm basis; the cold path decides
+        self.cold_fallback = warm is not None
         return self._cold_solve()
 
     def _cold_solve(self) -> Status:
@@ -595,8 +623,8 @@ class _Simplex:
         return Basis(tuple(self.basic.tolist()), tuple(self.vstat.tolist()), self.binv)
 
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
-        y, d = self._duals_and_reduced(self.cost)
-        return y, d[:self.n_struct]
+        """Row duals, and the reduced costs the last primal pass carried."""
+        return self.binv.T @ self.cost[self.basic], self.d[:self.n_struct]
 
 
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
@@ -607,12 +635,14 @@ def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
         max_iter = 50 * (comp.n_struct + comp.m)
     s = _Simplex(comp, lower, upper, max_iter)
     status = s.solve(warm)
+    counters = dict(iterations=s.iterations, dual_iterations=s.dual_iterations,
+                    refactorizations=s.refactorizations, cold_fallback=s.cold_fallback)
     if status != Status.OPTIMAL:
-        return LpSolution(status, None, None, None, iterations=s.iterations)
+        return LpSolution(status, None, None, None, **counters)
     values = s._full_values()[:comp.n_struct]
     y, red = s.duals()
     obj = float(comp.cost[:comp.n_struct] @ values)
-    return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), s.iterations)
+    return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), **counters)
 
 
 def solve_lp(prob: LinearProgram, warm: Basis | None = None,

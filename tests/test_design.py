@@ -3,10 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+from misens import design
+from misens.classify import kmeans
 from misens.core import Dataset, LabelingMatrix, predict, predict_batch, rmse
 from misens.design import (
     DesignConfig,
     _build_mis_con_qp,
+    _class_models,
+    _lad_fit,
     _split_merge_starts,
     build_mis_con_lab_milp,
     continuity_violation,
@@ -14,6 +18,7 @@ from misens.design import (
     design_mis_con_lab,
     design_mis_std,
     design_sis,
+    improve_labeling,
     labeling_l1_objective,
     required_big_m,
     variable_layout,
@@ -21,6 +26,7 @@ from misens.design import (
 from misens.lp import Constraint, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
 from misens.qp import solve_qp
+from misens.study import ScenarioConfig, generate_scenario
 
 
 def dataset(inputs, outputs):
@@ -374,3 +380,103 @@ class TestSplitMergeStarts:
             [4, 3, 3, 1, 4, 3, 3, 1, 4, 3, 3, 2, 4, 3, 3, 2],  # split 4, merge 2+3
         ]
         assert [list(p) for p in starts] == expected
+
+
+def lad_l1(model, inputs, outputs):
+    return float(np.abs(inputs @ model.p + model.b_p - outputs).sum())
+
+
+def epigraph_lad_optimum(inputs, outputs):
+    """The LAD optimum from the primal epigraph LP over (p, b, t):
+    min sum t subject to t_i >= +-(y_i - x_i p - b)."""
+    n, d = inputs.shape
+    cons = []
+    for i in range(n):
+        row = {j: float(inputs[i, j]) for j in range(d)}
+        row[d] = 1.0
+        cons.append(Constraint.of({**row, d + 1 + i: 1.0}, ">=", float(outputs[i])))
+        cons.append(Constraint.of({**{j: -v for j, v in row.items()}, d + 1 + i: 1.0},
+                                  ">=", float(-outputs[i])))
+    c = np.concatenate([np.zeros(d + 1), np.ones(n)])
+    lo = np.concatenate([np.full(d + 1, -np.inf), np.zeros(n)])
+    sol = solve_lp(LinearProgram(c, cons, lo, np.full(d + 1 + n, np.inf)))
+    assert sol.status == Status.OPTIMAL
+    return sol.objective_value
+
+
+class TestLadFit:
+    def test_matches_the_best_interpolant(self):
+        # some LAD optimum interpolates n_p + 1 points, so the best of those
+        # interpolants is the optimum
+        rng = np.random.default_rng(3)
+        for n_p in (1, 2):
+            for n in range(3, 13):
+                for _ in range(4):
+                    x = rng.uniform(size=(n, n_p))
+                    y = rng.normal(size=n)
+                    xt = np.column_stack([x, np.ones(n)])
+                    best = np.inf
+                    for rows in itertools.combinations(range(n), n_p + 1):
+                        sub = xt[list(rows)]
+                        if abs(np.linalg.det(sub)) > 1e-9:
+                            coef = np.linalg.solve(sub, y[list(rows)])
+                            best = min(best, float(np.abs(xt @ coef - y).sum()))
+                    assert lad_l1(_lad_fit(x, y), x, y) == pytest.approx(best, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 25, 40, 60])
+    def test_agrees_with_the_epigraph_lp(self, n):
+        rng = np.random.default_rng(n)
+        for n_p in (1, 2, 3):
+            x = rng.uniform(size=(n, n_p))
+            y = x @ rng.normal(size=n_p) + 0.1 * rng.standard_t(2, size=n)
+            assert lad_l1(_lad_fit(x, y), x, y) == pytest.approx(
+                epigraph_lad_optimum(x, y), rel=1e-9, abs=1e-10)
+
+    @pytest.mark.parametrize("case", ["identical", "duplicated", "collinear", "zero column"])
+    def test_rank_deficient_class(self, case):
+        rng = np.random.default_rng(5)
+        if case == "identical":      # every input the same point
+            x = np.tile(rng.uniform(size=(1, 2)), (8, 1))
+        elif case == "duplicated":   # n_p + 1 points, two of them equal
+            x = rng.uniform(size=(3, 2))
+            x[2] = x[0]
+        elif case == "collinear":    # second input an affine image of the first
+            t = rng.uniform(size=8)
+            x = np.column_stack([t, 2.0 * t + 0.5])
+        else:
+            x = np.column_stack([rng.uniform(size=8), np.zeros(8)])
+        y = rng.normal(size=x.shape[0])
+        try:
+            model = _lad_fit(x, y)
+        except RuntimeError:
+            pass  # _class_models falls back to the class mean
+        else:
+            assert lad_l1(model, x, y) == pytest.approx(epigraph_lad_optimum(x, y), abs=1e-9)
+        models = _class_models(dataset(x, y), np.ones(x.shape[0], dtype=int), 1, {})
+        assert len(models) == 1 and np.all(np.isfinite(models[0].p))
+
+
+class TestImproveLabelingMemo:
+    def test_each_row_set_is_fit_once(self, monkeypatch):
+        # the capped benchmark's hint: uniform-30, seed 1, n_cl = 3
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        labels = kmeans(train.inputs, 3, seed=1).labels
+        fits = []
+        lad_fit = design._lad_fit
+
+        def counting(inputs, outputs):
+            fits.append((inputs.tobytes(), outputs.tobytes()))
+            return lad_fit(inputs, outputs)
+
+        monkeypatch.setattr(design, "_lad_fit", counting)
+        memoized = improve_labeling(train, labels, seed=1)
+        distinct = len(set(fits))
+        assert memoized is not None and len(fits) == distinct
+
+        class_models = design._class_models
+        monkeypatch.setattr(design, "_class_models",
+                            lambda train, assign, n_cl, memo: class_models(train, assign, n_cl, {}))
+        fits.clear()
+        unmemoized = improve_labeling(train, labels, seed=1)
+        assert len(fits) > distinct and len(set(fits)) == distinct
+        np.testing.assert_array_equal(memoized.assignments(), unmemoized.assignments())

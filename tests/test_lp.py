@@ -387,6 +387,83 @@ class TestPhaseTwo:
         assert checked >= 100
 
 
+class TestCarriedReducedCosts:
+    """After every pivot, the reduced costs the simplex carries equal fresh
+    ones, c - A'(B^-T c_B), for the cost of the phase it is in."""
+
+    @staticmethod
+    def _solve_checking_pivots(prob, warm, counts):
+        comp = lp.compile_lp(prob)
+        simplex = lp._Simplex(comp, prob.lower, prob.upper, 1000)
+        pivot, dual = simplex._pivot, simplex._dual
+        in_dual = []
+
+        def fresh_reduced_costs(cost):
+            basis = comp.a[:, simplex.basic]
+            return cost - comp.a.T @ np.linalg.solve(basis.T, cost[simplex.basic])
+
+        def checked_pivot(*args):
+            restored = pivot(*args)
+            phase1 = simplex.phase1_cost is not None
+            cost = simplex.phase1_cost if phase1 else simplex.cost
+            tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
+            np.testing.assert_allclose(simplex.d, fresh_reduced_costs(cost), rtol=0, atol=tol)
+            kind = "dual" if in_dual else "phase 1" if phase1 else "phase 2"
+            counts[kind] = counts.get(kind, 0) + 1
+            return restored
+
+        def tracked_dual(d):
+            in_dual.append(True)
+            try:
+                return dual(d)
+            finally:
+                in_dual.pop()
+
+        simplex._pivot, simplex._dual = checked_pivot, tracked_dual
+        status = simplex.solve(warm)
+        if status == Status.OPTIMAL:
+            tol = 1e-9 * max(1.0, float(np.abs(simplex.cost).max()))
+            np.testing.assert_allclose(simplex.d, fresh_reduced_costs(simplex.cost),
+                                       rtol=0, atol=tol)
+        return status
+
+    def test_random_lps_cold(self):
+        rng = np.random.default_rng(31)
+        counts = {}
+        for _ in range(300):
+            prob = random_lp(rng)
+            assert self._solve_checking_pivots(prob, None, counts) == solve_lp(prob).status
+        assert counts["phase 1"] >= 200 and counts["phase 2"] >= 50
+
+    def test_branch_children_warm_and_cold(self):
+        counts = {}
+        for seed in (99, 8, 9, 10):
+            for parent, child in branch_children(seed, tries=300):
+                warm = self._solve_checking_pivots(child, parent.basis, counts)
+                cold = self._solve_checking_pivots(child, None, counts)
+                assert warm == cold
+        assert counts["dual"] >= 50 and counts["phase 1"] >= 200 and counts["phase 2"] >= 100
+
+    def test_counters_match_the_solve(self, inverted):
+        # a child still warm-starts from its parent's inverse: no refactorization
+        warm = 0
+        for parent, child in branch_children(99):
+            inverted.clear()
+            sol = solve_lp(child, warm=parent.basis)
+            assert sol.refactorizations == len(inverted)
+            assert 0 <= sol.dual_iterations <= sol.iterations
+            if sol.status == Status.OPTIMAL and not sol.cold_fallback:
+                warm += 1
+                assert not inverted
+        assert warm >= 20
+
+    def test_counters_report_the_cold_fallback(self):
+        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        assert solve_lp(prob, warm=lp.Basis((0, 0), (0, 0, 0))).cold_fallback
+        cold = solve_lp(prob)
+        assert not cold.cold_fallback and cold.dual_iterations == 0
+
+
 class TestStatusMasks:
     """The simplex's vectorized status repair and dual-feasibility test
     against the per-column rules they implement."""
