@@ -11,7 +11,6 @@ since each pair's constraints involve only the two classes concerned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -36,17 +35,6 @@ class KmeansResult:
     labels: LabelingMatrix
     sse: float
     iterations: int
-
-
-def combination(n_cl: int, k: int) -> tuple[int, int]:
-    """k-th (1-based) lexicographic pair (r, s) with r < s <= n_cl."""
-    n_sp = n_cl * (n_cl - 1) // 2
-    if not 1 <= k <= n_sp:
-        raise ValueError(f"pair index {k} out of range 1..{n_sp} for n_cl={n_cl}")
-    for idx, pair in enumerate(combinations(range(1, n_cl + 1), 2), start=1):
-        if idx == k:
-            return pair
-    raise AssertionError("unreachable")
 
 
 def _kmeans_pp_seed(x: np.ndarray, n_cl: int, rng) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Configuration comes from an optional JSON manifest plus flag overrides
 (flags win).  Every command echoes the fully resolved manifest into the
-output directory so an experiment can be reproduced from its artifacts.
+output directory so an experiment can be reproduced from its artifacts;
+a manifest key that the echo does not hold is a validation error.
 
 Exit codes: 0 success, 2 validation error, 3 solver limit or no incumbent,
 4 I/O error.
@@ -72,7 +73,6 @@ class RunConfig:
                 "gamma": self.design.gamma,
                 "big_m": self.design.big_m,
                 "param_bound": self.design.param_bound,
-                "regularization_weight": self.design.regularization_weight,
                 "milp": {
                     "time_limit_s": self.design.milp_limits.time_limit_s,
                     "gap_target": self.design.milp_limits.gap_target,
@@ -98,12 +98,27 @@ def _set(obj_kwargs: dict, doc: dict, key: str, path: str, caster):
             raise ConfigError(f"{path}.{key}: {exc}") from None
 
 
+def _reject_unknown(doc: dict, known: dict, path: str = "") -> None:
+    """Raise ConfigError naming the dotted path of the first key of `doc`
+    that `known` lacks, or of a section of `known` that `doc` gives as
+    something other than an object or null."""
+    for key, value in doc.items():
+        where = f"{path}.{key}" if path else key
+        if key not in known:
+            raise ConfigError(f"{where}: unknown key; valid: {', '.join(sorted(known))}")
+        if isinstance(known[key], dict) and value is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"{where}: expected a JSON object")
+            _reject_unknown(value, known[key], where)
+
+
 def _config_from_doc(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("manifest root must be a JSON object")
     schema = doc.get("schema", MANIFEST_SCHEMA)
     if schema != MANIFEST_SCHEMA:
         raise ConfigError(f"schema: expected {MANIFEST_SCHEMA}, found {schema}")
+    _reject_unknown(doc, RunConfig().to_manifest())
     sc = doc.get("scenario", {}) or {}
     sk = {}
     _set(sk, sc, "kind", "scenario", str)
@@ -119,7 +134,6 @@ def _config_from_doc(doc: dict) -> RunConfig:
     _set(dk, de, "gamma", "design", float)
     _set(dk, de, "big_m", "design", float)
     _set(dk, de, "param_bound", "design", float)
-    _set(dk, de, "regularization_weight", "design", float)
     _set(dk, de, "seed", "design", int)
     _set(dk, de, "milp_log_interval", "design", int)
     milp = de.get("milp", {}) or {}
@@ -150,8 +164,8 @@ _FLAG_MAP_SCENARIO = {
 }
 _FLAG_MAP_DESIGN = {
     "n_cl": "n_cl", "gamma": "gamma", "big_m": "big_m",
-    "param_bound": "param_bound", "reg_weight": "regularization_weight",
-    "seed": "seed", "milp_log_every": "milp_log_interval",
+    "param_bound": "param_bound", "seed": "seed",
+    "milp_log_every": "milp_log_interval",
 }
 _FLAG_MAP_LIMITS = {
     "time_limit": "time_limit_s", "gap": "gap_target", "node_cap": "node_cap",
@@ -336,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float)
         p.add_argument("--big-m", dest="big_m", type=float)
         p.add_argument("--param-bound", dest="param_bound", type=float)
-        p.add_argument("--reg-weight", dest="reg_weight", type=float)
         p.add_argument("--time-limit", dest="time_limit", type=float,
                        help="MILP time limit in seconds")
         p.add_argument("--gap", type=float, help="MILP relative gap target")

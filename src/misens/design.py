@@ -2,11 +2,12 @@
 
 SIS fits one affine model by least squares.  MIS-std is the three-step
 pipeline (k-means labels, one-vs-one SVM switching, per-region least
-squares).  MIS-con couples switching and training in a single convex QP
-whose equality rows force every pair of local models to agree on the pair's
-switching hyperplane: the slope difference of models r and s equals the
-hyperplane normal AND the offset difference equals the hyperplane offset,
-which together make the prediction continuous across the switch.
+squares).  MIS-con fits the local models by least squares in one convex
+QP whose equality rows tie every pair of models to the pair's switching
+hyperplane: the slope difference of models r and s equals the hyperplane
+normal AND the offset difference equals the hyperplane offset, which
+together make the prediction continuous across the switch.  These rows
+alone pin the planes; the QP has no margin rows.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
 MILP minimizes the summed absolute errors over labelings, subject to the
 same continuity equalities, then the labels are fixed and the final models
@@ -58,7 +59,6 @@ class DesignConfig:
     gamma: float = 10.0
     big_m: float | None = None          # None: exactly required_big_m(...)
     param_bound: float = 10.0
-    regularization_weight: float = 0.0
     milp_limits: MilpLimits = field(default_factory=MilpLimits)
     seed: int = 0
     milp_log_interval: int = 0
@@ -70,8 +70,6 @@ class DesignConfig:
             raise ValueError("gamma must be positive")
         if not self.param_bound > 0:
             raise ValueError("param_bound must be positive")
-        if self.regularization_weight < 0:
-            raise ValueError("regularization_weight must be nonnegative")
 
     def effective_big_m(self, n_p: int) -> float:
         need = required_big_m(self.param_bound, n_p)
@@ -190,7 +188,7 @@ class VariableLayout:
 
     Shared head: w (n_sp * n_p), b_w (n_sp), p (n_cl * n_p), b_p (n_cl).
     The MILP continues with t (n), then the binary block z (n * n_cl),
-    row-major over (i, j); the QP continues with its SVM slacks instead.
+    row-major over (i, j); the QP has the head alone.
     Derivable from (n, n_p, n_cl) alone, so builders and extractors agree
     without passing maps around.
     """
@@ -253,16 +251,14 @@ def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constr
 # ---------------------------------------------------------------------------
 # MIS-con: continuity-coupled joint training (one convex QP)
 
-def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig):
-    n, n_p = train.n, train.n_p
-    n_cl = labels.n_cl
-    lay = variable_layout(n, n_p, n_cl)
+def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix):
+    """Per-class least squares over the layout head, every variable free,
+    subject to the continuity rows of each pair."""
+    n_p, n_cl = train.n_p, labels.n_cl
+    lay = variable_layout(train.n, n_p, n_cl)
     assign = labels.assignments()
-    pairs = expected_pairs(n_cl)
-    # the SVM slacks e follow the head: one per (pair, point of either class)
-    nv = lay.n_head + sum(int(np.isin(assign, pair).sum()) for pair in pairs)
-    q = np.zeros((nv, nv))
-    c = np.zeros(nv)
+    q = np.zeros((lay.n_head, lay.n_head))
+    c = np.zeros(lay.n_head)
     constant = 0.0
     x, y = train.inputs, train.outputs
     for j in range(1, n_cl + 1):
@@ -274,27 +270,10 @@ def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig)
         q[np.ix_(idx, idx)] += 2.0 * (a.T @ a)
         c[idx] += -2.0 * (a.T @ y[rows])
         constant += float(y[rows] @ y[rows])
-    if cfg.regularization_weight > 0:
-        for k in range(1, lay.n_sp + 1):
-            for d in range(n_p):
-                q[lay.w(k, d), lay.w(k, d)] += cfg.regularization_weight
-        c[lay.n_head:] += cfg.regularization_weight * cfg.gamma
-    cons = []
-    e = lay.n_head
-    for k, (r, s) in enumerate(pairs, start=1):
-        for i in range(n):
-            if assign[i] in (r, s):
-                sign = 1.0 if assign[i] == r else -1.0
-                coeffs = {lay.w(k, d): sign * float(x[i, d]) for d in range(n_p)}
-                coeffs[lay.b_w(k)] = sign
-                coeffs[e] = 1.0
-                cons.append(Constraint.of(coeffs, ">=", 1.0))
-                e += 1
-        cons.extend(_continuity_rows(lay, k, r, s))
-    lo = np.full(nv, -np.inf)
-    lo[lay.n_head:] = 0.0
-    hi = np.full(nv, np.inf)
-    return QuadraticProgram(q, c, cons, lo, hi, constant), lay
+    cons = [row for k, (r, s) in enumerate(expected_pairs(n_cl), start=1)
+            for row in _continuity_rows(lay, k, r, s)]
+    free = np.full(lay.n_head, np.inf)
+    return QuadraticProgram(q, c, cons, -free, free, constant), lay
 
 
 def _extract_sensor(values: np.ndarray, lay: VariableLayout, scaler, method: str) -> SensorModel:
@@ -356,17 +335,18 @@ def _normal_dependency_notes(n_cl: int) -> list[str]:
 
 def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
                    scaler: Scaler | None = None) -> DesignReport:
-    """Continuity-coupled joint SVM + least-squares training (one convex QP)."""
+    """Continuity-coupled least-squares training (one convex QP)."""
     if labels.n != train.n:
         raise ValueError("labels and dataset disagree on the number of rows")
     watch = _Stopwatch()
-    prob, lay = _build_mis_con_qp(train, labels, cfg)
+    prob, lay = _build_mis_con_qp(train, labels)
     sol = solve_qp(prob)
     watch.lap("train")
     if sol.status != QpStatus.OPTIMAL:
         raise RuntimeError(
-            "MIS-con QP infeasible: slacks are elastic, so for n_cl >= 3 check "
-            "the pairwise continuity couplings for a conflicting class triple")
+            "MIS-con QP reported infeasible: its continuity rows always admit "
+            "w_k = p_r - p_s, b_w,k = b_p,r - b_p,s, so the feasibility LP "
+            "failed numerically")
     sensor = _extract_sensor(sol.values, lay, scaler, "mis-con")
     cont = continuity_violation(sensor, seed=cfg.seed)
     if cont > CONTINUITY_TOL:

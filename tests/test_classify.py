@@ -6,28 +6,11 @@ import pytest
 from misens.classify import (
     KmeansResult,
     SvmConfig,
-    combination,
     kmeans,
     train_binary_svm,
     train_multiclass_svm,
 )
 from misens.core import LabelingMatrix, assign_regions
-
-
-class TestCombination:
-    def test_first_pair(self):
-        assert combination(3, 1) == (1, 2)
-
-    def test_last_pair_of_three(self):
-        assert combination(3, 3) == (2, 3)
-
-    def test_fifth_pair_of_four(self):
-        # lexicographic pairs of {1..4}: (1,2),(1,3),(1,4),(2,3),(2,4),(3,4)
-        assert combination(4, 5) == (2, 4)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            combination(3, 4)
 
 
 class TestKmeans:

@@ -41,6 +41,38 @@ class TestGenerate:
                     "--out-dir", str(tmp_path / "o")])
         assert code == 4
 
+    @pytest.mark.parametrize("doc,path", [
+        ({"design": {"n_cls": 4}}, "design.n_cls"),
+        ({"design": {"regularization_weight": 0.0}}, "design.regularization_weight"),
+        ({"design": {"milp": {"node_limit": 5}}}, "design.milp.node_limit"),
+        ({"scenario": {"seeds": 3}}, "scenario.seeds"),
+        ({"out_dir": "x"}, "out_dir"),
+    ])
+    def test_unknown_manifest_key_names_its_path(self, tmp_path, capsys, doc, path):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps(doc))
+        code = run(["generate", "--config", str(cfgfile),
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert f"{path}: unknown key" in capsys.readouterr().err
+
+    def test_section_that_is_not_an_object_names_its_path(self, tmp_path, capsys):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps({"design": {"milp": 5}}))
+        code = run(["generate", "--config", str(cfgfile),
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "design.milp: expected a JSON object" in capsys.readouterr().err
+
+    def test_echoed_manifest_loads_again(self, tmp_path):
+        first = tmp_path / "first"
+        assert run(["generate", "--kind", "uniform", "--n-total", "30",
+                    "--out-dir", str(first)]) == 0
+        second = tmp_path / "second"
+        assert run(["generate", "--config", str(first / "manifest.json"),
+                    "--out-dir", str(second)]) == 0
+        assert (second / "train.csv").read_text() == (first / "train.csv").read_text()
+
 
 class TestTrainEvaluate:
     def _generated(self, tmp_path, n_total=36):

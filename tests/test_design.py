@@ -230,10 +230,45 @@ class TestMisCon:
         train, labels = sample_two_piece(rng, 40)
         cfg = DesignConfig(n_cl=2)
         stats = design_mis_con(train, labels, cfg).solver_stats
-        sol = solve_qp(_build_mis_con_qp(train, labels, cfg)[0])
-        assert sol.adds > 0
+        sol = solve_qp(_build_mis_con_qp(train, labels)[0])
+        assert sol.adds == sol.drops == 0
         assert (stats["qp_iterations"], stats["qp_adds"], stats["qp_drops"]) == (
             sol.iterations, sol.adds, sol.drops)
+
+    @pytest.mark.parametrize("n_cl", [2, 3])
+    def test_qp_is_head_with_continuity_equalities(self, n_cl):
+        rng = np.random.default_rng(n_cl)
+        n_p = 2
+        x = rng.uniform(size=(30, n_p))
+        labels = LabelingMatrix.from_assignments(np.arange(30) % n_cl + 1, n_cl)
+        prob, lay = _build_mis_con_qp(dataset(x, rng.uniform(size=30)), labels)
+        assert prob.n_vars == lay.n_head
+        assert len(prob.constraints) == lay.n_sp * (n_p + 1)
+        assert all(con.sense == "=" for con in prob.constraints)
+        assert np.all(prob.lower == -np.inf) and np.all(prob.upper == np.inf)
+
+    @pytest.mark.parametrize("n_cl,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
+    def test_models_are_class_lstsq_and_planes_their_differences(self, n_cl, seed):
+        rng = np.random.default_rng(seed)
+        n, n_p = 36, 2
+        x = rng.uniform(size=(n, n_p))
+        y = rng.uniform(size=n)
+        # every class keeps at least n_p + 1 points
+        assign = rng.permutation(np.concatenate(
+            [np.repeat(np.arange(1, n_cl + 1), n_p + 1),
+             rng.integers(1, n_cl + 1, size=n - n_cl * (n_p + 1))]))
+        labels = LabelingMatrix.from_assignments(assign, n_cl)
+        sensor = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=n_cl)).sensor
+        for j, model in enumerate(sensor.models, start=1):
+            rows = assign == j
+            a = np.hstack([x[rows], np.ones((rows.sum(), 1))])
+            coef = np.linalg.lstsq(a, y[rows], rcond=None)[0]
+            assert np.max(np.abs(model.p - coef[:-1])) <= 1e-9
+            assert abs(model.b_p - coef[-1]) <= 1e-9
+        for hp, (r, s) in zip(sensor.switching.hyperplanes, sensor.switching.pairs):
+            mr, ms = sensor.models[r - 1], sensor.models[s - 1]
+            assert np.max(np.abs(hp.w - (mr.p - ms.p))) <= 1e-9
+            assert abs(hp.b_w - (mr.b_p - ms.b_p)) <= 1e-9
 
 
 class TestMilpBuild:
