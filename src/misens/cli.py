@@ -71,7 +71,6 @@ class RunConfig:
             "design": {
                 "n_cl": self.design.n_cl,
                 "gamma": self.design.gamma,
-                "big_m": self.design.big_m,
                 "param_bound": self.design.param_bound,
                 "milp": {
                     "time_limit_s": self.design.milp_limits.time_limit_s,
@@ -132,7 +131,6 @@ def _config_from_doc(doc: dict) -> RunConfig:
     dk = {}
     _set(dk, de, "n_cl", "design", int)
     _set(dk, de, "gamma", "design", float)
-    _set(dk, de, "big_m", "design", float)
     _set(dk, de, "param_bound", "design", float)
     _set(dk, de, "seed", "design", int)
     _set(dk, de, "milp_log_interval", "design", int)
@@ -163,8 +161,7 @@ _FLAG_MAP_SCENARIO = {
     "train_fraction": "train_fraction", "seed": "seed",
 }
 _FLAG_MAP_DESIGN = {
-    "n_cl": "n_cl", "gamma": "gamma", "big_m": "big_m",
-    "param_bound": "param_bound", "seed": "seed",
+    "n_cl": "n_cl", "gamma": "gamma", "param_bound": "param_bound", "seed": "seed",
     "milp_log_every": "milp_log_interval",
 }
 _FLAG_MAP_LIMITS = {
@@ -348,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     def design_flags(p):
         p.add_argument("--n-cl", dest="n_cl", type=int)
         p.add_argument("--gamma", type=float)
-        p.add_argument("--big-m", dest="big_m", type=float)
         p.add_argument("--param-bound", dest="param_bound", type=float)
         p.add_argument("--time-limit", dest="time_limit", type=float,
                        help="MILP time limit in seconds")

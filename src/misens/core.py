@@ -273,18 +273,11 @@ class SensorModel:
 def assign_region(x, switching: SwitchingLogic) -> int:
     """Pairwise-vote region rule: hyperplane k with pair (r, s) votes r when
     w_k^T x + b_w >= 0 and s otherwise; ties break to the smallest class index."""
-    x = np.asarray(x, dtype=float)
-    votes = np.zeros(switching.n_cl, dtype=int)
-    for h, (r, s) in zip(switching.hyperplanes, switching.pairs):
-        if h.w @ x + h.b_w >= 0.0:
-            votes[r - 1] += 1
-        else:
-            votes[s - 1] += 1
-    return int(votes.argmax()) + 1
+    return int(assign_regions(x, switching)[0])
 
 
 def assign_regions(inputs, switching: SwitchingLogic) -> np.ndarray:
-    """Vectorized assign_region over the rows of `inputs` (1-based classes)."""
+    """assign_region over the rows of `inputs` (1-based classes)."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     votes = np.zeros((x.shape[0], switching.n_cl), dtype=int)
     for h, (r, s) in zip(switching.hyperplanes, switching.pairs):
@@ -299,9 +292,7 @@ def predict(x, sensor: SensorModel) -> float:
     x = np.asarray(x, dtype=float)
     if x.shape != (sensor.n_p,):
         raise ValueError(f"input has shape {x.shape}, sensor expects ({sensor.n_p},)")
-    if sensor.switching is None:
-        return sensor.models[0](x)
-    return sensor.models[assign_region(x, sensor.switching) - 1](x)
+    return float(predict_batch(x[None, :], sensor)[0])
 
 
 def predict_batch(inputs, sensor: SensorModel) -> np.ndarray:

@@ -2,17 +2,16 @@
 
 SIS fits one affine model by least squares.  MIS-std is the three-step
 pipeline (k-means labels, one-vs-one SVM switching, per-region least
-squares).  MIS-con fits the local models by least squares in one convex
-QP whose equality rows tie every pair of models to the pair's switching
-hyperplane: the slope difference of models r and s equals the hyperplane
-normal AND the offset difference equals the hyperplane offset, which
-together make the prediction continuous across the switch.  These rows
-alone pin the planes; the QP has no margin rows.
+squares).  MIS-con fits the local models by per-class least squares in
+one convex QP over the models alone, then takes the switching hyperplane
+of each pair (r, s) as the difference of its models: normal p_r - p_s,
+offset b_p,r - b_p,s.  Both models agree wherever that plane routes
+between them, so the prediction is continuous across every switch by
+construction.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
-MILP minimizes the summed absolute errors over labelings, subject to the
-same continuity equalities, then the labels are fixed and the final models
-come from the MIS-con QP (least squares).  Both programs share one variable
-layout, whose head is the hyperplanes (w, b_w) and the models (p, b_p).
+MILP minimizes the summed absolute errors over labelings, subject to
+continuity equalities between boxed hyperplane and model variables, then
+the labels are fixed and the final models come from the MIS-con QP.
 """
 
 from __future__ import annotations
@@ -57,7 +56,6 @@ def required_big_m(param_bound: float, n_p: int) -> float:
 class DesignConfig:
     n_cl: int = 3
     gamma: float = 10.0
-    big_m: float | None = None          # None: exactly required_big_m(...)
     param_bound: float = 10.0
     milp_limits: MilpLimits = field(default_factory=MilpLimits)
     seed: int = 0
@@ -66,19 +64,10 @@ class DesignConfig:
     def __post_init__(self):
         if self.n_cl < 1:
             raise ValueError("n_cl must be at least 1")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
-        if not self.param_bound > 0:
-            raise ValueError("param_bound must be positive")
-
-    def effective_big_m(self, n_p: int) -> float:
-        need = required_big_m(self.param_bound, n_p)
-        if self.big_m is None:
-            return need
-        if self.big_m < need - 1e-12:
-            raise ValueError(
-                f"big_m={self.big_m} is below {need} and could cut feasible labelings")
-        return float(self.big_m)
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
+        if not (self.param_bound > 0 and np.isfinite(self.param_bound)):
+            raise ValueError("param_bound must be positive and finite")
 
     def svm_config(self) -> SvmConfig:
         return SvmConfig(gamma=self.gamma)
@@ -180,15 +169,14 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
 
 
 # ---------------------------------------------------------------------------
-# The variable layout shared by the MIS-con QP and the labeling MILP
+# The variable layout of the labeling MILP
 
 @dataclass(frozen=True)
 class VariableLayout:
-    """Deterministic variable order of the MIS-con QP and the labeling MILP.
+    """Deterministic variable order of the labeling MILP.
 
-    Shared head: w (n_sp * n_p), b_w (n_sp), p (n_cl * n_p), b_p (n_cl).
-    The MILP continues with t (n), then the binary block z (n * n_cl),
-    row-major over (i, j); the QP has the head alone.
+    Head: w (n_sp * n_p), b_w (n_sp), p (n_cl * n_p), b_p (n_cl); then t
+    (n), then the binary block z (n * n_cl), row-major over (i, j).
     Derivable from (n, n_p, n_cl) alone, so builders and extractors agree
     without passing maps around.
     """
@@ -251,49 +239,59 @@ def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constr
 # ---------------------------------------------------------------------------
 # MIS-con: continuity-coupled joint training (one convex QP)
 
-def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix):
-    """Per-class least squares over the layout head, every variable free,
-    subject to the continuity rows of each pair."""
+def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix) -> QuadraticProgram:
+    """Per-class least squares over the model block alone: n_cl * (n_p + 1)
+    free variables, row j of the block being (p_j, b_p,j).
+
+    There are no rows unless a class has k < n_p + 1 points.  Its model is
+    then held to the span of the points' rows [x_i, 1] by one equality per
+    direction orthogonal to them, which makes it the minimum-norm fit
+    through the points; a Hessian lift alone would leave that choice to
+    roundoff.
+    """
     n_p, n_cl = train.n_p, labels.n_cl
-    lay = variable_layout(train.n, n_p, n_cl)
+    size = n_p + 1
     assign = labels.assignments()
-    q = np.zeros((lay.n_head, lay.n_head))
-    c = np.zeros(lay.n_head)
+    q = np.zeros((n_cl * size, n_cl * size))
+    c = np.zeros(n_cl * size)
     constant = 0.0
+    cons = []
     x, y = train.inputs, train.outputs
     for j in range(1, n_cl + 1):
         rows = np.nonzero(assign == j)[0]
         if rows.shape[0] == 0:
             raise ValueError(f"class {j} is empty")
         a = np.hstack([x[rows], np.ones((rows.shape[0], 1))])
-        idx = [lay.p(j, d) for d in range(n_p)] + [lay.b_p(j)]
-        q[np.ix_(idx, idx)] += 2.0 * (a.T @ a)
-        c[idx] += -2.0 * (a.T @ y[rows])
+        block = slice((j - 1) * size, j * size)
+        q[block, block] = 2.0 * (a.T @ a)
+        c[block] = -2.0 * (a.T @ y[rows])
         constant += float(y[rows] @ y[rows])
-    cons = [row for k, (r, s) in enumerate(expected_pairs(n_cl), start=1)
-            for row in _continuity_rows(lay, k, r, s)]
-    free = np.full(lay.n_head, np.inf)
-    return QuadraticProgram(q, c, cons, -free, free, constant), lay
+        if rows.shape[0] < size:
+            span, _ = linalg.householder_qr(a.T)
+            cons.extend(Constraint(tuple(enumerate(v.tolist(), start=block.start)), "=", 0.0)
+                        for v in span[:, rows.shape[0]:].T)
+    free = np.full(n_cl * size, np.inf)
+    return QuadraticProgram(q, c, cons, -free, free, constant)
 
 
-def _extract_sensor(values: np.ndarray, lay: VariableLayout, scaler, method: str) -> SensorModel:
-    models = tuple(
-        AffineModel(np.array([values[lay.p(j, d)] for d in range(lay.n_p)]),
-                    float(values[lay.b_p(j)]))
-        for j in range(1, lay.n_cl + 1))
-    if lay.n_cl == 1:
+def _extract_sensor(values: np.ndarray, n_cl: int, scaler, method: str) -> SensorModel:
+    """The models of the block, and as the plane of each pair (r, s) model r
+    minus model s, so both models agree wherever that plane switches."""
+    block = values.reshape(n_cl, -1)
+    models = tuple(AffineModel(row[:-1], float(row[-1])) for row in block)
+    if n_cl == 1:
         return SensorModel(models, None, scaler, {"method": method})
     hyperplanes = []
-    for k in range(1, lay.n_sp + 1):
-        w = np.array([values[lay.w(k, d)] for d in range(lay.n_p)])
-        b_w = float(values[lay.b_w(k)])
+    for r, s in expected_pairs(n_cl):
+        diff = block[r - 1] - block[s - 1]
+        w, b_w = diff[:-1], float(diff[-1])
         if np.sqrt(w @ w) <= 1e-12:
             # identical local models make routing irrelevant; Hyperplane
             # forbids a zero normal, so pick a harmless placeholder
-            w = np.zeros(lay.n_p)
+            w = np.zeros(w.shape[0])
             w[0] = 1e-9
         hyperplanes.append(Hyperplane(w, b_w))
-    logic = SwitchingLogic(tuple(hyperplanes), expected_pairs(lay.n_cl), lay.n_cl)
+    logic = SwitchingLogic(tuple(hyperplanes), expected_pairs(n_cl), n_cl)
     return SensorModel(models, logic, scaler, {"method": method})
 
 
@@ -320,34 +318,16 @@ def continuity_violation(sensor: SensorModel, n_samples: int = 1000,
     return worst
 
 
-def _normal_dependency_notes(n_cl: int) -> list[str]:
-    pairs = expected_pairs(n_cl)
-    index = {pair: k for k, pair in enumerate(pairs, start=1)}
-    notes = []
-    for r in range(1, n_cl + 1):
-        for s in range(r + 1, n_cl + 1):
-            for u in range(s + 1, n_cl + 1):
-                notes.append(
-                    f"w[{index[(r, u)]}] = w[{index[(r, s)]}] + w[{index[(s, u)]}]"
-                    f" (pairs {(r, u)}, {(r, s)}, {(s, u)})")
-    return notes
-
-
 def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
                    scaler: Scaler | None = None) -> DesignReport:
     """Continuity-coupled least-squares training (one convex QP)."""
     if labels.n != train.n:
         raise ValueError("labels and dataset disagree on the number of rows")
     watch = _Stopwatch()
-    prob, lay = _build_mis_con_qp(train, labels)
-    sol = solve_qp(prob)
+    sol = solve_qp(_build_mis_con_qp(train, labels))
     watch.lap("train")
-    if sol.status != QpStatus.OPTIMAL:
-        raise RuntimeError(
-            "MIS-con QP reported infeasible: its continuity rows always admit "
-            "w_k = p_r - p_s, b_w,k = b_p,r - b_p,s, so the feasibility LP "
-            "failed numerically")
-    sensor = _extract_sensor(sol.values, lay, scaler, "mis-con")
+    assert sol.status == QpStatus.OPTIMAL  # its rows, if any, are homogeneous
+    sensor = _extract_sensor(sol.values, labels.n_cl, scaler, "mis-con")
     cont = continuity_violation(sensor, seed=cfg.seed)
     if cont > CONTINUITY_TOL:
         raise RuntimeError(f"continuity violation {cont:.3e} above {CONTINUITY_TOL}")
@@ -357,8 +337,6 @@ def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
              "qp_adds": sol.adds, "qp_drops": sol.drops,
              "kkt_residual": sol.kkt_residual, "continuity_max": cont,
              "objective_value": sol.objective_value}
-    if labels.n_cl >= 3:
-        stats["normal_dependencies"] = _normal_dependency_notes(labels.n_cl)
     return DesignReport(sensor, train_rmse, labels, stats)
 
 
@@ -381,7 +359,7 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     if n < n_cl * (n_p + 1):
         raise ValueError(f"need at least {n_cl * (n_p + 1)} points for n_cl={n_cl}")
-    big_m = cfg.effective_big_m(n_p)
+    big_m = required_big_m(cfg.param_bound, n_p)
     lay = variable_layout(n, n_p, n_cl)
     x, y = train.inputs, train.outputs
     # a row with z_ij = 0 cuts nothing only if M >= |y_i| + B (||x_i||_1 + 1)
@@ -498,8 +476,6 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
         "continuity_max": refit.solver_stats["continuity_max"],
         "kkt_residual": refit.solver_stats["kkt_residual"],
     }
-    if cfg.n_cl >= 3:
-        stats["normal_dependencies"] = _normal_dependency_notes(cfg.n_cl)
     return DesignReport(sensor, train_rmse, labels, stats)
 
 

@@ -490,8 +490,9 @@ class _Simplex:
         """Restore primal feasibility keeping dual feasibility.
 
         `d` holds the reduced costs of the starting basis; each pivot carries
-        them in self.d with the pivot row it forms anyway.  Returns a Status
-        when conclusive, or None to request a cold restart.  The attempt is
+        them in self.d with the pivot row it forms anyway.  Returns
+        Status.OPTIMAL once the basis is primal feasible, or None to request
+        a cold restart, which also decides infeasibility.  The attempt is
         best-effort: it gets a small sub-budget so degenerate cycling can
         never starve the cold path that guarantees correctness.
         """
@@ -523,8 +524,7 @@ class _Simplex:
             bi = self.basic[slot]
             below = self.beta[slot] < self.lo[bi]
             delta = self.beta[slot] - (self.lo[bi] if below else self.hi[bi])
-            rho = self.binv[slot, :]
-            alpha = self.a.T @ rho
+            alpha = self.a.T @ self.binv[slot]
             if dual_obj > last_dual_obj + 1e-12 * max(1.0, abs(last_dual_obj)):
                 last_dual_obj = dual_obj
                 since_progress = 0
@@ -541,27 +541,10 @@ class _Simplex:
             ok = (((st == AT_LO) & (g > 1e-7)) | ((st == AT_UP) & (g < -1e-7))
                   | ((st == FREE) & (np.abs(g) > 1e-7))) & movable
             idx = ok.nonzero()[0]
-            if idx.size:
-                ratios = np.abs(self.d[idx] / alpha[idx])
-                best = int(idx[ratios <= ratios.min() + 1e-12][0])
-            else:
-                # row certificate: check the violated bound is truly unreachable
-                nb = (self.vstat != BASIC) & (np.abs(alpha) > PIVOT_TOL)
-                idx = np.nonzero(nb)[0]
-                prods = np.stack([alpha[idx] * self.lo[idx], alpha[idx] * self.hi[idx]])
-                with np.errstate(invalid="ignore"):
-                    reach_lo = float(np.nansum(np.min(prods, axis=0)))
-                    reach_hi = float(np.nansum(np.max(prods, axis=0)))
-                if np.isnan(prods).any():
-                    return None  # 0 * inf ambiguity; let the cold path decide
-                base = rho @ self.rhs
-                attainable_hi = base - reach_lo
-                attainable_lo = base - reach_hi
-                if below and attainable_hi < self.lo[bi] - FEAS_TOL:
-                    return Status.INFEASIBLE
-                if not below and attainable_lo > self.hi[bi] + FEAS_TOL:
-                    return Status.INFEASIBLE
-                return None  # inconclusive; cold restart decides
+            if not idx.size:
+                return None  # no column can enter; the cold path decides
+            ratios = np.abs(self.d[idx] / alpha[idx])
+            best = int(idx[ratios <= ratios.min() + 1e-12][0])
             w = self.binv @ self.a[:, best]
             t = delta / w[slot]
             theta = 1.0 if t >= 0 else -1.0
@@ -578,10 +561,7 @@ class _Simplex:
                 if not warmed:
                     d = self._reduced_costs(self.cost)
                     if self._dual_feasible(d):
-                        st = self._dual(d)
-                        if st == Status.INFEASIBLE:
-                            return Status.INFEASIBLE
-                        warmed = st is not None
+                        warmed = self._dual(d) is not None
                 if warmed:
                     status = self._phase2()
                     if status is not None:

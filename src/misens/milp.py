@@ -53,9 +53,18 @@ class MipStatus(enum.Enum):
 
 @dataclass
 class MilpLimits:
-    time_limit_s: float | None = None
+    time_limit_s: float | None = None   # 0: stop after the root node
     gap_target: float = 1e-6
     node_cap: int = 200_000
+
+    def __post_init__(self):
+        if self.time_limit_s is not None and not (
+                self.time_limit_s >= 0 and np.isfinite(self.time_limit_s)):
+            raise ValueError("time_limit_s must be None or non-negative and finite")
+        if not (self.gap_target >= 0 and np.isfinite(self.gap_target)):
+            raise ValueError("gap_target must be non-negative and finite")
+        if not self.node_cap >= 1:
+            raise ValueError("node_cap must be at least 1")
 
 
 @dataclass

@@ -172,17 +172,17 @@ class _WorkingSet:
         del self.rows[k]
 
 
-def _null_space_solve(q_mat, c_vec, work: _WorkingSet, x0):
+def _null_space_solve(q_mat, c_vec, work: _WorkingSet):
     """Exact minimizer of 0.5 v'Qv + c'v on the affine set A_w v = b_w of
     the working rows.
 
     Returns (x, lam) where lam solves the stationarity system on the working
     rows.  One iterative-refinement pass keeps residuals near machine
-    precision even when the reduced Hessian is badly scaled.
+    precision even when the reduced Hessian is badly scaled.  The result
+    depends on the working set alone, not on the current point, so a
+    repeated solve reproduces it exactly even when the reduced Hessian is
+    singular to working precision.
     """
-    if not work.rows:
-        x = x0 - linalg.cholesky_solve(q_mat, q_mat @ x0 + c_vec)
-        return x, np.zeros(0)
     r1, y_basis, z_basis = work.r, work.y, work.z
     # particular solution: A_w = R1' Y', so solve R1' t = b_w and take x = Y t
     t = linalg.solve_lower(r1.T, work.b)
@@ -240,10 +240,10 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
             raise ActiveSetCycleError("active-set iteration cap exceeded")
         iterations += 1
         try:
-            x_star, lam = _null_space_solve(q_work, prob.c, work, x)
+            x_star, lam = _null_space_solve(q_work, prob.c, work)
         except linalg.LinAlgError:
             ensure_lifted()
-            x_star, lam = _null_space_solve(q_work, prob.c, work, x)
+            x_star, lam = _null_space_solve(q_work, prob.c, work)
         p = x_star - x
         if np.max(np.abs(p)) <= 1e-11 * max(1.0, np.max(np.abs(x))):
             # subspace minimizer: check multipliers of active inequalities
@@ -293,7 +293,7 @@ def _finish(prob, q_work, n_eq, work: _WorkingSet, x, iterations) -> QpSolution:
     stationarity, primal feasibility, and the sign of the working
     inequalities' multipliers."""
     g_mat, g_rhs = work.g_mat, work.g_rhs
-    x_fin, lam = _null_space_solve(q_work, prob.c, work, x)
+    x_fin, lam = _null_space_solve(q_work, prob.c, work)
     stat = prob.q @ x_fin + prob.c
     if work.rows:
         stat = stat - g_mat[work.rows].T @ lam

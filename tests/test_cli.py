@@ -56,6 +56,14 @@ class TestGenerate:
         assert code == 2
         assert f"{path}: unknown key" in capsys.readouterr().err
 
+    def test_removed_big_m_key_names_its_path(self, tmp_path, capsys):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps({"design": {"big_m": 62.0}}))
+        code = run(["generate", "--config", str(cfgfile),
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert "design.big_m: unknown key" in capsys.readouterr().err
+
     def test_section_that_is_not_an_object_names_its_path(self, tmp_path, capsys):
         cfgfile = tmp_path / "m.json"
         cfgfile.write_text(json.dumps({"design": {"milp": 5}}))
@@ -131,6 +139,17 @@ class TestTrainEvaluate:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["solver_stats"]["milp"]["nodes_explored"] <= 3000
+
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--gap", "-1", "gap_target"), ("--node-cap", "0", "node_cap"),
+        ("--node-cap", "-3", "node_cap"), ("--time-limit", "inf", "time_limit_s"),
+        ("--gamma", "inf", "gamma"), ("--param-bound", "inf", "param_bound")])
+    def test_out_of_range_flag_names_its_field(self, tmp_path, capsys, flag, value, field):
+        code = run(["train", "--method", "mis-con-lab", "--n-cl", "2", flag, value,
+                    "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        assert field in capsys.readouterr().err
 
 
 class TestCompare:

@@ -58,6 +58,13 @@ def sample_two_piece(rng, n):
     return dataset(x, y), labels
 
 
+def assert_planes_are_model_differences(sensor):
+    for hp, (r, s) in zip(sensor.switching.hyperplanes, sensor.switching.pairs):
+        mr, ms = sensor.models[r - 1], sensor.models[s - 1]
+        assert np.array_equal(hp.w, mr.p - ms.p)
+        assert hp.b_w == mr.b_p - ms.b_p
+
+
 def l1_oracle_over_labelings(train, cfg):
     """Brute force over all valid labelings, each scored by a reduced LP.
 
@@ -112,6 +119,14 @@ def l1_oracle_over_labelings(train, cfg):
         if sol.status == Status.OPTIMAL and (best is None or sol.objective_value < best):
             best = sol.objective_value
     return best
+
+
+class TestDesignConfig:
+    @pytest.mark.parametrize("field", ["gamma", "param_bound"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 0.0])
+    def test_out_of_range_design_numbers_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DesignConfig(**{field: value})
 
 
 class TestSis:
@@ -222,7 +237,6 @@ class TestMisCon:
         labels = LabelingMatrix.from_assignments(rng.integers(1, 4, size=36), 3)
         report = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=3))
         assert report.solver_stats["continuity_max"] <= 1e-6
-        assert report.solver_stats["normal_dependencies"]
         assert continuity_violation(report.sensor, n_samples=500, seed=1) <= 1e-6
 
     def test_qp_counters_in_stats(self):
@@ -230,22 +244,39 @@ class TestMisCon:
         train, labels = sample_two_piece(rng, 40)
         cfg = DesignConfig(n_cl=2)
         stats = design_mis_con(train, labels, cfg).solver_stats
-        sol = solve_qp(_build_mis_con_qp(train, labels)[0])
+        sol = solve_qp(_build_mis_con_qp(train, labels))
         assert sol.adds == sol.drops == 0
         assert (stats["qp_iterations"], stats["qp_adds"], stats["qp_drops"]) == (
             sol.iterations, sol.adds, sol.drops)
 
     @pytest.mark.parametrize("n_cl", [2, 3])
-    def test_qp_is_head_with_continuity_equalities(self, n_cl):
+    def test_qp_is_the_model_block_without_rows(self, n_cl):
         rng = np.random.default_rng(n_cl)
         n_p = 2
         x = rng.uniform(size=(30, n_p))
         labels = LabelingMatrix.from_assignments(np.arange(30) % n_cl + 1, n_cl)
-        prob, lay = _build_mis_con_qp(dataset(x, rng.uniform(size=30)), labels)
-        assert prob.n_vars == lay.n_head
-        assert len(prob.constraints) == lay.n_sp * (n_p + 1)
-        assert all(con.sense == "=" for con in prob.constraints)
+        prob = _build_mis_con_qp(dataset(x, rng.uniform(size=30)), labels)
+        assert prob.n_vars == n_cl * (n_p + 1)
+        assert prob.constraints == []
         assert np.all(prob.lower == -np.inf) and np.all(prob.upper == np.inf)
+
+    @pytest.mark.parametrize("n_p,small", [(1, 1), (2, 1), (2, 2), (3, 2)])
+    def test_underdetermined_class_gets_the_minimum_norm_model(self, n_p, small):
+        # class 1 has fewer than n_p + 1 points: a face of least-squares
+        # optima, of which the model must be the one nearest the origin
+        rng = np.random.default_rng(10 * n_p + small)
+        n = 24
+        x = rng.uniform(size=(n, n_p))
+        y = rng.uniform(size=n)
+        assign = np.concatenate([np.ones(small, dtype=int), np.arange(n - small) % 2 + 2])
+        labels = LabelingMatrix.from_assignments(assign, 3)
+        sensor = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=3)).sensor
+        for j, model in enumerate(sensor.models, start=1):
+            rows = assign == j
+            a = np.hstack([x[rows], np.ones((rows.sum(), 1))])
+            coef = np.linalg.lstsq(a, y[rows], rcond=None)[0]
+            assert np.max(np.abs(model.p - coef[:-1])) <= 1e-6
+            assert abs(model.b_p - coef[-1]) <= 1e-6
 
     @pytest.mark.parametrize("n_cl,seed", [(2, 0), (2, 1), (3, 2), (3, 3)])
     def test_models_are_class_lstsq_and_planes_their_differences(self, n_cl, seed):
@@ -270,6 +301,14 @@ class TestMisCon:
             assert np.max(np.abs(hp.w - (mr.p - ms.p))) <= 1e-9
             assert abs(hp.b_w - (mr.b_p - ms.b_p)) <= 1e-9
 
+    @pytest.mark.parametrize("n_cl,seed", [(2, 4), (3, 5), (4, 6)])
+    def test_planes_are_exact_model_differences(self, n_cl, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(size=(40, 2))
+        labels = LabelingMatrix.from_assignments(np.arange(40) % n_cl + 1, n_cl)
+        report = design_mis_con(dataset(x, rng.uniform(size=40)), labels, DesignConfig(n_cl=n_cl))
+        assert_planes_are_model_differences(report.sensor)
+
 
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
@@ -285,11 +324,6 @@ class TestMilpBuild:
         assert len(prog.base.constraints) == 46
 
     def test_big_m_invariant_enforced(self):
-        rng = np.random.default_rng(10)
-        train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
-        cfg = DesignConfig(n_cl=2, big_m=1.0)
-        with pytest.raises(ValueError, match="big_m"):
-            build_mis_con_lab_milp(train, cfg)
         assert required_big_m(10.0, 2) == pytest.approx(62.0)
 
     def test_raw_unit_data_rejected(self):
@@ -365,6 +399,13 @@ class TestMisConLab:
         # the optimal labeling reproduces the continuous truth exactly
         assert lab.train_rmse <= 1e-6
         assert lab.solver_stats["milp"]["status"] == "optimal"
+
+    @pytest.mark.parametrize("n_cl", [2, 3])
+    def test_planes_are_exact_model_differences(self, n_cl):
+        rng = np.random.default_rng(18)
+        train = dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12))
+        cfg = DesignConfig(n_cl=n_cl, param_bound=4.0, milp_limits=MilpLimits(node_cap=50))
+        assert_planes_are_model_differences(design_mis_con_lab(train, cfg).sensor)
 
     def test_determinism_of_reports(self):
         rng = np.random.default_rng(15)

@@ -312,6 +312,16 @@ class TestWarmStart:
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
 
+    def test_infeasible_child_is_decided_cold(self):
+        # the parent rests at x = 1, y = 0.5; capping x at 0.2 leaves the row
+        # x + y >= 1.5 out of reach, no column can enter the dual simplex,
+        # and the cold path proves the child infeasible
+        row = [({0: 1.0, 1: 1.0}, ">=", 1.5)]
+        parent = solve_lp(make_lp([1.0, 1.0], row, [0.0, 0.0], [1.0, 1.0]))
+        sol = solve_lp(make_lp([1.0, 1.0], row, [0.0, 0.0], [0.2, 1.0]), warm=parent.basis)
+        assert sol.status == Status.INFEASIBLE
+        assert sol.cold_fallback and sol.dual_iterations == 1
+
     def test_warm_start_with_garbage_basis_falls_back(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
         bad = lp.Basis((0, 0), (0, 0, 0))

@@ -175,6 +175,14 @@ class TestLimitsAndHints:
         assert res.gap == pytest.approx(1.0)
         assert res.summary()["abs_gap"] == pytest.approx(0.3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("node_cap", 0), ("node_cap", -3), ("gap_target", -1.0), ("gap_target", np.inf),
+        ("gap_target", np.nan), ("time_limit_s", -1.0), ("time_limit_s", np.inf),
+        ("time_limit_s", np.nan)])
+    def test_out_of_range_limits_are_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MilpLimits(**{field: value})
+
     def test_time_limit_zero_stops_immediately(self):
         mip = self._bigger_mip()
         res = solve_milp(mip, MilpLimits(time_limit_s=0.0))

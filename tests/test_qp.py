@@ -40,6 +40,18 @@ class TestBasics:
             oracle = -linalg.cholesky_solve(q, c)
             assert np.max(np.abs(sol.values - oracle)) <= 1e-8
 
+    def test_unconstrained_singular_least_squares(self):
+        # two points cannot identify an affine model in three inputs: Q is
+        # singular, and a subspace solve that restarted from the current
+        # point picked up new roundoff in its flat directions at every step
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            a = np.hstack([rng.uniform(size=(2, 3)), np.ones((2, 1))])
+            y = rng.uniform(size=2)
+            sol = solve_qp(make_qp(2.0 * a.T @ a, -2.0 * a.T @ y, constant=float(y @ y)))
+            assert sol.status == QpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
+
     def test_infeasible(self):
         prob = make_qp(np.eye(1), [0.0],
                        cons=[({0: 1.0}, ">=", 2.0), ({0: 1.0}, "<=", 1.0)])
