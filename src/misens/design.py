@@ -2,17 +2,16 @@
 
 SIS fits one affine model by least squares.  MIS-std is the three-step
 pipeline (k-means labels, one-vs-one SVM switching, per-region least
-squares).  MIS-con fits the local models by per-class least squares in
-one convex QP over the models alone, then takes the switching hyperplane
-of each pair (r, s) as the difference of its models: normal p_r - p_s,
-offset b_p,r - b_p,s.  Both models agree wherever that plane routes
-between them, so the prediction is continuous across every switch by
-construction.
+squares).  MIS-con fits each class's local model by least squares, then
+takes the switching hyperplane of each pair (r, s) as the difference of
+its models: normal p_r - p_s, offset b_p,r - b_p,s.  Both models agree
+wherever that plane routes between them, so the prediction is continuous
+across every switch by construction.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
 MILP minimizes the summed absolute errors over labelings, subject to
 continuity equalities between boxed hyperplane and model variables, then
-the labels are fixed and the final models come from the MIS-con QP.
-"""
+the labels are fixed and the final models come from the MIS-con refit.
+All four share one least-squares kernel, `linalg.least_squares`."""
 
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .classify import SvmConfig, kmeans, train_binary_svm, train_multiclass_svm
+from .classify import SvmConfig, kmeans, train_multiclass_svm
 from .core import (
     AffineModel,
     Dataset,
@@ -38,7 +37,6 @@ from .core import (
 )
 from .lp import Constraint, LinearProgram, Status, solve_lp
 from .milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
-from .qp import QpStatus, QuadraticProgram, solve_qp
 
 CONTINUITY_TOL = 1e-6
 
@@ -224,10 +222,6 @@ class VariableLayout:
         return tuple(range(self.n_continuous, self.n_vars))
 
 
-def variable_layout(n: int, n_p: int, n_cl: int) -> VariableLayout:
-    return VariableLayout(n, n_p, n_cl)
-
-
 def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constraint]:
     """p_r - p_s = w_k and b_p,r - b_p,s = b_w,k for pair k = (r, s)."""
     rows = [Constraint.of({lay.p(r, d): 1.0, lay.p(s, d): -1.0, lay.w(k, d): -1.0}, "=", 0.0)
@@ -237,54 +231,18 @@ def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constr
 
 
 # ---------------------------------------------------------------------------
-# MIS-con: continuity-coupled joint training (one convex QP)
+# MIS-con: per-class least squares, planes the differences of the models
 
-def _build_mis_con_qp(train: Dataset, labels: LabelingMatrix) -> QuadraticProgram:
-    """Per-class least squares over the model block alone: n_cl * (n_p + 1)
-    free variables, row j of the block being (p_j, b_p,j).
-
-    There are no rows unless a class has k < n_p + 1 points.  Its model is
-    then held to the span of the points' rows [x_i, 1] by one equality per
-    direction orthogonal to them, which makes it the minimum-norm fit
-    through the points; a Hessian lift alone would leave that choice to
-    roundoff.
-    """
-    n_p, n_cl = train.n_p, labels.n_cl
-    size = n_p + 1
-    assign = labels.assignments()
-    q = np.zeros((n_cl * size, n_cl * size))
-    c = np.zeros(n_cl * size)
-    constant = 0.0
-    cons = []
-    x, y = train.inputs, train.outputs
-    for j in range(1, n_cl + 1):
-        rows = np.nonzero(assign == j)[0]
-        if rows.shape[0] == 0:
-            raise ValueError(f"class {j} is empty")
-        a = np.hstack([x[rows], np.ones((rows.shape[0], 1))])
-        block = slice((j - 1) * size, j * size)
-        q[block, block] = 2.0 * (a.T @ a)
-        c[block] = -2.0 * (a.T @ y[rows])
-        constant += float(y[rows] @ y[rows])
-        if rows.shape[0] < size:
-            span, _ = linalg.householder_qr(a.T)
-            cons.extend(Constraint(tuple(enumerate(v.tolist(), start=block.start)), "=", 0.0)
-                        for v in span[:, rows.shape[0]:].T)
-    free = np.full(n_cl * size, np.inf)
-    return QuadraticProgram(q, c, cons, -free, free, constant)
-
-
-def _extract_sensor(values: np.ndarray, n_cl: int, scaler, method: str) -> SensorModel:
-    """The models of the block, and as the plane of each pair (r, s) model r
-    minus model s, so both models agree wherever that plane switches."""
-    block = values.reshape(n_cl, -1)
-    models = tuple(AffineModel(row[:-1], float(row[-1])) for row in block)
+def _extract_sensor(models: tuple[AffineModel, ...], scaler, method: str) -> SensorModel:
+    """The models, and as the plane of each pair (r, s) model r minus model
+    s, so both models agree wherever that plane switches."""
+    n_cl = len(models)
     if n_cl == 1:
         return SensorModel(models, None, scaler, {"method": method})
     hyperplanes = []
     for r, s in expected_pairs(n_cl):
-        diff = block[r - 1] - block[s - 1]
-        w, b_w = diff[:-1], float(diff[-1])
+        mr, ms = models[r - 1], models[s - 1]
+        w, b_w = mr.p - ms.p, mr.b_p - ms.b_p
         if np.sqrt(w @ w) <= 1e-12:
             # identical local models make routing irrelevant; Hyperplane
             # forbids a zero normal, so pick a harmless placeholder
@@ -320,23 +278,43 @@ def continuity_violation(sensor: SensorModel, n_samples: int = 1000,
 
 def design_mis_con(train: Dataset, labels: LabelingMatrix, cfg: DesignConfig,
                    scaler: Scaler | None = None) -> DesignReport:
-    """Continuity-coupled least-squares training (one convex QP)."""
+    """Continuity-coupled least-squares training.
+
+    Each class gets the least-squares affine fit of its points, the
+    minimum-norm one when it has fewer than n_p + 1 of them; the planes are
+    the models' differences.  An empty class raises ValueError, and a class
+    whose rows [x_i, 1] are rank-deficient (collinear points, or a repeated
+    one) raises LinAlgError naming it.
+    """
     if labels.n != train.n:
         raise ValueError("labels and dataset disagree on the number of rows")
     watch = _Stopwatch()
-    sol = solve_qp(_build_mis_con_qp(train, labels))
+    models = []
+    kkt = sse = 0.0
+    for j in range(1, labels.n_cl + 1):
+        rows = labels.members(j)
+        if rows.shape[0] == 0:
+            raise ValueError(f"class {j} is empty")
+        x, y = train.inputs[rows], train.outputs[rows]
+        try:
+            model = _fit_affine(x, y)
+        except linalg.LinAlgError as exc:
+            raise linalg.LinAlgError(f"class {j}: {exc}") from None
+        resid = x @ model.p + model.b_p - y
+        # the gradient 2 A'(A theta - y) of the class's squared error
+        grad = 2.0 * np.append(resid @ x, resid.sum())
+        kkt = max(kkt, float(np.abs(grad).max()))
+        sse += float(resid @ resid)
+        models.append(model)
     watch.lap("train")
-    assert sol.status == QpStatus.OPTIMAL  # its rows, if any, are homogeneous
-    sensor = _extract_sensor(sol.values, labels.n_cl, scaler, "mis-con")
+    sensor = _extract_sensor(tuple(models), scaler, "mis-con")
     cont = continuity_violation(sensor, seed=cfg.seed)
     if cont > CONTINUITY_TOL:
         raise RuntimeError(f"continuity violation {cont:.3e} above {CONTINUITY_TOL}")
     watch.lap("verify")
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
-    stats = {"timings": watch.laps, "qp_iterations": sol.iterations,
-             "qp_adds": sol.adds, "qp_drops": sol.drops,
-             "kkt_residual": sol.kkt_residual, "continuity_max": cont,
-             "objective_value": sol.objective_value}
+    stats = {"timings": watch.laps, "kkt_residual": kkt, "continuity_max": cont,
+             "objective_value": sse}
     return DesignReport(sensor, train_rmse, labels, stats)
 
 
@@ -360,7 +338,7 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     if n < n_cl * (n_p + 1):
         raise ValueError(f"need at least {n_cl * (n_p + 1)} points for n_cl={n_cl}")
     big_m = required_big_m(cfg.param_bound, n_p)
-    lay = variable_layout(n, n_p, n_cl)
+    lay = VariableLayout(n, n_p, n_cl)
     x, y = train.inputs, train.outputs
     # a row with z_ij = 0 cuts nothing only if M >= |y_i| + B (||x_i||_1 + 1)
     need = np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)
@@ -434,7 +412,7 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     """Optimal-labeling design: MILP for Z, then the MIS-con refit."""
     watch = _Stopwatch()
     program = build_mis_con_lab_milp(train, cfg)
-    lay = variable_layout(train.n, train.n_p, cfg.n_cl)
+    lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
     watch.lap("build")
     hint = None
     hint_objective = None

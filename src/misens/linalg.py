@@ -1,5 +1,5 @@
 """Dense linear-algebra kernels: Householder QR and its column updates,
-least squares, Cholesky.
+least squares (minimum-norm when underdetermined), Cholesky.
 
 The factorizations are written directly against float64 numpy arrays so
 that the LP/QP solvers and the regression paths do not depend on LAPACK
@@ -148,29 +148,39 @@ def solve_lower(l, y) -> np.ndarray:
 
 
 def least_squares(a, b) -> np.ndarray:
-    """argmin ||A x - b||_2 by Householder QR.
+    """argmin ||A x - b||_2 by Householder QR; the minimum-norm one when A
+    is wide.
 
-    Requires m >= k and full column rank; a column whose R diagonal falls
-    below RANK_TOL times the largest one is reported as deficient.
+    A must have full rank min(m, k).  Tall A (m >= k) is factored directly.
+    Wide A (m < k) is factored through A' = Q [R; 0], so that x = Q [z; 0]
+    with R' z = b, the solution in the row space of A.  A diagonal entry of
+    R below RANK_TOL times the largest one is reported as deficient.
     """
-    r = _as_matrix(a, "A").copy()
+    a = _as_matrix(a, "A")
     rhs = _as_vector(b, "b").copy()
-    m, k = r.shape
+    m, k = a.shape
     if rhs.shape[0] != m:
         raise LinAlgError(f"shape mismatch: A is {m}x{k}, b has length {rhs.shape[0]}")
-    if m < k:
-        raise LinAlgError(f"underdetermined system: {m} rows < {k} columns")
-    for j in range(min(m - 1, k)):
-        v = _reflect(r, j)
-        if v is not None:
-            rhs[j:] -= 2.0 * v * (v @ rhs[j:])
-    diag = np.abs(np.diag(r[:k, :k]))
+    wide = m < k
+    r = (a.T if wide else a).copy()
+    n = min(m, k)
+    reflectors = [(j, v) for j in range(min(r.shape[0] - 1, n))
+                  if (v := _reflect(r, j)) is not None]
+    diag = np.abs(np.diag(r[:n, :n]))
     scale = diag.max() if diag.size else 0.0
     if scale <= 0.0:
-        raise LinAlgError("rank-deficient system: column 0 (zero matrix)")
+        raise LinAlgError("rank-deficient system: zero matrix")
     bad = np.nonzero(diag < RANK_TOL * scale)[0]
     if bad.size:
-        raise LinAlgError(f"rank-deficient system: column {int(bad[0])}")
+        raise LinAlgError(f"rank-deficient system: {'row' if wide else 'column'} {int(bad[0])}")
+    if wide:
+        x = np.zeros(k)
+        x[:m] = solve_lower(r[:m, :m].T, rhs)
+        for j, v in reversed(reflectors):
+            x[j:] -= 2.0 * v * (v @ x[j:])
+        return x
+    for j, v in reflectors:
+        rhs[j:] -= 2.0 * v * (v @ rhs[j:])
     return solve_upper(r[:k, :k], rhs[:k])
 
 

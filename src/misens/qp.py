@@ -198,14 +198,13 @@ def _null_space_solve(q_mat, c_vec, work: _WorkingSet):
     return x, lam
 
 
-def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
+def solve_qp(prob: QuadraticProgram) -> QpSolution:
     """Primal active-set method; see the module docstring for conventions."""
     prob.validate()
     n = prob.n_vars
     g_mat, g_rhs, n_eq = _gather_rows(prob)
     n_rows = g_mat.shape[0]
-    if max_iter is None:
-        max_iter = 100 * (n + n_rows) + 100
+    max_iter = 100 * (n + n_rows) + 100
     x = _feasible_start(prob)
     if x is None:
         return QpSolution(QpStatus.INFEASIBLE, None, None)
@@ -252,7 +251,7 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
             worst_lam, worst = min(zip(lam[n_eq:].tolist(), work.rows[n_eq:]),
                                    default=(0.0, -1))
             if worst_lam >= -MULT_TOL:
-                sol = _finish(prob, q_work, n_eq, work, x, iterations)
+                sol = _finish(prob, q_work, n_eq, work, iterations)
                 sol.adds, sol.drops, sol.lifted = adds, drops, lifted
                 return sol
             key = frozenset(work.rows)
@@ -288,7 +287,7 @@ def solve_qp(prob: QuadraticProgram, max_iter: int | None = None) -> QpSolution:
             adds += 1
 
 
-def _finish(prob, q_work, n_eq, work: _WorkingSet, x, iterations) -> QpSolution:
+def _finish(prob, q_work, n_eq, work: _WorkingSet, iterations) -> QpSolution:
     """Final subspace solve and its KKT residual against the original Q:
     stationarity, primal feasibility, and the sign of the working
     inequalities' multipliers."""

@@ -3,12 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from misens import design
+from misens import design, linalg
 from misens.classify import kmeans
 from misens.core import Dataset, LabelingMatrix, predict, predict_batch, rmse
 from misens.design import (
     DesignConfig,
-    _build_mis_con_qp,
+    VariableLayout,
     _class_models,
     _lad_fit,
     _split_merge_starts,
@@ -21,11 +21,9 @@ from misens.design import (
     improve_labeling,
     labeling_l1_objective,
     required_big_m,
-    variable_layout,
 )
 from misens.lp import Constraint, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
-from misens.qp import solve_qp
 from misens.study import ScenarioConfig, generate_scenario
 
 
@@ -239,26 +237,33 @@ class TestMisCon:
         assert report.solver_stats["continuity_max"] <= 1e-6
         assert continuity_violation(report.sensor, n_samples=500, seed=1) <= 1e-6
 
-    def test_qp_counters_in_stats(self):
+    def test_stats_are_the_class_fits_optimality(self):
         rng = np.random.default_rng(5)
         train, labels = sample_two_piece(rng, 40)
-        cfg = DesignConfig(n_cl=2)
-        stats = design_mis_con(train, labels, cfg).solver_stats
-        sol = solve_qp(_build_mis_con_qp(train, labels))
-        assert sol.adds == sol.drops == 0
-        assert (stats["qp_iterations"], stats["qp_adds"], stats["qp_drops"]) == (
-            sol.iterations, sol.adds, sol.drops)
+        report = design_mis_con(train, labels, DesignConfig(n_cl=2))
+        stats = report.solver_stats
+        assert stats["kkt_residual"] <= 1e-9
+        sse = 0.0
+        for j, model in enumerate(report.sensor.models, start=1):
+            rows = labels.members(j)
+            resid = train.inputs[rows] @ model.p + model.b_p - train.outputs[rows]
+            sse += float(resid @ resid)
+        assert stats["objective_value"] == pytest.approx(sse, abs=1e-12)
+        assert not [key for key in stats if key.startswith("qp_")]
 
-    @pytest.mark.parametrize("n_cl", [2, 3])
-    def test_qp_is_the_model_block_without_rows(self, n_cl):
-        rng = np.random.default_rng(n_cl)
-        n_p = 2
-        x = rng.uniform(size=(30, n_p))
-        labels = LabelingMatrix.from_assignments(np.arange(30) % n_cl + 1, n_cl)
-        prob = _build_mis_con_qp(dataset(x, rng.uniform(size=30)), labels)
-        assert prob.n_vars == n_cl * (n_p + 1)
-        assert prob.constraints == []
-        assert np.all(prob.lower == -np.inf) and np.all(prob.upper == np.inf)
+    @pytest.mark.parametrize("n_p", [2, 3])
+    def test_collinear_class_raises(self, n_p):
+        # class 1 holds n_p + 2 points on one line: no affine model of them
+        # is identified, so the fit must refuse rather than pick one
+        rng = np.random.default_rng(n_p)
+        n = 24
+        x = rng.uniform(size=(n, n_p))
+        t = rng.uniform(size=(n_p + 2, 1))
+        x[:n_p + 2] = 0.2 + t * rng.uniform(size=n_p)
+        assign = np.concatenate([np.ones(n_p + 2, dtype=int), np.full(n - n_p - 2, 2)])
+        labels = LabelingMatrix.from_assignments(assign, 2)
+        with pytest.raises(linalg.LinAlgError, match="class 1"):
+            design_mis_con(dataset(x, rng.uniform(size=n)), labels, DesignConfig(n_cl=2))
 
     @pytest.mark.parametrize("n_p,small", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_underdetermined_class_gets_the_minimum_norm_model(self, n_p, small):
@@ -312,7 +317,7 @@ class TestMisCon:
 
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
-        lay = variable_layout(8, 2, 2)
+        lay = VariableLayout(8, 2, 2)
         assert lay.n_continuous == 17   # 3 (w,b_w) + 6 (p,b_p) + 8 (t)
         assert len(lay.binaries) == 16
 
@@ -344,7 +349,7 @@ class TestMilpBuild:
         assert min(labels.class_sizes()) >= 3
         cfg = DesignConfig(n_cl=2, param_bound=4.0)
         prog = build_mis_con_lab_milp(train, cfg)
-        lay = variable_layout(train.n, train.n_p, cfg.n_cl)
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
         obj, values = labeling_l1_objective(prog, lay, labels)
         assert obj is not None
         # the truth is continuous and exactly representable: L1 error 0

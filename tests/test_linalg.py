@@ -41,8 +41,15 @@ def test_least_squares_rank_deficient_names_column():
         linalg.least_squares(a, np.ones(4))
 
 
-def test_least_squares_underdetermined_rejected():
-    with pytest.raises(linalg.LinAlgError, match="underdetermined"):
+def test_least_squares_wide_gives_the_minimum_norm_solution():
+    rng = np.random.default_rng(12)
+    for m, k in [(1, 2), (1, 3), (2, 3), (3, 7), (5, 6)]:
+        a = rng.normal(size=(m, k))
+        b = rng.normal(size=m)
+        x = linalg.least_squares(a, b)
+        assert np.max(np.abs(x - np.linalg.lstsq(a, b, rcond=None)[0])) <= 1e-10
+    # rank 1 with two rows: a rank-deficient wide A still raises
+    with pytest.raises(linalg.LinAlgError, match="rank-deficient"):
         linalg.least_squares(np.ones((2, 3)), np.ones(2))
 
 

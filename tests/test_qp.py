@@ -178,7 +178,7 @@ class TestCounters:
         g_mat, g_rhs, n_eq = _gather_rows(prob)
         work = _WorkingSet(g_mat, g_rhs)
         assert work.add(0)
-        sol = _finish(prob, prob.q, n_eq, work, np.zeros(1), 1)
+        sol = _finish(prob, prob.q, n_eq, work, 1)
         assert sol.values[0] == 0.0
         assert sol.kkt_residual >= 2.0
 
