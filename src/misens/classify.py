@@ -19,14 +19,9 @@ from .lp import Constraint
 from .qp import QpStatus, QuadraticProgram, solve_qp
 
 
-@dataclass(frozen=True)
-class SvmConfig:
-    gamma: float = 10.0       # slack weight on normalized data
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma <= 0:
-            raise ValueError("gamma must be finite and positive")
+KKT_TOL = 1e-6           # largest KKT residual accepted from an SVM QP
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 300
 
 
 @dataclass
@@ -60,12 +55,12 @@ def _sse(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
     return float(((x - centroids[assign]) ** 2).sum())
 
 
-def _lloyd(x: np.ndarray, n_cl: int, rng, max_iter: int) -> tuple[np.ndarray, np.ndarray, float, int]:
+def _lloyd(x: np.ndarray, n_cl: int, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
     centroids = _kmeans_pp_seed(x, n_cl, rng)
     assign = _assign(x, centroids)
     prev_sse = np.inf
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         iterations += 1
         reseeded = False
         for j in range(n_cl):
@@ -89,8 +84,7 @@ def _lloyd(x: np.ndarray, n_cl: int, rng, max_iter: int) -> tuple[np.ndarray, np
     return centroids, assign, _sse(x, centroids, assign), iterations
 
 
-def kmeans(inputs, n_cl: int, seed: int = 0, restarts: int = 10,
-           max_iter: int = 300) -> KmeansResult:
+def kmeans(inputs, n_cl: int, seed: int = 0) -> KmeansResult:
     """Best-of-restarts Lloyd's algorithm on the input rows only."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n = x.shape[0]
@@ -99,9 +93,9 @@ def kmeans(inputs, n_cl: int, seed: int = 0, restarts: int = 10,
     if n < n_cl:
         raise ValueError(f"cannot form {n_cl} clusters from {n} points")
     best = None
-    for restart in range(max(1, restarts)):
+    for restart in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, restart])
-        centroids, assign, sse, iterations = _lloyd(x, n_cl, rng, max_iter)
+        centroids, assign, sse, iterations = _lloyd(x, n_cl, rng)
         if best is None or sse < best[2] - 1e-15:
             best = (centroids, assign, sse, iterations)
     centroids, assign, sse, iterations = best
@@ -110,13 +104,14 @@ def kmeans(inputs, n_cl: int, seed: int = 0, restarts: int = 10,
 
 
 def train_binary_svm(inputs, labels: LabelingMatrix,
-                     cfg: SvmConfig | None = None) -> tuple[Hyperplane, np.ndarray]:
-    """Soft-margin linear SVM between two classes.
+                     gamma: float = 10.0) -> tuple[Hyperplane, np.ndarray]:
+    """Soft-margin linear SVM between two classes, gamma the slack weight.
 
     Class 1 ends on the w'x + b_w >= 0 side (margin target +1), class 2 on
     the negative side.  Returns the hyperplane and the slack vector.
     """
-    cfg = cfg or SvmConfig()
+    if not np.isfinite(gamma) or gamma <= 0:
+        raise ValueError("gamma must be finite and positive")
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     if labels.n_cl != 2:
         raise ValueError("binary SVM needs a two-class labeling")
@@ -131,7 +126,7 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     q = np.zeros((nv, nv))
     q[:n_p, :n_p] = np.eye(n_p)          # 0.5||w||^2
     c = np.zeros(nv)
-    c[n_p + 1:] = cfg.gamma
+    c[n_p + 1:] = gamma
     sign = np.where(labels.entries[:, 0] == 1, 1.0, -1.0)
     cons = []
     for i in range(n):
@@ -144,7 +139,7 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     sol = solve_qp(QuadraticProgram(q, c, cons, lo, hi))
     if sol.status != QpStatus.OPTIMAL:
         raise RuntimeError("SVM training QP reported infeasible; slacks should make it elastic")
-    if sol.kkt_residual > cfg.tolerance:
+    if sol.kkt_residual > KKT_TOL:
         raise RuntimeError(f"SVM KKT residual {sol.kkt_residual:.2e} above tolerance")
     w = sol.values[:n_p]
     b_w = float(sol.values[n_p])
@@ -153,9 +148,8 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
 
 
 def train_multiclass_svm(inputs, labels: LabelingMatrix,
-                         cfg: SvmConfig | None = None) -> SwitchingLogic:
+                         gamma: float = 10.0) -> SwitchingLogic:
     """One-vs-one switching logic: one binary SVM per lexicographic class pair."""
-    cfg = cfg or SvmConfig()
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n_cl = labels.n_cl
     sizes = labels.class_sizes()
@@ -170,6 +164,6 @@ def train_multiclass_svm(inputs, labels: LabelingMatrix,
         subset.sort()
         sub_labels = LabelingMatrix.from_assignments(
             np.where(np.isin(subset, rows_r), 1, 2), 2)
-        hp, _ = train_binary_svm(x[subset], sub_labels, cfg)
+        hp, _ = train_binary_svm(x[subset], sub_labels, gamma)
         hyperplanes.append(hp)
-    return SwitchingLogic(tuple(hyperplanes), expected_pairs(n_cl), n_cl)
+    return SwitchingLogic(tuple(hyperplanes), n_cl)

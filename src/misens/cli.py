@@ -235,9 +235,7 @@ def _write_json(path: Path, doc: dict) -> None:
         fh.write("\n")
 
 
-def cmd_generate(args) -> int:
-    cfg = resolve_config(args)
-    out = _prepare_out(cfg)
+def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
     train, test, scaler = generate_scenario(cfg.scenario)
     core.save_dataset(train, out / "train.csv")
     core.save_dataset(test, out / "test.csv")
@@ -246,9 +244,7 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def cmd_train(args) -> int:
-    cfg = resolve_config(args)
-    out = _prepare_out(cfg)
+def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     method = args.method
     if method not in METHODS:
         print(f"error: unknown method {method!r}; valid: {', '.join(METHODS)}",
@@ -270,9 +266,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
-    out = _prepare_out(cfg)
+def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     sensor = core.load_sensor(args.sensor)
     data, _ = core.load_dataset(args.data)
     preds = core.predict_batch(data.inputs, sensor)
@@ -285,9 +279,7 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args) -> int:
-    cfg = resolve_config(args)
-    out = _prepare_out(cfg)
+def cmd_compare(args, cfg: RunConfig, out: Path) -> int:
     report = run_comparison(cfg.scenario, list(cfg.methods), cfg.design,
                             timing=cfg.timing)
     report.write_csv(out / "comparison.csv")
@@ -304,9 +296,7 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
-def cmd_montecarlo(args) -> int:
-    cfg = resolve_config(args)
-    out = _prepare_out(cfg)
+def cmd_montecarlo(args, cfg: RunConfig, out: Path) -> int:
     jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
     report = run_montecarlo(cfg.scenario, cfg.runs, list(cfg.methods), cfg.design,
                             jobs=jobs, timing=cfg.timing)
@@ -391,12 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = logging.WARNING
-    if args.verbosity:
-        level = logging.INFO if args.verbosity == 1 else logging.DEBUG
-    logging.basicConfig(level=level, format="%(name)s: %(message)s")
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        out = _prepare_out(cfg)
+        level = logging.WARNING
+        if cfg.verbosity:
+            level = logging.INFO if cfg.verbosity == 1 else logging.DEBUG
+        logging.basicConfig(level=level, format="%(name)s: %(message)s")
+        return args.func(args, cfg, out)
     except (ConfigError, core.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

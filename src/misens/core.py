@@ -144,20 +144,21 @@ class SwitchingLogic:
     """One hyperplane per class pair plus the pairwise-vote assignment rule."""
 
     hyperplanes: tuple[Hyperplane, ...]
-    pairs: tuple[tuple[int, int], ...]
     n_cl: int
 
     def __post_init__(self):
         object.__setattr__(self, "hyperplanes", tuple(self.hyperplanes))
-        object.__setattr__(self, "pairs", tuple((int(r), int(s)) for r, s in self.pairs))
         n_sp = self.n_cl * (self.n_cl - 1) // 2
         if len(self.hyperplanes) != n_sp:
             raise ValueError(f"expected {n_sp} hyperplanes for n_cl={self.n_cl}, got {len(self.hyperplanes)}")
-        if self.pairs != expected_pairs(self.n_cl):
-            raise ValueError("pairs must be the lexicographic 2-combinations of 1..n_cl")
         dims = {h.w.shape[0] for h in self.hyperplanes}
         if len(dims) > 1:
             raise ValueError("hyperplanes disagree on input dimension")
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The class pair (r, s) of each hyperplane, in lexicographic order."""
+        return expected_pairs(self.n_cl)
 
     @property
     def n_sp(self) -> int:
@@ -413,7 +414,10 @@ def sensor_from_dict(doc: dict) -> SensorModel:
     if len(models) > 1:
         hps = tuple(Hyperplane(np.array(h["w"]), h["b_w"]) for h in doc["hyperplanes"])
         pairs = tuple((int(r), int(s)) for r, s in doc["pairs"])
-        switching = SwitchingLogic(hps, pairs, len(models))
+        if pairs != expected_pairs(len(models)):
+            raise ValueError(f"pairs: expected the lexicographic 2-combinations of "
+                             f"1..{len(models)}, found {doc['pairs']}")
+        switching = SwitchingLogic(hps, len(models))
     scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else None
     return SensorModel(models, switching, scaler, dict(doc.get("metadata", {})))
 

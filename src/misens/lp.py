@@ -148,17 +148,6 @@ class LpSolution:
     cold_fallback: bool = False  # a warm start was offered, the cold path decided
 
 
-def format_lp(prob: LinearProgram) -> str:
-    """Fixed-order textual dump (one constraint per line) for external checks."""
-    lines = ["min " + " + ".join(f"{c!r}*v{j}" for j, c in enumerate(prob.objective) if c != 0.0)]
-    for con in prob.constraints:
-        lhs = " + ".join(f"{v!r}*v{i}" for i, v in con.coeffs)
-        lines.append(f"{lhs} {con.sense} {con.rhs!r}")
-    for j in range(prob.n_vars):
-        lines.append(f"{prob.lower[j]!r} <= v{j} <= {prob.upper[j]!r}")
-    return "\n".join(lines) + "\n"
-
-
 @dataclass
 class CompiledLp:
     """Equality-form arrays shared across repeated solves with varying bounds."""
@@ -607,13 +596,11 @@ class _Simplex:
         return self.binv.T @ self.cost[self.basic], self.d[:self.n_struct]
 
 
-def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
-                   max_iter: int | None = None) -> LpSolution:
+def solve_compiled(comp: CompiledLp, lower, upper,
+                   warm: Basis | None = None) -> LpSolution:
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if max_iter is None:
-        max_iter = 50 * (comp.n_struct + comp.m)
-    s = _Simplex(comp, lower, upper, max_iter)
+    s = _Simplex(comp, lower, upper, 50 * (comp.n_struct + comp.m))
     status = s.solve(warm)
     counters = dict(iterations=s.iterations, dual_iterations=s.dual_iterations,
                     refactorizations=s.refactorizations, cold_fallback=s.cold_fallback)
@@ -625,11 +612,10 @@ def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None,
     return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), **counters)
 
 
-def solve_lp(prob: LinearProgram, warm: Basis | None = None,
-             max_iter: int | None = None) -> LpSolution:
+def solve_lp(prob: LinearProgram, warm: Basis | None = None) -> LpSolution:
     """Solve min c @ v s.t. constraints, bounds.  See module docstring."""
     comp = compile_lp(prob)
-    return solve_compiled(comp, prob.lower, prob.upper, warm, max_iter)
+    return solve_compiled(comp, prob.lower, prob.upper, warm)
 
 
 def duality_gap(prob: LinearProgram, sol: LpSolution) -> float:

@@ -178,7 +178,7 @@ def run_method(method: str, train: Dataset, cfg: DesignConfig,
         return design_mis_std(train, cfg, scaler)
     if method == "mis-con":
         labels = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed).labels
-        return design_mis_con(train, labels, cfg, scaler)
+        return design_mis_con(train, labels, scaler)
     if method == "mis-con-lab":
         return design_mis_con_lab(train, cfg, scaler)
     raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
@@ -191,7 +191,6 @@ class MethodRow:
     train_rmse: float | None = None
     test_rmse: float | None = None
     t_comp_s: float | None = None
-    continuity_max: float | None = None
     milp_gap: float | None = None
     milp_nodes: int | None = None
 
@@ -199,13 +198,13 @@ class MethodRow:
         return {
             "method": self.method, "status": self.status,
             "train_rmse": self.train_rmse, "test_rmse": self.test_rmse,
-            "t_comp_s": self.t_comp_s, "continuity_max": self.continuity_max,
+            "t_comp_s": self.t_comp_s,
             "milp_gap": self.milp_gap, "milp_nodes": self.milp_nodes,
         }
 
 
 COMPARISON_COLUMNS = ("method", "status", "train_rmse", "test_rmse", "t_comp_s",
-                      "continuity_max", "milp_gap", "milp_nodes")
+                      "milp_gap", "milp_nodes")
 
 
 @dataclass
@@ -271,7 +270,6 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
             train_rmse=report.train_rmse,
             test_rmse=rmse(test.outputs, predict_batch(test.inputs, report.sensor)),
             t_comp_s=0.0 if timing == "fixed" else elapsed,
-            continuity_max=stats.get("continuity_max"),
             milp_gap=milp.get("gap"),
             milp_nodes=milp.get("nodes_explored"),
         ))

@@ -5,7 +5,6 @@ import pytest
 
 from misens.classify import (
     KmeansResult,
-    SvmConfig,
     kmeans,
     train_binary_svm,
     train_multiclass_svm,
@@ -74,7 +73,7 @@ class TestBinarySvm:
         # stationarity: w = 2*l1, l1 = l2 = 0.5 <= gamma, slacks zero
         x = np.array([[2.0], [0.0]])
         labels = LabelingMatrix.from_assignments([1, 2], 2)
-        hp, slacks = train_binary_svm(x, labels, SvmConfig(gamma=10.0))
+        hp, slacks = train_binary_svm(x, labels, 10.0)
         assert hp.w[0] == pytest.approx(1.0, abs=1e-7)
         assert hp.b_w == pytest.approx(-1.0, abs=1e-7)
         assert np.max(slacks) <= 1e-7
@@ -85,7 +84,7 @@ class TestBinarySvm:
         b = rng.normal(size=(20, 2)) * 0.3 + [-2.0, -2.0]
         x = np.vstack([a, b])
         labels = LabelingMatrix.from_assignments([1] * 20 + [2] * 20, 2)
-        hp, slacks = train_binary_svm(x, labels, SvmConfig(gamma=100.0))
+        hp, slacks = train_binary_svm(x, labels, 100.0)
         assert np.max(slacks) <= 1e-6
         side = x @ hp.w + hp.b_w
         assert np.all(side[:20] >= 1.0 - 1e-6)
@@ -99,7 +98,7 @@ class TestBinarySvm:
         labels = LabelingMatrix.from_assignments([1] * 15 + [2] * 15, 2)
         prev = None
         for gamma in [10.0, 1.0, 0.1, 0.01]:
-            hp, slacks = train_binary_svm(x, labels, SvmConfig(gamma=gamma))
+            hp, slacks = train_binary_svm(x, labels, gamma)
             obj = 0.5 * float(hp.w @ hp.w) + gamma * slacks.sum()
             if prev is not None:
                 assert obj <= prev + 1e-8  # smaller gamma can only lower the optimum
@@ -111,8 +110,8 @@ class TestBinarySvm:
         # pairs; scaling x by t>0 scales the optimal w by 1/t
         x = np.array([[1.0, 0.0], [3.0, 0.5], [-1.0, 0.2], [-3.0, -0.5]])
         labels = LabelingMatrix.from_assignments([1, 1, 2, 2], 2)
-        hp1, s1 = train_binary_svm(x, labels, SvmConfig(gamma=50.0))
-        hp2, s2 = train_binary_svm(4.0 * x, labels, SvmConfig(gamma=50.0))
+        hp1, s1 = train_binary_svm(x, labels, 50.0)
+        hp2, s2 = train_binary_svm(4.0 * x, labels, 50.0)
         assert np.max(s1) <= 1e-6 and np.max(s2) <= 1e-6
         assert np.allclose(hp2.w, hp1.w / 4.0, atol=1e-6)
 

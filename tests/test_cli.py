@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import misens
 from misens.cli import main
 
 
@@ -139,6 +144,25 @@ class TestTrainEvaluate:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["solver_stats"]["milp"]["nodes_explored"] <= 3000
+
+    def test_manifest_verbosity_sets_the_log_level(self, tmp_path):
+        # a fresh interpreter: pytest's own root handlers would make the
+        # CLI's logging.basicConfig a no-op in this process
+        out = self._generated(tmp_path, n_total=30)
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps({
+            "verbosity": 1, "output_dir": str(out),
+            "design": {"n_cl": 2, "seed": 1, "milp": {"node_cap": 20}}}))
+        src = str(Path(misens.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "misens.cli", "train", "--method", "mis-con-lab",
+             "--config", str(cfgfile)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "misens.milp:" in proc.stderr
+        assert json.loads((out / "manifest.json").read_text())["verbosity"] == 1
 
 
     @pytest.mark.parametrize("flag,value,field", [

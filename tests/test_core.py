@@ -14,7 +14,6 @@ from misens.core import (
     SwitchingLogic,
     assign_region,
     assign_regions,
-    expected_pairs,
     normalize,
     denormalize,
     predict,
@@ -24,7 +23,7 @@ from misens.core import (
 
 
 def two_class_logic(w, b_w):
-    return SwitchingLogic((Hyperplane(np.array(w, dtype=float), b_w),), ((1, 2),), 2)
+    return SwitchingLogic((Hyperplane(np.array(w, dtype=float), b_w),), 2)
 
 
 def make_sensor(models, switching=None, scaler=None):
@@ -48,7 +47,7 @@ class TestAssignRegion:
             Hyperplane(np.array([1.0, 0.0]), 1.0),   # (1,3): +1 >= 0 -> votes 1
             Hyperplane(np.array([1.0, 0.0]), 1.0),   # (2,3): +1 >= 0 -> votes 2
         )
-        logic = SwitchingLogic(hps, expected_pairs(3), 3)
+        logic = SwitchingLogic(hps, 3)
         assert assign_region([0.0, 0.0], logic) == 2
 
     def test_circular_vote_tie_returns_class_one(self):
@@ -59,7 +58,7 @@ class TestAssignRegion:
             Hyperplane(np.array([0.0, 1.0]), -1.0),
             Hyperplane(np.array([1.0, 1.0]), 1.0),
         )
-        logic = SwitchingLogic(hps, expected_pairs(3), 3)
+        logic = SwitchingLogic(hps, 3)
         x = np.zeros(2)
         votes = {1: 0, 2: 0, 3: 0}
         for h, (r, s) in zip(hps, logic.pairs):
@@ -70,7 +69,7 @@ class TestAssignRegion:
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         hps = tuple(Hyperplane(rng.normal(size=2), rng.normal()) for _ in range(3))
-        logic = SwitchingLogic(hps, expected_pairs(3), 3)
+        logic = SwitchingLogic(hps, 3)
         xs = rng.normal(size=(40, 2))
         batch = assign_regions(xs, logic)
         assert [assign_region(x, logic) for x in xs] == list(batch)
@@ -182,7 +181,7 @@ class TestTypes:
     def test_switching_pair_count(self):
         h = Hyperplane(np.array([1.0]), 0.0)
         with pytest.raises(ValueError, match="hyperplanes"):
-            SwitchingLogic((h,), expected_pairs(3), 3)
+            SwitchingLogic((h,), 3)
 
     def test_normalized_flag_checked(self):
         with pytest.raises(ValueError, match="outside"):
@@ -193,7 +192,7 @@ class TestTypes:
         # by comparing against a manual tally on random logic
         rng = np.random.default_rng(6)
         hps = tuple(Hyperplane(rng.normal(size=2), rng.normal()) for _ in range(6))
-        logic = SwitchingLogic(hps, expected_pairs(4), 4)
+        logic = SwitchingLogic(hps, 4)
         for _ in range(20):
             x = rng.normal(size=2)
             votes = np.zeros(4, dtype=int)
@@ -242,6 +241,16 @@ class TestSerialization:
         path.write_text(json.dumps(doc))
         with pytest.raises(core.SchemaError, match="expected 1, found 99"):
             core.load_sensor(path)
+
+    def test_sensor_pairs_out_of_order_refused(self):
+        hps = tuple(Hyperplane(np.array([1.0, float(k)]), 0.0) for k in range(1, 4))
+        sensor = make_sensor([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)],
+                             SwitchingLogic(hps, 3))
+        doc = core.sensor_to_dict(sensor)
+        assert doc["pairs"] == [[1, 2], [1, 3], [2, 3]]
+        doc["pairs"] = [[1, 3], [1, 2], [2, 3]]
+        with pytest.raises(ValueError, match=r"pairs: .*found \[\[1, 3\], \[1, 2\], \[2, 3\]\]"):
+            core.sensor_from_dict(doc)
 
     def test_predict_raw_uses_scaler(self):
         scaler = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0)

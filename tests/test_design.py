@@ -5,7 +5,7 @@ import pytest
 
 from misens import design, linalg
 from misens.classify import kmeans
-from misens.core import Dataset, LabelingMatrix, predict, predict_batch, rmse
+from misens.core import Dataset, LabelingMatrix, assign_regions, predict, predict_batch, rmse
 from misens.design import (
     DesignConfig,
     VariableLayout,
@@ -13,7 +13,6 @@ from misens.design import (
     _lad_fit,
     _split_merge_starts,
     build_mis_con_lab_milp,
-    continuity_violation,
     design_mis_con,
     design_mis_con_lab,
     design_mis_std,
@@ -57,9 +56,16 @@ def sample_two_piece(rng, n):
 
 
 def assert_planes_are_model_differences(sensor):
+    """Each plane is its pair's model difference; where the slopes coincide
+    (difference norm <= 1e-12) the normal is the placeholder 1e-9 e_1, since
+    a Hyperplane cannot have a zero normal."""
     for hp, (r, s) in zip(sensor.switching.hyperplanes, sensor.switching.pairs):
         mr, ms = sensor.models[r - 1], sensor.models[s - 1]
-        assert np.array_equal(hp.w, mr.p - ms.p)
+        w = mr.p - ms.p
+        if np.sqrt(w @ w) <= 1e-12:
+            w = np.zeros(w.shape[0])
+            w[0] = 1e-9
+        assert np.array_equal(hp.w, w)
         assert hp.b_w == mr.b_p - ms.b_p
 
 
@@ -192,7 +198,7 @@ class TestMisCon:
         rng = np.random.default_rng(5)
         train, labels = sample_two_piece(rng, 40)
         (p1, b1), (p2, b2), (w, b_w) = two_piece_truth()
-        report = design_mis_con(train, labels, DesignConfig(n_cl=2))
+        report = design_mis_con(train, labels)
         m1, m2 = report.sensor.models
         assert np.max(np.abs(m1.p - p1)) <= 1e-6
         assert np.max(np.abs(m2.p - p2)) <= 1e-6
@@ -208,8 +214,8 @@ class TestMisCon:
         x = rng.uniform(size=(30, 2))
         y = rng.uniform(size=30)  # noisy labels: continuity must still hold
         labels = LabelingMatrix.from_assignments(rng.integers(1, 3, size=30), 2)
-        report = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=2))
-        assert report.solver_stats["continuity_max"] <= 1e-6
+        report = design_mis_con(dataset(x, y), labels)
+        assert_planes_are_model_differences(report.sensor)
         # evaluate at an explicit boundary point as well
         hp = report.sensor.switching.hyperplanes[0]
         x_star = -hp.b_w * hp.w / (hp.w @ hp.w)
@@ -222,7 +228,7 @@ class TestMisCon:
         p = np.array([0.6, -0.2])
         y = x @ p + 0.4
         labels = LabelingMatrix.from_assignments(rng.integers(1, 3, size=24), 2)
-        report = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=2))
+        report = design_mis_con(dataset(x, y), labels)
         preds = [predict_batch(x, report.sensor), ]
         m1, m2 = report.sensor.models
         diff = np.abs(x @ (m1.p - m2.p) + (m1.b_p - m2.b_p))
@@ -233,14 +239,29 @@ class TestMisCon:
         x = rng.uniform(size=(36, 2))
         y = rng.uniform(size=36)
         labels = LabelingMatrix.from_assignments(rng.integers(1, 4, size=36), 3)
-        report = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=3))
-        assert report.solver_stats["continuity_max"] <= 1e-6
-        assert continuity_violation(report.sensor, n_samples=500, seed=1) <= 1e-6
+        report = design_mis_con(dataset(x, y), labels)
+        assert_planes_are_model_differences(report.sensor)
+
+    def test_parallel_models_route_to_the_larger(self):
+        # both classes share one slope, so the models differ only by their
+        # offsets and the plane gets the placeholder normal; every point of
+        # [0, 1]^2 must route to class 2, the larger model (the max-affine rule)
+        rng = np.random.default_rng(0)
+        x = rng.uniform(size=(20, 2))
+        assign = np.where(x[:, 0] < 0.5, 1, 2)
+        y = 0.3 * x[:, 0] - 0.2 * x[:, 1] + np.where(assign == 1, 0.1, 0.6)
+        labels = LabelingMatrix.from_assignments(assign, 2)
+        sensor = design_mis_con(dataset(x, y), labels).sensor
+        m1, m2 = sensor.models
+        assert np.max(np.abs(m1.p - m2.p)) <= 1e-12
+        assert m2.b_p - m1.b_p == pytest.approx(0.5, abs=1e-12)
+        assert_planes_are_model_differences(sensor)
+        assert np.all(assign_regions(x, sensor.switching) == 2)
 
     def test_stats_are_the_class_fits_optimality(self):
         rng = np.random.default_rng(5)
         train, labels = sample_two_piece(rng, 40)
-        report = design_mis_con(train, labels, DesignConfig(n_cl=2))
+        report = design_mis_con(train, labels)
         stats = report.solver_stats
         assert stats["kkt_residual"] <= 1e-9
         sse = 0.0
@@ -263,7 +284,7 @@ class TestMisCon:
         assign = np.concatenate([np.ones(n_p + 2, dtype=int), np.full(n - n_p - 2, 2)])
         labels = LabelingMatrix.from_assignments(assign, 2)
         with pytest.raises(linalg.LinAlgError, match="class 1"):
-            design_mis_con(dataset(x, rng.uniform(size=n)), labels, DesignConfig(n_cl=2))
+            design_mis_con(dataset(x, rng.uniform(size=n)), labels)
 
     @pytest.mark.parametrize("n_p,small", [(1, 1), (2, 1), (2, 2), (3, 2)])
     def test_underdetermined_class_gets_the_minimum_norm_model(self, n_p, small):
@@ -275,7 +296,7 @@ class TestMisCon:
         y = rng.uniform(size=n)
         assign = np.concatenate([np.ones(small, dtype=int), np.arange(n - small) % 2 + 2])
         labels = LabelingMatrix.from_assignments(assign, 3)
-        sensor = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=3)).sensor
+        sensor = design_mis_con(dataset(x, y), labels).sensor
         for j, model in enumerate(sensor.models, start=1):
             rows = assign == j
             a = np.hstack([x[rows], np.ones((rows.sum(), 1))])
@@ -294,7 +315,7 @@ class TestMisCon:
             [np.repeat(np.arange(1, n_cl + 1), n_p + 1),
              rng.integers(1, n_cl + 1, size=n - n_cl * (n_p + 1))]))
         labels = LabelingMatrix.from_assignments(assign, n_cl)
-        sensor = design_mis_con(dataset(x, y), labels, DesignConfig(n_cl=n_cl)).sensor
+        sensor = design_mis_con(dataset(x, y), labels).sensor
         for j, model in enumerate(sensor.models, start=1):
             rows = assign == j
             a = np.hstack([x[rows], np.ones((rows.sum(), 1))])
@@ -311,7 +332,7 @@ class TestMisCon:
         rng = np.random.default_rng(seed)
         x = rng.uniform(size=(40, 2))
         labels = LabelingMatrix.from_assignments(np.arange(40) % n_cl + 1, n_cl)
-        report = design_mis_con(dataset(x, rng.uniform(size=40)), labels, DesignConfig(n_cl=n_cl))
+        report = design_mis_con(dataset(x, rng.uniform(size=40)), labels)
         assert_planes_are_model_differences(report.sensor)
 
 
@@ -379,7 +400,7 @@ class TestMisConLab:
         assert stats["milp"]["status"] == "optimal"
         if stats["kmeans_labeling_l1_objective"] is not None:
             assert stats["l1_objective"] <= stats["kmeans_labeling_l1_objective"] + 1e-9
-        assert stats["continuity_max"] <= 1e-6
+        assert_planes_are_model_differences(report.sensor)
 
     def test_adversarial_kmeans_straddling_fold(self):
         # the true fold (x1 = 0.25) cuts straight through the first blob, so

@@ -116,12 +116,15 @@ class TestComparison:
         assert by["sis"].train_rmse > by["mis-std"].train_rmse
         assert by["sis"].test_rmse > by["mis-std"].test_rmse
 
-    def test_continuity_reported_for_mis_con(self):
+    def test_mis_con_planes_are_model_differences(self):
         scenario = ScenarioConfig(kind="clustered", n_total=30, seed=6)
         report = run_comparison(scenario, ["mis-con"], DesignConfig(n_cl=3, seed=6))
-        row = report.rows[0]
-        assert row.status == "ok"
-        assert row.continuity_max <= 1e-6
+        assert report.rows[0].status == "ok"
+        sensor = report.sensors["mis-con"]
+        for hp, (r, s) in zip(sensor.switching.hyperplanes, sensor.switching.pairs):
+            mr, ms = sensor.models[r - 1], sensor.models[s - 1]
+            assert np.array_equal(hp.w, mr.p - ms.p)
+            assert hp.b_w == mr.b_p - ms.b_p
 
     def test_method_failure_recorded_others_run(self):
         # n_total=12 -> 6 training points cannot host 3 classes of 3 for the
