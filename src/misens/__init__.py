@@ -4,7 +4,7 @@ Subpackages:
   core      domain types (datasets, labelings, switching logic, sensors)
   linalg    dense QR / Cholesky / least-squares kernels
   lp        bounded-variable revised simplex
-  qp        active-set convex quadratic programming (MIS-std's SVMs)
+  qp        dual active-set strictly convex quadratic programming (MIS-std's SVMs)
   milp      branch-and-bound over binary variables
   classify  k-means labeling and one-vs-one linear SVM
   design    SIS / MIS-std / MIS-con / MIS-con-lab sensor design

@@ -3,7 +3,12 @@
 k-means runs Lloyd's algorithm with k-means++ seeding, several restarts and
 a seeded, portable RNG (`numpy.random.default_rng([seed, restart])`), so
 results are reproducible across platforms.  The SVM uses the standard
-soft-margin quadratic program min 0.5||w||^2 + gamma * sum(e); one-vs-one
+soft-margin quadratic program min 0.5||w||^2 + gamma * sum(e) plus a
+proximal term (SVM_PROX/2)(b_w^2 + ||e||^2).  Without it the Hessian is
+singular in b_w and the slacks: the dual QP solver needs it positive
+definite, and the optimal face can be flat, so that b_w would depend on the
+row order through roundoff.  The term picks one point of that face and moves
+the hyperplane by about 1e-6 on the paper's scenarios.  One-vs-one
 multi-class training decouples into one binary problem per class pair,
 since each pair's constraints involve only the two classes concerned.
 """
@@ -20,6 +25,7 @@ from .qp import QpStatus, QuadraticProgram, solve_qp
 
 
 KKT_TOL = 1e-6           # largest KKT residual accepted from an SVM QP
+SVM_PROX = 1e-6          # delta of the SVM's proximal term; see the module docstring
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 300
 
@@ -125,6 +131,7 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     nv = n_p + 1 + n
     q = np.zeros((nv, nv))
     q[:n_p, :n_p] = np.eye(n_p)          # 0.5||w||^2
+    q[n_p:, n_p:] = SVM_PROX * np.eye(n + 1)  # (delta/2)(b_w^2 + ||e||^2)
     c = np.zeros(nv)
     c[n_p + 1:] = gamma
     sign = np.where(labels.entries[:, 0] == 1, 1.0, -1.0)

@@ -6,8 +6,9 @@ that the LP/QP solvers and the regression paths do not depend on LAPACK
 behavior.  The one exception is `invert`, which calls `np.linalg.inv` for
 the simplex basis refactorizations.  All instances in this project are tiny
 (a few hundred rows at most), so dense storage and O(n^3) factorizations
-are fine; the QP keeps its working-set factors current with the O(n^2)
-column updates `qr_append` and `qr_delete` instead of refactoring.
+are fine; the dual QP factors Q once by Cholesky and keeps the factors of
+its active rows current with the O(n^2) column updates `qr_append` and
+`qr_delete`, which do not need the left factor to be orthogonal.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ def _reflect(r: np.ndarray, j: int) -> np.ndarray | None:
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Full Householder QR of an m x n matrix: A = Q @ R.
 
-    Q is m x m orthogonal, R is m x n upper triangular.  Used where the
-    explicit orthogonal factor is needed (null-space bases in the QP
-    solver); `least_squares` applies the reflectors implicitly instead.
+    Q is m x m orthogonal, R is m x n upper triangular.  No solver uses
+    it: `solve_square` (a test oracle) and the tests of the QR updates do;
+    `least_squares` applies the reflectors implicitly instead.
     """
     r = _as_matrix(a).copy()
     m, n = r.shape
@@ -76,13 +77,14 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factors of [A a] from those of an m x w matrix A = Q[:, :w] @ R.
+    """QR factors of [A a] from those of an m x w matrix A with Q' A = [R; 0].
 
-    Q is m x m orthogonal and R the w x w upper triangle.  Returns new
-    arrays (the inputs are left alone, so a caller can reject the column):
+    Q is m x m and R the w x w upper triangle; for orthogonal Q this is
+    A = Q[:, :w] @ R.  Returns new arrays (the inputs are left alone):
     Q with its trailing columns Q[:, w:] turned by one Householder
     reflector, and the (w+1) x (w+1) R whose last diagonal entry is
-    +-||Q[:, w:]' a||, the part of a outside the range of A.
+    +-||Q[:, w:]' a||, the part of a outside the range of A.  Q need not be
+    orthogonal: the dual QP keeps J' N = [R; 0] this way, from J = L^{-T}.
     """
     m, w = q.shape[0], r.shape[0]
     if w >= m:
@@ -101,7 +103,7 @@ def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def qr_delete(q, r, k) -> tuple[np.ndarray, np.ndarray]:
-    """QR factors of A with column k removed, from A = Q[:, :w] @ R.
+    """QR factors of A with column k removed, from Q' A = [R; 0].
 
     Removing column k leaves R upper Hessenberg from column k on; Givens
     rotations on rows (j, j+1), j = k..w-2, restore the triangle, and the

@@ -9,7 +9,9 @@ from misens.classify import (
     train_binary_svm,
     train_multiclass_svm,
 )
+from misens import lp
 from misens.core import LabelingMatrix, assign_regions
+from misens.study import ScenarioConfig, generate_scenario
 
 
 class TestKmeans:
@@ -121,6 +123,21 @@ class TestBinarySvm:
         hp, slacks = train_binary_svm(x, labels)
         assert hp.w[0] > 0
 
+    def test_row_order_does_not_move_the_hyperplane(self):
+        # without curvature in b_w and the slacks the optimal face is flat and
+        # the solve returned whichever of its points its path reached: this
+        # pair's (w, b_w) spread by 5e-2 over the 8 row orders
+        train = generate_scenario(ScenarioConfig(kind="clustered", n_total=90, seed=1))[0]
+        assign = kmeans(train.inputs, 3, seed=1).labels.assignments()
+        rows = np.flatnonzero((assign == 1) | (assign == 3))
+        x, labels = train.inputs[rows], np.where(assign[rows] == 1, 1, 2)
+        planes = []
+        for seed in range(8):
+            perm = np.random.default_rng(seed).permutation(rows.shape[0])
+            hp, _ = train_binary_svm(x[perm], LabelingMatrix.from_assignments(labels[perm], 2))
+            planes.append(np.append(hp.w, hp.b_w))
+        assert np.ptp(np.array(planes), axis=0).max() <= 1e-6
+
 
 class TestMulticlassSvm:
     def _three_blobs(self, rng, spread=0.15):
@@ -161,6 +178,16 @@ class TestMulticlassSvm:
         z = np.array([[1, 0, 0], [0, 1, 0]])
         with pytest.raises(ValueError, match="class 3"):
             train_multiclass_svm(x, LabelingMatrix(z))
+
+    def test_no_lp_solve(self, monkeypatch):
+        # the dual QP starts at the unconstrained minimum: no phase-1 LP
+        def refuse(*args, **kwargs):
+            raise AssertionError("LP solve during SVM training")
+
+        monkeypatch.setattr(lp, "solve_lp", refuse)
+        monkeypatch.setattr(lp, "solve_compiled", refuse)
+        x, labels = self._three_blobs(np.random.default_rng(5))
+        assert train_multiclass_svm(x, labels).n_sp == 3
 
     def test_label_permutation_induces_same_partition(self):
         rng = np.random.default_rng(7)

@@ -3,7 +3,7 @@ import pytest
 
 from misens import linalg
 from misens.lp import Constraint
-from misens.qp import QpStatus, QuadraticProgram, _finish, _gather_rows, _WorkingSet, solve_qp
+from misens.qp import QpStatus, QuadraticProgram, solve_qp
 
 
 def make_qp(q, c, cons=(), lo=None, hi=None, constant=0.0):
@@ -40,18 +40,6 @@ class TestBasics:
             oracle = -linalg.cholesky_solve(q, c)
             assert np.max(np.abs(sol.values - oracle)) <= 1e-8
 
-    def test_unconstrained_singular_least_squares(self):
-        # two points cannot identify an affine model in three inputs: Q is
-        # singular, and a subspace solve that restarted from the current
-        # point picked up new roundoff in its flat directions at every step
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            a = np.hstack([rng.uniform(size=(2, 3)), np.ones((2, 1))])
-            y = rng.uniform(size=2)
-            sol = solve_qp(make_qp(2.0 * a.T @ a, -2.0 * a.T @ y, constant=float(y @ y)))
-            assert sol.status == QpStatus.OPTIMAL
-            assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
-
     def test_infeasible(self):
         prob = make_qp(np.eye(1), [0.0],
                        cons=[({0: 1.0}, ">=", 2.0), ({0: 1.0}, "<=", 1.0)])
@@ -63,8 +51,30 @@ class TestBasics:
             solve_qp(make_qp(q, np.zeros(2)))
 
     def test_indefinite_rejected(self):
-        with pytest.raises(ValueError, match="semidefinite"):
+        with pytest.raises(ValueError, match="positive definite"):
             solve_qp(make_qp(-np.eye(2), np.zeros(2)))
+
+    def test_singular_rejected(self):
+        # Cholesky of a singular Gram 2A'A often ends on a tiny positive
+        # roundoff pivot instead of a zero one; PD_TOL refuses it all the same
+        with pytest.raises(ValueError, match="positive definite"):
+            solve_qp(make_qp(np.diag([2.0, 0.0]), np.zeros(2)))
+        rng = np.random.default_rng(0)
+        factored = 0
+        for _ in range(2000):
+            # fewer than n_p + 1 points cannot identify an affine model
+            n_p = int(rng.integers(1, 5))
+            m = int(rng.integers(1, n_p + 1))
+            a = np.hstack([rng.uniform(size=(m, n_p)), np.ones((m, 1))])
+            gram = 2.0 * a.T @ a
+            try:
+                linalg.cholesky_factor(gram)
+                factored += 1
+            except linalg.LinAlgError:
+                pass
+            with pytest.raises(ValueError, match="positive definite"):
+                solve_qp(make_qp(gram, np.zeros(n_p + 1)))
+        assert factored > 0
 
 
 class TestEqualityConstrainedLeastSquares:
@@ -144,43 +154,45 @@ class TestInequalities:
                 assert sol.objective_value >= prev - 1e-8
                 prev = sol.objective_value
 
-    def test_singular_q_with_linear_term_on_box(self):
-        # Q singular in the second coordinate; bounded by the box
-        q = np.diag([2.0, 0.0])
-        prob = make_qp(q, [0.0, 1.0], lo=[-1.0, -1.0], hi=[1.0, 1.0])
-        sol = solve_qp(prob)
-        assert sol.status == QpStatus.OPTIMAL
-        assert sol.values[0] == pytest.approx(0.0, abs=1e-6)
-        assert sol.values[1] == pytest.approx(-1.0, abs=1e-6)
-
     def test_bound_only_box_projection(self):
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(prob)  # min ||v - (4, -1)||^2 on the unit box
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-8)
 
+    def test_duplicate_equality_is_skipped(self):
+        # the second copy of v0 + v1 = 1 depends on the first and holds once
+        # it is active, so it is skipped rather than reported infeasible
+        row = ({0: 1.0, 1: 1.0}, "=", 1.0)
+        sol = solve_qp(make_qp(np.eye(2), np.zeros(2), cons=[row, row]))
+        assert sol.status == QpStatus.OPTIMAL
+        assert np.allclose(sol.values, [0.5, 0.5], atol=1e-12)
+        assert sol.kkt_residual <= 1e-12
+
+    def test_contradicting_equalities_are_infeasible(self):
+        cons = [({0: 1.0, 1: 1.0}, "=", 1.0), ({0: 2.0, 1: 2.0}, "=", 3.0)]
+        assert solve_qp(make_qp(np.eye(2), np.zeros(2), cons=cons)).status == \
+            QpStatus.INFEASIBLE
+
 
 class TestCounters:
-    def test_box_projection_counts(self):
-        # min ||v - (4, -1)||^2 on the unit box.  The feasibility LP starts at
-        # the vertex (0, 0), with both lower bounds in the working set (2
-        # adds).  There grad = (-8, 2), so v0 >= 0 has multiplier -8 and is
-        # dropped; the step toward v0 = 4 blocks on v0 <= 1 at alpha 1/4 (the
-        # third add), where both multipliers (6 and 2) are nonnegative.
+    def test_box_projection_counts(self, monkeypatch):
+        # min ||v - (4, -1)||^2 on the unit box.  The unconstrained minimum
+        # (4, -1) violates v0 <= 1 by 3 and v1 >= 0 by 1; the most violated
+        # row goes first.  Each full step moves along the null space of the
+        # rows already active, so two steps end at the vertex (1, 0).
+        appended = []
+        qr_append = linalg.qr_append
+
+        def recording_append(q, r, a):
+            appended.append(a.tolist())
+            return qr_append(q, r, a)
+
+        monkeypatch.setattr(linalg, "qr_append", recording_append)
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(prob)
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
-        assert (sol.iterations, sol.adds, sol.drops, sol.lifted) == (3, 3, 1, False)
-
-    def test_finish_charges_a_negative_multiplier(self):
-        # min (v - 1)^2 with v >= 0 held in the working set: at v = 0 the
-        # multiplier of that row is -2, so v = 0 is not optimal
-        prob = make_qp([[2.0]], [-2.0], lo=[0.0], constant=1.0)
-        g_mat, g_rhs, n_eq = _gather_rows(prob)
-        work = _WorkingSet(g_mat, g_rhs)
-        assert work.add(0)
-        sol = _finish(prob, prob.q, n_eq, work, 1)
-        assert sol.values[0] == 0.0
-        assert sol.kkt_residual >= 2.0
+        assert sol.iterations == 2
+        assert appended == [[-1.0, 0.0], [0.0, 1.0]]  # v0 <= 1, then v1 >= 0
 
 
 def planted_qp(seed, n, n_singular=0, duplicate=False):
@@ -190,9 +202,9 @@ def planted_qp(seed, n, n_singular=0, duplicate=False):
     active at x* with multipliers in [0.5, 2], and set c = -Q x* + A'lambda,
     so x* satisfies the KKT conditions.  Q is positive definite except on
     its last n_singular coordinates, which no general row touches and which
-    sit at their upper bound with a positive multiplier: that pins x*, and
-    a start at their lower bound must move through a singular reduced
-    Hessian (the lift).  `duplicate` repeats the first active general row.
+    sit at their upper bound with a positive multiplier: that pins x*, but
+    Q is singular, so the dual method cannot start.  `duplicate` repeats
+    the first active general row, which holds once its twin is active.
     """
     rng = np.random.default_rng(seed)
     half = 0.5
@@ -222,22 +234,16 @@ def planted_qp(seed, n, n_singular=0, duplicate=False):
 
 class TestPlantedOptimum:
     @pytest.mark.parametrize("seed, n, n_singular, duplicate", [
-        (1, 40, 0, False), (1, 50, 0, True), (3, 60, 5, False), (2, 50, 4, True)])
-    def test_recovers_the_planted_optimum(self, monkeypatch, seed, n, n_singular, duplicate):
-        appends = []
-        qr_append = linalg.qr_append
-
-        def counting_append(*args):
-            appends.append(args)
-            return qr_append(*args)
-
-        monkeypatch.setattr(linalg, "qr_append", counting_append)
+        (1, 40, 0, False), (1, 50, 0, True)])
+    def test_recovers_the_planted_optimum(self, seed, n, n_singular, duplicate):
         prob, x_star = planted_qp(seed, n, n_singular, duplicate)
         sol = solve_qp(prob)
         assert sol.status == QpStatus.OPTIMAL
         assert np.max(np.abs(sol.values - x_star)) <= 1e-7
-        # the lift adds 1e-9 * |v| <= 5e-10 to the stationarity residual
         assert sol.kkt_residual <= 1e-9
-        assert sol.lifted == (n_singular > 0)
-        # every append the rank test turned down is one without an add
-        assert (len(appends) > sol.adds) == duplicate
+
+    @pytest.mark.parametrize("seed, n, n_singular", [(3, 60, 5), (2, 50, 4)])
+    def test_refuses_a_planted_singular_q(self, seed, n, n_singular):
+        prob, _ = planted_qp(seed, n, n_singular)
+        with pytest.raises(ValueError, match="positive definite"):
+            solve_qp(prob)
