@@ -22,11 +22,20 @@ inverse depends only on the basic columns, never on the bounds, so a warm
 start from it (a branch-and-bound child with one bound tightened) skips the
 refactorization unless the basic values it gives, or the inverse itself
 (Freivalds' check), fail a residual test.
+
+`solve_compiled` takes an objective `cutoff` (a branch-and-bound passes its
+incumbent).  The dual simplex keeps its basis dual feasible, so the cost of
+each of its iterates is a lower bound on the LP optimum; once that bound
+reaches the cutoff, confirmed by the exact cost of the iterate, the solve
+stops with Status.CUTOFF and no solution.  The cold path and the primal
+phase 2 ignore the cutoff: their objective falls, so no iterate bounds the
+optimum from below.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +63,7 @@ class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+    CUTOFF = "cutoff"  # the dual simplex proved the optimum >= the cutoff
 
 
 @dataclass(frozen=True)
@@ -183,10 +193,18 @@ def compile_lp(prob: LinearProgram) -> CompiledLp:
     return CompiledLp(a, rhs, cost, slack_lo, slack_hi, n, m)
 
 
+@functools.lru_cache(maxsize=16)
+def _freivalds_vector(m: int) -> np.ndarray:
+    """The fixed vector of Freivalds' check, cos(0), ..., cos(m - 1); read-only."""
+    u = np.cos(np.arange(m))
+    u.flags.writeable = False
+    return u
+
+
 class _Simplex:
     """One solve over the compiled arrays; not reusable."""
 
-    def __init__(self, comp: CompiledLp, lower, upper, max_iter):
+    def __init__(self, comp: CompiledLp, lower, upper, max_iter, cutoff=np.inf):
         self.comp = comp
         self.m = comp.m
         self.n_struct = comp.n_struct
@@ -197,6 +215,7 @@ class _Simplex:
         self.rhs = comp.rhs
         self.n_cols = self.a.shape[1]
         self.max_iter = max_iter
+        self.cutoff = cutoff
         self.iterations = 0
         self.dual_iterations = 0
         self.refactorizations = 0
@@ -213,6 +232,12 @@ class _Simplex:
         self.binv = np.empty((0, 0))
         self.beta = np.empty(0)
         self.d = np.empty(0)  # reduced costs, carried from pivot to pivot
+        # pricing state, built by _directions for each primal or dual pass and
+        # carried by _pivot: +1/-1 for a movable column at its lower/upper
+        # bound, 0 otherwise; the movable FREE columns, None when there are none
+        self.dirn = np.empty(0)
+        self.free: np.ndarray | None = None
+        self.outer = np.empty((self.m, self.m))  # rank-1 term of each pivot
 
     # -- state helpers ------------------------------------------------------
 
@@ -264,7 +289,7 @@ class _Simplex:
         """Freivalds' check that binv inverts the basic columns: B (binv u) = u
         for one fixed vector u without structure.  The beta residual cannot
         see a wrong inverse when the vector it tests is 0."""
-        u = np.cos(np.arange(self.m))
+        u = _freivalds_vector(self.m)
         resid = self.a[:, self.basic] @ (self.binv @ u) - u
         return bool(np.abs(resid).max() <= 1e-8) if self.m else True
 
@@ -353,12 +378,23 @@ class _Simplex:
     def _movable_mask(self) -> np.ndarray:
         return (self.hi - self.lo) > 1e-12
 
-    def _entering(self, d: np.ndarray, movable: np.ndarray) -> int | None:
-        score = np.where(self.vstat == AT_LO, -d,
-                         np.where(self.vstat == AT_UP, d,
-                                  np.where(self.vstat == FREE, np.abs(d), -np.inf)))
-        score[~movable] = -np.inf
-        score[self.vstat == BASIC] = -np.inf
+    def _directions(self) -> None:
+        """Build dirn and free from the statuses and the boxes."""
+        movable = self._movable_mask()
+        st = self.vstat
+        self.dirn = ((st == AT_LO) & movable).astype(float)
+        self.dirn[(st == AT_UP) & movable] = -1.0
+        free = (st == FREE) & movable
+        self.free = free if free.any() else None
+
+    def _entering(self, d: np.ndarray) -> int | None:
+        """The column whose move off its bound lowers the cost fastest: score
+        -d at the lower bound, d at the upper, |d| when free, 0 (never
+        eligible) when basic or fixed."""
+        score = d * self.dirn
+        np.negative(score, out=score)
+        if self.free is not None:
+            score[self.free] = np.abs(d[self.free])
         if self.bland:
             eligible = np.nonzero(score > OPT_TOL)[0]
             return int(eligible[0]) if eligible.size else None
@@ -372,7 +408,7 @@ class _Simplex:
         each pivot carries in self.d."""
         local_iter = 0
         self.d = self._reduced_costs(cost)
-        movable = self._movable_mask()
+        self._directions()
         while True:
             if local_iter >= self.max_iter:
                 raise SimplexStalledError(
@@ -382,16 +418,12 @@ class _Simplex:
             if self.pivots_since_refactor >= REFACTOR_EVERY:
                 self._refactorize()
                 self.d = self._reduced_costs(cost)
-            e = self._entering(self.d, movable)
+            e = self._entering(self.d)
             if e is None:
                 return Status.OPTIMAL
-            # direction: +1 when the entering variable increases
-            if self.vstat[e] == AT_LO:
-                theta = 1.0
-            elif self.vstat[e] == AT_UP:
-                theta = -1.0
-            else:
-                theta = 1.0 if self.d[e] < 0 else -1.0
+            # direction: +1 when the entering variable increases; a free one
+            # (dirn 0) moves against its reduced cost
+            theta = float(self.dirn[e]) or (1.0 if self.d[e] < 0 else -1.0)
             w = self.binv @ self.a[:, e]
             g = theta * w
             # ratio test: basics leave at the bound they hit first
@@ -415,21 +447,21 @@ class _Simplex:
                 else:
                     leave_slot = int(cand[np.argmax(np.abs(g[cand]))])
                 leave_to = AT_LO if g[leave_slot] > 0 else AT_UP
-            t_flip = self.hi[e] - self.lo[e] if self.vstat[e] in (AT_LO, AT_UP) else np.inf
+            t_flip = self.hi[e] - self.lo[e] if self.dirn[e] else np.inf
             if t_best == np.inf and not np.isfinite(t_flip):
                 return Status.UNBOUNDED
             if t_flip <= t_best:
                 # bound flip: no basis change
                 self.beta -= g * t_flip
                 self.vstat[e] = AT_UP if self.vstat[e] == AT_LO else AT_LO
+                self.dirn[e] = -self.dirn[e]
                 if t_flip < DEGEN_TOL:
                     self._count_degenerate()
                 continue
             if t_best < DEGEN_TOL:
                 self._count_degenerate()
             alpha = self.a.T @ self.binv[leave_slot]
-            if self._pivot(e, leave_slot, leave_to, theta, w, t_best, alpha):
-                movable = self._movable_mask()  # a slack got its box back
+            self._pivot(e, leave_slot, leave_to, theta, w, t_best, alpha)
 
     def _count_degenerate(self) -> None:
         self.degenerate += 1
@@ -437,12 +469,12 @@ class _Simplex:
             self.bland = True
 
     def _pivot(self, e: int, slot: int, leave_to: int, theta: float, w: np.ndarray,
-               t: float, alpha: np.ndarray) -> bool:
+               t: float, alpha: np.ndarray) -> None:
         """Swap column e into the basis at `slot`, moving t along theta * w,
-        and carry the inverse and the reduced costs along; alpha is the
-        pivot row of B^-1 A.  True when the leaving column was a relaxed
-        phase-1 slack whose box this restores: the phase-1 cost changed, so
-        the reduced costs are priced afresh."""
+        and carry the inverse, the reduced costs and the pricing directions
+        along; alpha is the pivot row of B^-1 A.  A leaving relaxed phase-1
+        slack gets its box back, and its direction from that box; the
+        phase-1 cost changed, so the reduced costs are priced afresh."""
         enter_val = self._nonbasic_value(e) + theta * t
         self.beta -= theta * t * w
         leaving = self.basic[slot]
@@ -457,11 +489,19 @@ class _Simplex:
         self.vstat[leaving] = leave_to
         self.basic[slot] = e
         self.vstat[e] = BASIC
+        self.dirn[e] = 0.0
+        if self.free is not None:
+            self.free[e] = False
+        if self.hi[leaving] - self.lo[leaving] > 1e-12:
+            self.dirn[leaving] = 1.0 if leave_to == AT_LO else -1.0
         self.beta[slot] = enter_val
         # elementary update of the explicit inverse: one full rank-1 update,
-        # then the pivot row is put in place
+        # then the pivot row is put in place.  The outer product w row' is a
+        # matrix product with one inner term, so each entry is the single
+        # rounded product w_i row_j, formed by BLAS faster than by broadcasting
         row = self.binv[slot] / w[slot]
-        self.binv -= w[:, None] * row
+        np.dot(w[:, None], row[None, :], out=self.outer)
+        self.binv -= self.outer
         self.binv[slot] = row
         self.pivots_since_refactor += 1
         if restored:
@@ -471,7 +511,6 @@ class _Simplex:
             self.d -= step * alpha
             self.d[e] = 0.0
             self.d[leaving] = -step
-        return restored
 
     # -- dual simplex (warm re-optimization) --------------------------------
 
@@ -480,15 +519,16 @@ class _Simplex:
 
         `d` holds the reduced costs of the starting basis; each pivot carries
         them in self.d with the pivot row it forms anyway.  Returns
-        Status.OPTIMAL once the basis is primal feasible, or None to request
-        a cold restart, which also decides infeasibility.  The attempt is
-        best-effort: it gets a small sub-budget so degenerate cycling can
-        never starve the cold path that guarantees correctness.
+        Status.OPTIMAL once the basis is primal feasible, Status.CUTOFF once
+        the cost of a still infeasible iterate reaches self.cutoff, or None
+        to request a cold restart, which also decides infeasibility.  The
+        attempt is best-effort: it gets a small sub-budget so degenerate
+        cycling can never starve the cold path that guarantees correctness.
         """
         local_iter = 0
         budget = min(self.max_iter, 3 * self.m + 50)
         self.d = d
-        movable = self._movable_mask()
+        self._directions()
         # the dual objective is the monotone quantity here; stalling in it
         # for many pivots indicates degenerate cycling.  It starts at the basic
         # solution's cost, and each pivot raises it by |d_q / alpha_q| |delta|
@@ -510,6 +550,9 @@ class _Simplex:
             slot = int(viol.argmax())
             if viol[slot] <= FEAS_TOL:
                 return Status.OPTIMAL  # primal feasible again; caller polishes
+            # the carried dual objective drifts, so the exact cost confirms it
+            if dual_obj >= self.cutoff and float(self.cost @ self._full_values()) >= self.cutoff:
+                return Status.CUTOFF
             bi = self.basic[slot]
             below = self.beta[slot] < self.lo[bi]
             delta = self.beta[slot] - (self.lo[bi] if below else self.hi[bi])
@@ -525,10 +568,12 @@ class _Simplex:
             # row towards its violated bound (g = alpha at the upper, -alpha at
             # the lower).  Stricter pivot quality than the primal: dual updates
             # feed the explicit inverse and a weak pivot wrecks it quickly
-            g = -alpha if below else alpha
-            st = self.vstat
-            ok = (((st == AT_LO) & (g > 1e-7)) | ((st == AT_UP) & (g < -1e-7))
-                  | ((st == FREE) & (np.abs(g) > 1e-7))) & movable
+            g = alpha * self.dirn
+            if below:
+                np.negative(g, out=g)
+            ok = g > 1e-7
+            if self.free is not None:
+                ok |= self.free & (np.abs(alpha) > 1e-7)
             idx = ok.nonzero()[0]
             if not idx.size:
                 return None  # no column can enter; the cold path decides
@@ -550,7 +595,10 @@ class _Simplex:
                 if not warmed:
                     d = self._reduced_costs(self.cost)
                     if self._dual_feasible(d):
-                        warmed = self._dual(d) is not None
+                        status = self._dual(d)
+                        if status == Status.CUTOFF:
+                            return status
+                        warmed = status is not None
                 if warmed:
                     status = self._phase2()
                     if status is not None:
@@ -596,11 +644,13 @@ class _Simplex:
         return self.binv.T @ self.cost[self.basic], self.d[:self.n_struct]
 
 
-def solve_compiled(comp: CompiledLp, lower, upper,
-                   warm: Basis | None = None) -> LpSolution:
+def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
+                   cutoff: float = np.inf) -> LpSolution:
+    """Solve the compiled LP over the given bounds; see the module docstring.
+    Status.CUTOFF, like INFEASIBLE and UNBOUNDED, comes with no solution."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    s = _Simplex(comp, lower, upper, 50 * (comp.n_struct + comp.m))
+    s = _Simplex(comp, lower, upper, 50 * (comp.n_struct + comp.m), cutoff)
     status = s.solve(warm)
     counters = dict(iterations=s.iterations, dual_iterations=s.dual_iterations,
                     refactorizations=s.refactorizations, cold_fallback=s.cold_fallback)

@@ -11,6 +11,14 @@ fully deterministic: node order depends only on the instance and the
 limits, never on wall-clock time (a time limit, when set, naturally breaks
 run-to-run reproducibility).
 
+Each node LP gets the incumbent (less CUTOFF_TOL) as its objective cutoff:
+a warm start that re-optimizes by the dual simplex stops with Status.CUTOFF
+as soon as its lower bound reaches it, and the node is pruned without its
+optimum.  An LP solved by the primal phase 2 alone, or by the cold path,
+ignores the cutoff, and the node is pruned as dominated once its optimum is
+known.  `node_lps_cut_off` counts the LPs stopped early; the search is the
+same either way.
+
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
 cap stopped the search with an incumbent in hand; TIMED_OUT means the time
 limit stopped the search, or a limit stopped it before any incumbent was
@@ -101,6 +109,7 @@ class MipResult:
     gap: float
     nodes_explored: int
     best_bound: float
+    node_lps_cut_off: int = 0  # node LPs the dual simplex stopped at the incumbent
 
     @property
     def abs_gap(self) -> float:
@@ -118,6 +127,7 @@ class MipResult:
             "abs_gap": self.abs_gap,
             "nodes_explored": self.nodes_explored,
             "best_bound": self.best_bound,
+            "node_lps_cut_off": self.node_lps_cut_off,
         }
 
 
@@ -194,6 +204,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         raise RuntimeError("unbounded LP relaxation")
 
     nodes_explored = 1
+    node_lps_cut_off = 0
     seq = 0
     heap: list[tuple[float, int, _Node]] = []
     bound_global = root_sol.objective_value
@@ -264,18 +275,23 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         while True:  # runs once unless diving
             nodes_explored += 1
             if log_interval and nodes_explored % log_interval == 0:
-                log.info("nodes=%d open=%d incumbent=%s bound=%.9g gap=%.3g",
+                log.info("nodes=%d open=%d incumbent=%s bound=%.9g gap=%.3g cut_off=%d",
                          nodes_explored, len(heap),
                          f"{inc_obj:.9g}" if inc_val is not None else "-",
                          bound_global,
                          _relative_gap(inc_obj, bound_global)
-                         if inc_val is not None else np.inf)
+                         if inc_val is not None else np.inf,
+                         node_lps_cut_off)
             lo, hi = _materialize(prob.base.lower, prob.base.upper, current.fixes)
-            sol = solve_compiled(comp, lo, hi, warm=current.basis)
+            sol = solve_compiled(comp, lo, hi, warm=current.basis,
+                                 cutoff=inc_obj - CUTOFF_TOL)
             if sol.status != Status.OPTIMAL:
-                break  # infeasible subtree (children only tighten bounds)
+                # cut off at the incumbent, or an infeasible subtree (children
+                # only tighten bounds)
+                node_lps_cut_off += sol.status == Status.CUTOFF
+                break
             if sol.objective_value >= inc_obj - CUTOFF_TOL:
-                break  # dominated
+                break  # dominated (a primal or cold solve ignores the cutoff)
             j = frac_branch_var(sol.values)
             if j is None:
                 consider_incumbent(sol)
@@ -310,6 +326,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         status = MipStatus.INFEASIBLE if exhausted else MipStatus.TIMED_OUT
 
     result = MipResult(status, inc_val, inc_obj if inc_val is not None else None,
-                       gap, nodes_explored, bound_global)
+                       gap, nodes_explored, bound_global, node_lps_cut_off)
     log.info("finished: %s", result.summary())
     return result

@@ -144,6 +144,7 @@ class TestTrainEvaluate:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["solver_stats"]["milp"]["nodes_explored"] <= 3000
+        assert report["solver_stats"]["milp"]["node_lps_cut_off"] >= 0
 
     def test_manifest_verbosity_sets_the_log_level(self, tmp_path):
         # a fresh interpreter: pytest's own root handlers would make the

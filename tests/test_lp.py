@@ -107,6 +107,48 @@ def branch_children(seed, tries=150):
         yield sol, child
 
 
+def random_free_lp(rng, degenerate=False):
+    """random_lp with about half its variables free, each kept in [-2, 2] by
+    two rows, and half of those at zero cost.  `degenerate` sets the rhs of
+    random_lp's rows to 0, so that many of them meet at the origin."""
+    prob = random_lp(rng)
+    if degenerate:
+        prob.constraints = [Constraint(con.coeffs, con.sense, 0.0) for con in prob.constraints]
+    n = prob.n_vars
+    free = rng.random(n) < 0.5
+    c = prob.objective.copy()
+    c[free & (rng.random(n) < 0.5)] = 0.0
+    lo, hi = prob.lower.copy(), prob.upper.copy()
+    lo[free], hi[free] = -np.inf, np.inf
+    cons = list(prob.constraints)
+    for j in np.nonzero(free)[0]:
+        cons.append(Constraint.of({int(j): 1.0}, "<=", 2.0))
+        cons.append(Constraint.of({int(j): 1.0}, ">=", -2.0))
+    return LinearProgram(c, cons, lo, hi)
+
+
+def free_children(seed, tries=300):
+    """branch_children for random_free_lp: a free variable gets a bound half
+    a unit past its parent value, a bounded one is fixed at one of its ends."""
+    rng = np.random.default_rng(seed)
+    for _ in range(tries):
+        prob = random_free_lp(rng)
+        sol = solve_lp(prob)
+        if sol.status != Status.OPTIMAL:
+            continue
+        j = int(rng.integers(prob.n_vars))
+        child = LinearProgram(prob.objective, prob.constraints,
+                              prob.lower.copy(), prob.upper.copy())
+        if not np.isfinite(prob.lower[j]):
+            if rng.random() < 0.5:
+                child.lower[j] = sol.values[j] + 0.5
+            else:
+                child.upper[j] = sol.values[j] - 0.5
+        else:
+            child.lower[j] = child.upper[j] = float(rng.choice([prob.lower[j], prob.upper[j]]))
+        yield sol, child
+
+
 @pytest.fixture
 def inverted(monkeypatch):
     """Every matrix the simplex refactorizes, in call order."""
@@ -394,7 +436,8 @@ class TestPhaseTwo:
 
 class TestCarriedReducedCosts:
     """After every pivot, the reduced costs the simplex carries equal fresh
-    ones, c - A'(B^-T c_B), for the cost of the phase it is in."""
+    ones, c - A'(B^-T c_B), for the cost of the phase it is in, and its
+    pricing directions equal ones built afresh from the statuses and boxes."""
 
     @staticmethod
     def _solve_checking_pivots(prob, warm, counts):
@@ -408,14 +451,19 @@ class TestCarriedReducedCosts:
             return cost - comp.a.T @ np.linalg.solve(basis.T, cost[simplex.basic])
 
         def checked_pivot(*args):
-            restored = pivot(*args)
+            pivot(*args)
             phase1 = simplex.phase1_cost is not None
             cost = simplex.phase1_cost if phase1 else simplex.cost
             tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
             np.testing.assert_allclose(simplex.d, fresh_reduced_costs(cost), rtol=0, atol=tol)
+            dirn, free = simplex.dirn.copy(), simplex.free
+            simplex._directions()
+            np.testing.assert_array_equal(simplex.dirn, dirn)
+            free_cols = [] if free is None else np.flatnonzero(free)
+            fresh_free = [] if simplex.free is None else np.flatnonzero(simplex.free)
+            np.testing.assert_array_equal(fresh_free, free_cols)
             kind = "dual" if in_dual else "phase 1" if phase1 else "phase 2"
             counts[kind] = counts.get(kind, 0) + 1
-            return restored
 
         def tracked_dual(d):
             in_dual.append(True)
@@ -469,9 +517,119 @@ class TestCarriedReducedCosts:
         assert not cold.cold_fallback and cold.dual_iterations == 0
 
 
+class TestCutoff:
+    """A warm start's dual simplex stops at the cutoff only when the optimum
+    is at or above it; otherwise the solve is the one without a cutoff."""
+
+    @staticmethod
+    def _solve(child, warm, cutoff=None):
+        comp = lp.compile_lp(child)
+        if cutoff is None:
+            return lp.solve_compiled(comp, child.lower, child.upper, warm)
+        return lp.solve_compiled(comp, child.lower, child.upper, warm, cutoff=cutoff)
+
+    @staticmethod
+    def _assert_same(sol, plain):
+        assert sol.status == plain.status
+        assert sol.objective_value == plain.objective_value
+        assert (sol.iterations, sol.dual_iterations, sol.refactorizations, sol.cold_fallback) == (
+            plain.iterations, plain.dual_iterations, plain.refactorizations, plain.cold_fallback)
+        if plain.values is not None:
+            np.testing.assert_array_equal(sol.values, plain.values)
+            assert sol.basis == plain.basis
+
+    def test_warm_children(self):
+        cut = optimal = saved = 0
+        for seed in (99, 8, 9, 10):
+            for parent, child in branch_children(seed, tries=300):
+                plain = self._solve(child, parent.basis)
+                self._assert_same(self._solve(child, parent.basis, np.inf), plain)
+                optimum = plain.objective_value if plain.status == Status.OPTIMAL else np.inf
+                base = optimum if np.isfinite(optimum) else parent.objective_value
+                for cutoff in (base - 1.0, base - 1e-6, base, base + 1e-6, base + 1.0):
+                    sol = self._solve(child, parent.basis, cutoff)
+                    if sol.status == Status.CUTOFF:
+                        assert optimum >= cutoff - 1e-9 * max(1.0, abs(cutoff))
+                        assert sol.values is None and sol.basis is None
+                        assert sol.iterations <= plain.iterations
+                        saved += plain.iterations - sol.iterations
+                        cut += 1
+                    else:
+                        self._assert_same(sol, plain)
+                        optimal += sol.status == Status.OPTIMAL
+        assert cut >= 100 and optimal >= 500 and saved >= 100
+
+    def test_cold_and_primal_solves_ignore_the_cutoff(self):
+        cold = primal = 0
+        for parent, child in branch_children(99):
+            self._assert_same(self._solve(child, None, -np.inf), self._solve(child, None))
+            cold += 1
+            plain = self._solve(child, parent.basis)
+            if (plain.status == Status.OPTIMAL and not plain.dual_iterations
+                    and not plain.cold_fallback):
+                # the parent's basis is primal feasible for the child: phase 2 only
+                self._assert_same(self._solve(child, parent.basis, -np.inf), plain)
+                primal += 1
+        assert cold >= 40 and primal >= 10
+
+
+class TestFreeColumnsAndBland:
+    """No benchmark LP has a free column, and none reaches Bland's rule."""
+
+    def test_warm_children_match_the_cold_solve(self, monkeypatch):
+        entered = {"dual": 0, "primal": 0}
+        pivot, dual = lp._Simplex._pivot, lp._Simplex._dual
+        in_dual = []
+
+        def counting_pivot(self, e, *args):
+            if self.vstat[e] == lp.FREE:
+                entered["dual" if in_dual else "primal"] += 1
+            return pivot(self, e, *args)
+
+        def tracked_dual(self, d):
+            in_dual.append(True)
+            try:
+                return dual(self, d)
+            finally:
+                in_dual.pop()
+
+        monkeypatch.setattr(lp._Simplex, "_pivot", counting_pivot)
+        monkeypatch.setattr(lp._Simplex, "_dual", tracked_dual)
+        checked = 0
+        for seed in (3, 4):
+            for parent, child in free_children(seed):
+                warm, cold = solve_lp(child, warm=parent.basis), solve_lp(child)
+                assert warm.status == cold.status
+                if cold.status == Status.OPTIMAL:
+                    assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+                    checked += 1
+        assert checked >= 150 and entered["dual"] >= 10 and entered["primal"] >= 100
+
+    def test_bland_rule_reaches_the_same_optimum(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        probs = [random_free_lp(rng, degenerate=bool(k % 2)) for k in range(300)]
+        expected = [solve_lp(prob) for prob in probs]
+        bland = []
+        solve = lp._Simplex.solve
+
+        def recording(self, warm):
+            status = solve(self, warm)
+            bland.append(self.bland)
+            return status
+
+        monkeypatch.setattr(lp._Simplex, "solve", recording)
+        monkeypatch.setattr(lp, "BLAND_AFTER", 0)
+        for prob, want in zip(probs, expected):
+            got = solve_lp(prob)
+            assert got.status == want.status
+            if want.status == Status.OPTIMAL:
+                assert got.objective_value == pytest.approx(want.objective_value, abs=1e-8)
+        assert sum(bland) >= 50
+
+
 class TestStatusMasks:
-    """The simplex's vectorized status repair and dual-feasibility test
-    against the per-column rules they implement."""
+    """The simplex's vectorized status repair, dual-feasibility test and
+    entering-column choice against the per-column rules they implement."""
 
     @staticmethod
     def _default(lo, hi):
@@ -515,6 +673,39 @@ class TestStatusMasks:
             expected = self._dual_feasible(vstat, lo, hi, d)
             assert simplex._dual_feasible(d) == expected
             outcomes.add(expected)
+        assert outcomes == {True, False}
+
+    @staticmethod
+    def _entering(vstat, lo, hi, d, bland):
+        best, best_score = None, lp.OPT_TOL
+        for j, st in enumerate(vstat):
+            if st == lp.BASIC or not hi[j] - lo[j] > 1e-12:
+                continue
+            score = -d[j] if st == lp.AT_LO else d[j] if st == lp.AT_UP else abs(d[j])
+            if score > best_score:
+                if bland:
+                    return j
+                best, best_score = j, score
+        return best
+
+    def test_entering_column_matches_the_per_column_rule(self):
+        rng = np.random.default_rng(22)
+        n = 6
+        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
+        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
+        outcomes = set()
+        for _ in range(400):
+            lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
+            hi = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
+            vstat = rng.integers(0, 4, size=n + 1)
+            d = rng.choice([0.0, 1e-8, -1e-8, 1.0, -1.0, 2.0, -2.0], size=n + 1)
+            simplex.lo, simplex.hi, simplex.vstat = lo, hi, vstat
+            simplex._directions()
+            for bland in (False, True):
+                simplex.bland = bland
+                expected = self._entering(vstat, lo, hi, d, bland)
+                assert simplex._entering(d) == expected
+                outcomes.add(expected is None)
         assert outcomes == {True, False}
 
 

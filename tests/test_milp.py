@@ -230,8 +230,9 @@ class TestLimitsAndHints:
         mip = self._bigger_mip()
         with caplog.at_level(logging.INFO, logger="misens.milp"):
             res = solve_milp(mip, MilpLimits(node_cap=50), log_interval=10)
-        assert any("nodes=" in r.message for r in caplog.records)
+        assert any("nodes=" in r.message and "cut_off=" in r.message for r in caplog.records)
         assert res.summary()["schema"] == 1
+        assert res.summary()["node_lps_cut_off"] == res.node_lps_cut_off
 
     def test_determinism(self):
         mip = self._bigger_mip()
@@ -244,8 +245,8 @@ class TestLimitsAndHints:
 
 
 class TestInverseStore:
-    def _labeling_mip(self):
-        rng = np.random.default_rng(12)
+    def _labeling_mip(self, seed=12):
+        rng = np.random.default_rng(seed)
         n = 8
         train = Dataset(rng.uniform(size=(n, 1)), rng.uniform(size=n), np.arange(n))
         return build_mis_con_lab_milp(train, DesignConfig(n_cl=2, param_bound=2.0))
@@ -276,3 +277,47 @@ class TestInverseStore:
         # makes the nodes past the budget refactorize
         assert full_inverts == 0
         assert len(inverted) > 1
+
+
+class TestCutoffSearch:
+    """The node LPs' objective cutoff prunes exactly the nodes that the
+    dominated test would prune after solving them: the search is the same."""
+
+    @staticmethod
+    def _without_cutoff(monkeypatch, mip):
+        solve = milp.solve_compiled
+
+        def uncut(comp, lower, upper, warm=None, cutoff=np.inf):
+            return solve(comp, lower, upper, warm)
+
+        with monkeypatch.context() as m:
+            m.setattr(milp, "solve_compiled", uncut)
+            return solve_milp(mip)
+
+    def _assert_same_search(self, monkeypatch, mip) -> int:
+        cut = solve_milp(mip)
+        uncut = self._without_cutoff(monkeypatch, mip)
+        assert uncut.node_lps_cut_off == 0
+        assert (cut.status, cut.nodes_explored, cut.objective_value, cut.best_bound) == (
+            uncut.status, uncut.nodes_explored, uncut.objective_value, uncut.best_bound)
+        if uncut.values is None:
+            assert cut.values is None
+        else:
+            np.testing.assert_array_equal(cut.values, uncut.values)
+        return cut.node_lps_cut_off
+
+    def test_brute_force_instances(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        oracle = TestRandomizedOracle()
+        cut = [self._assert_same_search(monkeypatch, oracle._random_mip(
+            rng, int(rng.integers(2, 7)), int(rng.integers(0, 3)))) for _ in range(40)]
+        assert max(cut) > 0
+
+    def test_knapsack(self, monkeypatch):
+        assert self._assert_same_search(monkeypatch, TestLimitsAndHints()._bigger_mip()) > 0
+
+    def test_labeling_milp(self, monkeypatch):
+        # seed 14: node bounds come within 1e-3 of the incumbent, so a cutoff
+        # that slack would prune nodes this search explores
+        mip = TestInverseStore()._labeling_mip(seed=14)
+        assert self._assert_same_search(monkeypatch, mip) > 0
