@@ -4,13 +4,15 @@ k-means runs Lloyd's algorithm with k-means++ seeding, several restarts and
 a seeded, portable RNG (`numpy.random.default_rng([seed, restart])`), so
 results are reproducible across platforms.  The SVM uses the standard
 soft-margin quadratic program min 0.5||w||^2 + gamma * sum(e) plus a
-proximal term (SVM_PROX/2)(b_w^2 + ||e||^2).  Without it the Hessian is
-singular in b_w and the slacks: the dual QP solver needs it positive
+proximal term (SVM_PROX/2)(b_w^2 + ||e||^2).  Without that term the Hessian
+is singular in b_w and the slacks: the dual QP solver needs it positive
 definite, and the optimal face can be flat, so that b_w would depend on the
 row order through roundoff.  The term picks one point of that face and moves
-the hyperplane by about 1e-6 on the paper's scenarios.  One-vs-one
-multi-class training decouples into one binary problem per class pair,
-since each pair's constraints involve only the two classes concerned.
+the hyperplane by about 1e-6 on the paper's scenarios.  The QP goes to
+`qp.solve_qp` as dense rows G v >= h: the n margin rows, then the n rows
+e >= 0.  One-vs-one multi-class training decouples into one binary problem
+per class pair, since each pair's constraints involve only the two classes
+concerned.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Hyperplane, LabelingMatrix, SwitchingLogic, expected_pairs
-from .lp import Constraint
-from .qp import QpStatus, QuadraticProgram, solve_qp
+from .qp import QpStatus, solve_qp
 
 
 KKT_TOL = 1e-6           # largest KKT residual accepted from an SVM QP
@@ -135,15 +136,14 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     c = np.zeros(nv)
     c[n_p + 1:] = gamma
     sign = np.where(labels.entries[:, 0] == 1, 1.0, -1.0)
-    cons = []
-    for i in range(n):
-        coeffs = {j: float(sign[i] * x[i, j]) for j in range(n_p)}
-        coeffs[n_p] = float(sign[i])
-        coeffs[n_p + 1 + i] = 1.0
-        cons.append(Constraint.of(coeffs, ">=", 1.0))
-    lo = np.concatenate([np.full(n_p + 1, -np.inf), np.zeros(n)])
-    hi = np.full(nv, np.inf)
-    sol = solve_qp(QuadraticProgram(q, c, cons, lo, hi))
+    # rows G v >= h: the margins sign_i (w'x_i + b_w) + e_i >= 1, then e_i >= 0
+    g = np.zeros((2 * n, nv))
+    g[:n, :n_p] = sign[:, None] * x
+    g[:n, n_p] = sign
+    g[:n, n_p + 1:] = np.eye(n)
+    g[n:, n_p + 1:] = np.eye(n)
+    h = np.concatenate([np.ones(n), np.zeros(n)])
+    sol = solve_qp(q, c, g, h)
     if sol.status != QpStatus.OPTIMAL:
         raise RuntimeError("SVM training QP reported infeasible; slacks should make it elastic")
     if sol.kkt_residual > KKT_TOL:

@@ -212,6 +212,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = replace(cfg, scenario=scenario, design=design, **top)
     if cfg.timing not in ("wall", "fixed"):
         raise ConfigError(f"timing: expected 'wall' or 'fixed', found {cfg.timing!r}")
+    if cfg.jobs < 0:
+        raise ConfigError(f"jobs: expected 0 (all cores) or a positive count, "
+                          f"found {cfg.jobs}")
     for m in cfg.methods:
         if m not in METHODS:
             raise ConfigError(

@@ -430,22 +430,14 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
 
 
 def _order_labels(train: Dataset, labels: LabelingMatrix) -> LabelingMatrix:
-    """Permute class indices so per-class LS offsets are nondecreasing.
+    """Permute class indices so per-class LAD offsets are nondecreasing.
 
-    Aligns a heuristic labeling with the MILP's symmetry-breaking rows so it
-    can serve as a feasible incumbent hint.
+    The MILP's symmetry-breaking rows (d) order the offsets of its L1 fit,
+    so ordering by the same fit lets a heuristic labeling score its own L1
+    as the incumbent hint.
     """
-    offsets = []
-    for j in range(1, labels.n_cl + 1):
-        rows = labels.members(j)
-        if rows.shape[0] >= train.n_p + 1:
-            try:
-                model = _fit_affine(train.inputs[rows], train.outputs[rows])
-                offsets.append(model.b_p)
-            except linalg.LinAlgError:
-                offsets.append(float(train.outputs[rows].mean()))
-        else:
-            offsets.append(np.inf)
+    offsets = [_class_model(train, labels.members(j)).b_p
+               for j in range(1, labels.n_cl + 1)]
     order = np.argsort(np.asarray(offsets), kind="stable")  # old index per new slot
     rename = np.empty(labels.n_cl, dtype=int)
     rename[order] = np.arange(1, labels.n_cl + 1)

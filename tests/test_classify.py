@@ -123,6 +123,13 @@ class TestBinarySvm:
         hp, slacks = train_binary_svm(x, labels)
         assert hp.w[0] > 0
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, value):
+        x = np.array([[1.0, value], [0.0, 0.0]])
+        labels = LabelingMatrix.from_assignments([1, 2], 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            train_binary_svm(x, labels)
+
     def test_row_order_does_not_move_the_hyperplane(self):
         # without curvature in b_w and the slacks the optimal face is flat and
         # the solve returned whichever of its points its path reached: this

@@ -231,3 +231,17 @@ class TestMonteCarlo:
         assert manifest["runs"] == 1          # flag beat the config file
         assert manifest["scenario"]["n_total"] == 20
         assert manifest["methods"] == ["sis"]
+
+    @pytest.mark.parametrize("source", ["flag", "manifest"])
+    def test_negative_jobs_refused(self, tmp_path, capsys, source):
+        out = tmp_path / "o"
+        args = ["montecarlo", "--runs", "1", "--methods", "sis", "--out-dir", str(out)]
+        if source == "flag":
+            args += ["--jobs", "-1"]
+        else:
+            cfgfile = tmp_path / "m.json"
+            cfgfile.write_text(json.dumps({"jobs": -1}))
+            args += ["--config", str(cfgfile)]
+        assert run(args) == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
