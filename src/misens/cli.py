@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import core
@@ -56,45 +56,66 @@ class RunConfig:
     runs: int = 10
     methods: tuple[str, ...] = METHODS
 
+    def __post_init__(self):
+        if self.timing not in ("wall", "fixed"):
+            raise ValueError(f"timing: expected 'wall' or 'fixed', found {self.timing!r}")
+        if self.verbosity < 0:
+            raise ValueError(f"verbosity: expected 0 or more, found {self.verbosity}")
+        if self.jobs < 0:
+            raise ValueError(f"jobs: expected 0 (all cores) or a positive count, "
+                             f"found {self.jobs}")
+        if self.runs < 1:
+            raise ValueError(f"runs: expected at least 1, found {self.runs}")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(
+                    f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
+        self.scenario.validate()
+
     def to_manifest(self) -> dict:
-        return {
-            "schema": MANIFEST_SCHEMA,
-            "scenario": {
-                "kind": self.scenario.kind,
-                "n_total": self.scenario.n_total,
-                "noise_sigma": self.scenario.noise_sigma,
-                "train_fraction": self.scenario.train_fraction,
-                "p_range": list(self.scenario.p_range),
-                "t_range": list(self.scenario.t_range),
-                "seed": self.scenario.seed,
-            },
-            "design": {
-                "n_cl": self.design.n_cl,
-                "gamma": self.design.gamma,
-                "param_bound": self.design.param_bound,
-                "milp": {
-                    "time_limit_s": self.design.milp_limits.time_limit_s,
-                    "gap_target": self.design.milp_limits.gap_target,
-                    "node_cap": self.design.milp_limits.node_cap,
-                },
-                "seed": self.design.seed,
-                "milp_log_interval": self.design.milp_log_interval,
-            },
-            "output_dir": self.output_dir,
-            "timing": self.timing,
-            "verbosity": self.verbosity,
-            "jobs": self.jobs,
-            "runs": self.runs,
-            "methods": list(self.methods),
-        }
+        doc = {"schema": MANIFEST_SCHEMA}
+        for path, _, _ in FIELDS:
+            *sections, key = path.split(".")
+            obj, node = self, doc
+            for section in sections:
+                obj = getattr(obj, "milp_limits" if section == "milp" else section)
+                node = node.setdefault(section, {})
+            value = getattr(obj, key)
+            node[key] = list(value) if isinstance(value, tuple) else value
+        return doc
 
 
-def _set(obj_kwargs: dict, doc: dict, key: str, path: str, caster):
-    if key in doc and doc[key] is not None:
-        try:
-            obj_kwargs[key] = caster(doc[key])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{path}.{key}: {exc}") from None
+def _pair(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
+
+
+# One entry per configuration field: its dotted manifest path, the argparse
+# dest of the flag that overrides it (None: manifest only) and the cast of
+# its manifest value.  `--seed` sets both seeds.
+FIELDS: tuple[tuple[str, str | None, object], ...] = (
+    ("scenario.kind", "kind", str),
+    ("scenario.n_total", "n_total", int),
+    ("scenario.noise_sigma", "noise_sigma", float),
+    ("scenario.train_fraction", "train_fraction", float),
+    ("scenario.p_range", None, _pair),
+    ("scenario.t_range", None, _pair),
+    ("scenario.seed", "seed", int),
+    ("design.n_cl", "n_cl", int),
+    ("design.gamma", "gamma", float),
+    ("design.param_bound", "param_bound", float),
+    ("design.milp.time_limit_s", "time_limit", float),
+    ("design.milp.gap_target", "gap", float),
+    ("design.milp.node_cap", "node_cap", int),
+    ("design.seed", "seed", int),
+    ("design.milp_log_interval", "milp_log_every", int),
+    ("output_dir", "output_dir", str),
+    ("timing", "timing", str),
+    ("verbosity", "verbosity", int),
+    ("jobs", "jobs", int),
+    ("runs", "runs", int),
+    ("methods", "methods", lambda v: tuple(str(m) for m in v)),
+)
 
 
 def _reject_unknown(doc: dict, known: dict, path: str = "") -> None:
@@ -111,66 +132,25 @@ def _reject_unknown(doc: dict, known: dict, path: str = "") -> None:
             _reject_unknown(value, known[key], where)
 
 
-def _config_from_doc(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("manifest root must be a JSON object")
-    schema = doc.get("schema", MANIFEST_SCHEMA)
-    if schema != MANIFEST_SCHEMA:
-        raise ConfigError(f"schema: expected {MANIFEST_SCHEMA}, found {schema}")
-    _reject_unknown(doc, RunConfig().to_manifest())
-    sc = doc.get("scenario", {}) or {}
-    sk = {}
-    _set(sk, sc, "kind", "scenario", str)
-    _set(sk, sc, "n_total", "scenario", int)
-    _set(sk, sc, "noise_sigma", "scenario", float)
-    _set(sk, sc, "train_fraction", "scenario", float)
-    _set(sk, sc, "p_range", "scenario", lambda v: (float(v[0]), float(v[1])))
-    _set(sk, sc, "t_range", "scenario", lambda v: (float(v[0]), float(v[1])))
-    _set(sk, sc, "seed", "scenario", int)
-    de = doc.get("design", {}) or {}
-    dk = {}
-    _set(dk, de, "n_cl", "design", int)
-    _set(dk, de, "gamma", "design", float)
-    _set(dk, de, "param_bound", "design", float)
-    _set(dk, de, "seed", "design", int)
-    _set(dk, de, "milp_log_interval", "design", int)
-    milp = de.get("milp", {}) or {}
-    mk = {}
-    _set(mk, milp, "time_limit_s", "design.milp",
-         lambda v: None if v is None else float(v))
-    _set(mk, milp, "gap_target", "design.milp", float)
-    _set(mk, milp, "node_cap", "design.milp", int)
-    rk = {}
-    _set(rk, doc, "output_dir", "manifest", str)
-    _set(rk, doc, "timing", "manifest", str)
-    _set(rk, doc, "verbosity", "manifest", int)
-    _set(rk, doc, "jobs", "manifest", int)
-    _set(rk, doc, "runs", "manifest", int)
-    _set(rk, doc, "methods", "manifest", lambda v: tuple(str(m) for m in v))
+def _build(values: dict) -> RunConfig:
+    """RunConfig from {dotted path: value}, defaults elsewhere; ConfigError
+    when a value is out of range."""
+    kwargs = {"scenario": {}, "design": {}, "design.milp": {}, "": {}}
+    for path, value in values.items():
+        section, _, key = path.rpartition(".")
+        kwargs[section][key] = value
     try:
-        scenario = ScenarioConfig(**sk)
-        design = DesignConfig(milp_limits=MilpLimits(**mk), **dk)
-        cfg = RunConfig(scenario=scenario, design=design, **rk)
-    except (TypeError, ValueError) as exc:
+        design = DesignConfig(milp_limits=MilpLimits(**kwargs["design.milp"]),
+                              **kwargs["design"])
+        return RunConfig(scenario=ScenarioConfig(**kwargs["scenario"]), design=design,
+                         **kwargs[""])
+    except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return cfg
-
-
-_FLAG_MAP_SCENARIO = {
-    "kind": "kind", "n_total": "n_total", "noise_sigma": "noise_sigma",
-    "train_fraction": "train_fraction", "seed": "seed",
-}
-_FLAG_MAP_DESIGN = {
-    "n_cl": "n_cl", "gamma": "gamma", "param_bound": "param_bound", "seed": "seed",
-    "milp_log_every": "milp_log_interval",
-}
-_FLAG_MAP_LIMITS = {
-    "time_limit": "time_limit_s", "gap": "gap_target", "node_cap": "node_cap",
-}
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Manifest file (when given) overlaid with any explicitly passed flags."""
+    """Manifest file (when given) overlaid with any explicitly passed flags.
+    The manifest's values are checked on their own, then with the flags."""
     doc = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -178,49 +158,29 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             doc = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-    cfg = _config_from_doc(doc)
-    sc_over = {}
-    for flag, fieldname in _FLAG_MAP_SCENARIO.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            sc_over[fieldname] = v
-    de_over = {}
-    for flag, fieldname in _FLAG_MAP_DESIGN.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            de_over[fieldname] = v
-    lim_over = {}
-    for flag, fieldname in _FLAG_MAP_LIMITS.items():
-        v = getattr(args, flag, None)
-        if v is not None:
-            lim_over[fieldname] = v
-    try:
-        scenario = replace(cfg.scenario, **sc_over) if sc_over else cfg.scenario
-        limits = replace(cfg.design.milp_limits, **lim_over) if lim_over \
-            else cfg.design.milp_limits
-        design = replace(cfg.design, milp_limits=limits, **de_over)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    top = {}
-    for flag in ("output_dir", "timing", "verbosity", "jobs", "runs"):
-        v = getattr(args, flag, None)
-        if v is not None:
-            top[flag] = v
-    methods = getattr(args, "methods", None)
-    if methods is not None:
-        top["methods"] = tuple(m.strip() for m in methods.split(",") if m.strip())
-    cfg = replace(cfg, scenario=scenario, design=design, **top)
-    if cfg.timing not in ("wall", "fixed"):
-        raise ConfigError(f"timing: expected 'wall' or 'fixed', found {cfg.timing!r}")
-    if cfg.jobs < 0:
-        raise ConfigError(f"jobs: expected 0 (all cores) or a positive count, "
-                          f"found {cfg.jobs}")
-    for m in cfg.methods:
-        if m not in METHODS:
-            raise ConfigError(
-                f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
-    cfg.scenario.validate()
-    return cfg
+    if not isinstance(doc, dict):
+        raise ConfigError("manifest root must be a JSON object")
+    schema = doc.get("schema", MANIFEST_SCHEMA)
+    if schema != MANIFEST_SCHEMA:
+        raise ConfigError(f"schema: expected {MANIFEST_SCHEMA}, found {schema}")
+    _reject_unknown(doc, RunConfig().to_manifest())
+    values = {}
+    for path, _, cast in FIELDS:
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node.get(section) or {}
+        if node.get(key) is not None:
+            try:
+                values[path] = cast(node[key])
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: {exc}") from None
+    _build(values)
+    flags = {path: getattr(args, dest) for path, dest, _ in FIELDS
+             if dest and getattr(args, dest, None) is not None}
+    if "methods" in flags:
+        flags["methods"] = tuple(m.strip() for m in flags["methods"].split(",") if m.strip())
+    return _build({**values, **flags})
 
 
 def _prepare_out(cfg: RunConfig) -> Path:

@@ -70,6 +70,8 @@ class DesignConfig:
             raise ValueError("gamma must be positive and finite")
         if not (self.param_bound > 0 and np.isfinite(self.param_bound)):
             raise ValueError("param_bound must be positive and finite")
+        if self.milp_log_interval < 0:
+            raise ValueError("milp_log_interval must be 0 (no progress lines) or more")
 
 
 @dataclass
@@ -392,15 +394,16 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     kmeans_objective = None
     if cfg.n_cl > 1:
         km = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed)
+        memo: dict[bytes, AffineModel] = {}  # every class LAD fit of the hint search
         # class indices are reordered so the symmetry-breaking rows do not
         # penalize the hint's objective
         kmeans_objective, hint = labeling_l1_objective(
-            program, lay, _order_labels(train, km.labels))
+            program, lay, _order_labels(train, km.labels, memo))
         hint_objective = kmeans_objective
-        improved = improve_labeling(train, km.labels, seed=cfg.seed)
+        improved = improve_labeling(train, km.labels, seed=cfg.seed, memo=memo)
         if improved is not None:
             better_obj, better = labeling_l1_objective(
-                program, lay, _order_labels(train, improved))
+                program, lay, _order_labels(train, improved, memo))
             if better is not None and (hint_objective is None
                                        or better_obj < hint_objective - 1e-12):
                 hint_objective, hint = better_obj, better
@@ -429,15 +432,15 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     return DesignReport(sensor, train_rmse, labels, stats)
 
 
-def _order_labels(train: Dataset, labels: LabelingMatrix) -> LabelingMatrix:
+def _order_labels(train: Dataset, labels: LabelingMatrix,
+                  memo: dict[bytes, AffineModel]) -> LabelingMatrix:
     """Permute class indices so per-class LAD offsets are nondecreasing.
 
     The MILP's symmetry-breaking rows (d) order the offsets of its L1 fit,
     so ordering by the same fit lets a heuristic labeling score its own L1
     as the incumbent hint.
     """
-    offsets = [_class_model(train, labels.members(j)).b_p
-               for j in range(1, labels.n_cl + 1)]
+    offsets = [m.b_p for m in _class_models(train, labels.assignments(), labels.n_cl, memo)]
     order = np.argsort(np.asarray(offsets), kind="stable")  # old index per new slot
     rename = np.empty(labels.n_cl, dtype=int)
     rename[order] = np.arange(1, labels.n_cl + 1)
@@ -568,15 +571,17 @@ def _split_merge_starts(train: Dataset, labels: LabelingMatrix) -> list[np.ndarr
     return proposals
 
 
-def improve_labeling(train: Dataset, labels: LabelingMatrix,
-                     seed: int = 0) -> LabelingMatrix | None:
+def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
+                     memo: dict[bytes, AffineModel] | None = None
+                     ) -> LabelingMatrix | None:
     """Multi-start L1 descent used to seed the labeling MILP.
 
     Starts from the given labeling, structured split-and-merge variants of
     it, and seeded random perturbations; every start is polished by
     `_l1_descent` and the best per-class LAD objective wins.  Returns None
     when the instance is too small to keep every class identifiable.  Only
-    a hint source: the MILP still owns optimality.
+    a hint source: the MILP still owns optimality.  `memo`, when given,
+    holds the class fits to reuse and receives the new ones.
     """
     n, n_p, n_cl = train.n, train.n_p, labels.n_cl
     if n_cl * (n_p + 1) > n:
@@ -591,7 +596,7 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix,
         starts.append(pert)
     best_assign = None
     best_obj = np.inf
-    memo: dict[bytes, AffineModel] = {}  # starts often reach the same classes
+    memo = {} if memo is None else memo  # starts often reach the same classes
     for start in starts:
         assign = _l1_descent(train, np.asarray(start, dtype=int), n_cl, memo)
         sizes = np.bincount(assign, minlength=n_cl + 1)[1:]

@@ -93,12 +93,19 @@ class MixedIntegerProgram:
             if j in seen:
                 raise ValueError(f"binary variable index {j} repeated")
             seen.add(j)
-        # binaries live in [0,1] (intersected with any tighter caller bounds)
+        lower, upper = self.bounds()
         for j in self.binary_vars:
-            self.base.lower[j] = max(self.base.lower[j], 0.0)
-            self.base.upper[j] = min(self.base.upper[j], 1.0)
-            if self.base.lower[j] > self.base.upper[j]:
+            if lower[j] > upper[j]:
                 raise ValueError(f"binary variable {j} has contradictory bounds")
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the variable bounds with each binary's box intersected
+        with [0, 1]; the program's own bounds are left as they are."""
+        lower, upper = self.base.lower.copy(), self.base.upper.copy()
+        bins = list(self.binary_vars)
+        lower[bins] = np.maximum(lower[bins], 0.0)
+        upper[bins] = np.minimum(upper[bins], 1.0)
+        return lower, upper
 
 
 @dataclass
@@ -161,12 +168,14 @@ def _materialize(lo0, hi0, fixes):
     return lo, hi
 
 
-def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint) -> float | None:
-    """Objective of a feasible, integral hint; None when the hint is unusable."""
+def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
+                lower: np.ndarray, upper: np.ndarray) -> float | None:
+    """Objective of a hint that is integral and feasible in the rows and in
+    the bounds `lower`/`upper`; None when the hint is unusable."""
     v = np.asarray(hint, dtype=float)
     if v.shape != (prob.base.n_vars,):
         return None
-    if np.any(v < prob.base.lower - 1e-9) or np.any(v > prob.base.upper + 1e-9):
+    if np.any(v < lower - 1e-9) or np.any(v > upper + 1e-9):
         return None
     bins = v[list(prob.binary_vars)]
     if np.max(np.abs(bins - np.round(bins))) > INT_TOL:
@@ -182,6 +191,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     """Solve min c @ v with the given binaries; see the module docstring."""
     limits = limits or MilpLimits()
     prob.validate()
+    lower, upper = prob.bounds()
     comp = compile_lp(prob.base)
     binaries = np.array(prob.binary_vars, dtype=int)
     t_start = time.perf_counter()
@@ -189,7 +199,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     inc_val: np.ndarray | None = None
     inc_obj = np.inf
     if incumbent_hint is not None:
-        obj = _check_hint(prob, comp, incumbent_hint)
+        obj = _check_hint(prob, comp, incumbent_hint, lower, upper)
         if obj is not None:
             inc_val = np.asarray(incumbent_hint, dtype=float).copy()
             inc_obj = obj
@@ -197,7 +207,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         else:
             log.info("incumbent hint rejected (infeasible or fractional)")
 
-    root_sol = solve_compiled(comp, prob.base.lower, prob.base.upper)
+    root_sol = solve_compiled(comp, lower, upper)
     if root_sol.status == Status.INFEASIBLE:
         return MipResult(MipStatus.INFEASIBLE, None, None, np.inf, 1, np.inf)
     if root_sol.status == Status.UNBOUNDED:
@@ -282,7 +292,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                          _relative_gap(inc_obj, bound_global)
                          if inc_val is not None else np.inf,
                          node_lps_cut_off)
-            lo, hi = _materialize(prob.base.lower, prob.base.upper, current.fixes)
+            lo, hi = _materialize(lower, upper, current.fixes)
             sol = solve_compiled(comp, lo, hi, warm=current.basis,
                                  cutoff=inc_obj - CUTOFF_TOL)
             if sol.status != Status.OPTIMAL:

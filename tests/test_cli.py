@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +10,10 @@ import numpy as np
 import pytest
 
 import misens
-from misens.cli import main
+from misens.cli import FIELDS, RunConfig, build_parser, main, resolve_config
+from misens.design import DesignConfig
+from misens.milp import MilpLimits
+from misens.study import ScenarioConfig
 
 
 def run(args):
@@ -245,3 +250,118 @@ class TestMonteCarlo:
         assert run(args) == 2
         assert "jobs" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+class TestRunSettingRefusals:
+    """Out-of-range run settings exit 2, name the field and write nothing."""
+
+    def _refused(self, args, field, out, capsys):
+        assert run(args) == 2
+        assert field in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_runs_below_one(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._refused(["montecarlo", "--runs", "-2", "--out-dir", str(out)],
+                      "runs", out, capsys)
+
+    def test_negative_verbosity(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps({"verbosity": -1}))
+        self._refused(["generate", "--config", str(cfgfile), "--out-dir", str(out)],
+                      "verbosity", out, capsys)
+
+    def test_negative_milp_log_interval(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        self._refused(["train", "--method", "mis-con-lab", "--milp-log-every", "-2",
+                       "--out-dir", str(out)], "milp_log_interval", out, capsys)
+
+
+# a non-default manifest value and a different flag value (None: the field
+# has no flag) for every field of FIELDS
+SAMPLES = {
+    "scenario.kind": ("uniform", "clustered"),
+    "scenario.n_total": (24, 40),
+    "scenario.noise_sigma": (0.01, 0.02),
+    "scenario.train_fraction": (0.6, 0.4),
+    "scenario.p_range": ([2100.0, 4900.0], None),
+    "scenario.t_range": ([310.0, 390.0], None),
+    "scenario.seed": (7, 9),
+    "design.n_cl": (2, 4),
+    "design.gamma": (5.0, 2.5),
+    "design.param_bound": (8.0, 6.0),
+    "design.milp.time_limit_s": (12.5, 7.0),
+    "design.milp.gap_target": (0.001, 0.01),
+    "design.milp.node_cap": (500, 40),
+    "design.seed": (4, 9),
+    "design.milp_log_interval": (50, 5),
+    "output_dir": ("from-manifest", "from-flag"),
+    "timing": ("fixed", "wall"),
+    "verbosity": (1, 2),
+    "jobs": (2, 3),
+    "runs": (3, 5),
+    "methods": (["sis", "mis-std"], ["mis-con"]),
+}
+
+
+def _at(doc, path):
+    for key in path.split("."):
+        doc = doc[key]
+    return doc
+
+
+def _sample_manifest(output_dir):
+    doc = {"schema": 1}
+    for path, (value, _) in SAMPLES.items():
+        *sections, key = path.split(".")
+        node = doc
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
+    doc["output_dir"] = output_dir
+    return doc
+
+
+def _flag_action(dest):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a for a in sub.choices["montecarlo"]._actions if a.dest == dest)
+
+
+class TestFields:
+    def test_every_config_field_has_exactly_one_entry(self):
+        declared = [path for path, _, _ in FIELDS]
+        assert len(declared) == len(set(declared))
+        expected = set()
+        for prefix, cls in (("scenario.", ScenarioConfig), ("design.", DesignConfig),
+                            ("design.milp.", MilpLimits), ("", RunConfig)):
+            expected |= {prefix + f.name for f in dataclasses.fields(cls)}
+        # sections, and the clustered layout, which has no manifest key
+        expected -= {"scenario", "design", "design.milp_limits", "scenario.clusters"}
+        assert set(declared) == expected == set(SAMPLES)
+
+    def test_manifest_setting_every_field_is_echoed_back_equal(self, tmp_path):
+        doc = _sample_manifest(str(tmp_path / "echo"))
+        defaults = RunConfig().to_manifest()
+        for path, _, _ in FIELDS:
+            assert _at(doc, path) != _at(defaults, path), path
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps(doc))
+        assert run(["generate", "--config", str(cfgfile)]) == 0
+        assert json.loads((tmp_path / "echo" / "manifest.json").read_text()) == doc
+
+    @pytest.mark.parametrize("path,dest", [(p, d) for p, d, _ in FIELDS if d])
+    def test_flag_overrides_the_manifest(self, tmp_path, path, dest):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps(_sample_manifest("from-manifest")))
+        value = SAMPLES[path][1]
+        action = _flag_action(dest)
+        if isinstance(action, argparse._CountAction):
+            flag = [action.option_strings[0]] * value
+        elif isinstance(value, list):
+            flag = [action.option_strings[0], ",".join(value)]
+        else:
+            flag = [action.option_strings[0], str(value)]
+        args = build_parser().parse_args(["montecarlo", "--config", str(cfgfile)] + flag)
+        assert _at(resolve_config(args).to_manifest(), path) == value

@@ -402,7 +402,7 @@ class TestOrderLabels:
         scores = [labeling_l1_objective(prog, lay, LabelingMatrix.from_assignments(
                       np.array(perm)[labels.assignments() - 1], n_cl))[0]
                   for perm in itertools.permutations(range(1, n_cl + 1))]
-        ordered, _ = labeling_l1_objective(prog, lay, design._order_labels(train, labels))
+        ordered, _ = labeling_l1_objective(prog, lay, design._order_labels(train, labels, {}))
         assert ordered == pytest.approx(min(scores), abs=1e-9)
 
 
@@ -600,3 +600,19 @@ class TestImproveLabelingMemo:
         unmemoized = improve_labeling(train, labels, seed=1)
         assert len(fits) > distinct and len(set(fits)) == distinct
         np.testing.assert_array_equal(memoized.assignments(), unmemoized.assignments())
+
+    def test_one_design_fits_each_row_set_once(self, monkeypatch):
+        # the hint's ordering of the k-means and the improved labeling reuses
+        # the fits of the descent
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        fits = []
+        lad_fit = design._lad_fit
+
+        def counting(inputs, outputs):
+            fits.append((inputs.tobytes(), outputs.tobytes()))
+            return lad_fit(inputs, outputs)
+
+        monkeypatch.setattr(design, "_lad_fit", counting)
+        design_mis_con_lab(train, DesignConfig(n_cl=3, seed=1,
+                                               milp_limits=MilpLimits(node_cap=5)))
+        assert fits and len(fits) == len(set(fits))

@@ -75,6 +75,20 @@ class TestSmall:
         bins = res.values[[0, 1, 2]]
         assert np.max(np.abs(bins - np.round(bins))) <= 1e-6
 
+    def test_caller_bounds_are_left_as_they_are(self):
+        # binaries boxed wider than [0, 1] are solved over [0, 1], on copies;
+        # the hint (c = 4) is integral and inside the caller's box but not [0, 1]
+        knapsack = [({0: 2.0, 1: 3.0, 2: 1.0}, "<=", 4.0)]
+        wide = make_mip([-3.0, -4.0, -2.0], knapsack, [-5.0] * 3, [5.0] * 3, [0, 1, 2])
+        boxed = make_mip([-3.0, -4.0, -2.0], knapsack, [0.0] * 3, [1.0] * 3, [0, 1, 2])
+        res = solve_milp(wide, incumbent_hint=np.array([0.0, 0.0, 4.0]))
+        np.testing.assert_array_equal(wide.base.lower, [-5.0] * 3)
+        np.testing.assert_array_equal(wide.base.upper, [5.0] * 3)
+        ref = solve_milp(boxed)
+        assert res.status == ref.status == MipStatus.OPTIMAL
+        assert res.objective_value == ref.objective_value == pytest.approx(-6.0, abs=1e-9)
+        np.testing.assert_array_equal(res.values, ref.values)
+
 
 class TestRandomizedOracle:
     def _random_mip(self, rng, n_bin, n_cont):
@@ -221,7 +235,7 @@ class TestLimitsAndHints:
             act = comp.a[:, :n] @ hint
             rows_ok = all(comp.slack_lo[k] - 1e-6 <= comp.rhs[k] - act[k]
                           <= comp.slack_hi[k] + 1e-6 for k in range(m))
-            got = milp._check_hint(mip, comp, hint)
+            got = milp._check_hint(mip, comp, hint, mip.base.lower, mip.base.upper)
             assert (got is not None) == rows_ok
             outcomes.add(rows_ok)
         assert outcomes == {True, False}
