@@ -85,36 +85,64 @@ class RunConfig:
         return doc
 
 
+# The manifest casts take only the JSON type that the echo writes, so a
+# wrong type is refused instead of converted (JSON true is not an integer).
+
+def _int(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, found {json.dumps(value)}")
+    return value
+
+
+def _float(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, found {json.dumps(value)}")
+    return float(value)
+
+
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, found {json.dumps(value)}")
+    return value
+
+
 def _pair(value) -> tuple[float, float]:
-    lo, hi = value
-    return float(lo), float(hi)
+    if not isinstance(value, list) or len(value) != 2:
+        raise TypeError(f"expected a list of two numbers, found {json.dumps(value)}")
+    return _float(value[0]), _float(value[1])
+
+
+def _strings(value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise TypeError(f"expected a list of strings, found {json.dumps(value)}")
+    return tuple(value)
 
 
 # One entry per configuration field: its dotted manifest path, the argparse
 # dest of the flag that overrides it (None: manifest only) and the cast of
 # its manifest value.  `--seed` sets both seeds.
 FIELDS: tuple[tuple[str, str | None, object], ...] = (
-    ("scenario.kind", "kind", str),
-    ("scenario.n_total", "n_total", int),
-    ("scenario.noise_sigma", "noise_sigma", float),
-    ("scenario.train_fraction", "train_fraction", float),
+    ("scenario.kind", "kind", _str),
+    ("scenario.n_total", "n_total", _int),
+    ("scenario.noise_sigma", "noise_sigma", _float),
+    ("scenario.train_fraction", "train_fraction", _float),
     ("scenario.p_range", None, _pair),
     ("scenario.t_range", None, _pair),
-    ("scenario.seed", "seed", int),
-    ("design.n_cl", "n_cl", int),
-    ("design.gamma", "gamma", float),
-    ("design.param_bound", "param_bound", float),
-    ("design.milp.time_limit_s", "time_limit", float),
-    ("design.milp.gap_target", "gap", float),
-    ("design.milp.node_cap", "node_cap", int),
-    ("design.seed", "seed", int),
-    ("design.milp_log_interval", "milp_log_every", int),
-    ("output_dir", "output_dir", str),
-    ("timing", "timing", str),
-    ("verbosity", "verbosity", int),
-    ("jobs", "jobs", int),
-    ("runs", "runs", int),
-    ("methods", "methods", lambda v: tuple(str(m) for m in v)),
+    ("scenario.seed", "seed", _int),
+    ("design.n_cl", "n_cl", _int),
+    ("design.gamma", "gamma", _float),
+    ("design.param_bound", "param_bound", _float),
+    ("design.milp.time_limit_s", "time_limit", _float),
+    ("design.milp.gap_target", "gap", _float),
+    ("design.milp.node_cap", "node_cap", _int),
+    ("design.seed", "seed", _int),
+    ("design.milp_log_interval", "milp_log_every", _int),
+    ("output_dir", "output_dir", _str),
+    ("timing", "timing", _str),
+    ("verbosity", "verbosity", _int),
+    ("jobs", "jobs", _int),
+    ("runs", "runs", _int),
+    ("methods", "methods", _strings),
 )
 
 
@@ -173,7 +201,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if node.get(key) is not None:
             try:
                 values[path] = cast(node[key])
-            except (TypeError, ValueError) as exc:
+            except TypeError as exc:
                 raise ConfigError(f"{path}: {exc}") from None
     _build(values)
     flags = {path: getattr(args, dest) for path, dest, _ in FIELDS

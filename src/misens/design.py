@@ -11,9 +11,9 @@ the design samples no points to re-check it.  Where two models share a
 slope the plane gets a tiny placeholder normal (a Hyperplane cannot have a
 zero one), so on normalized data its offset routes to the larger model.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
-MILP minimizes the summed absolute errors over labelings, subject to
-continuity equalities between boxed hyperplane and model variables, then
-the labels are fixed and the final models come from the MIS-con refit.
+MILP over the boxed model variables minimizes the summed absolute errors
+over labelings, then the labels are fixed and the final models come from
+the MIS-con refit, whose planes are again the models' differences.
 All four share one least-squares kernel, `linalg.least_squares`."""
 
 from __future__ import annotations
@@ -176,35 +176,25 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
 class VariableLayout:
     """Deterministic variable order of the labeling MILP.
 
-    Head: w (n_sp * n_p), b_w (n_sp), p (n_cl * n_p), b_p (n_cl); then t
-    (n), then the binary block z (n * n_cl), row-major over (i, j).
-    Derivable from (n, n_p, n_cl) alone, so builders and extractors agree
-    without passing maps around.
+    Head: the model block p (n_cl * n_p), b_p (n_cl); then t (n), then the
+    binary block z (n * n_cl), row-major over (i, j).  Derivable from
+    (n, n_p, n_cl) alone, so builders and extractors agree without passing
+    maps around.
     """
 
     n: int
     n_p: int
     n_cl: int
 
-    @property
-    def n_sp(self) -> int:
-        return self.n_cl * (self.n_cl - 1) // 2
-
-    def w(self, k: int, d: int) -> int:
-        return (k - 1) * self.n_p + d
-
-    def b_w(self, k: int) -> int:
-        return self.n_sp * self.n_p + (k - 1)
-
     def p(self, j: int, d: int) -> int:
-        return self.n_sp * (self.n_p + 1) + (j - 1) * self.n_p + d
+        return (j - 1) * self.n_p + d
 
     def b_p(self, j: int) -> int:
-        return self.n_sp * (self.n_p + 1) + self.n_cl * self.n_p + (j - 1)
+        return self.n_cl * self.n_p + (j - 1)
 
     @property
     def n_head(self) -> int:
-        return (self.n_sp + self.n_cl) * (self.n_p + 1)
+        return self.n_cl * (self.n_p + 1)
 
     def t(self, i: int) -> int:
         return self.n_head + i
@@ -223,14 +213,6 @@ class VariableLayout:
     @property
     def binaries(self) -> tuple[int, ...]:
         return tuple(range(self.n_continuous, self.n_vars))
-
-
-def _continuity_rows(lay: VariableLayout, k: int, r: int, s: int) -> list[Constraint]:
-    """p_r - p_s = w_k and b_p,r - b_p,s = b_w,k for pair k = (r, s)."""
-    rows = [Constraint.of({lay.p(r, d): 1.0, lay.p(s, d): -1.0, lay.w(k, d): -1.0}, "=", 0.0)
-            for d in range(lay.n_p)]
-    rows.append(Constraint.of({lay.b_p(r): 1.0, lay.b_p(s): -1.0, lay.b_w(k): -1.0}, "=", 0.0))
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +282,13 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     """Big-M linearization of the optimal-labeling problem (L1 objective).
 
     Rows, in order: one labeling row-sum equality per point; two epigraph
-    rows per (point, class); n_p + 1 continuity equalities per pair;
-    offset-ordering symmetry breaking; and a minimum class size of n_p + 1
-    points.  The objective prices fit error only, so the program has no
-    margin rows: with free slacks they would cut nothing.  w and b_w stay,
-    boxed by param_bound, so the continuity rows also bound the differences
-    between the models of each pair.  Raises ValueError when big-M is below
-    |y_i| + param_bound * (||x_i||_1 + 1) for some point i (data outside the
-    unit box that `required_big_m` assumes).
+    rows per (point, class); offset-ordering symmetry breaking; and a
+    minimum class size of n_p + 1 points.  The variables are the models
+    (each parameter boxed by param_bound), the epigraph t and the labeling
+    z: the sensor's planes are the models' differences, so the program
+    needs no plane variables and no rows tying them to the models.  Raises
+    ValueError when big-M is below |y_i| + param_bound * (||x_i||_1 + 1) for
+    some point i (data outside the unit box that `required_big_m` assumes).
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     if n < n_cl * (n_p + 1):
@@ -340,13 +321,10 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
             minus[lay.b_p(j)] = -1.0
             cons.append(Constraint.of(plus, ">=", float(y[i]) - big_m))
             cons.append(Constraint.of(minus, ">=", float(-y[i]) - big_m))
-    # (c) continuity couplings
-    for k, (r, s) in enumerate(expected_pairs(n_cl), start=1):
-        cons.extend(_continuity_rows(lay, k, r, s))
-    # (d) symmetry breaking: offsets in nondecreasing class order
+    # (c) symmetry breaking: offsets in nondecreasing class order
     for j in range(1, n_cl):
         cons.append(Constraint.of({lay.b_p(j): 1.0, lay.b_p(j + 1): -1.0}, "<=", 0.0))
-    # (e) minimum class size
+    # (d) minimum class size
     for j in range(1, n_cl + 1):
         cons.append(Constraint.of({lay.z(i, j): 1.0 for i in range(n)}, ">=", float(n_p + 1)))
     objective = np.zeros(lay.n_vars)
@@ -436,7 +414,7 @@ def _order_labels(train: Dataset, labels: LabelingMatrix,
                   memo: dict[bytes, AffineModel]) -> LabelingMatrix:
     """Permute class indices so per-class LAD offsets are nondecreasing.
 
-    The MILP's symmetry-breaking rows (d) order the offsets of its L1 fit,
+    The MILP's symmetry-breaking rows (c) order the offsets of its L1 fit,
     so ordering by the same fit lets a heuristic labeling score its own L1
     as the incumbent hint.
     """

@@ -74,6 +74,21 @@ class TestGenerate:
         assert code == 2
         assert "design.big_m: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc,path,expected", [
+        ({"scenario": {"n_total": 30.7}}, "scenario.n_total", "an integer"),
+        ({"design": {"n_cl": True}}, "design.n_cl", "an integer"),
+        ({"scenario": {"kind": 5}}, "scenario.kind", "a string"),
+        ({"methods": "sis"}, "methods", "a list of strings"),
+    ], ids=["float-for-int", "bool-for-int", "int-for-string", "string-for-list"])
+    def test_manifest_value_of_the_wrong_type_names_its_path(self, tmp_path, capsys,
+                                                             doc, path, expected):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        assert run(["generate", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert f"{path}: expected {expected}, found" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_section_that_is_not_an_object_names_its_path(self, tmp_path, capsys):
         cfgfile = tmp_path / "m.json"
         cfgfile.write_text(json.dumps({"design": {"milp": 5}}))

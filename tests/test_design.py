@@ -73,8 +73,7 @@ def l1_oracle_over_labelings(train, cfg):
     """Brute force over all valid labelings, each scored by a reduced LP.
 
     The reduced LP keeps what actually constrains the optimum: epigraph rows
-    for the assigned class, the parameter boxes, and the pairwise difference
-    boxes implied by continuity plus the w/b_w boxes.  Symmetry rows are
+    for the assigned class and the parameter boxes.  Symmetry rows are
     omitted because the enumeration covers all permutations anyway.
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
@@ -106,13 +105,6 @@ def l1_oracle_over_labelings(train, cfg):
                 minus[p(j, d)] = float(-train.inputs[i, d])
             cons.append(Constraint.of(plus, ">=", float(train.outputs[i])))
             cons.append(Constraint.of(minus, ">=", float(-train.outputs[i])))
-        for r in range(1, n_cl + 1):
-            for s in range(r + 1, n_cl + 1):
-                for d in range(n_p):
-                    cons.append(Constraint.of({p(r, d): 1.0, p(s, d): -1.0}, "<=", pb))
-                    cons.append(Constraint.of({p(r, d): 1.0, p(s, d): -1.0}, ">=", -pb))
-                cons.append(Constraint.of({b_p(r): 1.0, b_p(s): -1.0}, "<=", pb))
-                cons.append(Constraint.of({b_p(r): 1.0, b_p(s): -1.0}, ">=", -pb))
         c = np.zeros(nv)
         lo = np.full(nv, -pb)
         hi = np.full(nv, pb)
@@ -339,15 +331,15 @@ class TestMisCon:
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
         lay = VariableLayout(8, 2, 2)
-        assert lay.n_continuous == 17   # 3 (w,b_w) + 6 (p,b_p) + 8 (t)
+        assert lay.n_continuous == 14   # 6 (p,b_p) + 8 (t)
         assert len(lay.binaries) == 16
 
     def test_constraint_count(self):
         rng = np.random.default_rng(9)
         train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=2))
-        # 8 row sums + 32 epigraph + 3 continuity + 1 symmetry + 2 size
-        assert len(prog.base.constraints) == 46
+        # 8 row sums + 32 epigraph + 1 symmetry + 2 size
+        assert len(prog.base.constraints) == 43
 
     def test_big_m_invariant_enforced(self):
         assert required_big_m(10.0, 2) == pytest.approx(62.0)
@@ -376,12 +368,15 @@ class TestMilpBuild:
         # the truth is continuous and exactly representable: L1 error 0
         assert obj == pytest.approx(0.0, abs=1e-7)
 
-    def test_milp_matches_brute_force_labelings(self):
+    @pytest.mark.parametrize("n_cl", [2, 3])
+    def test_milp_matches_brute_force_labelings(self, n_cl):
+        # with n_cl = 2 a box |p_1 - p_2| <= B on the model differences
+        # would bind here: the optimum would read 0.338226, not 0.317020
         rng = np.random.default_rng(12)
         x = rng.uniform(size=(6, 1))
         y = rng.uniform(size=6)
         train = dataset(x, y)
-        cfg = DesignConfig(n_cl=2, param_bound=2.0)
+        cfg = DesignConfig(n_cl=n_cl, param_bound=2.0)
         oracle = l1_oracle_over_labelings(train, cfg)
         res = solve_milp(build_mis_con_lab_milp(train, cfg))
         assert res.status == MipStatus.OPTIMAL
@@ -391,7 +386,7 @@ class TestMilpBuild:
 class TestOrderLabels:
     @pytest.mark.parametrize("kind, seed, n_cl", [("uniform", 3, 2), ("clustered", 1, 3)])
     def test_kmeans_hint_scores_its_best_class_order(self, kind, seed, n_cl):
-        # the symmetry rows (d) order the offsets of the MILP's L1 fit, so a
+        # the symmetry rows (c) order the offsets of the MILP's L1 fit, so a
         # hint ordered by another fit's offsets can score above its own L1;
         # on these draws the least-squares order did (0.44027 for 0.42395
         # on uniform-30 seed 3)

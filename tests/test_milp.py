@@ -266,7 +266,7 @@ class TestInverseStore:
         return build_mis_con_lab_milp(train, DesignConfig(n_cl=2, param_bound=2.0))
 
     @pytest.mark.parametrize("which", ["knapsack", "labeling"])
-    def test_capped_store_gives_the_same_search(self, monkeypatch, which):
+    def test_capped_store_gives_the_same_optimum(self, monkeypatch, which):
         mip = (TestLimitsAndHints()._bigger_mip() if which == "knapsack"
                else self._labeling_mip())
         inverted = []
@@ -283,9 +283,12 @@ class TestInverseStore:
         monkeypatch.setattr(milp, "BINV_STORE_BYTES", 0)
         inverted.clear()
         capped = solve_milp(mip)
+        # the node counts need not agree: an inverse carried from the parent
+        # and one refactorized differ in roundoff, which can break degenerate
+        # pricing ties the other way (drawn with rng seeds 10-29 instead of
+        # 12, about half of these labeling instances give different counts)
         assert full.status == capped.status == MipStatus.OPTIMAL
-        assert full.nodes_explored == capped.nodes_explored
-        np.testing.assert_allclose(capped.values, full.values, rtol=0, atol=1e-9)
+        assert capped.objective_value == pytest.approx(full.objective_value, rel=0, abs=1e-9)
         # the root starts from the all-slack basis and every child reuses its
         # parent's inverse, so nothing is factorized, while the capped store
         # makes the nodes past the budget refactorize
