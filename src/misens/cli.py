@@ -237,10 +237,6 @@ def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
 
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     method = args.method
-    if method not in METHODS:
-        print(f"error: unknown method {method!r}; valid: {', '.join(METHODS)}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
     data_path = Path(args.data) if args.data else out / "train.csv"
     train, _ = core.load_dataset(data_path)
     scaler = None
@@ -341,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one sensor design method")
     common(p)
     design_flags(p)
-    p.add_argument("--method", required=True, help=f"one of: {', '.join(METHODS)}")
+    p.add_argument("--method", required=True, choices=METHODS)
     p.add_argument("--data", help="training CSV (default: <out-dir>/train.csv)")
     p.add_argument("--scaler", help="scaler JSON (default: <out-dir>/scaler.json)")
     p.set_defaults(func=cmd_train)

@@ -23,6 +23,16 @@ class SchemaError(ValueError):
     """Version field of a serialized document does not match."""
 
 
+def _field(doc, key: str, what: str):
+    """doc[key] of a serialized document; ValueError naming `what` and the
+    key when doc is not a JSON object or lacks the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what}: expected a JSON object")
+    if key not in doc:
+        raise ValueError(f"{what}: missing key {key!r}")
+    return doc[key]
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -229,8 +239,8 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        return cls(np.array(d["input_min"]), np.array(d["input_max"]),
-                   d["output_min"], d["output_max"])
+        return cls(*(_field(d, key, "scaler")
+                     for key in ("input_min", "input_max", "output_min", "output_max")))
 
 
 @dataclass(frozen=True)
@@ -406,14 +416,17 @@ def sensor_to_dict(sensor: SensorModel) -> dict:
 
 
 def sensor_from_dict(doc: dict) -> SensorModel:
-    found = doc.get("schema")
+    found = _field(doc, "schema", "sensor")
     if found != SENSOR_SCHEMA:
         raise SchemaError(f"sensor document schema mismatch: expected {SENSOR_SCHEMA}, found {found}")
-    models = tuple(AffineModel(np.array(m["p"]), m["b_p"]) for m in doc["models"])
+    models = tuple(AffineModel(np.array(_field(m, "p", "model")), _field(m, "b_p", "model"))
+                   for m in _field(doc, "models", "sensor"))
     switching = None
     if len(models) > 1:
-        hps = tuple(Hyperplane(np.array(h["w"]), h["b_w"]) for h in doc["hyperplanes"])
-        pairs = tuple((int(r), int(s)) for r, s in doc["pairs"])
+        hps = tuple(Hyperplane(np.array(_field(h, "w", "hyperplane")),
+                               _field(h, "b_w", "hyperplane"))
+                    for h in _field(doc, "hyperplanes", "sensor"))
+        pairs = tuple((int(r), int(s)) for r, s in _field(doc, "pairs", "sensor"))
         if pairs != expected_pairs(len(models)):
             raise ValueError(f"pairs: expected the lexicographic 2-combinations of "
                              f"1..{len(models)}, found {doc['pairs']}")

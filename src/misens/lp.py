@@ -6,16 +6,22 @@ reduced costs are carried from pivot to pivot, each pivot updating them
 with its row of B^-1 A, and are computed afresh at a refactorization or
 when the phase-1 cost changes (Koberstein, *The dual simplex method,
 techniques for a fast and stable implementation*, 2005).  A cold solve
-starts from the all-slack basis, whose inverse is the identity.  Its
-phase 1 minimizes the sum of infeasibilities (Maros, *Computational
-Techniques of the Simplex Method*, 2003): a slack that starts outside its
-box is given only the side it violates, at a cost that drives it back, and
-gets its box again once it leaves the basis at that bound; the LP is
-infeasible when a basic value still violates its box after phase 1.  A
-warm solve (from a caller-supplied basis, e.g. a branch-and-bound parent)
+starts from the all-slack basis, whose inverse is the identity.
+
+Every solve ends in the same primal rounds.  A round runs phase 1 when a
+basic value lies outside its box, then phase 2.  Phase 1 starts from the
+round's basis and minimizes the sum of infeasibilities (Maros,
+*Computational Techniques of the Simplex Method*, 2003): a basic column
+outside its box keeps only the side it violates, at a cost that drives it
+back, and gets its box again once it leaves the basis at that bound; the LP
+is infeasible when a basic value still violates its box after phase 1.  A
+round's answer stands when the basic values reproduce the right-hand side;
+otherwise the next round starts from the refactorized basis.  A warm solve
+(from a caller-supplied basis, e.g. a branch-and-bound parent) first
 re-optimizes with the bounded-variable dual simplex when the old basis is
-primal infeasible but dual feasible, and falls back to the cold path
-otherwise, so correctness never depends on the warm start.
+primal infeasible but dual feasible; when the dual gives up, or the basis
+is not dual feasible, the solve starts again cold, so correctness never
+depends on the warm start.
 
 The basis exported with an optimal solution carries its inverse.  The
 inverse depends only on the basic columns, never on the bounds, so a warm
@@ -27,9 +33,8 @@ refactorization unless the basic values it gives, or the inverse itself
 incumbent).  The dual simplex keeps its basis dual feasible, so the cost of
 each of its iterates is a lower bound on the LP optimum; once that bound
 reaches the cutoff, confirmed by the exact cost of the iterate, the solve
-stops with Status.CUTOFF and no solution.  The cold path and the primal
-phase 2 ignore the cutoff: their objective falls, so no iterate bounds the
-optimum from below.
+stops with Status.CUTOFF and no solution.  The primal rounds ignore the
+cutoff: their objective falls, so no iterate bounds the optimum from below.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ PIVOT_TOL = 1e-9
 DEGEN_TOL = 1e-10
 REFACTOR_EVERY = 128
 BLAND_AFTER = 1000  # degenerate pivots before Bland's rule takes over
+PRIMAL_ROUNDS = 4  # phase-1/phase-2 rounds; each after the first refactorizes
 
 # column status codes
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
@@ -56,7 +62,8 @@ SENSES = ("<=", "=", ">=")
 
 
 class SimplexStalledError(RuntimeError):
-    """Iteration cap exceeded."""
+    """A primal pass exceeded its iteration cap, or PRIMAL_ROUNDS rounds
+    ended without basic values that reproduce the right-hand side."""
 
 
 class Status(enum.Enum):
@@ -155,7 +162,7 @@ class LpSolution:
     iterations: int = 0
     dual_iterations: int = 0    # the share of `iterations` spent in the dual simplex
     refactorizations: int = 0
-    cold_fallback: bool = False  # a warm start was offered, the cold path decided
+    cold_fallback: bool = False  # a warm start was offered, the solve restarted cold
 
 
 @dataclass
@@ -205,12 +212,13 @@ class _Simplex:
     """One solve over the compiled arrays; not reusable."""
 
     def __init__(self, comp: CompiledLp, lower, upper, max_iter, cutoff=np.inf):
-        self.comp = comp
         self.m = comp.m
         self.n_struct = comp.n_struct
         self.a = comp.a
-        self.lo = np.concatenate([lower, comp.slack_lo])
-        self.hi = np.concatenate([upper, comp.slack_hi])
+        # the boxes, kept for phase 1, which relaxes some of them in lo/hi
+        self.box_lo = np.concatenate([lower, comp.slack_lo])
+        self.box_hi = np.concatenate([upper, comp.slack_hi])
+        self.lo, self.hi = self.box_lo.copy(), self.box_hi.copy()
         self.cost = comp.cost
         self.rhs = comp.rhs
         self.n_cols = self.a.shape[1]
@@ -223,8 +231,8 @@ class _Simplex:
         self.degenerate = 0
         self.bland = False
         self.pivots_since_refactor = 0
-        # phase-1 cost: -1/+1 on a slack whose box is relaxed because it
-        # starts below/above it, 0 elsewhere; None outside phase 1
+        # phase-1 cost: -1/+1 on a basic column whose box is relaxed because
+        # it starts below/above it, 0 elsewhere; None outside phase 1
         self.phase1_cost: np.ndarray | None = None
         # state set up by _cold_start or _try_warm_start
         self.vstat = np.empty(0, dtype=int)
@@ -293,23 +301,6 @@ class _Simplex:
         resid = self.a[:, self.basic] @ (self.binv @ u) - u
         return bool(np.abs(resid).max() <= 1e-8) if self.m else True
 
-    def _phase2(self) -> Status | None:
-        """Primal phase 2 from a feasible basis.  An optimum is accepted when
-        beta reproduces the right-hand side and is feasible; otherwise the
-        basis is refactorized once and priced again by a second pass.  None
-        when the refactorized basis, or the end of that pass, is infeasible:
-        a primal step from an infeasible basis breaks the rows."""
-        status = self._primal(self.cost)
-        if status != Status.OPTIMAL or (self._beta_residual_ok() and self._beta_feasible()):
-            return status
-        self._refactorize()
-        if not self._beta_feasible():
-            return None
-        status = self._primal(self.cost)
-        if status == Status.OPTIMAL and not self._beta_feasible():
-            return None
-        return status
-
     def _default_statuses(self) -> np.ndarray:
         """AT_LO at a finite lower bound, else AT_UP at a finite upper, else FREE."""
         return np.where(np.isfinite(self.lo), AT_LO,
@@ -318,9 +309,7 @@ class _Simplex:
     # -- start-up paths -----------------------------------------------------
 
     def _cold_start(self) -> None:
-        """The all-slack basis.  A slack that starts more than FEAS_TOL
-        outside its box keeps only the bound it violates, now on its other
-        side, and gets the phase-1 cost that drives it towards that bound."""
+        """The all-slack basis, whose inverse is the identity."""
         n = self.n_struct
         self.vstat = self._default_statuses()
         self.basic = np.arange(n, n + self.m)
@@ -328,16 +317,6 @@ class _Simplex:
         self.binv = np.eye(self.m)
         self.pivots_since_refactor = 0
         self._recompute_beta()
-        lo_s, hi_s = self.lo[n:], self.hi[n:]  # views: writes reach lo/hi
-        below = self.beta < lo_s - FEAS_TOL
-        above = self.beta > hi_s + FEAS_TOL
-        if not (below.any() or above.any()):
-            return
-        self.phase1_cost = np.zeros(self.n_cols)
-        self.phase1_cost[n:][below] = -1.0
-        self.phase1_cost[n:][above] = 1.0
-        hi_s[below], lo_s[below] = lo_s[below], -np.inf
-        lo_s[above], hi_s[above] = hi_s[above], np.inf
 
     def _repair_statuses(self) -> None:
         """Fix statuses that reference bounds the caller changed or removed."""
@@ -473,17 +452,16 @@ class _Simplex:
         """Swap column e into the basis at `slot`, moving t along theta * w,
         and carry the inverse, the reduced costs and the pricing directions
         along; alpha is the pivot row of B^-1 A.  A leaving relaxed phase-1
-        slack gets its box back, and its direction from that box; the
+        column gets its box back, and its direction from that box; the
         phase-1 cost changed, so the reduced costs are priced afresh."""
         enter_val = self._nonbasic_value(e) + theta * t
         self.beta -= theta * t * w
         leaving = self.basic[slot]
         restored = self.phase1_cost is not None and bool(self.phase1_cost[leaving])
         if restored:
-            # a relaxed slack reached the bound it violated: its box is back,
+            # a relaxed column reached the bound it violated: its box is back,
             # and it rests at that bound
-            k = leaving - self.n_struct
-            self.lo[leaving], self.hi[leaving] = self.comp.slack_lo[k], self.comp.slack_hi[k]
+            self.lo[leaving], self.hi[leaving] = self.box_lo[leaving], self.box_hi[leaving]
             leave_to = AT_LO if self.phase1_cost[leaving] < 0 else AT_UP
             self.phase1_cost[leaving] = 0.0
         self.vstat[leaving] = leave_to
@@ -591,37 +569,57 @@ class _Simplex:
     def solve(self, warm: Basis | None) -> Status:
         if warm is not None and self._try_warm_start(warm):
             try:
-                warmed = self._beta_feasible()
-                if not warmed:
+                status = Status.OPTIMAL
+                if not self._beta_feasible():
                     d = self._reduced_costs(self.cost)
-                    if self._dual_feasible(d):
-                        status = self._dual(d)
-                        if status == Status.CUTOFF:
-                            return status
-                        warmed = status is not None
-                if warmed:
-                    status = self._phase2()
-                    if status is not None:
-                        return status
+                    status = self._dual(d) if self._dual_feasible(d) else None
+                if status == Status.CUTOFF:
+                    return status
+                if status is not None:
+                    return self._primal_rounds()
             except linalg.LinAlgError:
-                pass  # numerically wrecked warm basis; the cold path decides
+                pass  # numerically wrecked warm basis; start again cold
         self.cold_fallback = warm is not None
-        return self._cold_solve()
-
-    def _cold_solve(self) -> Status:
         self._cold_start()
-        if self.phase1_cost is not None:
-            status = self._primal(self.phase1_cost)
-            assert status == Status.OPTIMAL  # phase 1 is bounded below
-            self.phase1_cost = None
-            n = self.n_struct
-            self.lo[n:], self.hi[n:] = self.comp.slack_lo, self.comp.slack_hi
-            if not self._beta_feasible():
-                return Status.INFEASIBLE
-        status = self._phase2()
-        if status is None:
-            raise SimplexStalledError("stalled: could not restore feasibility")
-        return status
+        return self._primal_rounds()
+
+    def _relax(self) -> bool:
+        """Phase 1 from the current basis: a basic column more than FEAS_TOL
+        outside its box keeps only the bound it violates, now on its other
+        side, and gets the phase-1 cost that drives it towards that bound.
+        False, with nothing changed, when no basic value is out of its box."""
+        lo_b, hi_b = self.lo[self.basic], self.hi[self.basic]
+        below = self.beta < lo_b - FEAS_TOL
+        above = self.beta > hi_b + FEAS_TOL
+        if not (below.any() or above.any()):
+            return False
+        cols_below, cols_above = self.basic[below], self.basic[above]
+        self.phase1_cost = np.zeros(self.n_cols)
+        self.phase1_cost[cols_below] = -1.0
+        self.phase1_cost[cols_above] = 1.0
+        self.hi[cols_below], self.lo[cols_below] = lo_b[below], -np.inf
+        self.lo[cols_above], self.hi[cols_above] = hi_b[above], np.inf
+        return True
+
+    def _primal_rounds(self) -> Status:
+        """Phase 1 when a basic value is out of its box, then phase 2.  An
+        answer stands when beta reproduces the right-hand side; otherwise
+        the basis is refactorized and the next round starts from it."""
+        for _ in range(PRIMAL_ROUNDS):
+            status = Status.OPTIMAL
+            if self._relax():
+                status = self._primal(self.phase1_cost)
+                assert status == Status.OPTIMAL  # phase 1 is bounded below
+                self.phase1_cost = None
+                self.lo[:], self.hi[:] = self.box_lo, self.box_hi
+                if not self._beta_feasible():
+                    status = Status.INFEASIBLE
+            if status == Status.OPTIMAL:
+                status = self._primal(self.cost)
+            if self._beta_residual_ok() and (status != Status.OPTIMAL or self._beta_feasible()):
+                return status
+            self._refactorize()
+        raise SimplexStalledError(f"stalled: no accurate basis in {PRIMAL_ROUNDS} rounds")
 
     def _beta_feasible(self) -> bool:
         lo_b = self.lo[self.basic]

@@ -134,10 +134,14 @@ class TestTrainEvaluate:
         assert len(sensor["hyperplanes"]) == 3
 
     def test_unknown_method_lists_valid(self, tmp_path, capsys):
-        out = self._generated(tmp_path)
-        assert run(["train", "--method", "banana", "--out-dir", str(out)]) == 2
+        # refused by the argument parser, before the manifest is written
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            run(["train", "--method", "banana", "--out-dir", str(out)])
+        assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "sis" in err and "mis-con-lab" in err
+        assert not out.exists()
 
     def test_schema_mismatch_names_versions(self, tmp_path, capsys):
         out = self._generated(tmp_path)
@@ -149,6 +153,30 @@ class TestTrainEvaluate:
                     "--data", str(out / "train.csv"), "--out-dir", str(out)])
         assert code == 2
         assert "expected 1, found 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("malformed, message", [
+        (lambda doc: {k: v for k, v in doc.items() if k != "hyperplanes"},
+         "sensor: missing key 'hyperplanes'"),
+        (lambda doc: [doc], "sensor: expected a JSON object"),
+    ], ids=["missing-key", "not-an-object"])
+    def test_malformed_sensor_is_a_validation_error(self, tmp_path, capsys, malformed,
+                                                    message):
+        out = self._generated(tmp_path)
+        assert run(["train", "--method", "mis-std", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "sensor.json").read_text())
+        (out / "sensor.json").write_text(json.dumps(malformed(doc)))
+        code = run(["evaluate", "--sensor", str(out / "sensor.json"),
+                    "--data", str(out / "train.csv"), "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_malformed_scaler_is_a_validation_error(self, tmp_path, capsys):
+        out = self._generated(tmp_path)
+        doc = json.loads((out / "scaler.json").read_text())
+        del doc["output_max"]
+        (out / "scaler.json").write_text(json.dumps(doc))
+        assert run(["train", "--method", "sis", "--out-dir", str(out)]) == 2
+        assert "scaler: missing key 'output_max'" in capsys.readouterr().err
 
     def test_missing_data_file(self, tmp_path):
         out = self._generated(tmp_path)

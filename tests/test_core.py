@@ -252,6 +252,36 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"pairs: .*found \[\[1, 3\], \[1, 2\], \[2, 3\]\]"):
             core.sensor_from_dict(doc)
 
+    @pytest.mark.parametrize("key", ["models", "hyperplanes", "pairs", "schema"])
+    def test_sensor_missing_key_is_named(self, key):
+        hps = tuple(Hyperplane(np.array([1.0, float(k)]), 0.0) for k in range(1, 4))
+        sensor = make_sensor([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)],
+                             SwitchingLogic(hps, 3))
+        doc = core.sensor_to_dict(sensor)
+        del doc[key]
+        with pytest.raises(ValueError, match=f"sensor: missing key '{key}'"):
+            core.sensor_from_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[], "sensor", None])
+    def test_sensor_root_that_is_not_an_object_refused(self, doc):
+        with pytest.raises(ValueError, match="sensor: expected a JSON object"):
+            core.sensor_from_dict(doc)
+
+    def test_sensor_model_missing_key_is_named(self):
+        doc = core.sensor_to_dict(make_sensor([([1.0], 0.0)]))
+        del doc["models"][0]["b_p"]
+        with pytest.raises(ValueError, match="model: missing key 'b_p'"):
+            core.sensor_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["input_min", "input_max", "output_min", "output_max"])
+    def test_scaler_missing_key_is_named(self, key):
+        doc = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0).to_dict()
+        del doc[key]
+        with pytest.raises(ValueError, match=f"scaler: missing key '{key}'"):
+            Scaler.from_dict(doc)
+        with pytest.raises(ValueError, match="scaler: expected a JSON object"):
+            Scaler.from_dict([doc])
+
     def test_predict_raw_uses_scaler(self):
         scaler = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0)
         sensor = make_sensor([([1.0], 0.0)], scaler=scaler)  # y_norm = x_norm

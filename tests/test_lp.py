@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from misens import lp
+from misens.design import DesignConfig, VariableLayout, build_mis_con_lab_milp
 from misens.lp import Constraint, LinearProgram, Status, solve_lp
+from misens.study import ScenarioConfig, generate_scenario
 
 
 def make_lp(c, cons, lo, hi):
@@ -406,32 +408,84 @@ class TestPhaseOne:
         assert not inverted
 
 
+class TestRoutedLabelingLp:
+    """Node LPs of the labeling MILP with pairwise routing rows.  Phase 1
+    ends with every basic value in its box as the pivoted inverse computes
+    it; refactorized, the basis is infeasible again and goes back to phase
+    1, which decides the LP.  HiGHS also reports both LPs infeasible."""
+
+    FIXED = {
+        1e-7: [(2, 2, 1), (4, 1, 0), (4, 3, 1), (5, 2, 0), (5, 3, 0), (6, 1, 0),
+               (6, 2, 1), (7, 1, 0), (10, 1, 0), (11, 1, 1), (12, 3, 0), (14, 1, 0)],
+        1e-6: [(0, 2, 0), (0, 3, 0), (3, 2, 0), (3, 3, 0), (4, 1, 0), (6, 1, 0), (6, 2, 0),
+               (9, 2, 0), (11, 1, 0), (11, 2, 1), (13, 2, 0), (13, 3, 0), (14, 2, 1)],
+    }
+
+    @staticmethod
+    def routed_lp(eps, fixed):
+        """The capped labeling MILP (uniform-30, seed 1, n_cl 3) plus the rows
+        f_j(x_i) - f_k(x_i) >= eps - M_i (1 - z_ij) for k != j, with
+        M_i = eps + B (||x_i||_1 + 1), and the given z_ij fixed."""
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        cfg = DesignConfig(n_cl=3)
+        program = build_mis_con_lab_milp(train, cfg)
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
+        cons = list(program.base.constraints)
+        for i, x in enumerate(train.inputs):
+            big_m = eps + cfg.param_bound * (np.abs(x).sum() + 1.0)
+            for j, k in itertools.permutations(range(1, cfg.n_cl + 1), 2):
+                row = {lay.b_p(j): 1.0, lay.b_p(k): -1.0, lay.z(i, j): -big_m}
+                for d in range(train.n_p):
+                    row[lay.p(j, d)], row[lay.p(k, d)] = float(x[d]), float(-x[d])
+                cons.append(Constraint.of(row, ">=", eps - big_m))
+        lower, upper = program.bounds()
+        for i, j, value in fixed:
+            lower[lay.z(i, j)] = upper[lay.z(i, j)] = value
+        return LinearProgram(program.base.objective, cons, lower, upper)
+
+    @pytest.mark.parametrize("eps", sorted(FIXED))
+    def test_cold_solve_decides_infeasible(self, eps):
+        prob = self.routed_lp(eps, self.FIXED[eps])
+        sol = lp.solve_compiled(lp.compile_lp(prob), prob.lower, prob.upper)
+        assert sol.status == Status.INFEASIBLE
+        assert sol.refactorizations >= 1
+
+
 class TestPhaseTwo:
     def test_refactorization_is_priced_again(self):
-        # a wrong inverse makes the first pass pivot on wrong prices; once the
-        # basic values show the drift, the basis is refactorized, and only
-        # pricing it again finds the child's optimum (seeds 8 and 10 each hold
-        # a child where the refactorized basis is feasible but not optimal)
-        checked = 0
+        # a wrong inverse makes the first round pivot on wrong prices; once the
+        # basic values show the drift, the basis is refactorized, and only the
+        # next round finds the child's optimum: by phase 2 alone where the
+        # refactorized basis is feasible (seeds 8 and 10 each hold one that is
+        # not optimal), by phase 1 first where it is not
+        checked, relaxed = 0, 0
         for seed in (8, 9, 10):
             for parent, child in branch_children(seed, tries=300):
                 simplex = lp._Simplex(lp.compile_lp(child), child.lower, child.upper, 1000)
                 assert simplex._try_warm_start(parent.basis)
                 if not simplex._beta_feasible():
-                    continue  # phase 2 starts from a feasible basis
+                    continue  # the first round starts from a feasible basis
                 simplex.binv = np.eye(child.n_rows)
+                phase1 = []
+
+                def counted_relax(relax=simplex._relax):
+                    phase1.append(relax())
+                    return phase1[-1]
+
+                simplex._relax = counted_relax
                 try:
-                    status = simplex._phase2()
+                    status = simplex._primal_rounds()
                 except lp.linalg.LinAlgError:
                     continue  # the wrong pivots made the basis singular
-                if status is None:
-                    continue  # infeasible after refactorizing: the cold path decides
                 cold_sol = solve_lp(child)
                 assert status == cold_sol.status == Status.OPTIMAL
                 checked += 1
+                relaxed += any(phase1)
                 value = child.objective @ simplex._full_values()[:child.n_vars]
                 assert value == pytest.approx(cold_sol.objective_value, abs=1e-8)
-        assert checked >= 100
+        # 29 of these children are infeasible once refactorized and go back
+        # to phase 1
+        assert checked >= 150 and relaxed >= 25
 
 
 class TestCarriedReducedCosts:
