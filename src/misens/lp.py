@@ -16,18 +16,29 @@ outside its box keeps only the side it violates, at a cost that drives it
 back, and gets its box again once it leaves the basis at that bound; the LP
 is infeasible when a basic value still violates its box after phase 1.  A
 round's answer stands when the basic values reproduce the right-hand side;
-otherwise the next round starts from the refactorized basis.  A warm solve
-(from a caller-supplied basis, e.g. a branch-and-bound parent) first
-re-optimizes with the bounded-variable dual simplex when the old basis is
-primal infeasible but dual feasible; when the dual gives up, or the basis
-is not dual feasible, the solve starts again cold, so correctness never
-depends on the warm start.
+otherwise the next round starts from the refactorized basis.
 
-The basis exported with an optimal solution carries its inverse.  The
+A warm solve (from a caller-supplied basis, e.g. a branch-and-bound parent)
+has one path, on which each quantity is formed once.  The basis must fit
+the LP (shapes, ranges, no repeated column); statuses that reference
+changed bounds are repaired.  x_N and rhs - A x_N give the basic values,
+their residual and the dual's starting objective.  A primal feasible basis
+goes straight to the primal rounds.  Otherwise one pricing both decides
+dual feasibility (no column may enter) and starts the bounded-variable dual
+simplex.  After the dual's optimum the first primal round prices afresh,
+the only guard against drift in the reduced costs the dual carried, and
+checks the residual once; it does not test the boxes the dual has just
+met.  When the dual gives up, or the basis is not dual feasible, the solve
+starts again cold, so correctness never depends on the warm start.
+
+The basis exported with an optimal solution carries its inverse; its
+arrays are read-only, because the children of a branch-and-bound node
+share it, and each child copies the inverse at its first pivot.  The
 inverse depends only on the basic columns, never on the bounds, so a warm
 start from it (a branch-and-bound child with one bound tightened) skips the
 refactorization unless the basic values it gives, or the inverse itself
-(Freivalds' check), fail a residual test.
+(Freivalds' check), fail a residual test; an inverse with non-finite or
+overflowing entries fails them quietly.
 
 `solve_compiled` takes an objective `cutoff` (a branch-and-bound passes its
 incumbent).  The dual simplex keeps its basis dual feasible, so the cost of
@@ -57,6 +68,18 @@ PRIMAL_ROUNDS = 4  # phase-1/phase-2 rounds; each after the first refactorizes
 
 # column status codes
 BASIC, AT_LO, AT_UP, FREE = 0, 1, 2, 3
+
+# a movable column's pricing direction by status: +1 at its lower bound,
+# -1 at its upper, 0 when basic or free
+_DIRECTION = np.array([0.0, 1.0, -1.0, 0.0])
+# the repaired status, by [status, finite lower bound + 2 * finite upper]: a
+# status that references a missing bound, or FREE beside a finite one,
+# becomes AT_LO at a finite lower bound, else AT_UP at a finite upper, else
+# FREE; BASIC stays
+_REPAIRED = np.array([[BASIC] * 4,
+                      [FREE, AT_LO, AT_UP, AT_LO],
+                      [FREE, AT_LO, AT_UP, AT_UP],
+                      [FREE, AT_LO, AT_UP, AT_LO]])
 
 SENSES = ("<=", "=", ">=")
 
@@ -135,20 +158,32 @@ class LinearProgram:
                     raise ValueError(f"constraint {k} has non-finite coefficient")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Basis:
     """Warm-start state: basic column per row plus status per column.
 
     Columns are indexed over structural variables followed by one slack per
-    constraint row; status codes are BASIC/AT_LO/AT_UP/FREE.  `binv`, when
-    set, is the inverse of the basic columns; it is shared, never written,
-    and left out of comparisons.  A warm start checks it against the basic
-    columns of its own LP and refactorizes when it does not fit.
+    constraint row; status codes are BASIC/AT_LO/AT_UP/FREE.  `basic` and
+    `status` are int arrays (sequences are converted).  `binv`, when set,
+    is the inverse of the basic columns; it is left out of comparisons.  A
+    warm start checks it against the basic columns of its own LP and
+    refactorizes when it does not fit.  An exported Basis is shared by the
+    children of its branch-and-bound node, so its arrays are read-only.
     """
 
-    basic: tuple[int, ...]
-    status: tuple[int, ...]
-    binv: np.ndarray | None = field(default=None, compare=False, repr=False)
+    basic: np.ndarray
+    status: np.ndarray
+    binv: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "basic", np.asarray(self.basic, dtype=int))
+        object.__setattr__(self, "status", np.asarray(self.status, dtype=int))
+
+    def __eq__(self, other):
+        if not isinstance(other, Basis):
+            return NotImplemented
+        return (np.array_equal(self.basic, other.basic)
+                and np.array_equal(self.status, other.status))
 
 
 @dataclass
@@ -208,6 +243,14 @@ def _freivalds_vector(m: int) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=16)
+def _columns(n: int) -> np.ndarray:
+    """0, ..., n - 1, for gathering one entry per column; read-only."""
+    cols = np.arange(n)
+    cols.flags.writeable = False
+    return cols
+
+
 class _Simplex:
     """One solve over the compiled arrays; not reusable."""
 
@@ -215,13 +258,18 @@ class _Simplex:
         self.m = comp.m
         self.n_struct = comp.n_struct
         self.a = comp.a
+        self.n_cols = self.a.shape[1]
+        # one row per status code, so that column j rests at bounds[vstat[j], j]
+        # when nonbasic: the BASIC and FREE rows are 0, and lo/hi are views
+        # of the AT_LO/AT_UP rows, written in place only
+        self.bounds = np.zeros((4, self.n_cols))
+        self.lo, self.hi = self.bounds[AT_LO], self.bounds[AT_UP]
+        self.lo[:self.n_struct], self.lo[self.n_struct:] = lower, comp.slack_lo
+        self.hi[:self.n_struct], self.hi[self.n_struct:] = upper, comp.slack_hi
         # the boxes, kept for phase 1, which relaxes some of them in lo/hi
-        self.box_lo = np.concatenate([lower, comp.slack_lo])
-        self.box_hi = np.concatenate([upper, comp.slack_hi])
-        self.lo, self.hi = self.box_lo.copy(), self.box_hi.copy()
+        self.box_lo, self.box_hi = self.lo.copy(), self.hi.copy()
         self.cost = comp.cost
         self.rhs = comp.rhs
-        self.n_cols = self.a.shape[1]
         self.max_iter = max_iter
         self.cutoff = cutoff
         self.iterations = 0
@@ -234,116 +282,133 @@ class _Simplex:
         # phase-1 cost: -1/+1 on a basic column whose box is relaxed because
         # it starts below/above it, 0 elsewhere; None outside phase 1
         self.phase1_cost: np.ndarray | None = None
-        # state set up by _cold_start or _try_warm_start
-        self.vstat = np.empty(0, dtype=int)
-        self.basic = np.empty(0, dtype=int)
-        self.binv = np.empty((0, 0))
-        self.beta = np.empty(0)
-        self.d = np.empty(0)  # reduced costs, carried from pivot to pivot
+        # state set up by _cold_start or _try_warm_start: statuses, basic
+        # columns, the inverse and basic values
+        self.vstat = self.basic = self.binv = self.beta = None
+        self.binv_shared = False  # binv is a warm Basis's: the first pivot copies it
+        self.x = None  # full values at the last beta set-up or residual check
+        self.d = None  # reduced costs, carried from pivot to pivot
+        self.y = None  # B^-T c_B of the last pricing on self.cost, None after a pivot
         # pricing state, built by _directions for each primal or dual pass and
         # carried by _pivot: +1/-1 for a movable column at its lower/upper
         # bound, 0 otherwise; the movable FREE columns, None when there are none
-        self.dirn = np.empty(0)
+        self.dirn = None
         self.free: np.ndarray | None = None
         self.outer = np.empty((self.m, self.m))  # rank-1 term of each pivot
 
     # -- state helpers ------------------------------------------------------
 
     def _nonbasic_value(self, j: int) -> float:
-        st = self.vstat[j]
-        if st == AT_LO:
-            return self.lo[j]
-        if st == AT_UP:
-            return self.hi[j]
-        return 0.0
+        return self.bounds[self.vstat[j], j]
 
     def _nonbasic_values(self) -> np.ndarray:
-        x = np.zeros(self.n_cols)
-        at_lo = self.vstat == AT_LO
-        at_up = self.vstat == AT_UP
-        x[at_lo] = self.lo[at_lo]
-        x[at_up] = self.hi[at_up]
-        return x
+        """x_N: each column at the bound its status names, 0 when basic or free."""
+        return self.bounds[self.vstat, _columns(self.n_cols)]
 
     def _full_values(self) -> np.ndarray:
         x = self._nonbasic_values()
         x[self.basic] = self.beta
         return x
 
-    def _recompute_beta(self) -> None:
-        x_n = self._nonbasic_values()
-        x_n[self.basic] = 0.0
-        self.beta = self.binv @ (self.rhs - self.a @ x_n)
+    def _set_beta(self) -> np.ndarray:
+        """beta = B^-1 (rhs - A x_N).  Leaves the full values, x_N with beta
+        at the basic columns, in self.x, and returns rhs - A x_N."""
+        x = self._nonbasic_values()
+        target = self.rhs - self.a @ x
+        self.beta = self.binv @ target
+        x[self.basic] = self.beta
+        self.x = x
+        return target
 
     def _refactorize(self) -> None:
         self.binv = linalg.invert(self.a[:, self.basic])
+        self.binv_shared = False
+        self.y = None
         self.refactorizations += 1
         self.pivots_since_refactor = 0
-        self._recompute_beta()
+        self._set_beta()
 
-    def _beta_residual_ok(self) -> bool:
-        """Cheap drift check: does B @ beta reproduce the nonbasic-adjusted rhs?"""
+    def _reproduces(self, target: np.ndarray) -> bool:
+        """Cheap drift check: does B beta reproduce target = rhs - A x_N?
+        B beta - target is A x - rhs for the full values x in self.x."""
         if not self.m:
             return True
-        x = self._nonbasic_values()
-        x[self.basic] = 0.0
-        target = self.rhs - self.a @ x
-        x[self.basic] = self.beta
-        resid = self.a @ x - self.rhs  # = B @ beta - target
+        resid = self.a @ self.x - self.rhs
         scale = max(1.0, float(np.abs(target).max()))
         return bool(np.abs(resid).max() <= 1e-8 * scale)
 
+    def _beta_residual_ok(self) -> bool:
+        """The drift check for the current beta; leaves the full values in self.x."""
+        x = self._nonbasic_values()
+        target = self.rhs - self.a @ x
+        x[self.basic] = self.beta
+        self.x = x
+        return self._reproduces(target)
+
     def _inverse_ok(self) -> bool:
         """Freivalds' check that binv inverts the basic columns: B (binv u) = u
-        for one fixed vector u without structure.  The beta residual cannot
-        see a wrong inverse when the vector it tests is 0."""
+        for one fixed vector u without structure, with binv u scattered to
+        the basic columns of an n-vector.  The beta residual cannot see a
+        wrong inverse when the vector it tests is 0."""
+        if not self.m:
+            return True
         u = _freivalds_vector(self.m)
-        resid = self.a[:, self.basic] @ (self.binv @ u) - u
-        return bool(np.abs(resid).max() <= 1e-8) if self.m else True
+        z = np.zeros(self.n_cols)
+        z[self.basic] = self.binv @ u
+        return bool(np.abs(self.a @ z - u).max() <= 1e-8)
 
-    def _default_statuses(self) -> np.ndarray:
-        """AT_LO at a finite lower bound, else AT_UP at a finite upper, else FREE."""
-        return np.where(np.isfinite(self.lo), AT_LO,
-                        np.where(np.isfinite(self.hi), AT_UP, FREE))
+    def _finite_bounds(self) -> np.ndarray:
+        """Per column: 1 for a finite lower bound plus 2 for a finite upper."""
+        return np.isfinite(self.lo) + 2 * np.isfinite(self.hi)
 
     # -- start-up paths -----------------------------------------------------
 
     def _cold_start(self) -> None:
         """The all-slack basis, whose inverse is the identity."""
         n = self.n_struct
-        self.vstat = self._default_statuses()
+        # each column's default status: the one a FREE status is repaired to
+        self.vstat = _REPAIRED[FREE][self._finite_bounds()]
         self.basic = np.arange(n, n + self.m)
         self.vstat[self.basic] = BASIC
         self.binv = np.eye(self.m)
+        self.binv_shared = False
         self.pivots_since_refactor = 0
-        self._recompute_beta()
+        self._set_beta()
 
     def _repair_statuses(self) -> None:
         """Fix statuses that reference bounds the caller changed or removed."""
-        fin_lo, fin_hi = np.isfinite(self.lo), np.isfinite(self.hi)
-        st = self.vstat
-        stale = (((st == AT_LO) & ~fin_lo) | ((st == AT_UP) & ~fin_hi)
-                 | ((st == FREE) & (fin_lo | fin_hi)))
-        self.vstat = np.where(stale, self._default_statuses(), st)
+        self.vstat = _REPAIRED[self.vstat, self._finite_bounds()]
 
     def _try_warm_start(self, warm: Basis) -> bool:
-        n_base = self.n_struct + self.m
-        if len(warm.status) != n_base or len(warm.basic) != self.m:
-            return False
-        basic = np.array(warm.basic, dtype=int)
-        if len(set(basic.tolist())) != self.m or (
-                self.m and (basic.min() < 0 or basic.max() >= n_base)):
-            return False
-        self.vstat = np.array(warm.status, dtype=int)
+        """Take the caller's basis, or return False when it does not fit this
+        LP: wrong shapes, a status code out of range, or basic columns out of
+        range or repeated.  Statuses that reference changed bounds are
+        repaired.  The carried inverse is used (shared until the first
+        pivot) when beta's residual and Freivalds' check hold, else the basis
+        is refactorized; an inverse with non-finite or overflowing entries
+        fails them."""
+        m, n_base = self.m, self.n_struct + self.m
+        basic, status = warm.basic, warm.status
+        if basic.shape != (m,) or status.shape != (n_base,) or (status & ~3).any():
+            return False  # status codes are 0..3
+        if m:
+            if basic.min() < 0 or basic.max() >= n_base:
+                return False
+            seen = np.zeros(n_base, dtype=bool)
+            seen[basic] = True
+            if np.count_nonzero(seen) != m:
+                return False
+        self.vstat = status
         self._repair_statuses()
         self.vstat[basic] = BASIC
-        self.basic = basic
+        self.basic = basic.copy()
         try:
-            if warm.binv is not None and warm.binv.shape == (self.m, self.m):
-                self.binv = warm.binv.copy()
-                self._recompute_beta()
-                if self._beta_residual_ok() and self._inverse_ok():
-                    return True
+            binv = warm.binv
+            if binv is not None and binv.shape == (m, m):
+                self.binv, self.binv_shared = binv, True
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if self._reproduces(self._set_beta()) and self._inverse_ok():
+                        return True
             self._refactorize()
         except linalg.LinAlgError:
             return False
@@ -352,19 +417,20 @@ class _Simplex:
     # -- pricing ------------------------------------------------------------
 
     def _reduced_costs(self, cost) -> np.ndarray:
-        return cost - self.a.T @ (self.binv.T @ cost[self.basic])
-
-    def _movable_mask(self) -> np.ndarray:
-        return (self.hi - self.lo) > 1e-12
+        y = self.binv.T @ cost[self.basic]
+        self.y = y if cost is self.cost else None
+        return cost - self.a.T @ y
 
     def _directions(self) -> None:
         """Build dirn and free from the statuses and the boxes."""
-        movable = self._movable_mask()
-        st = self.vstat
-        self.dirn = ((st == AT_LO) & movable).astype(float)
-        self.dirn[(st == AT_UP) & movable] = -1.0
-        free = (st == FREE) & movable
-        self.free = free if free.any() else None
+        fixed = (self.hi - self.lo) <= 1e-12
+        self.dirn = _DIRECTION[self.vstat]
+        self.dirn[fixed] = 0.0
+        free = self.vstat == FREE
+        self.free = None
+        if free.any():
+            free[fixed] = False
+            self.free = free if free.any() else None
 
     def _entering(self, d: np.ndarray) -> int | None:
         """The column whose move off its bound lowers the cost fastest: score
@@ -382,12 +448,14 @@ class _Simplex:
 
     # -- primal simplex -----------------------------------------------------
 
-    def _primal(self, cost: np.ndarray) -> Status:
+    def _primal(self, cost: np.ndarray, directions: bool = True) -> Status:
         """Primal simplex on `cost`, pricing from the reduced costs that
-        each pivot carries in self.d."""
+        each pivot carries in self.d.  The pass prices afresh; it builds the
+        directions too unless they are carried (`directions` False)."""
         local_iter = 0
         self.d = self._reduced_costs(cost)
-        self._directions()
+        if directions:
+            self._directions()
         while True:
             if local_iter >= self.max_iter:
                 raise SimplexStalledError(
@@ -479,8 +547,15 @@ class _Simplex:
         # rounded product w_i row_j, formed by BLAS faster than by broadcasting
         row = self.binv[slot] / w[slot]
         np.dot(w[:, None], row[None, :], out=self.outer)
-        self.binv -= self.outer
+        if self.binv_shared:
+            # the first pivot off a warm Basis's inverse writes a new array:
+            # the Basis stays shared with the other children of its node
+            self.binv = self.binv - self.outer
+            self.binv_shared = False
+        else:
+            self.binv -= self.outer
         self.binv[slot] = row
+        self.y = None
         self.pivots_since_refactor += 1
         if restored:
             self.d = self._reduced_costs(self.phase1_cost)
@@ -495,8 +570,9 @@ class _Simplex:
     def _dual(self, d: np.ndarray) -> Status | None:
         """Restore primal feasibility keeping dual feasibility.
 
-        `d` holds the reduced costs of the starting basis; each pivot carries
-        them in self.d with the pivot row it forms anyway.  Returns
+        `d` holds the reduced costs of the starting basis, and self.dirn and
+        self.free its pricing directions, both built by the caller; each
+        pivot carries them with the pivot row it forms anyway.  Returns
         Status.OPTIMAL once the basis is primal feasible, Status.CUTOFF once
         the cost of a still infeasible iterate reaches self.cutoff, or None
         to request a cold restart, which also decides infeasibility.  The
@@ -506,11 +582,11 @@ class _Simplex:
         local_iter = 0
         budget = min(self.max_iter, 3 * self.m + 50)
         self.d = d
-        self._directions()
         # the dual objective is the monotone quantity here; stalling in it
         # for many pivots indicates degenerate cycling.  It starts at the basic
-        # solution's cost, and each pivot raises it by |d_q / alpha_q| |delta|
-        dual_obj = float(self.cost @ self._full_values())
+        # solution's cost (self.x, set up by the warm start), and each pivot
+        # raises it by |d_q / alpha_q| |delta|
+        dual_obj = float(self.cost @ self.x)
         last_dual_obj = -np.inf
         since_progress = 0
         lo_b = self.lo[self.basic]
@@ -569,14 +645,17 @@ class _Simplex:
     def solve(self, warm: Basis | None) -> Status:
         if warm is not None and self._try_warm_start(warm):
             try:
-                status = Status.OPTIMAL
-                if not self._beta_feasible():
-                    d = self._reduced_costs(self.cost)
-                    status = self._dual(d) if self._dual_feasible(d) else None
+                if self._beta_feasible():
+                    return self._primal_rounds()
+                # the dual simplex needs a dual feasible basis: one whose
+                # pricing finds no entering column
+                d = self._reduced_costs(self.cost)
+                self._directions()
+                status = self._dual(d) if self._entering(d) is None else None
+                if status == Status.OPTIMAL:
+                    return self._primal_rounds(after_dual=True)
                 if status == Status.CUTOFF:
                     return status
-                if status is not None:
-                    return self._primal_rounds()
             except linalg.LinAlgError:
                 pass  # numerically wrecked warm basis; start again cold
         self.cold_fallback = warm is not None
@@ -601,13 +680,21 @@ class _Simplex:
         self.lo[cols_above], self.hi[cols_above] = hi_b[above], np.inf
         return True
 
-    def _primal_rounds(self) -> Status:
+    def _primal_rounds(self, after_dual: bool = False) -> Status:
         """Phase 1 when a basic value is out of its box, then phase 2.  An
-        answer stands when beta reproduces the right-hand side; otherwise
-        the basis is refactorized and the next round starts from it."""
+        answer stands when beta reproduces the right-hand side (and, for an
+        optimum, lies in its boxes); otherwise the basis is refactorized and
+        the next round starts from it.
+
+        `after_dual`: the dual simplex has just put beta in its boxes and
+        carried the pricing directions, so the first round skips phase 1's
+        test and the directions, and tests the boxes again only when phase 2
+        takes a step.  Its pricing is still fresh: that is the only guard
+        against drift in the reduced costs the dual carried."""
         for _ in range(PRIMAL_ROUNDS):
             status = Status.OPTIMAL
-            if self._relax():
+            in_boxes = False
+            if not after_dual and self._relax():
                 status = self._primal(self.phase1_cost)
                 assert status == Status.OPTIMAL  # phase 1 is bounded below
                 self.phase1_cost = None
@@ -615,31 +702,35 @@ class _Simplex:
                 if not self._beta_feasible():
                     status = Status.INFEASIBLE
             if status == Status.OPTIMAL:
-                status = self._primal(self.cost)
-            if self._beta_residual_ok() and (status != Status.OPTIMAL or self._beta_feasible()):
+                start = self.iterations
+                status = self._primal(self.cost, directions=not after_dual)
+                # one iteration is the pricing alone: beta is the dual's
+                in_boxes = after_dual and self.iterations == start + 1
+            if self._beta_residual_ok() and (
+                    status != Status.OPTIMAL or in_boxes or self._beta_feasible()):
                 return status
             self._refactorize()
+            after_dual = False
         raise SimplexStalledError(f"stalled: no accurate basis in {PRIMAL_ROUNDS} rounds")
 
     def _beta_feasible(self) -> bool:
         lo_b = self.lo[self.basic]
         hi_b = self.hi[self.basic]
-        return bool(np.all(self.beta >= lo_b - FEAS_TOL) and np.all(self.beta <= hi_b + FEAS_TOL))
-
-    def _dual_feasible(self, d: np.ndarray) -> bool:
-        st = self.vstat
-        wrong_sign = (((st == AT_LO) & (d < -OPT_TOL)) | ((st == AT_UP) & (d > OPT_TOL))
-                      | ((st == FREE) & (np.abs(d) > OPT_TOL)))
-        return not np.any(wrong_sign & self._movable_mask())
+        return bool((self.beta >= lo_b - FEAS_TOL).all() and (self.beta <= hi_b + FEAS_TOL).all())
 
     def export_basis(self) -> Basis:
-        """The final basis with the working inverse attached (not copied: this
-        solve is over)."""
-        return Basis(tuple(self.basic.tolist()), tuple(self.vstat.tolist()), self.binv)
+        """The final basis with the working inverse attached, not copied:
+        this solve is over.  Its arrays are made read-only, because the
+        children of a branch-and-bound node share it."""
+        for arr in (self.basic, self.vstat, self.binv):
+            arr.flags.writeable = False
+        return Basis(self.basic, self.vstat, self.binv)
 
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row duals, and the reduced costs the last primal pass carried."""
-        return self.binv.T @ self.cost[self.basic], self.d[:self.n_struct]
+        """Row duals, and the reduced costs the last primal pass carried.
+        The duals are the last pricing's when no pivot came after it."""
+        y = self.y if self.y is not None else self.binv.T @ self.cost[self.basic]
+        return y, self.d[:self.n_struct]
 
 
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
@@ -654,7 +745,7 @@ def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
                     refactorizations=s.refactorizations, cold_fallback=s.cold_fallback)
     if status != Status.OPTIMAL:
         return LpSolution(status, None, None, None, **counters)
-    values = s._full_values()[:comp.n_struct]
+    values = s.x[:comp.n_struct]
     y, red = s.duals()
     obj = float(comp.cost[:comp.n_struct] @ values)
     return LpSolution(Status.OPTIMAL, values, obj, y, red, s.export_basis(), **counters)

@@ -345,6 +345,45 @@ class TestWarmStart:
                 cold_sol.objective_value, abs=1e-8)
         assert checked >= 200
 
+    @pytest.mark.parametrize("entry", [np.inf, np.nan, 1e308])
+    def test_non_finite_inverse_is_refactorized_quietly(self, inverted, entry):
+        # the suite turns RuntimeWarnings into errors, so an overflow or an
+        # invalid value while the carried inverse is checked fails here
+        prob = make_lp([1.0, 1.0], [({0: 1.0, 1: 2.0}, ">=", 1.0), ({0: 1.0, 1: -1.0}, "<=", 0.5)],
+                       [0.0, 0.0], [1.0, 1.0])
+        parent = solve_lp(prob)
+        bad = dataclasses.replace(parent.basis, binv=np.full((2, 2), entry))
+        inverted.clear()
+        sol = solve_lp(prob, warm=bad)
+        assert sol.status == Status.OPTIMAL and not sol.cold_fallback
+        assert sol.objective_value == parent.objective_value
+        assert len(inverted) == 1
+        np.testing.assert_array_equal(inverted[0], lp.compile_lp(prob).a[:, parent.basis.basic])
+
+    def test_children_leave_the_shared_parent_basis_as_it_was(self):
+        # both children of a branch warm-start from one exported Basis; the
+        # first pivot of each works on its own copy of the parent's inverse
+        rng = np.random.default_rng(99)
+        pivoted = 0
+        for _ in range(300):
+            prob = random_lp(rng)
+            parent = solve_lp(prob)
+            if parent.status != Status.OPTIMAL:
+                continue
+            basis = parent.basis
+            assert not any(arr.flags.writeable for arr in (basis.basic, basis.status, basis.binv))
+            before = [arr.copy() for arr in (basis.basic, basis.status, basis.binv)]
+            j = int(rng.integers(prob.n_vars))
+            for fix in (prob.lower[j], prob.upper[j]):
+                child = LinearProgram(prob.objective, prob.constraints,
+                                      prob.lower.copy(), prob.upper.copy())
+                child.lower[j] = child.upper[j] = fix
+                sol = solve_lp(child, warm=basis)
+                pivoted += sol.dual_iterations > 1 and not sol.refactorizations
+            for arr, old in zip((basis.basic, basis.status, basis.binv), before):
+                np.testing.assert_array_equal(arr, old)
+        assert pivoted >= 20
+
     def test_warm_start_without_rows(self):
         prob = make_lp([1.0, -1.0], [], [0.0, 0.0], [1.0, 2.0])
         sol = solve_lp(prob, warm=solve_lp(prob).basis)
@@ -367,6 +406,25 @@ class TestWarmStart:
         sol = solve_lp(prob, warm=bad)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+
+    @pytest.mark.parametrize("basic,status", [
+        ((0,), (0, 4)),
+        ((0,), (0, -1)),
+        ((2,), (1, 0)),
+        ((-1,), (1, 0)),
+    ], ids=["status-4", "status-negative", "column-past-end", "column-negative"])
+    def test_warm_start_with_an_index_out_of_range_falls_back(self, basic, status):
+        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        sol = solve_lp(prob, warm=lp.Basis(basic, status))
+        assert sol.status == Status.OPTIMAL and sol.cold_fallback
+        assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+
+    def test_warm_start_with_a_repeated_basic_column_falls_back(self):
+        prob = make_lp([1.0, 1.0], [({0: 1.0}, ">=", 1.0), ({1: 1.0}, ">=", 1.0)],
+                       [0.0, 0.0], [2.0, 2.0])
+        sol = solve_lp(prob, warm=lp.Basis((0, 0), (0, 1, 1, 1)))
+        assert sol.status == Status.OPTIMAL and sol.cold_fallback
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
 
 
 class TestPhaseOne:
@@ -682,8 +740,9 @@ class TestFreeColumnsAndBland:
 
 
 class TestStatusMasks:
-    """The simplex's vectorized status repair, dual-feasibility test and
-    entering-column choice against the per-column rules they implement."""
+    """The simplex's vectorized status repair, dual-feasibility test (no
+    entering column) and entering-column choice against the per-column rules
+    they implement."""
 
     @staticmethod
     def _default(lo, hi):
@@ -723,9 +782,12 @@ class TestStatusMasks:
             simplex.lo, simplex.hi, simplex.vstat = lo, hi, vstat.copy()
             simplex._repair_statuses()
             np.testing.assert_array_equal(simplex.vstat, self._repaired(vstat, lo, hi))
+            # a basis is dual feasible exactly when its pricing finds no
+            # entering column
             simplex.vstat = vstat
+            simplex._directions()
             expected = self._dual_feasible(vstat, lo, hi, d)
-            assert simplex._dual_feasible(d) == expected
+            assert (simplex._entering(d) is None) == expected
             outcomes.add(expected)
         assert outcomes == {True, False}
 
