@@ -10,9 +10,14 @@ definite, and the optimal face can be flat, so that b_w would depend on the
 row order through roundoff.  The term picks one point of that face and moves
 the hyperplane by about 1e-6 on the paper's scenarios.  The QP goes to
 `qp.solve_qp` as dense rows G v >= h: the n margin rows, then the n rows
-e >= 0.  One-vs-one multi-class training decouples into one binary problem
-per class pair, since each pair's constraints involve only the two classes
-concerned.
+e >= 0.  It starts with those n slack bounds active: at w = b_w = e = 0 the
+objective's gradient is gamma on each slack, so each bound's multiplier is
+gamma >= 0 and the start is dual feasible.  The dual method then adds the
+margin rows that start violates and drops the bounds of the slacks that
+must open.  The unconstrained minimum, e = -gamma/SVM_PROX = -1e7, would
+start with every row violated and take steps of that size.  One-vs-one
+multi-class training decouples into one binary problem per class pair,
+since each pair's constraints involve only the two classes concerned.
 """
 
 from __future__ import annotations
@@ -111,11 +116,12 @@ def kmeans(inputs, n_cl: int, seed: int = 0) -> KmeansResult:
 
 
 def train_binary_svm(inputs, labels: LabelingMatrix,
-                     gamma: float = 10.0) -> tuple[Hyperplane, np.ndarray]:
+                     gamma: float = 10.0) -> tuple[Hyperplane, np.ndarray, float]:
     """Soft-margin linear SVM between two classes, gamma the slack weight.
 
     Class 1 ends on the w'x + b_w >= 0 side (margin target +1), class 2 on
-    the negative side.  Returns the hyperplane and the slack vector.
+    the negative side.  Returns the hyperplane, the slack vector and the
+    QP's KKT residual.
     """
     if not np.isfinite(gamma) or gamma <= 0:
         raise ValueError("gamma must be finite and positive")
@@ -143,7 +149,9 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     g[:n, n_p + 1:] = np.eye(n)
     g[n:, n_p + 1:] = np.eye(n)
     h = np.concatenate([np.ones(n), np.zeros(n)])
-    sol = solve_qp(q, c, g, h)
+    # the slack bounds start active: w = b_w = e = 0 with multipliers gamma
+    # is dual feasible; see the module docstring
+    sol = solve_qp(q, c, g, h, active=np.arange(n, 2 * n))
     if sol.status != QpStatus.OPTIMAL:
         raise RuntimeError("SVM training QP reported infeasible; slacks should make it elastic")
     if sol.kkt_residual > KKT_TOL:
@@ -151,12 +159,13 @@ def train_binary_svm(inputs, labels: LabelingMatrix,
     w = sol.values[:n_p]
     b_w = float(sol.values[n_p])
     slacks = np.maximum(sol.values[n_p + 1:], 0.0)
-    return Hyperplane(w, b_w), slacks
+    return Hyperplane(w, b_w), slacks, sol.kkt_residual
 
 
 def train_multiclass_svm(inputs, labels: LabelingMatrix,
-                         gamma: float = 10.0) -> SwitchingLogic:
-    """One-vs-one switching logic: one binary SVM per lexicographic class pair."""
+                         gamma: float = 10.0) -> tuple[SwitchingLogic, float]:
+    """One-vs-one switching logic: one binary SVM per lexicographic class
+    pair.  Returns the logic and the largest KKT residual of the pairs' QPs."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     n_cl = labels.n_cl
     sizes = labels.class_sizes()
@@ -164,6 +173,7 @@ def train_multiclass_svm(inputs, labels: LabelingMatrix,
         if sizes[j] == 0:
             raise ValueError(f"class {j + 1} is empty")
     hyperplanes = []
+    kkt = 0.0
     for r, s in expected_pairs(n_cl):
         rows_r = labels.members(r)
         rows_s = labels.members(s)
@@ -171,6 +181,7 @@ def train_multiclass_svm(inputs, labels: LabelingMatrix,
         subset.sort()
         sub_labels = LabelingMatrix.from_assignments(
             np.where(np.isin(subset, rows_r), 1, 2), 2)
-        hp, _ = train_binary_svm(x[subset], sub_labels, gamma)
+        hp, _, pair_kkt = train_binary_svm(x[subset], sub_labels, gamma)
         hyperplanes.append(hp)
-    return SwitchingLogic(tuple(hyperplanes), n_cl)
+        kkt = max(kkt, pair_kkt)
+    return SwitchingLogic(tuple(hyperplanes), n_cl), kkt

@@ -145,7 +145,7 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
     watch = _Stopwatch()
     km = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed)
     watch.lap("label")
-    logic = train_multiclass_svm(train.inputs, km.labels, cfg.gamma)
+    logic, kkt = train_multiclass_svm(train.inputs, km.labels, cfg.gamma)
     watch.lap("classify")
     regions = assign_regions(train.inputs, logic)
     global_model = None
@@ -165,7 +165,8 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     labels = LabelingMatrix.from_assignments(regions, cfg.n_cl)
     stats = {"timings": watch.laps, "kmeans_sse": km.sse,
-             "kmeans_iterations": km.iterations, "region_fallbacks": fallbacks}
+             "kmeans_iterations": km.iterations, "region_fallbacks": fallbacks,
+             "kkt_residual": kkt}
     return DesignReport(sensor, train_rmse, labels, stats)
 
 

@@ -3,12 +3,18 @@ least squares (minimum-norm when underdetermined), Cholesky.
 
 The factorizations are written directly against float64 numpy arrays so
 that the LP/QP solvers and the regression paths do not depend on LAPACK
-behavior.  The one exception is `invert`, which calls `np.linalg.inv` for
-the simplex basis refactorizations.  All instances in this project are tiny
-(a few hundred rows at most), so dense storage and O(n^3) factorizations
-are fine; the dual QP factors Q once by Cholesky and keeps the factors of
-its active rows current with the O(n^2) column updates `qr_append` and
-`qr_delete`, which do not need the left factor to be orthogonal.
+behavior, with these exceptions, each one numpy call where a Python loop
+would take one step per row or column:
+- `invert` (`np.linalg.inv`) for the simplex basis refactorizations;
+- the triangular solves `solve_upper` and `solve_lower` (`np.linalg.solve`,
+  whose factors of a triangle are the triangle itself; see `solve_upper`);
+- `qr_columns` and `qr_delete` (`np.linalg.qr` of the columns to factor,
+  or of the block that deleting a column leaves Hessenberg).
+All instances in this project are tiny (a few hundred rows at most), so
+dense storage and O(n^3) factorizations are fine; the dual QP factors Q
+once by Cholesky and keeps the factors of its active rows current with the
+column updates `qr_append` and `qr_delete`, which do not need the left
+factor to be orthogonal.
 """
 
 from __future__ import annotations
@@ -102,51 +108,70 @@ def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
     return q, r_new
 
 
+def qr_columns(q, a) -> tuple[np.ndarray, np.ndarray]:
+    """The factors k `qr_append` calls build from (Q, empty R), in one step.
+
+    A is m x k with k <= m.  Returns Q H and the k x k upper triangle R
+    with (Q H)' A = [R; 0], where H and R are the QR factors of Q' A from
+    `np.linalg.qr` (LAPACK).  The signs of R's rows, and of the matching
+    columns of Q H, may differ from those of the appends.  Q need not be
+    orthogonal; the inputs are left alone.
+    """
+    q = _as_matrix(q, "q")
+    a = _as_matrix(a, "a")
+    m, k = a.shape
+    if k > m:
+        raise LinAlgError(f"cannot factor {k} columns of length {m}")
+    h, r = np.linalg.qr(q.T @ a, mode="complete")
+    return q @ h, r[:k]
+
+
 def qr_delete(q, r, k) -> tuple[np.ndarray, np.ndarray]:
     """QR factors of A with column k removed, from Q' A = [R; 0].
 
-    Removing column k leaves R upper Hessenberg from column k on; Givens
-    rotations on rows (j, j+1), j = k..w-2, restore the triangle, and the
-    same rotations turn columns k..w-1 of Q.  Returns new arrays: Q, and
-    the (w-1) x (w-1) R.
+    Removing column k leaves R upper Hessenberg from column k on.  The QR
+    factors H, T of that trailing block (rows and columns k on, from
+    `np.linalg.qr`) restore the triangle, and H turns columns k..w-1 of Q.
+    Returns new arrays: Q, and the (w-1) x (w-1) R.
     """
     q = q.copy()
     r = np.delete(r, k, axis=1)
     w = r.shape[0]
-    for j in range(k, w - 1):
-        a, b = r[j, j], r[j + 1, j]
-        h = np.hypot(a, b)
-        if h == 0.0:
-            continue
-        c, s = a / h, b / h
-        rot = np.array([[c, s], [-s, c]])
-        r[j:j + 2, j:] = rot @ r[j:j + 2, j:]
-        r[j + 1, j] = 0.0
-        q[:, j:j + 2] = q[:, j:j + 2] @ rot.T
+    if k < w - 1:
+        h, r[k:, k:] = np.linalg.qr(r[k:, k:], mode="complete")
+        q[:, k:w] = q[:, k:w] @ h
     return q, r[:w - 1]
 
 
 def solve_upper(r, y) -> np.ndarray:
-    """Back substitution for upper-triangular R x = y (y may be 2-D)."""
-    r = np.asarray(r, dtype=float)
-    x = np.array(y, dtype=float)
-    n = r.shape[0]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            x[i] -= r[i, i + 1:] @ x[i + 1:]
-        x[i] /= r[i, i]
-    return x
+    """Back substitution for upper-triangular R x = y (y may be 2-D).
+
+    Reads only the upper triangle of R, as substitution does: a QR factor
+    can hold roundoff below its diagonal.  `np.linalg.solve` does the
+    substitution: with zeros below the diagonal, GETRF's partial pivoting
+    swaps no rows and its elimination multipliers are all zero, so U = R
+    exactly and GETRS reduces to one triangular solve.  A zero on the
+    diagonal raises LinAlgError.  y is left unmodified.
+    """
+    r = np.triu(np.asarray(r, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if r.shape[0] == 0:
+        return y.copy()
+    try:
+        return np.linalg.solve(r, y)
+    except np.linalg.LinAlgError:
+        raise LinAlgError("singular triangle in solve_upper") from None
+
 
 def solve_lower(l, y) -> np.ndarray:
-    """Forward substitution for lower-triangular L x = y (y may be 2-D)."""
+    """Forward substitution for lower-triangular L x = y (y may be 2-D).
+
+    Reads only the lower triangle of L.  Reversing the order of the rows
+    and of the columns turns it into an upper triangle for `solve_upper`.
+    """
     l = np.asarray(l, dtype=float)
-    x = np.array(y, dtype=float)
-    n = l.shape[0]
-    for i in range(n):
-        if i > 0:
-            x[i] -= l[i, :i] @ x[:i]
-        x[i] /= l[i, i]
-    return x
+    y = np.asarray(y, dtype=float)
+    return solve_upper(l[::-1, ::-1], y[::-1])[::-1]
 
 
 def least_squares(a, b) -> np.ndarray:

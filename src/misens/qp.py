@@ -12,9 +12,19 @@ multipliers along -R^{-1} J1' n.  A partial step drops the active row whose
 multiplier reaches zero first; a full step makes the new row active.
 J = [J1 J2] and R satisfy J' N = [R; 0] for the active normals N, starting
 from J = L^{-T}; J is not orthogonal, but `linalg.qr_append` and
-`linalg.qr_delete` update it and R in O(n^2) all the same.  A violated row
-that depends on the active rows (J2' n = 0) gets no primal step: partial
-steps make room for it, or it proves the QP infeasible.
+`linalg.qr_delete` update it and R all the same.  A violated row that
+depends on the active rows (J2' n = 0) gets no primal step: partial steps
+make room for it, or it proves the QP infeasible.
+
+A caller that knows a better start offers rows of G in `active` (a warm
+active set).  `linalg.qr_columns` factors them from J = L^{-T} in one step,
+as appends would, and the solve starts at x0 = J1 R^{-T} h_A - J2 J2' c,
+the minimum with those rows held at equality, with multipliers
+u0 = R^{-1} J1'(Q x0 + c).  It keeps that start only when the rows are
+independent and u0 >= 0, which makes it dual feasible; otherwise it starts
+at the unconstrained minimum, so the answer never depends on the offer.
+The start's factorization is no step: `iterations` counts full and partial
+steps only.
 """
 
 from __future__ import annotations
@@ -66,12 +76,55 @@ def _validate(q: np.ndarray, c: np.ndarray, g: np.ndarray, h: np.ndarray) -> Non
         raise ValueError("q is not symmetric within 1e-10")
 
 
-def solve_qp(q, c, g, h) -> QpSolution:
+def _active_rows(active, m: int) -> np.ndarray:
+    """The row indices in `active` as an int array; ValueError naming
+    `active` unless they are distinct rows of G."""
+    rows = np.asarray(active)
+    if rows.ndim != 1 or (rows.size and not np.issubdtype(rows.dtype, np.integer)):
+        raise ValueError(f"active must be a 1-D sequence of row indices of g, "
+                         f"got {rows!r}")
+    if rows.size and (rows.min() < 0 or rows.max() >= m):
+        raise ValueError(f"active holds a row index outside 0..{m - 1}")
+    if np.unique(rows).size != rows.size:
+        raise ValueError("active repeats a row index")
+    return rows.astype(int)
+
+
+def _warm_start(j_mat, c, g, h, rows):
+    """J, R, x and u with `rows` of G active, or None when they are no
+    dual-feasible start: dependent rows, or a negative multiplier.
+
+    Factoring the rows' normals N from J gives J' N = [R; 0].  With
+    R'z = h_A, the point x = J1 z - J2 J2' c holds the rows at equality and
+    minimizes the objective on them, and u = R^{-1}(z + J1' c), which
+    equals R^{-1} J1'(Q x + c), are their multipliers.
+    """
+    k = rows.size
+    if k > c.shape[0]:
+        return None
+    j_mat, r_mat = linalg.qr_columns(j_mat, g[rows].T)
+    # |R_ii| is the part of row i outside the rows before it, and the norm
+    # of R's column i that of the whole row: the step loop's dependence test
+    if np.any(np.abs(np.diag(r_mat)) <= linalg.RANK_TOL * np.linalg.norm(r_mat, axis=0)):
+        return None
+    z = linalg.solve_lower(r_mat.T, h[rows])
+    j1, j2 = j_mat[:, :k], j_mat[:, k:]
+    x = j1 @ z - j2 @ (j2.T @ c)
+    u = linalg.solve_upper(r_mat, z + j1.T @ c)
+    if u.min(initial=0.0) < 0.0:
+        return None
+    return j_mat, r_mat, x, u
+
+
+def solve_qp(q, c, g, h, active=None) -> QpSolution:
     """min 0.5 v'Qv + c'v s.t. G v >= h by the Goldfarb–Idnani dual
-    active-set method; see the module docstring.  Raises ValueError on an
-    invalid argument or a Q that is not positive definite."""
+    active-set method; see the module docstring.  `active` lists rows of G
+    to start active; the solve starts from them when they give a dual
+    feasible start, and from the unconstrained minimum otherwise.  Raises
+    ValueError on an invalid argument or a Q that is not positive definite."""
     q, c, g, h = (np.asarray(a, dtype=float) for a in (q, c, g, h))
     _validate(q, c, g, h)
+    rows = _active_rows([] if active is None else active, g.shape[0])
     n = c.shape[0]
     # J = L^{-T} for Q = L L', so that J'QJ = I
     try:
@@ -83,11 +136,17 @@ def solve_qp(q, c, g, h) -> QpSolution:
                          f"{PD_TOL:g} of its largest diagonal entry)")
     j_mat = linalg.solve_upper(l_mat.T, np.eye(n))
     abs_g, abs_h = np.abs(g), np.abs(h) + 1.0
-    x = -j_mat @ (j_mat.T @ c)
-    r_mat = np.zeros((0, 0))
-    active: list[int] = []
-    u = np.zeros(0)              # multipliers of the active rows
+    start = _warm_start(j_mat, c, g, h, rows) if rows.size else None
+    if start is None:
+        x = -j_mat @ (j_mat.T @ c)
+        r_mat = np.zeros((0, 0))
+        active = []
+        u = np.zeros(0)          # multipliers of the active rows
+    else:
+        j_mat, r_mat, x, u = start
+        active = rows.tolist()
     is_active = np.zeros(g.shape[0], dtype=bool)
+    is_active[active] = True
     iterations = 0               # steps taken
     while True:
         # a residual within 1e-10 of its roundoff scale counts as 0: at a

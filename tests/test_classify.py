@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from misens import classify
 from misens.classify import (
     KmeansResult,
     kmeans,
@@ -75,7 +76,7 @@ class TestBinarySvm:
         # stationarity: w = 2*l1, l1 = l2 = 0.5 <= gamma, slacks zero
         x = np.array([[2.0], [0.0]])
         labels = LabelingMatrix.from_assignments([1, 2], 2)
-        hp, slacks = train_binary_svm(x, labels, 10.0)
+        hp, slacks, _ = train_binary_svm(x, labels, 10.0)
         assert hp.w[0] == pytest.approx(1.0, abs=1e-7)
         assert hp.b_w == pytest.approx(-1.0, abs=1e-7)
         assert np.max(slacks) <= 1e-7
@@ -86,7 +87,7 @@ class TestBinarySvm:
         b = rng.normal(size=(20, 2)) * 0.3 + [-2.0, -2.0]
         x = np.vstack([a, b])
         labels = LabelingMatrix.from_assignments([1] * 20 + [2] * 20, 2)
-        hp, slacks = train_binary_svm(x, labels, 100.0)
+        hp, slacks, _ = train_binary_svm(x, labels, 100.0)
         assert np.max(slacks) <= 1e-6
         side = x @ hp.w + hp.b_w
         assert np.all(side[:20] >= 1.0 - 1e-6)
@@ -100,7 +101,7 @@ class TestBinarySvm:
         labels = LabelingMatrix.from_assignments([1] * 15 + [2] * 15, 2)
         prev = None
         for gamma in [10.0, 1.0, 0.1, 0.01]:
-            hp, slacks = train_binary_svm(x, labels, gamma)
+            hp, slacks, _ = train_binary_svm(x, labels, gamma)
             obj = 0.5 * float(hp.w @ hp.w) + gamma * slacks.sum()
             if prev is not None:
                 assert obj <= prev + 1e-8  # smaller gamma can only lower the optimum
@@ -112,15 +113,15 @@ class TestBinarySvm:
         # pairs; scaling x by t>0 scales the optimal w by 1/t
         x = np.array([[1.0, 0.0], [3.0, 0.5], [-1.0, 0.2], [-3.0, -0.5]])
         labels = LabelingMatrix.from_assignments([1, 1, 2, 2], 2)
-        hp1, s1 = train_binary_svm(x, labels, 50.0)
-        hp2, s2 = train_binary_svm(4.0 * x, labels, 50.0)
+        hp1, s1, _ = train_binary_svm(x, labels, 50.0)
+        hp2, s2, _ = train_binary_svm(4.0 * x, labels, 50.0)
         assert np.max(s1) <= 1e-6 and np.max(s2) <= 1e-6
         assert np.allclose(hp2.w, hp1.w / 4.0, atol=1e-6)
 
     def test_single_point_classes_allowed(self):
         x = np.array([[1.0], [0.0]])
         labels = LabelingMatrix.from_assignments([1, 2], 2)
-        hp, slacks = train_binary_svm(x, labels)
+        hp, slacks, _ = train_binary_svm(x, labels)
         assert hp.w[0] > 0
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -141,7 +142,7 @@ class TestBinarySvm:
         planes = []
         for seed in range(8):
             perm = np.random.default_rng(seed).permutation(rows.shape[0])
-            hp, _ = train_binary_svm(x[perm], LabelingMatrix.from_assignments(labels[perm], 2))
+            hp, _, _ = train_binary_svm(x[perm], LabelingMatrix.from_assignments(labels[perm], 2))
             planes.append(np.append(hp.w, hp.b_w))
         assert np.ptp(np.array(planes), axis=0).max() <= 1e-6
 
@@ -162,22 +163,22 @@ class TestMulticlassSvm:
         b = rng.normal(size=(10, 2)) * 0.2 - [1.0, 1.0]
         x = np.vstack([a, b])
         labels = LabelingMatrix.from_assignments([1] * 10 + [2] * 10, 2)
-        logic = train_multiclass_svm(x, labels)
-        hp, _ = train_binary_svm(x, labels)
+        logic, _ = train_multiclass_svm(x, labels)
+        hp, _, _ = train_binary_svm(x, labels)
         assert logic.n_sp == 1
         assert np.allclose(logic.hyperplanes[0].w, hp.w, atol=1e-9)
 
     def test_three_class_pairs(self):
         rng = np.random.default_rng(5)
         x, labels = self._three_blobs(rng)
-        logic = train_multiclass_svm(x, labels)
+        logic, _ = train_multiclass_svm(x, labels)
         assert logic.pairs == ((1, 2), (1, 3), (2, 3))
         assert logic.n_sp == 3
 
     def test_separable_blobs_recovered_exactly(self):
         rng = np.random.default_rng(6)
         x, labels = self._three_blobs(rng)
-        logic = train_multiclass_svm(x, labels)
+        logic, _ = train_multiclass_svm(x, labels)
         assert np.array_equal(assign_regions(x, logic), labels.assignments())
 
     def test_empty_class_named(self):
@@ -187,14 +188,14 @@ class TestMulticlassSvm:
             train_multiclass_svm(x, LabelingMatrix(z))
 
     def test_no_lp_solve(self, monkeypatch):
-        # the dual QP starts at the unconstrained minimum: no phase-1 LP
+        # the dual QP starts dual feasible from its slack bounds: no phase-1 LP
         def refuse(*args, **kwargs):
             raise AssertionError("LP solve during SVM training")
 
         monkeypatch.setattr(lp, "solve_lp", refuse)
         monkeypatch.setattr(lp, "solve_compiled", refuse)
         x, labels = self._three_blobs(np.random.default_rng(5))
-        assert train_multiclass_svm(x, labels).n_sp == 3
+        assert train_multiclass_svm(x, labels)[0].n_sp == 3
 
     def test_label_permutation_induces_same_partition(self):
         rng = np.random.default_rng(7)
@@ -202,8 +203,30 @@ class TestMulticlassSvm:
         perm = {1: 2, 2: 3, 3: 1}
         permuted = LabelingMatrix.from_assignments(
             [perm[a] for a in labels.assignments()], 3)
-        logic1 = train_multiclass_svm(x, labels)
-        logic2 = train_multiclass_svm(x, permuted)
+        logic1, _ = train_multiclass_svm(x, labels)
+        logic2, _ = train_multiclass_svm(x, permuted)
         r1 = assign_regions(x, logic1)
         r2 = assign_regions(x, logic2)
         assert np.array_equal(np.array([perm[int(a)] for a in r1]), r2)
+
+
+def test_svm_qps_start_from_their_slack_bounds(monkeypatch):
+    # the MIS-std SVMs of the three benchmark scenarios (k-means labels,
+    # n_cl = 3, seed 1): 9 pair QPs.  Started at the unconstrained minimum
+    # (e = -1e7) they took 242 steps with KKT residuals up to 2.95e-9
+    solutions = []
+    classify_solve_qp = classify.solve_qp
+
+    def recording_solve_qp(*args, **kwargs):
+        solutions.append(classify_solve_qp(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(classify, "solve_qp", recording_solve_qp)
+    for kind, n_total in [("clustered", 90), ("uniform", 60), ("uniform", 30)]:
+        train = generate_scenario(ScenarioConfig(kind=kind, n_total=n_total, seed=1))[0]
+        labels = kmeans(train.inputs, 3, seed=1).labels
+        _, kkt = train_multiclass_svm(train.inputs, labels)
+        assert kkt == max(s.kkt_residual for s in solutions[-3:])
+    assert len(solutions) == 9
+    assert sum(s.iterations for s in solutions) <= 120
+    assert max(s.kkt_residual for s in solutions) <= 1e-10

@@ -148,3 +148,71 @@ def test_qr_append_rejects_a_full_factorization():
     q, r = linalg.householder_qr(np.eye(2))
     with pytest.raises(linalg.LinAlgError, match="full"):
         linalg.qr_append(q, r, [1.0, 1.0])
+
+
+def well_conditioned_triangles(rng, n):
+    """An upper and a lower triangle with diagonals of size about n."""
+    upper = np.triu(rng.normal(size=(n, n))) + n * np.eye(n)
+    return upper, upper.T.copy()
+
+
+@pytest.mark.parametrize("shape", [(), (3,)])
+def test_triangular_solves_match_numpy(shape):
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 5, 17, 40):
+        upper, lower = well_conditioned_triangles(rng, n)
+        y = rng.normal(size=(n,) + shape)
+        for solve, tri in ((linalg.solve_upper, upper), (linalg.solve_lower, lower)):
+            y_before = y.copy()
+            x = solve(tri, y)
+            assert x.shape == y.shape
+            assert np.max(np.abs(x - np.linalg.solve(tri, y))) <= 1e-12
+            assert np.array_equal(y, y_before)
+
+
+def test_triangular_solves_of_sizes_zero_and_one():
+    for solve in (linalg.solve_upper, linalg.solve_lower):
+        assert solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
+        assert solve(np.zeros((0, 0)), np.zeros((0, 2))).shape == (0, 2)
+        assert solve([[4.0]], [2.0]).tolist() == [0.5]
+        assert solve([[-2.0]], [[1.0, 4.0]]).tolist() == [[-0.5, -2.0]]
+
+
+def test_triangular_solves_read_only_their_triangle():
+    # a QR factor can hold roundoff across its diagonal; substitution never
+    # reads it, and neither may the solves
+    rng = np.random.default_rng(23)
+    upper, lower = well_conditioned_triangles(rng, 6)
+    noise = 1e3 * rng.normal(size=(6, 6))
+    y = rng.normal(size=6)
+    assert np.array_equal(linalg.solve_upper(upper + np.tril(noise, -1), y),
+                          linalg.solve_upper(upper, y))
+    assert np.array_equal(linalg.solve_lower(lower + np.triu(noise, 1), y),
+                          linalg.solve_lower(lower, y))
+
+
+def test_triangular_solves_reject_a_zero_pivot():
+    for solve, tri in ((linalg.solve_upper, [[1.0, 2.0], [0.0, 0.0]]),
+                       (linalg.solve_lower, [[0.0, 0.0], [2.0, 1.0]])):
+        with pytest.raises(linalg.LinAlgError, match="singular"):
+            solve(tri, [1.0, 1.0])
+
+
+def test_qr_columns_matches_the_appends():
+    # the one-step factors of k columns are those of k qr_append calls up to
+    # the signs of R's rows, from an orthogonal Q and from a triangular one
+    rng = np.random.default_rng(29)
+    m, k = 12, 7
+    a = rng.normal(size=(m, k))
+    for q0 in (np.eye(m), np.triu(rng.normal(size=(m, m))) + 4.0 * np.eye(m)):
+        q_seq, r_seq = q0, np.zeros((0, 0))
+        for j in range(k):
+            q_seq, r_seq = linalg.qr_append(q_seq, r_seq, a[:, j])
+        q0_before = q0.copy()
+        q, r = linalg.qr_columns(q0, a)
+        assert np.array_equal(q0, q0_before)
+        assert r.shape == (k, k) and np.max(np.abs(np.tril(r, -1))) == 0.0
+        assert np.max(np.abs(q.T @ a - np.vstack([r, np.zeros((m - k, k))]))) <= 1e-12
+        assert np.allclose(np.abs(r), np.abs(r_seq), rtol=1e-10, atol=1e-12)
+    with pytest.raises(linalg.LinAlgError, match="cannot factor"):
+        linalg.qr_columns(np.eye(2), np.ones((2, 3)))

@@ -248,3 +248,92 @@ class TestPlantedOptimum:
         prob, _ = planted_qp(seed, n, n_singular)
         with pytest.raises(ValueError, match="positive definite"):
             solve_qp(*prob)
+
+
+class TestWarmActiveSet:
+    """`active` offers rows to start from; the answer never depends on it."""
+
+    @staticmethod
+    def violated_box_rows(prob, n):
+        # box rows (make_qp's last 2n) violated at the unconstrained minimum
+        q, c, g, h = prob
+        x_free = -linalg.cholesky_solve(q, c)
+        rows = np.arange(g.shape[0] - 2 * n, g.shape[0])
+        return rows[g[rows] @ x_free - h[rows] < 0.0]
+
+    def assert_same_answer(self, prob, offered):
+        cold = solve_qp(*prob)
+        warm = solve_qp(*prob, active=offered)
+        assert warm.status == cold.status
+        if cold.status == QpStatus.OPTIMAL:
+            assert np.max(np.abs(warm.values - cold.values)) <= 1e-9
+            assert warm.kkt_residual <= 1e-9
+        return cold, warm
+
+    @pytest.mark.parametrize("seed, n, duplicate", [(1, 40, False), (1, 50, True),
+                                                    (4, 30, False)])
+    def test_planted_qps_offered_their_violated_bounds(self, seed, n, duplicate):
+        prob, x_star = planted_qp(seed, n, duplicate=duplicate)
+        offered = self.violated_box_rows(prob, n)
+        assert offered.size
+        _, warm = self.assert_same_answer(prob, offered)
+        assert np.max(np.abs(warm.values - x_star)) <= 1e-7
+
+    def test_random_box_qps_offered_their_violated_bounds(self):
+        rng = np.random.default_rng(19)
+        solved = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            mat = rng.normal(size=(n, n))
+            q = mat @ mat.T + 0.5 * np.eye(n)
+            c = 4.0 * rng.normal(size=n)
+            cons = [(rng.normal(size=n), ">=", float(rng.normal()))
+                    for _ in range(int(rng.integers(0, 4)))]
+            prob = make_qp(q, c, cons, lo=np.full(n, -1.0), hi=np.full(n, 1.0))
+            cold, _ = self.assert_same_answer(prob, self.violated_box_rows(prob, n))
+            solved += cold.status == QpStatus.OPTIMAL
+        assert solved >= 30
+
+    def test_the_optimal_active_set_takes_no_step(self):
+        # the planted active rows are independent with multipliers >= 0.5: as
+        # a start they are already the optimum
+        prob, x_star = planted_qp(1, 40)
+        g, h = prob[2], prob[3]
+        offered = np.flatnonzero(np.abs(g @ x_star - h) <= 1e-9)
+        _, warm = self.assert_same_answer(prob, offered)
+        assert warm.iterations == 0
+        # with the duplicated row both twins are offered: dependent rows are
+        # no start, and the solve takes the cold path
+        prob, x_star = planted_qp(1, 50, duplicate=True)
+        g, h = prob[2], prob[3]
+        offered = np.flatnonzero(np.abs(g @ x_star - h) <= 1e-9)
+        cold, warm = self.assert_same_answer(prob, offered)
+        assert warm.iterations == cold.iterations > 0
+
+    @pytest.mark.parametrize("offered", [[], [0], [0, 1, 2, 3]])
+    def test_no_start_falls_back_to_the_cold_path(self, monkeypatch, offered):
+        # the box projection of TestCounters.  Held at v0 = 0 the minimum is
+        # (0, -1), where the gradient (-8, 0) gives the row v0 >= 0 the
+        # multiplier -8: no dual feasible start.  Four rows in two variables
+        # are dependent.  Each offer solves as the cold start does: two steps
+        appended = []
+        qr_append = linalg.qr_append
+
+        def recording_append(q, r, a):
+            appended.append(a.tolist())
+            return qr_append(q, r, a)
+
+        monkeypatch.setattr(linalg, "qr_append", recording_append)
+        prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+        sol = solve_qp(*prob, active=offered)
+        assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
+        assert sol.iterations == 2
+        assert appended == [[-1.0, 0.0], [0.0, 1.0]]
+
+    @pytest.mark.parametrize("offered, message", [
+        ([4], "outside"), ([-1], "outside"), ([1, 1], "repeats"),
+        ([[0, 1]], "1-D"), ([0.5], "1-D")])
+    def test_invalid_rows_rejected(self, offered, message):
+        prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
+        with pytest.raises(ValueError, match=f"^active .*{message}"):
+            solve_qp(*prob, active=offered)
