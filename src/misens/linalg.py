@@ -1,15 +1,18 @@
-"""Dense linear-algebra kernels: Householder QR and its column updates,
-least squares (minimum-norm when underdetermined), Cholesky.
+"""Dense linear-algebra kernels: QR and its column updates, least squares
+(minimum-norm when underdetermined), Cholesky, triangular solves, inverse.
 
-The factorizations are written directly against float64 numpy arrays so
-that the LP/QP solvers and the regression paths do not depend on LAPACK
-behavior, with these exceptions, each one numpy call where a Python loop
-would take one step per row or column:
-- `invert` (`np.linalg.inv`) for the simplex basis refactorizations;
-- the triangular solves `solve_upper` and `solve_lower` (`np.linalg.solve`,
-  whose factors of a triangle are the triangle itself; see `solve_upper`);
-- `qr_columns` and `qr_delete` (`np.linalg.qr` of the columns to factor,
-  or of the block that deleting a column leaves Hessenberg).
+Every factorization is one LAPACK call through `numpy.linalg`: `np.linalg.qr`
+for `householder_qr`, `least_squares`, `qr_columns`, `qr_append` and
+`qr_delete`; `np.linalg.cholesky` for `cholesky_factor`; `np.linalg.inv`
+for `invert`; `np.linalg.solve` for the triangular solves (whose factors of
+a triangle are the triangle itself; see `solve_upper`).  What misens adds
+around each call:
+- a matrix passed in to be factored is checked for shape and finiteness,
+  and S for symmetry within 1e-10;
+- `least_squares` applies its own rank test, |R_jj| below RANK_TOL times
+  the largest, and names the first deficient column (or row, for wide A);
+- `cholesky_factor` names the first non-positive pivot;
+- every failure is a `LinAlgError`.
 All instances in this project are tiny (a few hundred rows at most), so
 dense storage and O(n^3) factorizations are fine; the dual QP factors Q
 once by Cholesky and keeps the factors of its active rows current with the
@@ -46,40 +49,13 @@ def _as_vector(b, name: str = "vector") -> np.ndarray:
     return v
 
 
-def _reflect(r: np.ndarray, j: int) -> np.ndarray | None:
-    """Apply the Householder reflector that zeroes r[j+1:, j] to r[j:, j:].
-
-    Works in place and returns the unit vector v of H = I - 2 v v^T (acting
-    on rows j and below), or None when the column is already zero.
-    """
-    x = r[j:, j]
-    norm_x = np.sqrt(x @ x)
-    if norm_x <= 1e-300:
-        return None
-    v = x.copy()
-    v[0] += np.copysign(norm_x, x[0] if x[0] != 0.0 else 1.0)
-    v /= np.sqrt(v @ v)
-    r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-    return v
-
-
 def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
-    """Full Householder QR of an m x n matrix: A = Q @ R.
+    """Full QR of an m x n matrix: A = Q @ R, Q m x m orthogonal and R
+    m x n upper triangular, with exact zeros below its diagonal.
 
-    Q is m x m orthogonal, R is m x n upper triangular.  No solver uses
-    it: `solve_square` (a test oracle) and the tests of the QR updates do;
-    `least_squares` applies the reflectors implicitly instead.
+    No solver uses it; the tests of the QR updates do.
     """
-    r = _as_matrix(a).copy()
-    m, n = r.shape
-    q = np.eye(m)
-    for j in range(min(m - 1, n)):
-        v = _reflect(r, j)
-        if v is not None:
-            q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
-    # reflectors leave roundoff noise below the diagonal
-    r[np.tril_indices(m, -1, n)] = 0.0
-    return q, r
+    return np.linalg.qr(_as_matrix(a), mode="complete")
 
 
 def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
@@ -87,23 +63,20 @@ def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
 
     Q is m x m and R the w x w upper triangle; for orthogonal Q this is
     A = Q[:, :w] @ R.  Returns new arrays (the inputs are left alone):
-    Q with its trailing columns Q[:, w:] turned by one Householder
-    reflector, and the (w+1) x (w+1) R whose last diagonal entry is
-    +-||Q[:, w:]' a||, the part of a outside the range of A.  Q need not be
-    orthogonal: the dual QP keeps J' N = [R; 0] this way, from J = L^{-T}.
+    Q with its trailing columns Q[:, w:] turned by `qr_columns` of a, and
+    the (w+1) x (w+1) R whose last diagonal entry is +-||Q[:, w:]' a||, the
+    part of a outside the range of A.  Q need not be orthogonal: the dual
+    QP keeps J' N = [R; 0] this way, from J = L^{-T}.
     """
     m, w = q.shape[0], r.shape[0]
     if w >= m:
         raise LinAlgError(f"cannot append a column to a full {m} x {w} factorization")
-    u = q.T @ _as_vector(a, "a")
-    tail = u[w:, None].copy()
+    a = _as_vector(a, "a")
     q = q.copy()
-    v = _reflect(tail, 0)
-    if v is not None:
-        q[:, w:] -= 2.0 * np.outer(q[:, w:] @ v, v)
+    q[:, w:], tail = qr_columns(q[:, w:], a[:, None])
     r_new = np.zeros((w + 1, w + 1))
     r_new[:w, :w] = r
-    r_new[:w, w] = u[:w]
+    r_new[:w, w] = q[:, :w].T @ a
     r_new[w, w] = tail[0, 0]
     return q, r_new
 
@@ -175,25 +148,21 @@ def solve_lower(l, y) -> np.ndarray:
 
 
 def least_squares(a, b) -> np.ndarray:
-    """argmin ||A x - b||_2 by Householder QR; the minimum-norm one when A
-    is wide.
+    """argmin ||A x - b||_2 by QR; the minimum-norm one when A is wide.
 
-    A must have full rank min(m, k).  Tall A (m >= k) is factored directly.
-    Wide A (m < k) is factored through A' = Q [R; 0], so that x = Q [z; 0]
+    A must have full rank min(m, k).  Tall A (m >= k) is factored directly,
+    A = Q R.  Wide A (m < k) is factored through A' = Q R, so that x = Q z
     with R' z = b, the solution in the row space of A.  A diagonal entry of
     R below RANK_TOL times the largest one is reported as deficient.
     """
     a = _as_matrix(a, "A")
-    rhs = _as_vector(b, "b").copy()
+    rhs = _as_vector(b, "b")
     m, k = a.shape
     if rhs.shape[0] != m:
         raise LinAlgError(f"shape mismatch: A is {m}x{k}, b has length {rhs.shape[0]}")
     wide = m < k
-    r = (a.T if wide else a).copy()
-    n = min(m, k)
-    reflectors = [(j, v) for j in range(min(r.shape[0] - 1, n))
-                  if (v := _reflect(r, j)) is not None]
-    diag = np.abs(np.diag(r[:n, :n]))
+    q, r = np.linalg.qr(a.T if wide else a)
+    diag = np.abs(np.diag(r))
     scale = diag.max() if diag.size else 0.0
     if scale <= 0.0:
         raise LinAlgError("rank-deficient system: zero matrix")
@@ -201,30 +170,8 @@ def least_squares(a, b) -> np.ndarray:
     if bad.size:
         raise LinAlgError(f"rank-deficient system: {'row' if wide else 'column'} {int(bad[0])}")
     if wide:
-        x = np.zeros(k)
-        x[:m] = solve_lower(r[:m, :m].T, rhs)
-        for j, v in reversed(reflectors):
-            x[j:] -= 2.0 * v * (v @ x[j:])
-        return x
-    for j, v in reflectors:
-        rhs[j:] -= 2.0 * v * (v @ rhs[j:])
-    return solve_upper(r[:k, :k], rhs[:k])
-
-
-def solve_square(a, b) -> np.ndarray:
-    """Solve a nonsingular square system A x = b via QR; b may be 2-D."""
-    a = _as_matrix(a, "A")
-    n = a.shape[0]
-    if a.shape[1] != n:
-        raise LinAlgError(f"matrix is not square: {a.shape}")
-    if n == 0:
-        return np.array(b, dtype=float)
-    q, r = householder_qr(a)
-    diag = np.abs(np.diag(r[:n, :n]))
-    scale = diag.max() if diag.size else 0.0
-    if scale <= 0.0 or np.any(diag < RANK_TOL * scale):
-        raise LinAlgError("singular matrix in solve_square")
-    return solve_upper(r[:n, :n], q.T @ np.asarray(b, dtype=float))
+        return q @ solve_lower(r.T, rhs)
+    return solve_upper(r, q.T @ rhs)
 
 
 def invert(a) -> np.ndarray:
@@ -247,7 +194,10 @@ def invert(a) -> np.ndarray:
 
 
 def cholesky_factor(s) -> np.ndarray:
-    """Lower-triangular L with L @ L.T = S for symmetric positive definite S."""
+    """Lower-triangular L with L @ L.T = S for symmetric positive definite S.
+
+    A non-positive pivot raises LinAlgError with its index.
+    """
     s = _as_matrix(s, "S")
     n = s.shape[0]
     if s.shape[1] != n:
@@ -255,15 +205,20 @@ def cholesky_factor(s) -> np.ndarray:
     scale = max(1.0, np.abs(s).max())
     if np.abs(s - s.T).max() > 1e-10 * scale:
         raise LinAlgError("matrix is not symmetric within 1e-10")
-    l = np.zeros_like(s)
-    for j in range(n):
-        d = s[j, j] - l[j, :j] @ l[j, :j]
-        if d <= 0.0:
-            raise LinAlgError(f"non-positive pivot at index {j}")
-        l[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            l[j + 1:, j] = (s[j + 1:, j] - l[j + 1:, :j] @ l[j, :j]) / l[j, j]
-    return l
+    try:
+        return np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        pass
+    # LAPACK refused S: the first leading block it refuses ends in the pivot
+    # that is not positive, and S itself is the last of them
+    j = n - 1
+    for i in range(n - 1):
+        try:
+            np.linalg.cholesky(s[:i + 1, :i + 1])
+        except np.linalg.LinAlgError:
+            j = i
+            break
+    raise LinAlgError(f"non-positive pivot at index {j}")
 
 
 def cholesky_solve(s, r) -> np.ndarray:

@@ -22,7 +22,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .classify import kmeans
-from .core import Dataset, Scaler, SensorModel, predict_batch, rmse
+from .core import (
+    Dataset,
+    Scaler,
+    SensorModel,
+    assign_regions,
+    normalize,
+    predict_batch,
+    rmse,
+)
 from .design import (
     DesignConfig,
     DesignReport,
@@ -151,8 +159,6 @@ def generate_scenario(cfg: ScenarioConfig,
         t = np.concatenate(t_parts)
     y = np.array([pct(pi, ti, gt) for pi, ti in zip(p, t)])
     raw = Dataset(np.column_stack([p, t]), y, np.arange(cfg.n_total))
-    from .core import normalize
-
     norm, scaler = normalize(raw)
     n_train = int(round(cfg.n_total * cfg.train_fraction))
     n_train = min(max(n_train, 1), cfg.n_total - 1)
@@ -286,8 +292,6 @@ def export_surface(sensors: dict[str, SensorModel], path, grid_n: int = 41) -> N
             sensor = sensors[method]
             if sensor.n_p != 2:
                 continue
-            from .core import assign_regions
-
             xs = np.array([[a, b] for a in grid for b in grid])
             preds = predict_batch(xs, sensor)
             if sensor.switching is None:
