@@ -1,23 +1,27 @@
 """Data labeling by k-means and switching-logic identification by linear SVM.
 
-k-means runs Lloyd's algorithm with k-means++ seeding, several restarts and
-a seeded, portable RNG (`numpy.random.default_rng([seed, restart])`), so
-results are reproducible across platforms.  The SVM uses the standard
-soft-margin quadratic program min 0.5||w||^2 + gamma * sum(e) plus a
-proximal term (SVM_PROX/2)(b_w^2 + ||e||^2).  Without that term the Hessian
-is singular in b_w and the slacks: the dual QP solver needs it positive
-definite, and the optimal face can be flat, so that b_w would depend on the
-row order through roundoff.  The term picks one point of that face and moves
-the hyperplane by about 1e-6 on the paper's scenarios.  The QP goes to
-`qp.solve_qp` as dense rows G v >= h: the n margin rows, then the n rows
-e >= 0.  It starts with those n slack bounds active: at w = b_w = e = 0 the
-objective's gradient is gamma on each slack, so each bound's multiplier is
-gamma >= 0 and the start is dual feasible.  The dual method then adds the
-margin rows that start violates and drops the bounds of the slacks that
-must open.  The unconstrained minimum, e = -gamma/SVM_PROX = -1e7, would
-start with every row violated and take steps of that size.  One-vs-one
-multi-class training decouples into one binary problem per class pair,
-since each pair's constraints involve only the two classes concerned.
+k-means runs Lloyd's algorithm with k-means++ seeding and KMEANS_RESTARTS
+restarts, each on a seeded, portable RNG (`default_rng([seed, restart])`), so
+results are reproducible across platforms.  The restarts run side by side as
+arrays over (restart, cluster, point); none's arithmetic depends on another's.
+A k-means++ draw is that of `Generator.choice(n, p=d2/total)`: one `random()`
+u, and the count of entries <= u (searchsorted, side "right") in the CDF
+cumsum(p) / cumsum(p)[-1].  The SVM uses the standard soft-margin quadratic
+program min 0.5||w||^2 + gamma * sum(e) plus a proximal term
+(SVM_PROX/2)(b_w^2 + ||e||^2).  Without that term the Hessian is singular in
+b_w and the slacks: the dual QP solver needs it positive definite, and the
+optimal face can be flat, so that b_w would depend on the row order through
+roundoff.  The term picks one point of that face and moves the hyperplane by
+about 1e-6 on the paper's scenarios.  The QP goes to `qp.solve_qp` as dense
+rows G v >= h: the n margin rows, then the n rows e >= 0.  It starts with
+those n slack bounds active: at w = b_w = e = 0 the objective's gradient is
+gamma on each slack, so each bound's multiplier is gamma >= 0 and the start is
+dual feasible.  The dual method then adds the margin rows that start violates
+and drops the bounds of the slacks that must open.  The unconstrained minimum,
+e = -gamma/SVM_PROX = -1e7, would start with every row violated and take steps
+of that size.  One-vs-one multi-class training decouples into one binary
+problem per class pair, since each pair's constraints involve only the two
+classes concerned.
 """
 
 from __future__ import annotations
@@ -44,75 +48,75 @@ class KmeansResult:
     iterations: int
 
 
-def _kmeans_pp_seed(x: np.ndarray, n_cl: int, rng) -> np.ndarray:
-    n = x.shape[0]
-    centroids = np.empty((n_cl, x.shape[1]))
-    centroids[0] = x[int(rng.integers(n))]
+def _kmeans_pp_seed(x: np.ndarray, n_cl: int, rngs: list) -> np.ndarray:
+    """k-means++ centres of every restart, (restarts, n_cl, n_p), restart r on rngs[r]."""
+    centroids = np.empty((len(rngs), n_cl, x.shape[1]))
+    centroids[:, 0] = x[[rng.integers(len(x)) for rng in rngs]]
+    d2, xt = np.full((len(rngs), len(x)), np.inf), np.ascontiguousarray(x.T)
     for j in range(1, n_cl):
-        d2 = np.min(((x[:, None, :] - centroids[None, :j, :]) ** 2).sum(axis=2), axis=1)
-        total = d2.sum()
-        if total <= 0.0:
-            centroids[j] = x[int(rng.integers(n))]
-        else:
-            centroids[j] = x[int(rng.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, ((xt - centroids[:, j - 1, :, None]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        live = total > 0.0  # else every point sits on a centre: a uniform redraw
+        cdf = (d2 / np.where(live, total, 1.0)[:, None]).cumsum(axis=1)
+        cdf /= np.where(live, cdf[:, -1], 1.0)[:, None]
+        u = np.array([rng.random() if ok else rng.integers(len(x)) for rng, ok in zip(rngs, live)])
+        centroids[:, j] = x[np.where(live, (cdf <= u[:, None]).sum(axis=1), u).astype(int)]
     return centroids
 
 
-def _assign(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    d2 = ((x[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+def _assign(x: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each restart's nearest centre per point (first on ties), and its SSE."""
+    assign = ((np.ascontiguousarray(x.T) - centroids[..., None]) ** 2).sum(axis=2).argmin(axis=1)
+    res = x - centroids[np.arange(len(centroids))[:, None], assign]
+    return assign, (res ** 2).reshape(len(res), -1).sum(axis=1)
 
 
-def _sse(x: np.ndarray, centroids: np.ndarray, assign: np.ndarray) -> float:
-    return float(((x - centroids[assign]) ** 2).sum())
-
-
-def _lloyd(x: np.ndarray, n_cl: int, rng) -> tuple[np.ndarray, np.ndarray, float, int]:
-    centroids = _kmeans_pp_seed(x, n_cl, rng)
-    assign = _assign(x, centroids)
-    prev_sse = np.inf
-    iterations = 0
-    for _ in range(KMEANS_MAX_ITER):
-        iterations += 1
-        reseeded = False
+def _centroid_step(x: np.ndarray, centroids: np.ndarray,
+                   assign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's update of every restart's centres: each cluster's mean, an empty one
+    reseeded at the point farthest from its centroid; also which restarts reseeded."""
+    n_r, n_cl, n_p = centroids.shape
+    bins = np.arange(n_r)[:, None] * n_cl + assign
+    counts = np.bincount(bins.ravel(), minlength=n_r * n_cl).reshape(n_r, n_cl)
+    # one bin per restart, cluster and coordinate, summed in point order
+    sums = np.bincount((bins[..., None] * n_p + np.arange(n_p)).ravel(),
+                       np.broadcast_to(x, (n_r,) + x.shape).ravel(), centroids.size)
+    means = sums.reshape(centroids.shape) / np.maximum(counts, 1)[..., None]
+    full = counts > 0
+    new, reseeded = np.where(full[..., None], means, centroids), ~full.all(axis=1)
+    for r in np.flatnonzero(reseeded):  # rare; clusters in order, from the centres as they stand
+        c = centroids[r].copy()
         for j in range(n_cl):
-            members = assign == j
-            if members.any():
-                centroids[j] = x[members].mean(axis=0)
-            else:
-                # reseed an empty cluster at the point farthest from its centroid
-                dist = ((x - centroids[assign]) ** 2).sum(axis=1)
-                centroids[j] = x[int(dist.argmax())]
-                reseeded = True
-        new_assign = _assign(x, centroids)
-        sse = _sse(x, centroids, new_assign)
-        if not reseeded:
-            assert sse <= prev_sse + 1e-9, "k-means SSE increased within a Lloyd iteration"
-        prev_sse = sse
-        if np.array_equal(new_assign, assign) and not reseeded:
-            assign = new_assign
-            break
-        assign = new_assign
-    return centroids, assign, _sse(x, centroids, assign), iterations
+            c[j] = means[r, j] if full[r, j] else x[((x - c[assign[r]]) ** 2).sum(axis=1).argmax()]
+        new[r] = c
+    return new, reseeded
 
 
 def kmeans(inputs, n_cl: int, seed: int = 0) -> KmeansResult:
     """Best-of-restarts Lloyd's algorithm on the input rows only."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
-    n = x.shape[0]
     if n_cl < 1:
         raise ValueError("n_cl must be at least 1")
-    if n < n_cl:
-        raise ValueError(f"cannot form {n_cl} clusters from {n} points")
-    best = None
-    for restart in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, restart])
-        centroids, assign, sse, iterations = _lloyd(x, n_cl, rng)
-        if best is None or sse < best[2] - 1e-15:
-            best = (centroids, assign, sse, iterations)
-    centroids, assign, sse, iterations = best
-    labels = LabelingMatrix.from_assignments(assign + 1, n_cl)
-    return KmeansResult(centroids, labels, sse, iterations)
+    if x.shape[0] < n_cl:
+        raise ValueError(f"cannot form {n_cl} clusters from {x.shape[0]} points")
+    if not np.isfinite(x).all():
+        raise ValueError("k-means inputs contain non-finite entries")
+    rngs = [np.random.default_rng([seed, r]) for r in range(KMEANS_RESTARTS)]
+    centroids = _kmeans_pp_seed(x, n_cl, rngs)
+    assign, sse = _assign(x, centroids)[0], np.full(KMEANS_RESTARTS, np.inf)
+    iterations, active = np.zeros(KMEANS_RESTARTS, dtype=int), np.ones(KMEANS_RESTARTS, bool)
+    while active.any() and iterations.max() < KMEANS_MAX_ITER:
+        iterations += active  # a converged restart is a fixed point of the pass
+        centroids, reseeded = _centroid_step(x, centroids, assign)
+        new_assign, new_sse = _assign(x, centroids)
+        assert (reseeded | (new_sse <= sse + 1e-9)).all(), "k-means SSE rose in a Lloyd pass"
+        active &= reseeded | (new_assign != assign).any(axis=1)
+        assign, sse = new_assign, new_sse
+    best = 0  # the first restart of least SSE, up to 1e-15
+    for r in range(1, KMEANS_RESTARTS):
+        best = r if sse[r] < sse[best] - 1e-15 else best
+    labels = LabelingMatrix.from_assignments(assign[best] + 1, n_cl)
+    return KmeansResult(centroids[best], labels, float(sse[best]), int(iterations[best]))
 
 
 def train_binary_svm(inputs, labels: LabelingMatrix,
@@ -175,12 +179,8 @@ def train_multiclass_svm(inputs, labels: LabelingMatrix,
     hyperplanes = []
     kkt = 0.0
     for r, s in expected_pairs(n_cl):
-        rows_r = labels.members(r)
-        rows_s = labels.members(s)
-        subset = np.concatenate([rows_r, rows_s])
-        subset.sort()
-        sub_labels = LabelingMatrix.from_assignments(
-            np.where(np.isin(subset, rows_r), 1, 2), 2)
+        subset = np.sort(np.concatenate([labels.members(r), labels.members(s)]))
+        sub_labels = LabelingMatrix.from_assignments(2 - labels.entries[subset, r - 1], 2)
         hp, _, pair_kkt = train_binary_svm(x[subset], sub_labels, gamma)
         hyperplanes.append(hp)
         kkt = max(kkt, pair_kkt)

@@ -90,7 +90,7 @@ class LabelingMatrix:
         object.__setattr__(self, "entries", _freeze(z))
         if z.shape[0] < 1 or z.shape[1] < 1:
             raise ValueError(f"labeling matrix must be at least 1x1, got {z.shape}")
-        if not np.isin(z, (0, 1)).all():
+        if not ((z == 0) | (z == 1)).all():
             raise ValueError("labeling matrix entries must be 0 or 1")
         if not (z.sum(axis=1) == 1).all():
             raise ValueError("every labeling matrix row must sum to exactly 1")

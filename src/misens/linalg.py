@@ -22,6 +22,8 @@ factor to be orthogonal.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 RANK_TOL = 1e-10
@@ -116,6 +118,14 @@ def qr_delete(q, r, k) -> tuple[np.ndarray, np.ndarray]:
     return q, r[:w - 1]
 
 
+@functools.lru_cache(maxsize=64)
+def _upper_mask(shape: tuple[int, ...]) -> np.ndarray:
+    """True on and above the diagonal of a matrix of this shape; read-only."""
+    mask = np.triu(np.ones(shape, dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def solve_upper(r, y) -> np.ndarray:
     """Back substitution for upper-triangular R x = y (y may be 2-D).
 
@@ -126,7 +136,8 @@ def solve_upper(r, y) -> np.ndarray:
     exactly and GETRS reduces to one triangular solve.  A zero on the
     diagonal raises LinAlgError.  y is left unmodified.
     """
-    r = np.triu(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
+    r = np.where(_upper_mask(r.shape), r, 0.0)
     y = np.asarray(y, dtype=float)
     if r.shape[0] == 0:
         return y.copy()

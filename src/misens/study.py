@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -379,6 +378,8 @@ def run_montecarlo(scenario: ScenarioConfig, runs: int, methods: list[str],
     tasks = [(scenario, cfg, methods, run, timing) for run in range(runs)]
     outcomes = []
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_montecarlo_one, tasks))
     else:

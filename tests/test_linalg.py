@@ -187,6 +187,17 @@ def test_triangular_solves_read_only_their_triangle():
                           linalg.solve_lower(lower, y))
 
 
+def test_triangular_solves_ignore_nan_across_the_diagonal():
+    rng = np.random.default_rng(24)
+    upper, lower = well_conditioned_triangles(rng, 5)
+    below = np.tri(5, k=-1, dtype=bool)
+    y = rng.normal(size=(5, 2))
+    assert np.array_equal(linalg.solve_upper(np.where(below, np.nan, upper), y),
+                          linalg.solve_upper(upper, y))
+    assert np.array_equal(linalg.solve_lower(np.where(below.T, np.nan, lower), y),
+                          linalg.solve_lower(lower, y))
+
+
 def test_triangular_solves_reject_a_zero_pivot():
     for solve, tri in ((linalg.solve_upper, [[1.0, 2.0], [0.0, 0.0]]),
                        (linalg.solve_lower, [[0.0, 0.0], [2.0, 1.0]])):
