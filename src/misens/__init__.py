@@ -3,7 +3,7 @@
 Subpackages:
   core      domain types (datasets, labelings, switching logic, sensors)
   linalg    dense QR / Cholesky / least-squares kernels
-  lp        bounded-variable revised simplex
+  lp        bounded-variable dual simplex
   qp        dual active-set strictly convex quadratic programming (MIS-std's SVMs)
   milp      branch-and-bound over binary variables
   classify  k-means labeling and one-vs-one linear SVM

@@ -350,11 +350,10 @@ def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
     """
     lo = program.base.lower.copy()
     hi = program.base.upper.copy()
-    assign = labels.assignments()
-    for i in range(lay.n):
-        for j in range(1, lay.n_cl + 1):
-            v = 1.0 if assign[i] == j else 0.0
-            lo[lay.z(i, j)] = hi[lay.z(i, j)] = v
+    one_hot = np.zeros((lay.n, lay.n_cl))
+    one_hot[np.arange(lay.n), labels.assignments() - 1] = 1.0
+    z = slice(lay.n_continuous, lay.n_vars)  # the binaries, row-major over (i, j)
+    lo[z] = hi[z] = one_hot.ravel()
     sol = solve_lp(LinearProgram(program.base.objective, program.base.constraints, lo, hi))
     if sol.status != Status.OPTIMAL:
         return None, None

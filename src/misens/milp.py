@@ -12,12 +12,12 @@ limits, never on wall-clock time (a time limit, when set, naturally breaks
 run-to-run reproducibility).
 
 Each node LP gets the incumbent (less CUTOFF_TOL) as its objective cutoff:
-a warm start that re-optimizes by the dual simplex stops with Status.CUTOFF
-as soon as its lower bound reaches it, and the node is pruned without its
-optimum.  An LP solved by the primal phase 2 alone, or by the cold path,
-ignores the cutoff, and the node is pruned as dominated once its optimum is
-known.  `node_lps_cut_off` counts the LPs stopped early; the search is the
-same either way.
+the dual simplex, warm or cold, stops with Status.CUTOFF as soon as the
+cost of a still infeasible iterate, a lower bound, reaches it, and the node
+is pruned without its optimum.  An LP whose cost reaches the cutoff only at
+its optimum (one whose starting basis is already primal feasible, say) is
+pruned as dominated once that optimum is known.  `node_lps_cut_off` counts
+the LPs stopped early; the search is the same either way.
 
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
 cap stopped the search with an incumbent in hand; TIMED_OUT means the time
@@ -49,7 +49,7 @@ log = logging.getLogger("misens.milp")
 INT_TOL = 1e-6
 CUTOFF_TOL = 1e-9
 BASIS_STORE_CAP = 50_000  # stop attaching bases when the open list is huge
-BINV_STORE_BYTES = 64_000_000  # budget for basis inverses on the open list
+BINV_STORE_BYTES = 12_000_000  # budget for basis inverses on the open list
 
 
 class MipStatus(enum.Enum):
@@ -301,7 +301,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 node_lps_cut_off += sol.status == Status.CUTOFF
                 break
             if sol.objective_value >= inc_obj - CUTOFF_TOL:
-                break  # dominated (a primal or cold solve ignores the cutoff)
+                break  # dominated: the cutoff is tested on infeasible iterates only
             j = frac_branch_var(sol.values)
             if j is None:
                 consider_incumbent(sol)

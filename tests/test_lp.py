@@ -4,8 +4,10 @@ import itertools
 import numpy as np
 import pytest
 
-from misens import lp
-from misens.design import DesignConfig, VariableLayout, build_mis_con_lab_milp
+from misens import lp, milp
+from misens.design import (DesignConfig, VariableLayout, build_mis_con_lab_milp,
+                           design_mis_con_lab)
+from misens.milp import MilpLimits
 from misens.lp import Constraint, LinearProgram, Status, solve_lp
 from misens.study import ScenarioConfig, generate_scenario
 
@@ -165,6 +167,60 @@ def inverted(monkeypatch):
     return seen
 
 
+def assert_same_solve(sol, plain):
+    """Two solves that took the same path: equal status, counters, values
+    and basis."""
+    assert sol.status == plain.status
+    assert sol.objective_value == plain.objective_value
+    assert (sol.iterations, sol.refactorizations) == (plain.iterations, plain.refactorizations)
+    if plain.values is not None:
+        np.testing.assert_array_equal(sol.values, plain.values)
+        assert sol.basis == plain.basis
+
+
+def real_boxes(comp, lower, upper):
+    return (np.concatenate([lower, comp.slack_lo]), np.concatenate([upper, comp.slack_hi]))
+
+
+def assert_farkas(comp, lower, upper, basic):
+    """Some row r of B^-1 [A I], for the final basic columns B and an
+    inverse formed here, cannot meet its right-hand side r'rhs over the
+    real boxes: the range of r'x falls short of it by more than FEAS_TOL.
+    Entries |r_j| <= PIVOT_TOL count as 0, as in the solver."""
+    binv = np.linalg.inv(comp.a[:, basic])
+    rows, target = binv @ comp.a, binv @ comp.rhs
+    rows[np.abs(rows) <= lp.PIVOT_TOL] = 0.0
+    lo, hi = real_boxes(comp, lower, upper)
+    with np.errstate(invalid="ignore"):  # 0 * inf, on the branch not taken
+        low = np.where(rows > 0, rows * lo, np.where(rows < 0, rows * hi, 0.0)).sum(axis=1)
+        high = np.where(rows > 0, rows * hi, np.where(rows < 0, rows * lo, 0.0)).sum(axis=1)
+    assert np.maximum(low - target, target - high).max() > lp.FEAS_TOL
+
+
+def assert_infeasible(prob, warm=None):
+    """solve_lp reports INFEASIBLE, and the basis the solve ends on holds a
+    Farkas row (assert_farkas)."""
+    assert solve_lp(prob, warm=warm).status == Status.INFEASIBLE
+    comp = lp.compile_lp(prob)
+    simplex = lp._Simplex(comp, prob.lower, prob.upper, 50 * (comp.n_struct + comp.m))
+    assert simplex.solve(warm) == Status.INFEASIBLE
+    assert_farkas(comp, prob.lower, prob.upper, simplex.basic)
+
+
+def assert_certified_optimum(comp, lower, upper, sol, prob):
+    """An OPTIMAL solve closes its duality gap to 1e-9, is primal feasible
+    within FEAS_TOL, and has the optimum of the slack-basis solve to 1e-9."""
+    assert lp.duality_gap(prob, sol) <= 1e-9
+    x = sol.values
+    assert np.all(x >= lower - lp.FEAS_TOL) and np.all(x <= upper + lp.FEAS_TOL)
+    slack = comp.rhs - comp.a[:, :comp.n_struct] @ x
+    assert np.all(slack >= comp.slack_lo - lp.FEAS_TOL)
+    assert np.all(slack <= comp.slack_hi + lp.FEAS_TOL)
+    cold = lp.solve_compiled(comp, lower, upper)
+    assert cold.status == Status.OPTIMAL
+    assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+
+
 class TestBasics:
     def test_min_x_above_three(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
@@ -183,16 +239,26 @@ class TestBasics:
     def test_infeasible_witness(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 5.0), ({0: 1.0}, "<=", 1.0)],
                        [0.0], [10.0])
-        assert solve_lp(prob).status == Status.INFEASIBLE
+        assert_infeasible(prob)
 
     def test_infeasible_via_bounds(self):
         prob = make_lp([0.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 10.0)],
                        [0.0, 0.0], [1.0, 1.0])
-        assert solve_lp(prob).status == Status.INFEASIBLE
+        assert_infeasible(prob)
 
     def test_unbounded_witness(self):
         prob = make_lp([-1.0], [({0: 1.0}, ">=", 0.0)], [0.0], [np.inf])
         assert solve_lp(prob).status == Status.UNBOUNDED
+
+    def test_optimum_past_the_artificial_bound(self):
+        # x rests on its artificial upper bound first; its ray meets the
+        # row's slack bound, so the bound widens and the row then binds
+        prob = make_lp([-1.0], [({0: 1.0}, "<=", 5e6)], [0.0], [np.inf])
+        sol = solve_lp(prob)
+        assert 5e6 > lp.ARTIFICIAL_BOUND
+        assert sol.status == Status.OPTIMAL
+        assert sol.objective_value == pytest.approx(-5e6, abs=1e-9)
+        assert lp.duality_gap(prob, sol) <= 1e-9
 
     def test_free_variable(self):
         prob = make_lp([1.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 2.0)],
@@ -233,7 +299,7 @@ class TestRandomizedAgainstOracle:
             status, best = enumerate_vertices(prob)
             sol = solve_lp(prob)
             if status == "infeasible":
-                assert sol.status == Status.INFEASIBLE
+                assert_infeasible(prob)
                 continue
             assert sol.status == Status.OPTIMAL
             n_optimal += 1
@@ -355,8 +421,10 @@ class TestWarmStart:
         bad = dataclasses.replace(parent.basis, binv=np.full((2, 2), entry))
         inverted.clear()
         sol = solve_lp(prob, warm=bad)
-        assert sol.status == Status.OPTIMAL and not sol.cold_fallback
+        assert sol.status == Status.OPTIMAL
         assert sol.objective_value == parent.objective_value
+        # one refactorization, of the parent's basis: a slack-basis solve
+        # would start from the identity and factorize nothing
         assert len(inverted) == 1
         np.testing.assert_array_equal(inverted[0], lp.compile_lp(prob).a[:, parent.basis.basic])
 
@@ -379,7 +447,7 @@ class TestWarmStart:
                                       prob.lower.copy(), prob.upper.copy())
                 child.lower[j] = child.upper[j] = fix
                 sol = solve_lp(child, warm=basis)
-                pivoted += sol.dual_iterations > 1 and not sol.refactorizations
+                pivoted += sol.iterations > 1 and not sol.refactorizations
             for arr, old in zip((basis.basic, basis.status, basis.binv), before):
                 np.testing.assert_array_equal(arr, old)
         assert pivoted >= 20
@@ -390,15 +458,20 @@ class TestWarmStart:
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
 
-    def test_infeasible_child_is_decided_cold(self):
+    def test_infeasible_child_is_decided_by_a_farkas_row(self, inverted):
         # the parent rests at x = 1, y = 0.5; capping x at 0.2 leaves the row
-        # x + y >= 1.5 out of reach, no column can enter the dual simplex,
-        # and the cold path proves the child infeasible
+        # x + y >= 1.5 out of reach and no column can enter the dual simplex:
+        # the row is formed again from a refactorized inverse, and its reach
+        # over the boxes proves the child infeasible
         row = [({0: 1.0, 1: 1.0}, ">=", 1.5)]
         parent = solve_lp(make_lp([1.0, 1.0], row, [0.0, 0.0], [1.0, 1.0]))
-        sol = solve_lp(make_lp([1.0, 1.0], row, [0.0, 0.0], [0.2, 1.0]), warm=parent.basis)
+        child = make_lp([1.0, 1.0], row, [0.0, 0.0], [0.2, 1.0])
+        inverted.clear()
+        sol = solve_lp(child, warm=parent.basis)
         assert sol.status == Status.INFEASIBLE
-        assert sol.cold_fallback and sol.dual_iterations == 1
+        assert sol.iterations == 2 and sol.refactorizations == 1
+        np.testing.assert_array_equal(inverted[0], lp.compile_lp(child).a[:, parent.basis.basic])
+        assert_infeasible(child, warm=parent.basis)
 
     def test_warm_start_with_garbage_basis_falls_back(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
@@ -416,31 +489,34 @@ class TestWarmStart:
     def test_warm_start_with_an_index_out_of_range_falls_back(self, basic, status):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
         sol = solve_lp(prob, warm=lp.Basis(basic, status))
-        assert sol.status == Status.OPTIMAL and sol.cold_fallback
+        assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
+        assert_same_solve(sol, solve_lp(prob))  # the slack basis replaced it
 
     def test_warm_start_with_a_repeated_basic_column_falls_back(self):
         prob = make_lp([1.0, 1.0], [({0: 1.0}, ">=", 1.0), ({1: 1.0}, ">=", 1.0)],
                        [0.0, 0.0], [2.0, 2.0])
         sol = solve_lp(prob, warm=lp.Basis((0, 0), (0, 1, 1, 1)))
-        assert sol.status == Status.OPTIMAL and sol.cold_fallback
+        assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+        assert_same_solve(sol, solve_lp(prob))  # the slack basis replaced it
 
 
 class TestPhaseOne:
-    """Phase 1 from the all-slack basis, judged row by row."""
+    """Cold solves: the all-slack basis, made dual feasible by the statuses
+    its reduced costs pick, and rows judged one by one."""
 
     def test_row_short_by_a_millionth_is_infeasible(self):
         # x + y reaches at most 63 - 1e-6: a per-row violation of 10 FEAS_TOL,
         # below the tolerance once it is scaled by the right-hand side
         prob = make_lp([0.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 63.0)],
                        [0.0, 0.0], [1.0, 62.0 - 1e-6])
-        assert solve_lp(prob).status == Status.INFEASIBLE
+        assert_infeasible(prob)
 
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_bound_past_a_row_is_infeasible(self, c):
         prob = make_lp([c], [({0: 1.0}, "<=", 1000.0)], [1000.00001], [np.inf])
-        assert solve_lp(prob).status == Status.INFEASIBLE
+        assert_infeasible(prob)
 
     def test_redundant_equalities_keep_the_inverse(self, inverted):
         prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0),
@@ -460,17 +536,30 @@ class TestPhaseOne:
         assert warm_sol.objective_value == pytest.approx(1.5, abs=1e-12)
 
     def test_cold_solve_does_not_factorize(self, inverted):
+        # the identity is the slack basis's inverse; an infeasible LP
+        # refactorizes once, to form its Farkas row from a fresh inverse,
+        # unless the identity still is that
         rng = np.random.default_rng(8)
-        statuses = {solve_lp(random_lp(rng)).status for _ in range(100)}
+        statuses = set()
+        for _ in range(100):
+            prob = random_lp(rng)
+            inverted.clear()
+            sol = solve_lp(prob)
+            statuses.add(sol.status)
+            assert sol.refactorizations == len(inverted)
+            if sol.status == Status.OPTIMAL:
+                assert not inverted
+            else:
+                assert len(inverted) <= 1
+                assert_infeasible(prob)
         assert statuses == {Status.OPTIMAL, Status.INFEASIBLE}
-        assert not inverted
 
 
 class TestRoutedLabelingLp:
-    """Node LPs of the labeling MILP with pairwise routing rows.  Phase 1
-    ends with every basic value in its box as the pivoted inverse computes
-    it; refactorized, the basis is infeasible again and goes back to phase
-    1, which decides the LP.  HiGHS also reports both LPs infeasible."""
+    """Node LPs of the labeling MILP with pairwise routing rows.  With the
+    listed z fixed, the dual ends on a row that no column can enter; formed
+    again from a refactorized inverse, the row's reach over the boxes
+    proves the LP infeasible.  HiGHS also reports both LPs infeasible."""
 
     FIXED = {
         1e-7: [(2, 2, 1), (4, 1, 0), (4, 3, 1), (5, 2, 0), (5, 3, 0), (6, 1, 0),
@@ -483,7 +572,8 @@ class TestRoutedLabelingLp:
     def routed_lp(eps, fixed):
         """The capped labeling MILP (uniform-30, seed 1, n_cl 3) plus the rows
         f_j(x_i) - f_k(x_i) >= eps - M_i (1 - z_ij) for k != j, with
-        M_i = eps + B (||x_i||_1 + 1), and the given z_ij fixed."""
+        M_i = eps + B (||x_i||_1 + 1): one LP per prefix of `fixed`, with
+        those z_ij fixed, the empty prefix first."""
         train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
         cfg = DesignConfig(n_cl=3)
         program = build_mis_con_lab_milp(train, cfg)
@@ -497,66 +587,124 @@ class TestRoutedLabelingLp:
                     row[lay.p(j, d)], row[lay.p(k, d)] = float(x[d]), float(-x[d])
                 cons.append(Constraint.of(row, ">=", eps - big_m))
         lower, upper = program.bounds()
+        prob = LinearProgram(program.base.objective, cons, lower, upper)
+        return [TestRoutedLabelingLp._fix(prob, lay, fixed[:k]) for k in range(len(fixed) + 1)]
+
+    @staticmethod
+    def _fix(prob, lay, fixed):
+        lower, upper = prob.lower.copy(), prob.upper.copy()
         for i, j, value in fixed:
             lower[lay.z(i, j)] = upper[lay.z(i, j)] = value
-        return LinearProgram(program.base.objective, cons, lower, upper)
+        return LinearProgram(prob.objective, prob.constraints, lower, upper)
 
     @pytest.mark.parametrize("eps", sorted(FIXED))
     def test_cold_solve_decides_infeasible(self, eps):
-        prob = self.routed_lp(eps, self.FIXED[eps])
+        prob = self.routed_lp(eps, self.FIXED[eps])[-1]
         sol = lp.solve_compiled(lp.compile_lp(prob), prob.lower, prob.upper)
         assert sol.status == Status.INFEASIBLE
         assert sol.refactorizations >= 1
+        assert_infeasible(prob)
+
+    @pytest.mark.parametrize("eps", sorted(FIXED))
+    def test_warm_children_are_certified(self, eps):
+        # a dive: the listed z are fixed one at a time, each child warm from
+        # the one before, until a fixing makes the LP infeasible
+        dive = self.routed_lp(eps, self.FIXED[eps])
+        comp = lp.compile_lp(dive[0])
+        sol = lp.solve_compiled(comp, dive[0].lower, dive[0].upper)
+        optimal = 0
+        for child in dive[1:]:
+            parent, sol = sol, lp.solve_compiled(comp, child.lower, child.upper, sol.basis)
+            if sol.status != Status.OPTIMAL:
+                break
+            assert_certified_optimum(comp, child.lower, child.upper, sol, child)
+            optimal += 1
+        assert sol.status == Status.INFEASIBLE
+        assert_infeasible(child, warm=parent.basis)
+        assert optimal >= 5
+
+
+class TestCappedSearchReplay:
+    """The node LPs of the capped labeling search (uniform-30, scenario seed
+    1, n_cl 3, design seed 1, 300 nodes), recorded as the search solves
+    them and checked one by one: the warm ones, the ones whose dual stalls
+    and perturbs its costs, and the root."""
+
+    def test_optimal_node_lps_are_certified(self, monkeypatch):
+        recorded, perturbed = [], []
+        solve, perturb = milp.solve_compiled, lp._Simplex._perturb
+
+        def recording(comp, lower, upper, warm=None, **kwargs):
+            sol = solve(comp, lower, upper, warm, **kwargs)
+            recorded.append((comp, lower.copy(), upper.copy(), warm, sol))
+            return sol
+
+        def counted(self):
+            perturbed.append(len(recorded))
+            return perturb(self)
+
+        monkeypatch.setattr(milp, "solve_compiled", recording)
+        monkeypatch.setattr(lp._Simplex, "_perturb", counted)
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        cfg = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=300))
+        report = design_mis_con_lab(train, cfg)
+        assert report.solver_stats["milp"]["nodes_explored"] == len(recorded) == 300
+        base = build_mis_con_lab_milp(train, cfg).base
+        certified = set()
+        for k, (comp, lower, upper, _, sol) in enumerate(recorded):
+            if sol.status == Status.OPTIMAL:
+                prob = LinearProgram(base.objective, base.constraints, lower, upper)
+                assert_certified_optimum(comp, lower, upper, sol, prob)
+                certified.add(k)
+        assert recorded[0][3] is None and 0 in certified  # the root, a cold solve
+        # node LPs whose dual stalled and perturbed its costs are among them
+        assert len(certified) >= 250 and len(set(perturbed) & certified) >= 10
 
 
 class TestPhaseTwo:
     def test_refactorization_is_priced_again(self):
-        # a wrong inverse makes the first round pivot on wrong prices; once the
-        # basic values show the drift, the basis is refactorized, and only the
-        # next round finds the child's optimum: by phase 2 alone where the
-        # refactorized basis is feasible (seeds 8 and 10 each hold one that is
-        # not optimal), by phase 1 first where it is not
-        checked, relaxed = 0, 0
+        # a wrong inverse, as drift would leave it after some pivots, makes
+        # the dual pivot on wrong prices; once the basic values show the
+        # drift, the basis is refactorized and priced afresh, and only the
+        # dual that follows finds the child's optimum
+        checked, refactorized = 0, 0
         for seed in (8, 9, 10):
             for parent, child in branch_children(seed, tries=300):
                 simplex = lp._Simplex(lp.compile_lp(child), child.lower, child.upper, 1000)
-                assert simplex._try_warm_start(parent.basis)
-                if not simplex._beta_feasible():
-                    continue  # the first round starts from a feasible basis
-                simplex.binv = np.eye(child.n_rows)
-                phase1 = []
+                warm_start = simplex._try_warm_start
 
-                def counted_relax(relax=simplex._relax):
-                    phase1.append(relax())
-                    return phase1[-1]
+                def wrong_inverse(warm, simplex=simplex, warm_start=warm_start, m=child.n_rows):
+                    assert warm_start(warm)
+                    simplex.binv, simplex.binv_shared = np.eye(m), False
+                    simplex.pivots_since_refactor = 1
+                    return True
 
-                simplex._relax = counted_relax
+                simplex._try_warm_start = wrong_inverse
                 try:
-                    status = simplex._primal_rounds()
+                    status = simplex.solve(parent.basis)
                 except lp.linalg.LinAlgError:
                     continue  # the wrong pivots made the basis singular
                 cold_sol = solve_lp(child)
-                assert status == cold_sol.status == Status.OPTIMAL
+                assert status == cold_sol.status
                 checked += 1
-                relaxed += any(phase1)
-                value = child.objective @ simplex._full_values()[:child.n_vars]
-                assert value == pytest.approx(cold_sol.objective_value, abs=1e-8)
-        # 29 of these children are infeasible once refactorized and go back
-        # to phase 1
-        assert checked >= 150 and relaxed >= 25
+                refactorized += simplex.refactorizations > 0
+                if status == Status.OPTIMAL:
+                    value = child.objective @ simplex.x[:child.n_vars]
+                    assert value == pytest.approx(cold_sol.objective_value, abs=1e-8)
+        assert checked >= 150 and refactorized >= 100
 
 
 class TestCarriedReducedCosts:
     """After every pivot, the reduced costs the simplex carries equal fresh
-    ones, c - A'(B^-T c_B), for the cost of the phase it is in, and its
-    pricing directions equal ones built afresh from the statuses and boxes."""
+    ones, c - A'(B^-T c_B), for the costs it works with (perturbed while
+    the dual stalls), and its directions equal ones built afresh from the
+    statuses and boxes."""
 
     @staticmethod
     def _solve_checking_pivots(prob, warm, counts):
         comp = lp.compile_lp(prob)
         simplex = lp._Simplex(comp, prob.lower, prob.upper, 1000)
-        pivot, dual = simplex._pivot, simplex._dual
-        in_dual = []
+        pivot = simplex._pivot
 
         def fresh_reduced_costs(cost):
             basis = comp.a[:, simplex.basic]
@@ -564,27 +712,15 @@ class TestCarriedReducedCosts:
 
         def checked_pivot(*args):
             pivot(*args)
-            phase1 = simplex.phase1_cost is not None
-            cost = simplex.phase1_cost if phase1 else simplex.cost
-            tol = 1e-9 * max(1.0, float(np.abs(cost).max()))
-            np.testing.assert_allclose(simplex.d, fresh_reduced_costs(cost), rtol=0, atol=tol)
-            dirn, free = simplex.dirn.copy(), simplex.free
-            simplex._directions()
-            np.testing.assert_array_equal(simplex.dirn, dirn)
-            free_cols = [] if free is None else np.flatnonzero(free)
-            fresh_free = [] if simplex.free is None else np.flatnonzero(simplex.free)
-            np.testing.assert_array_equal(fresh_free, free_cols)
-            kind = "dual" if in_dual else "phase 1" if phase1 else "phase 2"
+            tol = 1e-9 * max(1.0, float(np.abs(simplex.cost).max()))
+            np.testing.assert_allclose(simplex.d, fresh_reduced_costs(simplex.cost),
+                                       rtol=0, atol=tol)
+            np.testing.assert_array_equal(simplex.dirn,
+                                          lp._DIRECTION[simplex.vstat] * simplex.movable)
+            kind = "cold" if warm is None else "warm"
             counts[kind] = counts.get(kind, 0) + 1
 
-        def tracked_dual(d):
-            in_dual.append(True)
-            try:
-                return dual(d)
-            finally:
-                in_dual.pop()
-
-        simplex._pivot, simplex._dual = checked_pivot, tracked_dual
+        simplex._pivot = checked_pivot
         status = simplex.solve(warm)
         if status == Status.OPTIMAL:
             tol = 1e-9 * max(1.0, float(np.abs(simplex.cost).max()))
@@ -598,7 +734,7 @@ class TestCarriedReducedCosts:
         for _ in range(300):
             prob = random_lp(rng)
             assert self._solve_checking_pivots(prob, None, counts) == solve_lp(prob).status
-        assert counts["phase 1"] >= 200 and counts["phase 2"] >= 50
+        assert counts["cold"] >= 300
 
     def test_branch_children_warm_and_cold(self):
         counts = {}
@@ -607,7 +743,7 @@ class TestCarriedReducedCosts:
                 warm = self._solve_checking_pivots(child, parent.basis, counts)
                 cold = self._solve_checking_pivots(child, None, counts)
                 assert warm == cold
-        assert counts["dual"] >= 50 and counts["phase 1"] >= 200 and counts["phase 2"] >= 100
+        assert counts["warm"] >= 50 and counts["cold"] >= 300
 
     def test_counters_match_the_solve(self, inverted):
         # a child still warm-starts from its parent's inverse: no refactorization
@@ -616,22 +752,25 @@ class TestCarriedReducedCosts:
             inverted.clear()
             sol = solve_lp(child, warm=parent.basis)
             assert sol.refactorizations == len(inverted)
-            assert 0 <= sol.dual_iterations <= sol.iterations
-            if sol.status == Status.OPTIMAL and not sol.cold_fallback:
+            assert sol.iterations >= 1
+            if sol.status == Status.OPTIMAL:
                 warm += 1
                 assert not inverted
         assert warm >= 20
 
     def test_counters_report_the_cold_fallback(self):
+        # a basis that does not fit is replaced by the slack basis: the
+        # counters are those of the cold solve
         prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
-        assert solve_lp(prob, warm=lp.Basis((0, 0), (0, 0, 0))).cold_fallback
+        fallback = solve_lp(prob, warm=lp.Basis((0, 0), (0, 0, 0)))
         cold = solve_lp(prob)
-        assert not cold.cold_fallback and cold.dual_iterations == 0
+        assert (fallback.iterations, fallback.refactorizations) == (cold.iterations, 0)
+        assert cold.iterations == 2  # one pivot, then the optimality test
 
 
 class TestCutoff:
-    """A warm start's dual simplex stops at the cutoff only when the optimum
-    is at or above it; otherwise the solve is the one without a cutoff."""
+    """A solve stops at the cutoff only when the optimum is at or above it;
+    otherwise the solve is the one without a cutoff."""
 
     @staticmethod
     def _solve(child, warm, cutoff=None):
@@ -640,22 +779,12 @@ class TestCutoff:
             return lp.solve_compiled(comp, child.lower, child.upper, warm)
         return lp.solve_compiled(comp, child.lower, child.upper, warm, cutoff=cutoff)
 
-    @staticmethod
-    def _assert_same(sol, plain):
-        assert sol.status == plain.status
-        assert sol.objective_value == plain.objective_value
-        assert (sol.iterations, sol.dual_iterations, sol.refactorizations, sol.cold_fallback) == (
-            plain.iterations, plain.dual_iterations, plain.refactorizations, plain.cold_fallback)
-        if plain.values is not None:
-            np.testing.assert_array_equal(sol.values, plain.values)
-            assert sol.basis == plain.basis
-
     def test_warm_children(self):
         cut = optimal = saved = 0
         for seed in (99, 8, 9, 10):
             for parent, child in branch_children(seed, tries=300):
                 plain = self._solve(child, parent.basis)
-                self._assert_same(self._solve(child, parent.basis, np.inf), plain)
+                assert_same_solve(self._solve(child, parent.basis, np.inf), plain)
                 optimum = plain.objective_value if plain.status == Status.OPTIMAL else np.inf
                 base = optimum if np.isfinite(optimum) else parent.objective_value
                 for cutoff in (base - 1.0, base - 1e-6, base, base + 1e-6, base + 1.0):
@@ -667,160 +796,174 @@ class TestCutoff:
                         saved += plain.iterations - sol.iterations
                         cut += 1
                     else:
-                        self._assert_same(sol, plain)
+                        assert_same_solve(sol, plain)
                         optimal += sol.status == Status.OPTIMAL
         assert cut >= 100 and optimal >= 500 and saved >= 100
 
-    def test_cold_and_primal_solves_ignore_the_cutoff(self):
-        cold = primal = 0
+    def test_cold_solves_honour_the_cutoff(self):
+        # a cold solve is the same dual from the slack basis; a warm basis
+        # the child already meets is optimal at once, whatever the cutoff
+        cut = optimal = feasible_start = 0
         for parent, child in branch_children(99):
-            self._assert_same(self._solve(child, None, -np.inf), self._solve(child, None))
-            cold += 1
-            plain = self._solve(child, parent.basis)
-            if (plain.status == Status.OPTIMAL and not plain.dual_iterations
-                    and not plain.cold_fallback):
-                # the parent's basis is primal feasible for the child: phase 2 only
-                self._assert_same(self._solve(child, parent.basis, -np.inf), plain)
-                primal += 1
-        assert cold >= 40 and primal >= 10
+            plain = self._solve(child, None)
+            optimum = plain.objective_value if plain.status == Status.OPTIMAL else np.inf
+            base = optimum if np.isfinite(optimum) else parent.objective_value
+            for cutoff in (-np.inf, base - 1.0, base - 1e-6, base, base + 1e-6, base + 1.0):
+                sol = self._solve(child, None, cutoff)
+                if sol.status == Status.CUTOFF:
+                    assert optimum >= cutoff - 1e-9 * max(1.0, abs(cutoff))
+                    assert sol.values is None and sol.basis is None
+                    assert sol.iterations <= plain.iterations
+                    cut += 1
+                else:
+                    assert_same_solve(sol, plain)
+                    optimal += sol.status == Status.OPTIMAL
+            warm = self._solve(child, parent.basis)
+            if warm.status == Status.OPTIMAL and warm.iterations == 1:
+                assert_same_solve(self._solve(child, parent.basis, -np.inf), warm)
+                feasible_start += 1
+        assert cut >= 100 and optimal >= 100 and feasible_start >= 10
 
 
-class TestFreeColumnsAndBland:
-    """No benchmark LP has a free column, and none reaches Bland's rule."""
+class TestFreeColumnsAndStalls:
+    """No benchmark LP has a free column: a free column rests on an
+    artificial bound until it enters.  A stalled dual perturbs the costs."""
 
     def test_warm_children_match_the_cold_solve(self, monkeypatch):
-        entered = {"dual": 0, "primal": 0}
-        pivot, dual = lp._Simplex._pivot, lp._Simplex._dual
-        in_dual = []
+        # a free column enters the cold solves off its artificial bound; in
+        # the warm ones it is basic already, and leaves at the bound its
+        # child gives it
+        moved = {"warm": 0, "cold": 0}
+        kind = ["cold"]
+        pivot = lp._Simplex._pivot
 
-        def counting_pivot(self, e, *args):
-            if self.vstat[e] == lp.FREE:
-                entered["dual" if in_dual else "primal"] += 1
-            return pivot(self, e, *args)
-
-        def tracked_dual(self, d):
-            in_dual.append(True)
-            try:
-                return dual(self, d)
-            finally:
-                in_dual.pop()
+        def counting_pivot(self, e, slot, *args):
+            leaving = self.basic[slot]
+            if kind[0] == "cold":
+                counted = self.infinite[lp.AT_LO, e] and self.infinite[lp.AT_UP, e]
+            else:
+                counted = leaving < self.n_struct and self.infinite[:, leaving].any()
+            moved[kind[0]] += bool(counted)
+            return pivot(self, e, slot, *args)
 
         monkeypatch.setattr(lp._Simplex, "_pivot", counting_pivot)
-        monkeypatch.setattr(lp._Simplex, "_dual", tracked_dual)
         checked = 0
         for seed in (3, 4):
             for parent, child in free_children(seed):
-                warm, cold = solve_lp(child, warm=parent.basis), solve_lp(child)
+                kind[0] = "warm"
+                warm = solve_lp(child, warm=parent.basis)
+                kind[0] = "cold"
+                cold = solve_lp(child)
                 assert warm.status == cold.status
                 if cold.status == Status.OPTIMAL:
                     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
                     checked += 1
-        assert checked >= 150 and entered["dual"] >= 10 and entered["primal"] >= 100
+        assert checked >= 150 and moved["warm"] >= 10 and moved["cold"] >= 100
 
-    def test_bland_rule_reaches_the_same_optimum(self, monkeypatch):
+    def test_forced_stall_reaches_the_same_optimum(self, monkeypatch):
+        # with no pivots allowed without progress, the first degenerate
+        # pivot perturbs the costs; the solve still ends at the optimum
         rng = np.random.default_rng(6)
         probs = [random_free_lp(rng, degenerate=bool(k % 2)) for k in range(300)]
         expected = [solve_lp(prob) for prob in probs]
-        bland = []
-        solve = lp._Simplex.solve
+        perturbed = []
+        perturb = lp._Simplex._perturb
 
-        def recording(self, warm):
-            status = solve(self, warm)
-            bland.append(self.bland)
-            return status
+        def recording(self):
+            perturbed.append(True)
+            return perturb(self)
 
-        monkeypatch.setattr(lp._Simplex, "solve", recording)
-        monkeypatch.setattr(lp, "BLAND_AFTER", 0)
+        monkeypatch.setattr(lp._Simplex, "_perturb", recording)
+        monkeypatch.setattr(lp, "STALL_PIVOTS", 0)
+        stalled = 0
         for prob, want in zip(probs, expected):
+            perturbed.clear()
             got = solve_lp(prob)
+            stalled += bool(perturbed)
             assert got.status == want.status
             if want.status == Status.OPTIMAL:
                 assert got.objective_value == pytest.approx(want.objective_value, abs=1e-8)
-        assert sum(bland) >= 50
+                assert lp.duality_gap(prob, got) <= 1e-6
+        assert stalled >= 50
 
 
 class TestStatusMasks:
-    """The simplex's vectorized status repair, dual-feasibility test (no
-    entering column) and entering-column choice against the per-column rules
-    they implement."""
+    """The simplex's vectorized dual feasible statuses and entering-column
+    choice against the per-column rules they implement."""
 
     @staticmethod
-    def _default(lo, hi):
-        return lp.AT_LO if np.isfinite(lo) else lp.AT_UP if np.isfinite(hi) else lp.FREE
-
-    def _repaired(self, vstat, lo, hi):
-        out = vstat.copy()
-        for j, st in enumerate(vstat):
-            if ((st == lp.AT_LO and not np.isfinite(lo[j]))
-                    or (st == lp.AT_UP and not np.isfinite(hi[j]))
-                    or (st == lp.FREE and (np.isfinite(lo[j]) or np.isfinite(hi[j])))):
-                out[j] = self._default(lo[j], hi[j])
-        return out
+    def _simplex(rng, n):
+        """A simplex over n columns and one row, with random boxes, statuses
+        (column n basic) and directions."""
+        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
+        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
+        lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
+        simplex.box[lp.AT_LO] = lo
+        simplex.box[lp.AT_UP] = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
+        simplex.infinite = np.isinf(simplex.box)
+        simplex.movable = simplex.hi - simplex.lo > 1e-12
+        simplex.basic = np.array([n])
+        simplex.vstat = rng.integers(lp.AT_LO, lp.AT_UP + 1, size=n + 1)
+        simplex.vstat[n] = lp.BASIC
+        simplex.dirn = lp._DIRECTION[simplex.vstat] * simplex.movable
+        return simplex
 
     @staticmethod
-    def _dual_feasible(vstat, lo, hi, d):
-        for j, st in enumerate(vstat):
-            if st == lp.BASIC or not hi[j] - lo[j] > 1e-12:
-                continue
-            if ((st == lp.AT_LO and d[j] < -lp.OPT_TOL) or (st == lp.AT_UP and d[j] > lp.OPT_TOL)
-                    or (st == lp.FREE and abs(d[j]) > lp.OPT_TOL)):
-                return False
-        return True
+    def _side(basic, st, lo, hi, d):
+        if basic:
+            return lp.BASIC
+        if not hi - lo > 1e-12:
+            return st
+        if d > lp.OPT_TOL:
+            return lp.AT_LO
+        if d < -lp.OPT_TOL:
+            return lp.AT_UP
+        if st == lp.AT_UP and np.isfinite(hi) or st == lp.AT_LO and np.isfinite(lo):
+            return st
+        return lp.AT_UP if np.isfinite(hi) and not np.isfinite(lo) else lp.AT_LO
 
     def test_match_the_per_column_rules(self):
         rng = np.random.default_rng(21)
         n = 6
-        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
-        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
         outcomes = set()
         for _ in range(400):
-            lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
-            hi = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
-            vstat = rng.integers(0, 4, size=n + 1)
+            simplex = self._simplex(rng, n)
             d = rng.choice([0.0, 1e-8, -1e-8, 1.0, -1.0], p=[0.6, 0.1, 0.1, 0.1, 0.1],
                            size=n + 1)
-            simplex.lo, simplex.hi, simplex.vstat = lo, hi, vstat.copy()
-            simplex._repair_statuses()
-            np.testing.assert_array_equal(simplex.vstat, self._repaired(vstat, lo, hi))
-            # a basis is dual feasible exactly when its pricing finds no
-            # entering column
-            simplex.vstat = vstat
-            simplex._directions()
-            expected = self._dual_feasible(vstat, lo, hi, d)
-            assert (simplex._entering(d) is None) == expected
-            outcomes.add(expected)
+            side = simplex._statuses(d)
+            expected = [self._side(j == n, st, simplex.lo[j], simplex.hi[j], d[j])
+                        for j, st in enumerate(simplex.vstat)]
+            np.testing.assert_array_equal(side, expected)
+            # the statuses make the basis dual feasible
+            assert np.all(d * lp._DIRECTION[side] * simplex.movable >= -lp.OPT_TOL)
+            outcomes.add(bool((side != simplex.vstat).any()))
         assert outcomes == {True, False}
 
     @staticmethod
-    def _entering(vstat, lo, hi, d, bland):
-        best, best_score = None, lp.OPT_TOL
+    def _entering(vstat, movable, alpha, d, below):
+        ratios = {}
         for j, st in enumerate(vstat):
-            if st == lp.BASIC or not hi[j] - lo[j] > 1e-12:
+            if st == lp.BASIC or not movable[j]:
                 continue
-            score = -d[j] if st == lp.AT_LO else d[j] if st == lp.AT_UP else abs(d[j])
-            if score > best_score:
-                if bland:
-                    return j
-                best, best_score = j, score
-        return best
+            g = alpha[j] * (1.0 if st == lp.AT_LO else -1.0) * (-1.0 if below else 1.0)
+            if g > lp.ENTER_TOL:
+                ratios[j] = abs(d[j] / alpha[j])
+        if not ratios:
+            return None
+        least = min(ratios.values())
+        return min(j for j, r in ratios.items() if r <= least + 1e-12)
 
     def test_entering_column_matches_the_per_column_rule(self):
         rng = np.random.default_rng(22)
         n = 6
-        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
-        simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
         outcomes = set()
         for _ in range(400):
-            lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
-            hi = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
-            vstat = rng.integers(0, 4, size=n + 1)
-            d = rng.choice([0.0, 1e-8, -1e-8, 1.0, -1.0, 2.0, -2.0], size=n + 1)
-            simplex.lo, simplex.hi, simplex.vstat = lo, hi, vstat
-            simplex._directions()
-            for bland in (False, True):
-                simplex.bland = bland
-                expected = self._entering(vstat, lo, hi, d, bland)
-                assert simplex._entering(d) == expected
+            simplex = self._simplex(rng, n)
+            simplex.d = rng.choice([0.0, 1e-8, 1.0, 2.0], size=n + 1) * simplex.dirn
+            alpha = rng.choice([0.0, 1e-8, 1.0, -1.0, 2.0, -2.0], size=n + 1)
+            for below in (False, True):
+                expected = self._entering(simplex.vstat, simplex.movable, alpha, simplex.d, below)
+                assert simplex._entering(alpha, below) == expected
                 outcomes.add(expected is None)
         assert outcomes == {True, False}
 
