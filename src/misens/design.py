@@ -285,9 +285,10 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     Rows, in order: one labeling row-sum equality per point; two epigraph
     rows per (point, class); offset-ordering symmetry breaking; and a
     minimum class size of n_p + 1 points.  The variables are the models
-    (each parameter boxed by param_bound), the epigraph t and the labeling
-    z: the sensor's planes are the models' differences, so the program
-    needs no plane variables and no rows tying them to the models.  Raises
+    (each parameter boxed by param_bound), the epigraph t (boxed by big-M,
+    at least what any epigraph row asks) and the labeling z: the sensor's
+    planes are the models' differences, so the program needs no plane
+    variables and no rows tying them to the models.  Raises
     ValueError when big-M is below |y_i| + param_bound * (||x_i||_1 + 1) for
     some point i (data outside the unit box that `required_big_m` assumes).
     """
@@ -334,7 +335,7 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     lo = np.full(lay.n_vars, -cfg.param_bound)
     hi = np.full(lay.n_vars, cfg.param_bound)
     for i in range(n):
-        lo[lay.t(i)], hi[lay.t(i)] = 0.0, np.inf
+        lo[lay.t(i)], hi[lay.t(i)] = 0.0, big_m
     for j in lay.binaries:
         lo[j], hi[j] = 0.0, 1.0
     base = LinearProgram(objective, cons, lo, hi)
@@ -554,21 +555,23 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
                      ) -> LabelingMatrix | None:
     """Multi-start L1 descent used to seed the labeling MILP.
 
-    Starts from the given labeling, structured split-and-merge variants of
-    it, and seeded random perturbations; every start is polished by
-    `_l1_descent` and the best per-class LAD objective wins.  Returns None
-    when the instance is too small to keep every class identifiable.  Only
-    a hint source: the MILP still owns optimality.  `memo`, when given,
-    holds the class fits to reuse and receives the new ones.
+    Starts from structured split-and-merge variants of the given labeling
+    and from seeded random perturbations of it; every start is polished by
+    `_l1_descent` and the best per-class LAD objective wins.  The labeling
+    itself is no start: polished, it won none of the benchmark draws.
+    Returns None when the instance is too small to keep every class
+    identifiable.  Only a hint source: the MILP still owns optimality.
+    `memo`, when given, holds the class fits to reuse and receives the new
+    ones.
     """
     n, n_p, n_cl = train.n, train.n_p, labels.n_cl
     if n_cl * (n_p + 1) > n:
         return None
-    starts = [labels.assignments()]
-    starts.extend(_split_merge_starts(train, labels))
+    base = labels.assignments()
+    starts = _split_merge_starts(train, labels)
     rng = np.random.default_rng([seed, 7])
     for _ in range(RANDOM_STARTS):
-        pert = starts[0].copy()
+        pert = base.copy()
         flip = rng.choice(n, size=max(2, n // 5), replace=False)
         pert[flip] = rng.integers(1, n_cl + 1, size=flip.size)
         starts.append(pert)

@@ -1,4 +1,4 @@
-"""Linear programming over bounded variables by the bounded dual simplex.
+"""Linear programming over boxed variables by the bounded dual simplex.
 
 Constraints are held in equality form with one slack per row.  The basis
 inverse is kept explicitly and refactorized periodically; the reduced
@@ -6,33 +6,38 @@ costs are carried from pivot to pivot with each pivot's row of B^-1 A
 (Koberstein, *The dual simplex method, techniques for a fast and stable
 implementation*, 2005).
 
+Every variable has a finite box (`LinearProgram.validate` refuses any
+other), so an LP is infeasible or has an optimum.  An inequality row's
+slack is bounded on one side only; `compile_lp` gives its other side a
+stand-in that cuts nothing, the range of the row over the compiled box
+(rhs - min a'v for a `<=` row, rhs - max a'v for a `>=` row, clamped at
+0).  A nonbasic slack whose reduced cost picks that side rests there; the
+leaving-row test keeps the real boxes.  A solve's bounds must lie within
+the compiled box, which branch and bound only tightens.
+
 There is one method.  Any basis is dual feasible once each nonbasic column
 rests on the bound that the sign of its reduced cost picks, so a solve
 prices its starting basis, puts the columns there and runs the dual
 simplex until the basic values lie in their boxes.  A cold solve starts
 from the all-slack basis (inverse = I), a warm one from the caller's
 Basis; a Basis that does not fit (shapes, ranges, a repeated column) is
-replaced by the slack basis.  An infinite bound a column must rest on gets
-an artificial one, ARTIFICIAL_BOUND out.  When no column can enter, the
-row is formed again from a refactorized inverse: if its reach over the
-real boxes falls short of the violated bound by more than FEAS_TOL, it is
-a Farkas certificate (INFEASIBLE), else the pivot is the usable column of
-largest |alpha|.  When the dual objective stalls for STALL_PIVOTS pivots,
-the nonbasic costs are perturbed.  At the dual's optimum the basic values
-must reproduce the right-hand side, the basis is priced afresh with the
-true costs, and a wrong-signed reduced cost moves its column to the other
-bound and the dual runs again.  A column left on an artificial bound is a
-ray: UNBOUNDED when it lowers the cost and meets no finite bound of a
-basic column, else the artificial bounds widen by ARTIFICIAL_GROWTH.
+replaced by the slack basis.  When no column can enter, the row is formed
+again from a refactorized inverse: if its reach over the real boxes falls
+short of the violated bound by more than FEAS_TOL, it is a Farkas
+certificate (INFEASIBLE), else the pivot is the usable column of largest
+|alpha|.  When the dual objective stalls for STALL_PIVOTS pivots, the
+nonbasic costs are perturbed.  At the dual's optimum the basic values must
+reproduce the right-hand side, the basis is priced afresh with the true
+costs, and a wrong-signed reduced cost moves its column to the other bound
+and the dual runs again.
 
 An optimal Basis carries its inverse in read-only arrays, shared by the
 children of a branch-and-bound node; a child copies it at its first pivot
 and refactorizes only when the basic values it gives, or the inverse itself
 (Freivalds' check), fail a residual test.  Under an objective `cutoff` the
 cost of each iterate is a lower bound on the optimum while the costs are
-true, the basis dual feasible and no column on an artificial bound; once
-it reaches the cutoff, confirmed by the exact cost, the solve stops with
-Status.CUTOFF and no solution.
+true and the basis dual feasible; once it reaches the cutoff, confirmed by
+the exact cost, the solve stops with Status.CUTOFF and no solution.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ ENTER_TOL = 1e-7  # least |alpha| of an entering column in the ratio test
 REFACTOR_EVERY = 128
 STALL_PIVOTS = 40  # dual pivots without progress before the costs are perturbed
 PERTURBATION = 1e-6  # relative size of the cost perturbation
-ARTIFICIAL_BOUND = 1e6
-ARTIFICIAL_GROWTH = 1e3
 
 # column status codes
 BASIC, AT_LO, AT_UP = 0, 1, 2
@@ -72,7 +75,6 @@ class SimplexStalledError(RuntimeError):
 class Status(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
     CUTOFF = "cutoff"  # the dual simplex proved the optimum >= the cutoff
 
 
@@ -97,7 +99,8 @@ class Constraint:
 
 @dataclass
 class LinearProgram:
-    """min objective @ v subject to constraints and lower <= v <= upper."""
+    """min objective @ v subject to constraints and lower <= v <= upper,
+    every bound finite."""
 
     objective: np.ndarray
     constraints: list[Constraint]
@@ -123,8 +126,9 @@ class LinearProgram:
             raise ValueError("objective has non-finite coefficients")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds length must match the number of variables")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
-            raise ValueError("bounds may be infinite but not NaN")
+        bad = ~(np.isfinite(self.lower) & np.isfinite(self.upper))
+        if bad.any():
+            raise ValueError(f"variable {int(bad.argmax())} has a non-finite bound")
         if np.any(self.lower > self.upper):
             j = int(np.nonzero(self.lower > self.upper)[0][0])
             raise ValueError(f"variable {j} has lower bound above upper bound")
@@ -185,8 +189,12 @@ class CompiledLp:
     a: np.ndarray          # m x (n_struct + m), structural columns then slack identity
     rhs: np.ndarray
     cost: np.ndarray       # extended, slacks cost 0
+    lower: np.ndarray      # the structural box; a solve's bounds must lie within it
+    upper: np.ndarray
     slack_lo: np.ndarray
     slack_hi: np.ndarray
+    implied_lo: np.ndarray  # slack boxes, each infinite side the row's range over the box
+    implied_hi: np.ndarray
     n_struct: int
     m: int
 
@@ -195,22 +203,21 @@ def compile_lp(prob: LinearProgram) -> CompiledLp:
     prob.validate()
     n, m = prob.n_vars, prob.n_rows
     a = np.zeros((m, n + m))
-    rhs = np.empty(m)
-    slack_lo = np.empty(m)
-    slack_hi = np.empty(m)
     for k, con in enumerate(prob.constraints):
         for i, v in con.coeffs:
             a[k, i] += v
-        a[k, n + k] = 1.0
-        rhs[k] = con.rhs
-        if con.sense == "<=":
-            slack_lo[k], slack_hi[k] = 0.0, np.inf
-        elif con.sense == ">=":
-            slack_lo[k], slack_hi[k] = -np.inf, 0.0
-        else:
-            slack_lo[k], slack_hi[k] = 0.0, 0.0
+    a[:, n:] = np.eye(m)
+    rhs = np.array([con.rhs for con in prob.constraints], dtype=float)
+    sense = np.array([con.sense for con in prob.constraints], dtype="U2")
+    le, ge = sense == "<=", sense == ">="
+    rows = a[:, :n]
+    least = np.where(rows > 0, rows * prob.lower, rows * prob.upper).sum(axis=1)
+    most = np.where(rows > 0, rows * prob.upper, rows * prob.lower).sum(axis=1)
     cost = np.concatenate([prob.objective, np.zeros(m)])
-    return CompiledLp(a, rhs, cost, slack_lo, slack_hi, n, m)
+    return CompiledLp(a, rhs, cost, prob.lower.copy(), prob.upper.copy(),
+                      np.where(ge, -np.inf, 0.0), np.where(le, np.inf, 0.0),
+                      np.where(ge, np.minimum(rhs - most, 0.0), 0.0),
+                      np.where(le, np.maximum(rhs - least, 0.0), 0.0), n, m)
 
 
 @functools.lru_cache(maxsize=16)
@@ -244,9 +251,11 @@ class _Simplex:
         self.lo, self.hi = self.box[AT_LO], self.box[AT_UP]
         self.lo[:self.n_struct], self.lo[self.n_struct:] = lower, comp.slack_lo
         self.hi[:self.n_struct], self.hi[self.n_struct:] = upper, comp.slack_hi
-        self.infinite = np.isinf(self.box)
         self.movable = (self.hi - self.lo) > 1e-12
-        self._set_rest(ARTIFICIAL_BOUND)  # self.rest: the box, artificial bounds for infinite ones
+        # where a nonbasic column rests: its box, a slack's implied bounds
+        self.rest = self.box.copy()
+        self.rest[AT_LO, self.n_struct:] = comp.implied_lo
+        self.rest[AT_UP, self.n_struct:] = comp.implied_hi
         self.cost = comp.cost  # perturbed into a copy while the dual stalls
         self.true_cost = comp.cost
         self.rhs = comp.rhs
@@ -264,24 +273,11 @@ class _Simplex:
         self.y = None  # B^-T c_B of the last pricing, None after a pivot
         self.dirn = None  # _DIRECTION of each movable column's status, else 0
         # the cost of an iterate bounds the optimum from below: the costs are
-        # true and the basis is dual feasible (columns on artificial bounds
-        # aside, which the cutoff test checks)
+        # true and the basis is dual feasible
         self.bounding = True
-        # a nonbasic column rests on an artificial bound, or did since beta
-        # was last formed
-        self.artificial_seen = False
         self.outer = np.empty((self.m, self.m))  # rank-1 term of each pivot
 
     # -- state helpers ------------------------------------------------------
-
-    def _set_rest(self, reach: float) -> None:
-        """Where a nonbasic column rests, by status: its bound, or for an
-        infinite bound an artificial one `reach` beyond 0 or beyond the
-        column's other bound, whichever is farther out."""
-        self.rest = self.box.copy()
-        np.copyto(self.rest[AT_LO], np.minimum(self.hi, 0.0) - reach, where=self.infinite[AT_LO])
-        np.copyto(self.rest[AT_UP], np.maximum(self.lo, 0.0) + reach, where=self.infinite[AT_UP])
-        self.reach = reach
 
     def _nonbasic_values(self) -> np.ndarray:
         """x_N: each column at the bound its status names, 0 when basic."""
@@ -381,27 +377,26 @@ class _Simplex:
     def _statuses(self, d: np.ndarray) -> np.ndarray:
         """The dual feasible statuses for reduced costs d: each movable
         nonbasic column on the bound the sign of its reduced cost picks (a
-        near-0 one keeps its bound unless that is infinite and the other is
-        not); a fixed column keeps its bound."""
+        near-0 one keeps its bound); a fixed column keeps its bound."""
         vstat = self.vstat
-        fin_lo, fin_hi = ~self.infinite[AT_LO], ~self.infinite[AT_UP]
-        up = (d < -OPT_TOL) | ((d <= OPT_TOL) & fin_hi & ((vstat == AT_UP) | ~fin_lo))
+        up = (d < -OPT_TOL) | ((d <= OPT_TOL) & (vstat == AT_UP))
         return np.where(self.movable & (vstat != BASIC), np.where(up, AT_UP, AT_LO), vstat)
 
     def _price_statuses(self) -> bool:
         """Price the basis with the true costs and make it dual feasible
-        (_statuses).  True when a status changed; beta is then formed
-        afresh."""
+        (_statuses).  True when a status changed, or when prices that miss 0
+        on a basic column by more than OPT_TOL (a wrong inverse, which the
+        beta residual misses where beta is 0) made it refactorize."""
         self.cost = self.true_cost
         self.d = self._reduced_costs()
         self.bounding = True
-        self.artificial_seen = bool(self.infinite[self.vstat, _columns(self.n_cols)].any())
-        if (self.x is not None and not self.artificial_seen
-                and not (self.d * self.dirn < -OPT_TOL).any()):
+        stale = self.x is not None and bool((np.abs(self.d[self.basic]) > OPT_TOL).any())
+        if stale:
+            self._refactorize()
+        elif self.x is not None and not (self.d * self.dirn < -OPT_TOL).any():
             return False  # dual feasible as it stands
         side = self._statuses(self.d)
-        self.artificial_seen = bool(self.infinite[side, _columns(self.n_cols)].any())
-        changed = self.x is None or not np.array_equal(side, self.vstat)
+        changed = stale or self.x is None or not np.array_equal(side, self.vstat)
         self.vstat = side
         self.dirn = _DIRECTION[side] * self.movable
         if changed:
@@ -469,9 +464,8 @@ class _Simplex:
             if viol[slot] <= FEAS_TOL:
                 break
             # the carried dual objective drifts, so the exact cost confirms it;
-            # only the true costs on real bounds give a lower bound
+            # only the true costs give a lower bound
             if (dual_obj >= self.cutoff and self.bounding
-                    and not self.infinite[self.vstat, _columns(self.n_cols)].any()
                     and float(self.cost @ self._full_values()) >= self.cutoff):
                 return Status.CUTOFF
             if dual_obj > last_dual_obj + 1e-12 * max(1.0, abs(last_dual_obj)):
@@ -552,6 +546,8 @@ class _Simplex:
     # -- driver --------------------------------------------------------------
 
     def solve(self, warm: Basis | None) -> Status:
+        """Run the dual until its optimum reproduces the right-hand side and
+        a fresh pricing with the true costs moves no column."""
         if warm is None or not self._try_warm_start(warm):
             self._slack_basis()
         self._price_statuses()
@@ -559,45 +555,10 @@ class _Simplex:
             status = self._dual()
             if status != Status.OPTIMAL:
                 return status
-            status = self._finish()
-            if status is not None:
-                return status
-
-    def _finish(self) -> Status | None:
-        """Check the dual's optimum: OPTIMAL or UNBOUNDED, or None when the
-        dual must run again from fresh basic values."""
-        # beta carried values the size of any artificial bounds and lost
-        # digits to them: it is formed afresh then, and its boxes tested again
-        accurate = self._reproduces(self._set_values(fresh=self.artificial_seen))
-        if accurate and self.artificial_seen:
-            lo_b, hi_b = self.lo[self.basic], self.hi[self.basic]
-            if np.maximum(lo_b - self.beta, self.beta - hi_b).max(initial=0.0) > FEAS_TOL:
-                return None
-        if not accurate:
-            self._refactorize()
-            return None
-        if self._price_statuses():
-            return None  # a reduced cost had the wrong sign for its bound
-        ray_cols = np.flatnonzero(self.infinite[self.vstat, _columns(self.n_cols)])
-        if not ray_cols.size:
-            return Status.OPTIMAL
-        # each column's ray leaves its artificial bound outwards, against
-        # dirn_j: the basic values move by dirn_j w_j per unit, and meet a
-        # finite bound when they move towards it
-        move = (self.binv @ self.a[:, ray_cols]) * self.dirn[ray_cols]
-        lo_b, hi_b = self.lo[self.basic], self.hi[self.basic]
-        meets = (((move > PIVOT_TOL) & np.isfinite(hi_b)[:, None])
-                 | ((move < -PIVOT_TOL) & np.isfinite(lo_b)[:, None])).any(axis=0)
-        if (~meets & (np.abs(self.d[ray_cols]) > OPT_TOL)).any():
-            if self.pivots_since_refactor:
-                self._refactorize()  # the proof takes a fresh inverse
-                return None
-            return Status.UNBOUNDED
-        if not meets.any():
-            return Status.OPTIMAL  # the rays cost nothing
-        self._set_rest(self.reach * ARTIFICIAL_GROWTH)
-        self._set_values()
-        return None
+            if not self._reproduces(self._set_values(fresh=False)):
+                self._refactorize()
+            elif not self._price_statuses():
+                return Status.OPTIMAL
 
     def export_basis(self) -> Basis:
         """The final basis with the working inverse attached, not copied:
@@ -611,9 +572,12 @@ class _Simplex:
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
                    cutoff: float = np.inf) -> LpSolution:
     """Solve the compiled LP over the given bounds; see the module docstring.
-    Status.CUTOFF, like INFEASIBLE and UNBOUNDED, comes with no solution."""
+    Status.CUTOFF, like INFEASIBLE, comes with no solution.  Raises
+    ValueError on bounds outside the compiled box."""
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
+    if not (np.all(lower >= comp.lower) and np.all(upper <= comp.upper)):
+        raise ValueError("bounds must lie within the box the LP was compiled with")
     s = _Simplex(comp, lower, upper, 50 * (comp.n_struct + comp.m), cutoff)
     status = s.solve(warm)
     counters = dict(iterations=s.iterations, refactorizations=s.refactorizations)
@@ -633,14 +597,18 @@ def solve_lp(prob: LinearProgram, warm: Basis | None = None) -> LpSolution:
 
 
 def duality_gap(prob: LinearProgram, sol: LpSolution) -> float:
-    """|primal - dual| with the bound terms of bounded-variable duality included."""
+    """|primal - dual| for bounded-variable duality: the row duals times the
+    rhs, plus each column's reduced cost times the bound it is at, a slack's
+    implied bound included (its reduced cost is minus its row's dual)."""
     if sol.status != Status.OPTIMAL:
         raise ValueError("duality gap is defined for optimal solutions only")
-    rhs = np.array([c.rhs for c in prob.constraints])
-    dual_obj = float(sol.dual_values @ rhs) if rhs.size else 0.0
-    # at-bound contribution: active bound times its multiplier
-    d, v, lo, hi = sol.reduced_costs, sol.values, prob.lower, prob.upper
-    at_lo = (d > 0) & np.isfinite(lo) & (v <= lo + 1e-6)
-    at_hi = (d < 0) & np.isfinite(hi) & (v >= hi - 1e-6)
-    dual_obj += float(d[at_lo] @ lo[at_lo] + d[at_hi] @ hi[at_hi])
+    comp = compile_lp(prob)
+    y, n = sol.dual_values, comp.n_struct
+    d = np.concatenate([sol.reduced_costs, -y])
+    v = np.concatenate([sol.values, comp.rhs - comp.a[:, :n] @ sol.values])
+    lo = np.concatenate([prob.lower, comp.implied_lo])
+    hi = np.concatenate([prob.upper, comp.implied_hi])
+    at_lo = (d > 0) & (v <= lo + 1e-6)
+    at_hi = (d < 0) & (v >= hi - 1e-6)
+    dual_obj = float(y @ comp.rhs) + float(d[at_lo] @ lo[at_lo] + d[at_hi] @ hi[at_hi])
     return abs(sol.objective_value - dual_obj)

@@ -11,6 +11,11 @@ fully deterministic: node order depends only on the instance and the
 limits, never on wall-clock time (a time limit, when set, naturally breaks
 run-to-run reproducibility).
 
+Every variable is boxed (the LP layer refuses an infinite bound), so the
+root relaxation is infeasible or has an optimum.  The LP is compiled once
+over the program's box; a node only tightens it, fixing binaries, so the
+slacks' implied bounds of that compilation hold at every node.
+
 Each node LP gets the incumbent (less CUTOFF_TOL) as its objective cutoff:
 the dual simplex, warm or cold, stops with Status.CUTOFF as soon as the
 cost of a still infeasible iterate, a lower bound, reaches it, and the node
@@ -210,8 +215,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     root_sol = solve_compiled(comp, lower, upper)
     if root_sol.status == Status.INFEASIBLE:
         return MipResult(MipStatus.INFEASIBLE, None, None, np.inf, 1, np.inf)
-    if root_sol.status == Status.UNBOUNDED:
-        raise RuntimeError("unbounded LP relaxation")
 
     nodes_explored = 1
     node_lps_cut_off = 0

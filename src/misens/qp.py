@@ -23,6 +23,8 @@ the minimum with those rows held at equality, with multipliers
 u0 = R^{-1} J1'(Q x0 + c).  It keeps that start only when the rows are
 independent and u0 >= 0, which makes it dual feasible; otherwise it starts
 at the unconstrained minimum, so the answer never depends on the offer.
+That minimum is the same start with no rows: the complete QR of an n x 0
+block is H = I, so J stays L^{-T} and x0 = -J J' c.
 The start's factorization is no step: `iterations` counts full and partial
 steps only.
 """
@@ -136,15 +138,13 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
                          f"{PD_TOL:g} of its largest diagonal entry)")
     j_mat = linalg.solve_upper(l_mat.T, np.eye(n))
     abs_g, abs_h = np.abs(g), np.abs(h) + 1.0
-    start = _warm_start(j_mat, c, g, h, rows) if rows.size else None
+    # with no rows, the start is the unconstrained minimum -J J' c
+    start = _warm_start(j_mat, c, g, h, rows)
     if start is None:
-        x = -j_mat @ (j_mat.T @ c)
-        r_mat = np.zeros((0, 0))
-        active = []
-        u = np.zeros(0)          # multipliers of the active rows
-    else:
-        j_mat, r_mat, x, u = start
-        active = rows.tolist()
+        rows = rows[:0]
+        start = _warm_start(j_mat, c, g, h, rows)
+    j_mat, r_mat, x, u = start   # u: the multipliers of the active rows
+    active = rows.tolist()
     is_active = np.zeros(g.shape[0], dtype=bool)
     is_active[active] = True
     iterations = 0               # steps taken

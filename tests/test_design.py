@@ -21,7 +21,7 @@ from misens.design import (
     labeling_l1_objective,
     required_big_m,
 )
-from misens.lp import Constraint, LinearProgram, Status, solve_lp
+from misens.lp import OPT_TOL, Constraint, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
 from misens.study import ScenarioConfig, generate_scenario
 
@@ -74,7 +74,9 @@ def l1_oracle_over_labelings(train, cfg):
 
     The reduced LP keeps what actually constrains the optimum: epigraph rows
     for the assigned class and the parameter boxes.  Symmetry rows are
-    omitted because the enumeration covers all permutations anyway.
+    omitted because the enumeration covers all permutations anyway.  Each
+    t_i is boxed one unit above the largest residual the parameter boxes
+    allow at point i, and stays below that box at the optimum.
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     pb = cfg.param_bound
@@ -110,10 +112,14 @@ def l1_oracle_over_labelings(train, cfg):
         hi = np.full(nv, pb)
         for i in range(n):
             c[t(i)] = 1.0
-            lo[t(i)], hi[t(i)] = 0.0, np.inf
+            reach = abs(train.outputs[i]) + pb * (np.abs(train.inputs[i]).sum() + 1.0)
+            lo[t(i)], hi[t(i)] = 0.0, reach + 1.0
         sol = solve_lp(LinearProgram(c, cons, lo, hi))
-        if sol.status == Status.OPTIMAL and (best is None or sol.objective_value < best):
-            best = sol.objective_value
+        if sol.status == Status.OPTIMAL:
+            ts = [t(i) for i in range(n)]
+            assert np.all(sol.values[ts] < hi[ts])
+            if best is None or sol.objective_value < best:
+                best = sol.objective_value
     return best
 
 
@@ -381,6 +387,31 @@ class TestMilpBuild:
         res = solve_milp(build_mis_con_lab_milp(train, cfg))
         assert res.status == MipStatus.OPTIMAL
         assert res.objective_value == pytest.approx(oracle, abs=1e-6)
+        # t_i <= big-M binds nothing
+        ts = [VariableLayout(train.n, train.n_p, n_cl).t(i) for i in range(train.n)]
+        assert np.all(res.values[ts] < required_big_m(cfg.param_bound, train.n_p))
+
+    def test_bounds_are_finite_and_the_hint_stays_inside(self, monkeypatch):
+        # the capped benchmark's draw: uniform-30, seed 1, n_cl = 3.  Every
+        # t_i is boxed by big-M, which the hint's t_i stay below
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        cfg = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=1))
+        program = build_mis_con_lab_milp(train, cfg)
+        assert np.all(np.isfinite(program.base.lower)) and np.all(np.isfinite(program.base.upper))
+        big_m = required_big_m(cfg.param_bound, train.n_p)
+        ts = [VariableLayout(train.n, train.n_p, cfg.n_cl).t(i) for i in range(train.n)]
+        assert np.all(program.base.upper[ts] == big_m)
+        hints = []
+        solve = design.solve_milp
+
+        def recording(prob, limits=None, incumbent_hint=None, log_interval=0):
+            hints.append(incumbent_hint)
+            return solve(prob, limits, incumbent_hint, log_interval)
+
+        monkeypatch.setattr(design, "solve_milp", recording)
+        design_mis_con_lab(train, cfg)
+        assert len(hints) == 1 and hints[0] is not None
+        assert np.all(hints[0][ts] >= 0.0) and np.all(hints[0][ts] < big_m)
 
 
 class TestOrderLabels:
@@ -503,8 +534,12 @@ def lad_l1(model, inputs, outputs):
 
 def epigraph_lad_optimum(inputs, outputs):
     """The LAD optimum from the primal epigraph LP over (p, b, t):
-    min sum t subject to t_i >= +-(y_i - x_i p - b)."""
+    min sum t subject to t_i >= +-(y_i - x_i p - b).  p and b are boxed by
+    1e4, and t_i by the largest residual that box allows; the box binds
+    nothing at the optimum: each t_i stays below its box, and a p or b on
+    its box has a reduced cost within OPT_TOL."""
     n, d = inputs.shape
+    bound = 1e4
     cons = []
     for i in range(n):
         row = {j: float(inputs[i, j]) for j in range(d)}
@@ -513,9 +548,15 @@ def epigraph_lad_optimum(inputs, outputs):
         cons.append(Constraint.of({**{j: -v for j, v in row.items()}, d + 1 + i: 1.0},
                                   ">=", float(-outputs[i])))
     c = np.concatenate([np.zeros(d + 1), np.ones(n)])
-    lo = np.concatenate([np.full(d + 1, -np.inf), np.zeros(n)])
-    sol = solve_lp(LinearProgram(c, cons, lo, np.full(d + 1 + n, np.inf)))
+    reach = np.abs(outputs) + bound * (np.abs(inputs).sum(axis=1) + 1.0)
+    lo = np.concatenate([np.full(d + 1, -bound), np.zeros(n)])
+    hi = np.concatenate([np.full(d + 1, bound), reach])
+    sol = solve_lp(LinearProgram(c, cons, lo, hi))
     assert sol.status == Status.OPTIMAL
+    v, head = sol.values, slice(0, d + 1)
+    assert np.all(v[d + 1:] < reach)
+    on_box = np.abs(v[head]) >= bound - 1e-9
+    assert np.all(np.abs(sol.reduced_costs[head][on_box]) <= OPT_TOL)
     return sol.objective_value
 
 

@@ -223,3 +223,13 @@ def test_qr_columns_matches_the_appends():
         assert np.allclose(np.abs(r), np.abs(r_seq), rtol=1e-10, atol=1e-12)
     with pytest.raises(linalg.LinAlgError, match="cannot factor"):
         linalg.qr_columns(np.eye(2), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_qr_columns_of_no_columns_leaves_q_as_it_is(m):
+    # LAPACK's complete QR of an m x 0 block is H = I, so Q H is Q to the
+    # bit: solve_qp's unconstrained start is its warm start with no rows
+    rng = np.random.default_rng(m)
+    for q0 in (np.eye(m), rng.normal(size=(m, m))):
+        q, r = linalg.qr_columns(q0, np.zeros((m, 0)))
+        assert np.array_equal(q, q0) and r.shape == (0, 0)

@@ -111,10 +111,15 @@ def branch_children(seed, tries=150):
         yield sol, child
 
 
+# the box of random_free_lp's free variables, wider than the rows keep them in
+WIDE = 10.0
+
+
 def random_free_lp(rng, degenerate=False):
-    """random_lp with about half its variables free, each kept in [-2, 2] by
-    two rows, and half of those at zero cost.  `degenerate` sets the rhs of
-    random_lp's rows to 0, so that many of them meet at the origin."""
+    """random_lp with about half its variables free: boxed in [-WIDE, WIDE]
+    but each kept in [-2, 2] by two rows, and half of those at zero cost.
+    `degenerate` sets the rhs of random_lp's rows to 0, so that many of them
+    meet at the origin."""
     prob = random_lp(rng)
     if degenerate:
         prob.constraints = [Constraint(con.coeffs, con.sense, 0.0) for con in prob.constraints]
@@ -123,7 +128,7 @@ def random_free_lp(rng, degenerate=False):
     c = prob.objective.copy()
     c[free & (rng.random(n) < 0.5)] = 0.0
     lo, hi = prob.lower.copy(), prob.upper.copy()
-    lo[free], hi[free] = -np.inf, np.inf
+    lo[free], hi[free] = -WIDE, WIDE
     cons = list(prob.constraints)
     for j in np.nonzero(free)[0]:
         cons.append(Constraint.of({int(j): 1.0}, "<=", 2.0))
@@ -133,7 +138,8 @@ def random_free_lp(rng, degenerate=False):
 
 def free_children(seed, tries=300):
     """branch_children for random_free_lp: a free variable gets a bound half
-    a unit past its parent value, a bounded one is fixed at one of its ends."""
+    a unit past its parent value, a bounded one is fixed at one of its ends;
+    the rows keep every free variable off its wide box."""
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         prob = random_free_lp(rng)
@@ -143,7 +149,7 @@ def free_children(seed, tries=300):
         j = int(rng.integers(prob.n_vars))
         child = LinearProgram(prob.objective, prob.constraints,
                               prob.lower.copy(), prob.upper.copy())
-        if not np.isfinite(prob.lower[j]):
+        if prob.lower[j] == -WIDE:
             if rng.random() < 0.5:
                 child.lower[j] = sol.values[j] + 0.5
             else:
@@ -231,10 +237,11 @@ class TestBasics:
 
     def test_segment_optimum(self):
         prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.0)],
-                       [0.0, 0.0], [np.inf, np.inf])
+                       [0.0, 0.0], [10.0, 10.0])
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+        assert np.all(sol.values < prob.upper)  # the row binds, not the box
 
     def test_infeasible_witness(self):
         prob = make_lp([1.0], [({0: 1.0}, ">=", 5.0), ({0: 1.0}, "<=", 1.0)],
@@ -246,26 +253,47 @@ class TestBasics:
                        [0.0, 0.0], [1.0, 1.0])
         assert_infeasible(prob)
 
-    def test_unbounded_witness(self):
-        prob = make_lp([-1.0], [({0: 1.0}, ">=", 0.0)], [0.0], [np.inf])
-        assert solve_lp(prob).status == Status.UNBOUNDED
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_validate_refuses_non_finite_bounds(self, side, value):
+        # an LP is boxed: one that could be unbounded, or has a free column,
+        # is refused before any solve, naming the first such variable
+        prob = make_lp([-1.0, 1.0, 0.0], [({1: 1.0}, ">=", 0.0)],
+                       [0.0, -1.0, 0.0], [1.0, 1.0, 1.0])
+        getattr(prob, side)[1:] = value
+        with pytest.raises(ValueError, match="variable 1 has a non-finite bound"):
+            solve_lp(prob)
+        with pytest.raises(ValueError, match="variable 1 has a non-finite bound"):
+            lp.compile_lp(prob)
 
-    def test_optimum_past_the_artificial_bound(self):
-        # x rests on its artificial upper bound first; its ray meets the
-        # row's slack bound, so the bound widens and the row then binds
-        prob = make_lp([-1.0], [({0: 1.0}, "<=", 5e6)], [0.0], [np.inf])
-        sol = solve_lp(prob)
-        assert 5e6 > lp.ARTIFICIAL_BOUND
+    def test_bounds_outside_the_compiled_box_are_refused(self):
+        # the slacks' implied bounds hold over the compiled box only
+        prob = make_lp([1.0, 1.0], [({0: 1.0, 1: 1.0}, ">=", 1.0)],
+                       [0.0, 0.0], [2.0, 2.0])
+        comp = lp.compile_lp(prob)
+        inside = lp.solve_compiled(comp, [0.0, 1.0], [1.0, 1.0])
+        assert inside.status == Status.OPTIMAL
+        for lower, upper in (([-1.0, 0.0], [2.0, 2.0]), ([0.0, 0.0], [2.0, 3.0]),
+                             ([0.0, np.nan], [2.0, 2.0]), ([0.0, 0.0], [np.inf, 2.0])):
+            with pytest.raises(ValueError, match="compiled with"):
+                lp.solve_compiled(comp, lower, upper)
+
+    def test_slack_on_its_implied_bound_closes_the_duality_gap(self):
+        # max x + y over the unit box with x + y >= 0: the optimum (1, 1)
+        # puts the row at its range's top, so the slack s = -(x + y) sits on
+        # its implied bound -2.  From a basis with x basic and s nonbasic
+        # there, the row dual is -1 and s's reduced cost 1; the dual
+        # objective needs the term 1 * (-2) of that bound
+        prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 1.0}, ">=", 0.0)],
+                       [0.0, 0.0], [1.0, 1.0])
+        comp = lp.compile_lp(prob)
+        assert comp.implied_lo[0] == -2.0 and comp.implied_hi[0] == 0.0
+        sol = solve_lp(prob, warm=lp.Basis([0], [lp.BASIC, lp.AT_UP, lp.AT_LO]))
         assert sol.status == Status.OPTIMAL
-        assert sol.objective_value == pytest.approx(-5e6, abs=1e-9)
+        assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
+        assert sol.basis.status[2] == lp.AT_LO and sol.dual_values[0] < -lp.OPT_TOL
         assert lp.duality_gap(prob, sol) <= 1e-9
-
-    def test_free_variable(self):
-        prob = make_lp([1.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 2.0)],
-                       [-np.inf, -1.0], [np.inf, 1.0])
-        sol = solve_lp(prob)
-        assert sol.status == Status.OPTIMAL
-        assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
+        assert solve_lp(prob).objective_value == pytest.approx(-2.0, abs=1e-12)
 
     def test_equality_row(self):
         prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0)],
@@ -276,7 +304,8 @@ class TestBasics:
     def test_iteration_cap_raises_stalled(self):
         prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 2.0}, "<=", 4.0),
                                       ({0: 2.0, 1: 1.0}, "<=", 4.0)],
-                       [0.0, 0.0], [np.inf, np.inf])
+                       [0.0, 0.0], [10.0, 10.0])
+        assert np.all(solve_lp(prob).values < prob.upper)  # the rows bind, not the box
         # solve_lp's cap is 50 (n + m); set a cap of 1 on the simplex itself
         with pytest.raises(lp.SimplexStalledError, match="stalled"):
             lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 1).solve(None)
@@ -515,7 +544,7 @@ class TestPhaseOne:
 
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_bound_past_a_row_is_infeasible(self, c):
-        prob = make_lp([c], [({0: 1.0}, "<=", 1000.0)], [1000.00001], [np.inf])
+        prob = make_lp([c], [({0: 1.0}, "<=", 1000.0)], [1000.00001], [2000.0])
         assert_infeasible(prob)
 
     def test_redundant_equalities_keep_the_inverse(self, inverted):
@@ -826,13 +855,13 @@ class TestCutoff:
 
 
 class TestFreeColumnsAndStalls:
-    """No benchmark LP has a free column: a free column rests on an
-    artificial bound until it enters.  A stalled dual perturbs the costs."""
+    """Free columns, boxed wide of the rows that hold them, and stalls: a
+    free column rests on its wide box until it enters.  A stalled dual
+    perturbs the costs."""
 
     def test_warm_children_match_the_cold_solve(self, monkeypatch):
-        # a free column enters the cold solves off its artificial bound; in
-        # the warm ones it is basic already, and leaves at the bound its
-        # child gives it
+        # a free column enters the cold solves off its wide box; in the warm
+        # ones it is basic already, and leaves at the bound its child gives it
         moved = {"warm": 0, "cold": 0}
         kind = ["cold"]
         pivot = lp._Simplex._pivot
@@ -840,9 +869,10 @@ class TestFreeColumnsAndStalls:
         def counting_pivot(self, e, slot, *args):
             leaving = self.basic[slot]
             if kind[0] == "cold":
-                counted = self.infinite[lp.AT_LO, e] and self.infinite[lp.AT_UP, e]
+                counted = self.lo[e] == -WIDE and self.hi[e] == WIDE
             else:
-                counted = leaving < self.n_struct and self.infinite[:, leaving].any()
+                counted = leaving < self.n_struct and (
+                    self.lo[leaving] == -WIDE or self.hi[leaving] == WIDE)
             moved[kind[0]] += bool(counted)
             return pivot(self, e, slot, *args)
 
@@ -857,6 +887,7 @@ class TestFreeColumnsAndStalls:
                 assert warm.status == cold.status
                 if cold.status == Status.OPTIMAL:
                     assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+                    assert np.all(np.abs(cold.values) < WIDE)  # the box binds nothing
                     checked += 1
         assert checked >= 150 and moved["warm"] >= 10 and moved["cold"] >= 100
 
@@ -884,6 +915,7 @@ class TestFreeColumnsAndStalls:
             if want.status == Status.OPTIMAL:
                 assert got.objective_value == pytest.approx(want.objective_value, abs=1e-8)
                 assert lp.duality_gap(prob, got) <= 1e-6
+                assert np.all(np.abs(want.values) < WIDE)  # the box binds nothing
         assert stalled >= 50
 
 
@@ -900,7 +932,6 @@ class TestStatusMasks:
         lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
         simplex.box[lp.AT_LO] = lo
         simplex.box[lp.AT_UP] = np.maximum(lo, rng.choice([np.inf, 0.5, 1.0], size=n + 1))
-        simplex.infinite = np.isinf(simplex.box)
         simplex.movable = simplex.hi - simplex.lo > 1e-12
         simplex.basic = np.array([n])
         simplex.vstat = rng.integers(lp.AT_LO, lp.AT_UP + 1, size=n + 1)
@@ -918,9 +949,7 @@ class TestStatusMasks:
             return lp.AT_LO
         if d < -lp.OPT_TOL:
             return lp.AT_UP
-        if st == lp.AT_UP and np.isfinite(hi) or st == lp.AT_LO and np.isfinite(lo):
-            return st
-        return lp.AT_UP if np.isfinite(hi) and not np.isfinite(lo) else lp.AT_LO
+        return st
 
     def test_match_the_per_column_rules(self):
         rng = np.random.default_rng(21)
@@ -973,10 +1002,11 @@ class TestDegenerateAndScale:
         # many redundant constraints through the same vertex
         cons = [({0: 1.0, 1: 1.0}, "<=", 1.0)]
         cons += [({0: float(k), 1: float(k)}, "<=", float(k)) for k in range(2, 8)]
-        prob = make_lp([-1.0, -2.0], cons, [0.0, 0.0], [np.inf, np.inf])
+        prob = make_lp([-1.0, -2.0], cons, [0.0, 0.0], [10.0, 10.0])
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-8)
+        assert np.all(sol.values < prob.upper)  # the rows bind, not the box
 
     def test_medium_random_lp_feasibility(self):
         rng = np.random.default_rng(5)

@@ -63,9 +63,11 @@ class TestSmall:
         assert solve_milp(mip).status == MipStatus.INFEASIBLE
 
     def test_unbounded_relaxation_raises(self):
+        # every LP is boxed: a variable that could make the relaxation
+        # unbounded is refused before the root is solved
         mip = make_mip([-1.0, 0.0], [({1: 1.0}, "<=", 1.0)],
                        [0.0, 0.0], [np.inf, 1.0], [1])
-        with pytest.raises(RuntimeError, match="unbounded"):
+        with pytest.raises(ValueError, match="variable 0 has a non-finite bound"):
             solve_milp(mip)
 
     def test_integral_binaries_in_result(self):
@@ -182,9 +184,10 @@ class TestLimitsAndHints:
         # every integer point costs 0.3, so one node leaves a 100% gap
         mip = make_mip([0.0, 1.0],
                        [({1: 1.0, 0: 0.6}, ">=", 0.3), ({1: 1.0, 0: -0.6}, ">=", -0.3)],
-                       [0.0, 0.0], [1.0, np.inf], [0])
+                       [0.0, 0.0], [1.0, 10.0], [0])
         res = solve_milp(mip, MilpLimits(node_cap=1), incumbent_hint=np.array([1.0, 0.3]))
         assert res.status == MipStatus.FEASIBLE
+        assert res.values[1] < mip.base.upper[1]  # the rows bind t, not its box
         assert res.best_bound == pytest.approx(0.0, abs=1e-12)
         assert res.gap == pytest.approx(1.0)
         assert res.summary()["abs_gap"] == pytest.approx(0.3)
