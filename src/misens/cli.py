@@ -70,7 +70,6 @@ class RunConfig:
             if m not in METHODS:
                 raise ValueError(
                     f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
-        self.scenario.validate()
 
     def to_manifest(self) -> dict:
         doc = {"schema": MANIFEST_SCHEMA}
@@ -214,23 +213,15 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _prepare_out(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(cfg.to_manifest(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    core.write_json(out / "manifest.json", cfg.to_manifest())
     return out
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
     train, test, scaler = generate_scenario(cfg.scenario)
     core.save_dataset(train, out / "train.csv")
     core.save_dataset(test, out / "test.csv")
-    _write_json(out / "scaler.json", {"schema": 1, **scaler.to_dict()})
+    core.write_json(out / "scaler.json", {"schema": 1, **scaler.to_dict()})
     print(f"wrote {train.n} training and {test.n} testing rows to {out}")
     return EXIT_OK
 
@@ -238,7 +229,7 @@ def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
 def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     method = args.method
     data_path = Path(args.data) if args.data else out / "train.csv"
-    train, _ = core.load_dataset(data_path)
+    train = core.load_dataset(data_path)
     scaler = None
     scaler_path = Path(args.scaler) if args.scaler else out / "scaler.json"
     if scaler_path.exists():
@@ -248,17 +239,17 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     core.save_sensor(report.sensor, out / "sensor.json")
     doc = report.to_dict(timing=cfg.timing)
     doc["method"] = method
-    _write_json(out / "report.json", doc)
+    core.write_json(out / "report.json", doc)
     print(f"trained {method}: train RMSE {report.train_rmse:.6g}")
     return EXIT_OK
 
 
 def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     sensor = core.load_sensor(args.sensor)
-    data, _ = core.load_dataset(args.data)
+    data = core.load_dataset(args.data)
     preds = core.predict_batch(data.inputs, sensor)
     value = core.rmse(data.outputs, preds)
-    _write_json(out / "metrics.json", {
+    core.write_json(out / "metrics.json", {
         "schema": 1, "rmse": value, "n": data.n,
         "method": sensor.metadata.get("method"),
     })

@@ -189,9 +189,6 @@ class AffineModel:
         if p.ndim != 1 or not np.all(np.isfinite(p)) or not np.isfinite(self.b_p):
             raise ValueError("affine model parameters must be finite vectors/scalars")
 
-    def __call__(self, x: np.ndarray) -> float:
-        return float(self.p @ x + self.b_p)
-
 
 @dataclass(frozen=True)
 class Scaler:
@@ -219,9 +216,6 @@ class Scaler:
 
     def normalize_inputs(self, x: np.ndarray) -> np.ndarray:
         return (np.asarray(x, dtype=float) - self.input_min) / (self.input_max - self.input_min)
-
-    def denormalize_inputs(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) * (self.input_max - self.input_min) + self.input_min
 
     def normalize_output(self, y):
         return (np.asarray(y, dtype=float) - self.output_min) / (self.output_max - self.output_min)
@@ -341,12 +335,6 @@ def normalize(raw: Dataset) -> tuple[Dataset, Scaler]:
     return ds, scaler
 
 
-def denormalize(ds: Dataset, scaler: Scaler) -> Dataset:
-    """Inverse of `normalize` for the given scaler."""
-    return Dataset(scaler.denormalize_inputs(ds.inputs), scaler.denormalize_output(ds.outputs),
-                   ds.ids, normalized=False)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -354,27 +342,25 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
-def save_dataset(ds: Dataset, path, labels: LabelingMatrix | None = None) -> None:
-    """CSV with a header row; columns: x1..x{n_p}, y and optionally label (1-based)."""
-    header = [f"x{j + 1}" for j in range(ds.n_p)] + ["y"]
-    assign = None
-    if labels is not None:
-        if labels.n != ds.n:
-            raise ValueError("labels and dataset disagree on the number of rows")
-        header.append("label")
-        assign = labels.assignments()
+def write_json(path, doc) -> None:
+    """The JSON document at path: indented, keys sorted, a final newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def save_dataset(ds: Dataset, path) -> None:
+    """CSV with a header row; columns: x1..x{n_p}, y."""
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(header)
+        wr.writerow([f"x{j + 1}" for j in range(ds.n_p)] + ["y"])
         for i in range(ds.n):
-            row = [_fmt(v) for v in ds.inputs[i]] + [_fmt(ds.outputs[i])]
-            if assign is not None:
-                row.append(str(int(assign[i])))
-            wr.writerow(row)
+            wr.writerow([_fmt(v) for v in ds.inputs[i]] + [_fmt(ds.outputs[i])])
 
 
-def load_dataset(path, normalized: bool = False) -> tuple[Dataset, LabelingMatrix | None]:
-    """Read a dataset CSV; a trailing `label` column becomes a LabelingMatrix."""
+def load_dataset(path) -> Dataset:
+    """Read a dataset CSV with columns x1..x{n_p}, y; a trailing `label`
+    column is refused."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         try:
@@ -382,22 +368,17 @@ def load_dataset(path, normalized: bool = False) -> tuple[Dataset, LabelingMatri
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
         rows = [r for r in rd if r]
+    if header and header[-1].strip().lower() == "label":
+        raise ValueError(f"{path}: a label column is not accepted; expected columns x1..xN, y")
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    has_label = header and header[-1].strip().lower() == "label"
     width = len(header)
     data = np.array([[float(v) for v in r] for r in rows])
     if data.shape[1] != width:
         raise ValueError(f"{path}: row width disagrees with header")
-    n_p = width - (2 if has_label else 1)
-    if n_p < 1:
+    if width < 2:
         raise ValueError(f"{path}: expected at least one input column")
-    ds = Dataset(data[:, :n_p], data[:, n_p], np.arange(data.shape[0]), normalized=normalized)
-    labels = None
-    if has_label:
-        assign = data[:, n_p + 1].astype(int)
-        labels = LabelingMatrix.from_assignments(assign, int(assign.max()))
-    return ds, labels
+    return Dataset(data[:, :-1], data[:, -1], np.arange(data.shape[0]))
 
 
 def sensor_to_dict(sensor: SensorModel) -> dict:
@@ -436,9 +417,7 @@ def sensor_from_dict(doc: dict) -> SensorModel:
 
 
 def save_sensor(sensor: SensorModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(sensor_to_dict(sensor), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, sensor_to_dict(sensor))
 
 
 def load_sensor(path) -> SensorModel:

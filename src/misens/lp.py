@@ -27,9 +27,10 @@ short of the violated bound by more than FEAS_TOL, it is a Farkas
 certificate (INFEASIBLE), else the pivot is the usable column of largest
 |alpha|.  When the dual objective stalls for STALL_PIVOTS pivots, the
 nonbasic costs are perturbed.  At the dual's optimum the basic values must
-reproduce the right-hand side, the basis is priced afresh with the true
-costs, and a wrong-signed reduced cost moves its column to the other bound
-and the dual runs again.
+reproduce the right-hand side and, after pivots, the inverse must pass
+Freivalds' check; the basis is priced afresh with the true costs, and a
+wrong-signed reduced cost moves its column to the other bound and the dual
+runs again.
 
 An optimal Basis carries its inverse in read-only arrays, shared by the
 children of a branch-and-bound node; a child copies it at its first pivot
@@ -546,8 +547,10 @@ class _Simplex:
     # -- driver --------------------------------------------------------------
 
     def solve(self, warm: Basis | None) -> Status:
-        """Run the dual until its optimum reproduces the right-hand side and
-        a fresh pricing with the true costs moves no column."""
+        """Run the dual until its optimum reproduces the right-hand side, its
+        inverse passes Freivalds' check when pivots have carried it since
+        the last factorization, and a fresh pricing with the true costs
+        moves no column."""
         if warm is None or not self._try_warm_start(warm):
             self._slack_basis()
         self._price_statuses()
@@ -555,7 +558,8 @@ class _Simplex:
             status = self._dual()
             if status != Status.OPTIMAL:
                 return status
-            if not self._reproduces(self._set_values(fresh=False)):
+            if not (self._reproduces(self._set_values(fresh=False))
+                    and (not self.pivots_since_refactor or self._inverse_ok())):
                 self._refactorize()
             elif not self._price_statuses():
                 return Status.OPTIMAL

@@ -14,9 +14,8 @@ RNG streams are split by name from the scenario seed:
 from __future__ import annotations
 
 import csv
-import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .core import (
     normalize,
     predict_batch,
     rmse,
+    write_json,
 )
 from .design import (
     DesignConfig,
@@ -45,50 +45,28 @@ P_RANGE = (2000.0, 20000.0)
 T_RANGE = (523.15, 573.15)
 
 
-@dataclass(frozen=True)
-class PctGroundTruth:
-    R: float = 8.314            # J/mol/K
-    H_v: float = 55940.550      # J/mol
-    P_ref: float = 145325.0     # Pa
+# the ground truth's constants
+R = 8.314            # J/mol/K
+H_V = 55940.550      # J/mol
+P_REF = 145325.0     # Pa
 
-    def __post_init__(self):
-        if min(self.R, self.H_v, self.P_ref) <= 0:
-            raise ValueError("ground-truth constants must be positive")
+# Three separable clusters along the anti-diagonal of the operating box:
+# centres as fractions of the (P, T) ranges, spreads 8 % of each range.
+# Placing the low-pressure cluster at high temperature (and vice versa)
+# spans the full PCT range and puts one cluster in the most curved part of
+# the surface.
+CLUSTER_CENTRES = ((0.12, 0.88), (0.50, 0.50), (0.88, 0.12))
+CLUSTER_SPREAD = 0.08
 
 
-def pct(p: float, t: float, gt: PctGroundTruth = PctGroundTruth()) -> float:
+def pct(p: float, t: float) -> float:
     """PCT in kelvin for absolute pressure p [Pa] and temperature t [K]."""
     if p <= 0 or t <= 0:
         raise ValueError("pressure and temperature must be positive")
-    denom = (gt.R / gt.H_v) * np.log(p / gt.P_ref) + 1.0 / t
+    denom = (R / H_V) * np.log(p / P_REF) + 1.0 / t
     if denom <= 0:
         raise ValueError(f"PCT undefined at P={p}, T={t}: nonpositive denominator")
     return float(1.0 / denom)
-
-
-@dataclass(frozen=True)
-class ClusterSpec:
-    """Uniform sampling box center +/- spread, in engineering units."""
-
-    center_p: float
-    center_t: float
-    spread_p: float
-    spread_t: float
-
-
-def default_clusters(p_range=P_RANGE, t_range=T_RANGE) -> tuple[ClusterSpec, ...]:
-    """Three separable clusters along the anti-diagonal of the operating box.
-
-    Placing the low-pressure cluster at high temperature (and vice versa)
-    spans the full PCT range and puts one cluster in the most curved part of
-    the surface.  Spreads are 8 % of each range.
-    """
-    pw = p_range[1] - p_range[0]
-    tw = t_range[1] - t_range[0]
-    fracs = ((0.12, 0.88), (0.50, 0.50), (0.88, 0.12))
-    return tuple(
-        ClusterSpec(p_range[0] + fp * pw, t_range[0] + ft * tw, 0.08 * pw, 0.08 * tw)
-        for fp, ft in fracs)
 
 
 @dataclass
@@ -99,10 +77,9 @@ class ScenarioConfig:
     train_fraction: float = 0.5
     p_range: tuple[float, float] = P_RANGE
     t_range: tuple[float, float] = T_RANGE
-    clusters: tuple[ClusterSpec, ...] | None = None   # clustered kind only
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.kind not in ("clustered", "uniform"):
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_total < 2:
@@ -115,28 +92,14 @@ class ScenarioConfig:
             raise ValueError("p_range minimum must be below its maximum")
         if self.t_range[0] >= self.t_range[1]:
             raise ValueError("t_range minimum must be below its maximum")
-        if self.kind == "clustered":
-            for i, c in enumerate(self.effective_clusters()):
-                if (c.center_p - c.spread_p < self.p_range[0] - 1e-9
-                        or c.center_p + c.spread_p > self.p_range[1] + 1e-9
-                        or c.center_t - c.spread_t < self.t_range[0] - 1e-9
-                        or c.center_t + c.spread_t > self.t_range[1] + 1e-9):
-                    raise ValueError(f"cluster {i} spread leaves the sampling box")
-
-    def effective_clusters(self) -> tuple[ClusterSpec, ...]:
-        return self.clusters if self.clusters is not None else default_clusters(
-            self.p_range, self.t_range)
 
 
-def generate_scenario(cfg: ScenarioConfig,
-                      gt: PctGroundTruth = PctGroundTruth()
-                      ) -> tuple[Dataset, Dataset, Scaler]:
+def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     """Sample a scenario; returns (train, test, scaler) in normalized units.
 
     Test outputs stay noise-free ground truth; training outputs carry the
     additive noise, so only the test split is flagged `normalized`.
     """
-    cfg.validate()
     rng_sample = np.random.default_rng([cfg.seed, 0])
     rng_split = np.random.default_rng([cfg.seed, 1])
     rng_noise = np.random.default_rng([cfg.seed, 2])
@@ -144,19 +107,19 @@ def generate_scenario(cfg: ScenarioConfig,
         p = rng_sample.uniform(cfg.p_range[0], cfg.p_range[1], size=cfg.n_total)
         t = rng_sample.uniform(cfg.t_range[0], cfg.t_range[1], size=cfg.n_total)
     else:
-        clusters = cfg.effective_clusters()
-        counts = [cfg.n_total // len(clusters)] * len(clusters)
-        for i in range(cfg.n_total - sum(counts)):
-            counts[i] += 1
+        (p0, p1), (t0, t1) = cfg.p_range, cfg.t_range
+        pw, tw = p1 - p0, t1 - t0
+        sp, st = CLUSTER_SPREAD * pw, CLUSTER_SPREAD * tw
+        k = len(CLUSTER_CENTRES)
+        counts = [cfg.n_total // k + (i < cfg.n_total % k) for i in range(k)]
         p_parts, t_parts = [], []
-        for c, m in zip(clusters, counts):
-            p_parts.append(rng_sample.uniform(c.center_p - c.spread_p,
-                                              c.center_p + c.spread_p, size=m))
-            t_parts.append(rng_sample.uniform(c.center_t - c.spread_t,
-                                              c.center_t + c.spread_t, size=m))
+        for (fp, ft), m in zip(CLUSTER_CENTRES, counts):
+            cp, ct = p0 + fp * pw, t0 + ft * tw
+            p_parts.append(rng_sample.uniform(cp - sp, cp + sp, size=m))
+            t_parts.append(rng_sample.uniform(ct - st, ct + st, size=m))
         p = np.concatenate(p_parts)
         t = np.concatenate(t_parts)
-    y = np.array([pct(pi, ti, gt) for pi, ti in zip(p, t)])
+    y = np.array([pct(pi, ti) for pi, ti in zip(p, t)])
     raw = Dataset(np.column_stack([p, t]), y, np.arange(cfg.n_total))
     norm, scaler = normalize(raw)
     n_train = int(round(cfg.n_total * cfg.train_fraction))
@@ -199,17 +162,8 @@ class MethodRow:
     milp_gap: float | None = None
     milp_nodes: int | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method, "status": self.status,
-            "train_rmse": self.train_rmse, "test_rmse": self.test_rmse,
-            "t_comp_s": self.t_comp_s,
-            "milp_gap": self.milp_gap, "milp_nodes": self.milp_nodes,
-        }
 
-
-COMPARISON_COLUMNS = ("method", "status", "train_rmse", "test_rmse", "t_comp_s",
-                      "milp_gap", "milp_nodes")
+COMPARISON_COLUMNS = tuple(f.name for f in fields(MethodRow))
 
 
 @dataclass
@@ -225,14 +179,10 @@ class ComparisonReport:
             wr = csv.writer(fh)
             wr.writerow(COMPARISON_COLUMNS)
             for row in self.rows:
-                d = row.to_dict()
-                wr.writerow([_cell(d[c]) for c in COMPARISON_COLUMNS])
+                wr.writerow([_cell(v) for v in asdict(row).values()])
 
     def write_json(self, path) -> None:
-        doc = {"schema": 1, "rows": [r.to_dict() for r in self.rows]}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, {"schema": 1, "rows": [asdict(r) for r in self.rows]})
 
 
 def _cell(v) -> str:
@@ -281,9 +231,10 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
     return ComparisonReport(rows, sensors, train, test, scaler)
 
 
-def export_surface(sensors: dict[str, SensorModel], path, grid_n: int = 41) -> None:
-    """Prediction surface on the normalized unit square (two-input sensors)."""
-    grid = np.linspace(0.0, 1.0, grid_n)
+def export_surface(sensors: dict[str, SensorModel], path) -> None:
+    """Prediction surface on a 41 x 41 grid of the normalized unit square
+    (two-input sensors)."""
+    grid = np.linspace(0.0, 1.0, 41)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["method", "x1", "x2", "region", "prediction"])

@@ -178,6 +178,18 @@ class TestTrainEvaluate:
         assert run(["train", "--method", "sis", "--out-dir", str(out)]) == 2
         assert "scaler: missing key 'output_max'" in capsys.readouterr().err
 
+    def test_label_column_is_refused(self, tmp_path, capsys):
+        # a labeled CSV would otherwise train on x1..xN, y and drop the labels
+        out = tmp_path / "o"
+        data = tmp_path / "labeled.csv"
+        data.write_text("x1,x2,y,label\n0.1,0.2,0.3,1\n0.4,0.5,0.6,2\n"
+                        "0.7,0.8,0.9,1\n0.2,0.9,0.5,2\n")
+        code = run(["train", "--method", "sis", "--data", str(data),
+                    "--out-dir", str(out)])
+        assert code == 2
+        assert f"{data}: a label column is not accepted" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_missing_data_file(self, tmp_path):
         out = self._generated(tmp_path)
         code = run(["evaluate", "--sensor", str(out / "sensor.json"),
@@ -380,8 +392,7 @@ class TestFields:
         for prefix, cls in (("scenario.", ScenarioConfig), ("design.", DesignConfig),
                             ("design.milp.", MilpLimits), ("", RunConfig)):
             expected |= {prefix + f.name for f in dataclasses.fields(cls)}
-        # sections, and the clustered layout, which has no manifest key
-        expected -= {"scenario", "design", "design.milp_limits", "scenario.clusters"}
+        expected -= {"scenario", "design", "design.milp_limits"}  # sections
         assert set(declared) == expected == set(SAMPLES)
 
     def test_manifest_setting_every_field_is_echoed_back_equal(self, tmp_path):

@@ -15,7 +15,6 @@ from misens.core import (
     assign_region,
     assign_regions,
     normalize,
-    denormalize,
     predict,
     predict_batch,
     rmse,
@@ -151,9 +150,11 @@ class TestNormalize:
         ds = Dataset(rng.uniform(-3, 9, size=(20, 3)), rng.uniform(100, 200, size=20),
                      np.arange(20))
         norm, scaler = normalize(ds)
-        back = denormalize(norm, scaler)
-        assert np.max(np.abs(back.inputs - ds.inputs)) <= 1e-12 * 12.0
-        assert np.max(np.abs(back.outputs - ds.outputs)) <= 1e-12 * 200.0
+        # invert with the recorded min and max
+        inputs = norm.inputs * (scaler.input_max - scaler.input_min) + scaler.input_min
+        outputs = norm.outputs * (scaler.output_max - scaler.output_min) + scaler.output_min
+        assert np.max(np.abs(inputs - ds.inputs)) <= 1e-12 * 12.0
+        assert np.max(np.abs(outputs - ds.outputs)) <= 1e-12 * 200.0
 
     def test_degenerate_column_rejected(self):
         ds = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), [0.0, 1.0], [0, 1])
@@ -206,16 +207,14 @@ class TestSerialization:
         rng = np.random.default_rng(7)
         ds = Dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12), np.arange(12),
                      normalized=True)
-        labels = LabelingMatrix.from_assignments(rng.integers(1, 4, size=12), 3)
         path = tmp_path / "data.csv"
-        core.save_dataset(ds, path, labels)
-        back, lab = core.load_dataset(path, normalized=True)
+        core.save_dataset(ds, path)
+        back = core.load_dataset(path)
         assert np.array_equal(back.inputs, ds.inputs)
         assert np.array_equal(back.outputs, ds.outputs)
-        assert np.array_equal(lab.entries, labels.entries)
         # a second write must be byte-identical
         path2 = tmp_path / "data2.csv"
-        core.save_dataset(back, path2, lab)
+        core.save_dataset(back, path2)
         assert path.read_bytes() == path2.read_bytes()
 
     def test_sensor_json_roundtrip(self, tmp_path):

@@ -218,7 +218,7 @@ class TestMisCon:
         hp = report.sensor.switching.hyperplanes[0]
         x_star = -hp.b_w * hp.w / (hp.w @ hp.w)
         m1, m2 = report.sensor.models
-        assert abs(m1(x_star) - m2(x_star)) <= 1e-6
+        assert abs((m1.p @ x_star + m1.b_p) - (m2.p @ x_star + m2.b_p)) <= 1e-6
 
     def test_single_plane_data_models_agree(self):
         rng = np.random.default_rng(7)

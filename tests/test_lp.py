@@ -722,6 +722,43 @@ class TestPhaseTwo:
                     assert value == pytest.approx(cold_sol.objective_value, abs=1e-8)
         assert checked >= 150 and refactorized >= 100
 
+    def test_optimum_checks_the_carried_inverse(self, monkeypatch):
+        # at the dual's optimum the carried inverse is off by E = eps B^-1
+        # e_i e_0', with i the row of the largest dual: B E = eps e_i e_0'
+        # fails Freivalds' check (u_0 = 1), while the basic values are
+        # carried apart from the inverse and the basic prices miss 0 by
+        # eps |y_i| |B' e_0| < OPT_TOL.  The duals, y_0 off by eps y_i, must
+        # come from a refactorized inverse instead.
+        prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, ">=", 1.0),
+                                    ({0: 1.0, 1: -1.0}, "<=", 0.5)], [0, 0], [10, 10])
+        plain = solve_lp(prob)
+        assert plain.iterations > 1 and plain.refactorizations == 0
+        dual = lp._Simplex._dual
+        drifted = []
+
+        def drifting(simplex):
+            status = dual(simplex)
+            if status == Status.OPTIMAL and simplex.pivots_since_refactor and not drifted:
+                b = simplex.a[:, simplex.basic]
+                cost_b = simplex.cost[simplex.basic]
+                y = np.linalg.solve(b.T, cost_b)
+                e = np.eye(simplex.m)
+                simplex.binv = simplex.binv + 5e-8 * np.outer(
+                    np.linalg.solve(b, e[int(np.abs(y).argmax())]), e[0])
+                assert simplex._reproduces(simplex._set_values(fresh=False))
+                assert np.abs(cost_b - b.T @ (simplex.binv.T @ cost_b)).max() <= lp.OPT_TOL
+                assert not simplex._inverse_ok()
+                drifted.append(np.abs(simplex.binv.T @ cost_b - y).max())
+            return status
+
+        monkeypatch.setattr(lp._Simplex, "_dual", drifting)
+        sol = solve_lp(prob)
+        assert drifted and drifted[0] > 1e-8
+        assert sol.status == Status.OPTIMAL
+        np.testing.assert_allclose(sol.dual_values, plain.dual_values, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sol.values, plain.values, rtol=0, atol=1e-10)
+        assert sol.refactorizations == 1
+
 
 class TestCarriedReducedCosts:
     """After every pivot, the reduced costs the simplex carries equal fresh

@@ -6,10 +6,12 @@ import pytest
 from misens.design import DesignConfig
 from misens.milp import MilpLimits
 from misens.study import (
-    ClusterSpec,
-    PctGroundTruth,
+    CLUSTER_CENTRES,
+    CLUSTER_SPREAD,
+    H_V,
+    P_REF,
+    R,
     ScenarioConfig,
-    default_clusters,
     export_surface,
     generate_scenario,
     pct,
@@ -25,8 +27,8 @@ class TestPct:
     def test_low_pressure_corner(self):
         # direct evaluation with the published constants:
         # denom = (8.314/55940.550)*ln(2000/145325) + 1/523.15
-        gt = PctGroundTruth()
-        denom = (gt.R / gt.H_v) * math.log(2000.0 / 145325.0) + 1.0 / 523.15
+        assert (R, H_V, P_REF) == (8.314, 55940.550, 145325.0)
+        denom = (R / H_V) * math.log(2000.0 / 145325.0) + 1.0 / 523.15
         assert pct(2000.0, 523.15) == pytest.approx(1.0 / denom, rel=1e-12)
         assert pct(2000.0, 523.15) == pytest.approx(784.6, abs=0.1)
 
@@ -83,21 +85,31 @@ class TestScenario:
         train, test, _ = generate_scenario(cfg)
         assert train.n == 15 and test.n == 15
 
-    def test_cluster_spread_leaving_box_rejected(self):
-        bad = ScenarioConfig(kind="clustered", clusters=(
-            ClusterSpec(2500.0, 530.0, 1000.0, 5.0),  # 2500 - 1000 < 2000
-            ClusterSpec(11000.0, 548.0, 100.0, 2.0),
-            ClusterSpec(19000.0, 570.0, 100.0, 2.0)))
-        with pytest.raises(ValueError, match="cluster 0"):
-            bad.validate()
-
-    def test_default_clusters_inside_box(self):
-        ScenarioConfig(kind="clustered").validate()
-        assert len(default_clusters()) == 3
+    def test_clustered_points_lie_in_their_cluster_boxes(self):
+        # the clusters follow the ranges: centre fraction +/- 8 % of each
+        # range, in order, n_total split as evenly as it goes
+        p_range, t_range = (5000.0, 9000.0), (400.0, 450.0)
+        cfg = ScenarioConfig(kind="clustered", n_total=31, noise_sigma=0.0,
+                             p_range=p_range, t_range=t_range, seed=4)
+        train, test, scaler = generate_scenario(cfg)
+        ids = np.concatenate([train.ids, test.ids])
+        x = np.vstack([train.inputs, test.inputs])[np.argsort(ids)]
+        raw = x * (scaler.input_max - scaler.input_min) + scaler.input_min
+        assert CLUSTER_SPREAD == 0.08
+        assert CLUSTER_CENTRES == ((0.12, 0.88), (0.50, 0.50), (0.88, 0.12))
+        starts = [0, 11, 21, 31]
+        for k, (fp, ft) in enumerate(CLUSTER_CENTRES):
+            block = raw[starts[k]:starts[k + 1]]
+            for col, (lo, hi), f in ((0, p_range, fp), (1, t_range, ft)):
+                width = hi - lo
+                centre = lo + f * width
+                # 1e-12: roundoff of the scaler round trip
+                assert np.all(np.abs(block[:, col] - centre) <= 0.08 * width * (1 + 1e-12))
+                assert np.all((block[:, col] >= lo) & (block[:, col] <= hi))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
-            ScenarioConfig(kind="banana").validate()
+            ScenarioConfig(kind="banana")
 
 
 class TestComparison:
@@ -142,13 +154,15 @@ class TestComparison:
                                 DesignConfig(n_cl=3, seed=8), timing="fixed")
         report.write_csv(tmp_path / "comparison.csv")
         report.write_json(tmp_path / "comparison.json")
-        export_surface(report.sensors, tmp_path / "surface.csv", grid_n=5)
+        export_surface(report.sensors, tmp_path / "surface.csv")
         csv_text = (tmp_path / "comparison.csv").read_text()
-        assert csv_text.splitlines()[0].startswith("method,status,train_rmse")
+        assert csv_text.splitlines()[0] == ("method,status,train_rmse,test_rmse,t_comp_s,"
+                                            "milp_gap,milp_nodes")
         assert ",0.0," in csv_text  # fixed timing writes literal zero
         surface = (tmp_path / "surface.csv").read_text().splitlines()
         assert surface[0] == "method,x1,x2,region,prediction"
-        assert len(surface) == 1 + 2 * 25
+        assert len(surface) == 1 + 2 * 41 * 41
+        assert surface[1].startswith("mis-std,0.0,0.0,") and ",0.025," in surface[2]
 
 
 class TestMonteCarlo:
