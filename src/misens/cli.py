@@ -211,13 +211,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _prepare_out(cfg: RunConfig) -> Path:
+    """The output directory, made, with the resolved manifest echoed into it.
+    Each command calls it once its inputs have been read, so that an input
+    error leaves no manifest behind."""
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     core.write_json(out / "manifest.json", cfg.to_manifest())
     return out
 
 
-def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
+def cmd_generate(args, cfg: RunConfig) -> int:
+    out = _prepare_out(cfg)
     train, test, scaler = generate_scenario(cfg.scenario)
     core.save_dataset(train, out / "train.csv")
     core.save_dataset(test, out / "test.csv")
@@ -226,8 +230,9 @@ def cmd_generate(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_train(args, cfg: RunConfig, out: Path) -> int:
+def cmd_train(args, cfg: RunConfig) -> int:
     method = args.method
+    out = Path(cfg.output_dir)
     data_path = Path(args.data) if args.data else out / "train.csv"
     train = core.load_dataset(data_path)
     scaler = None
@@ -235,6 +240,7 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     if scaler_path.exists():
         doc = json.loads(scaler_path.read_text())
         scaler = core.Scaler.from_dict(doc)
+    _prepare_out(cfg)
     report = run_method(method, train, cfg.design, scaler)
     core.save_sensor(report.sensor, out / "sensor.json")
     doc = report.to_dict(timing=cfg.timing)
@@ -244,9 +250,10 @@ def cmd_train(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
+def cmd_evaluate(args, cfg: RunConfig) -> int:
     sensor = core.load_sensor(args.sensor)
     data = core.load_dataset(args.data)
+    out = _prepare_out(cfg)
     preds = core.predict_batch(data.inputs, sensor)
     value = core.rmse(data.outputs, preds)
     core.write_json(out / "metrics.json", {
@@ -257,7 +264,8 @@ def cmd_evaluate(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_compare(args, cfg: RunConfig, out: Path) -> int:
+def cmd_compare(args, cfg: RunConfig) -> int:
+    out = _prepare_out(cfg)
     report = run_comparison(cfg.scenario, list(cfg.methods), cfg.design,
                             timing=cfg.timing)
     report.write_csv(out / "comparison.csv")
@@ -274,7 +282,8 @@ def cmd_compare(args, cfg: RunConfig, out: Path) -> int:
     return EXIT_OK
 
 
-def cmd_montecarlo(args, cfg: RunConfig, out: Path) -> int:
+def cmd_montecarlo(args, cfg: RunConfig) -> int:
+    out = _prepare_out(cfg)
     jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
     report = run_montecarlo(cfg.scenario, cfg.runs, list(cfg.methods), cfg.design,
                             jobs=jobs, timing=cfg.timing)
@@ -361,12 +370,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
-        out = _prepare_out(cfg)
         level = logging.WARNING
         if cfg.verbosity:
             level = logging.INFO if cfg.verbosity == 1 else logging.DEBUG
         logging.basicConfig(level=level, format="%(name)s: %(message)s")
-        return args.func(args, cfg, out)
+        return args.func(args, cfg)
     except (ConfigError, core.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -33,12 +33,18 @@ wrong-signed reduced cost moves its column to the other bound and the dual
 runs again.
 
 An optimal Basis carries its inverse in read-only arrays, shared by the
-children of a branch-and-bound node; a child copies it at its first pivot
-and refactorizes only when the basic values it gives, or the inverse itself
-(Freivalds' check), fail a residual test.  Under an objective `cutoff` the
-cost of each iterate is a lower bound on the optimum while the costs are
-true and the basis dual feasible; once it reaches the cutoff, confirmed by
-the exact cost, the solve stops with Status.CUTOFF and no solution.
+children of a branch-and-bound node, and the mark of the CompiledLp it was
+solved over.  A child solved over that same CompiledLp takes the inverse
+as it is, because the parent's solve checked it against the same arrays at
+its optimum or formed it fresh, and copies it at its first pivot.  Any
+other Basis (built by hand, made by `dataclasses.replace`, or exported over
+another CompiledLp) is checked: it is refactorized when the basic values
+it gives, or the inverse itself (Freivalds' check), fail a residual test.
+
+Under an objective `cutoff` the cost of each iterate is a lower bound on
+the optimum while the costs are true and the basis dual feasible; once it
+reaches the cutoff, confirmed by the exact cost, the solve stops with
+Status.CUTOFF and no solution.
 """
 
 from __future__ import annotations
@@ -152,13 +158,19 @@ class Basis:
     `status` are int arrays (sequences are converted).  `binv`, when set,
     is the inverse of the basic columns; it is left out of comparisons.  A
     warm start checks it against the basic columns of its own LP and
-    refactorizes when it does not fit.  An exported Basis is shared by the
-    children of its branch-and-bound node, so its arrays are read-only.
+    refactorizes when it does not fit, unless the Basis was exported by a
+    solve over that very CompiledLp, which checked it there.  An exported
+    Basis is shared by the children of its branch-and-bound node, so its
+    arrays are read-only.
     """
 
     basic: np.ndarray
     status: np.ndarray
     binv: np.ndarray | None = field(default=None, repr=False)
+    # the CompiledLp an exported Basis was solved over; neither the
+    # constructor nor dataclasses.replace carries it
+    _solved_over: CompiledLp | None = field(default=None, init=False, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basic", np.asarray(self.basic, dtype=int))
@@ -198,6 +210,19 @@ class CompiledLp:
     implied_hi: np.ndarray
     n_struct: int
     m: int
+    # each solve's tables (_Simplex) with their slack columns filled in; a
+    # solve copies them and writes its structural bounds
+    box: np.ndarray = field(init=False, repr=False)
+    rest: np.ndarray = field(init=False, repr=False)
+    movable: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n = self.n_struct
+        self.box = np.zeros((3, self.a.shape[1]))
+        self.box[AT_LO, n:], self.box[AT_UP, n:] = self.slack_lo, self.slack_hi
+        self.rest = self.box.copy()
+        self.rest[AT_LO, n:], self.rest[AT_UP, n:] = self.implied_lo, self.implied_hi
+        self.movable = (self.box[AT_UP] - self.box[AT_LO]) > 1e-12
 
 
 def compile_lp(prob: LinearProgram) -> CompiledLp:
@@ -241,22 +266,23 @@ class _Simplex:
     """One solve over the compiled arrays; not reusable."""
 
     def __init__(self, comp: CompiledLp, lower, upper, max_iter, cutoff=np.inf):
+        self.comp = comp
         self.m = comp.m
         self.n_struct = comp.n_struct
         self.a = comp.a
         self.n_cols = self.a.shape[1]
+        n = self.n_struct
         # the real boxes, one row per status code, so that a nonbasic column
         # j's bound is box[vstat[j], j] (the BASIC row is 0); lo and hi are
         # views of the AT_LO and AT_UP rows
-        self.box = np.zeros((3, self.n_cols))
+        self.box = comp.box.copy()
         self.lo, self.hi = self.box[AT_LO], self.box[AT_UP]
-        self.lo[:self.n_struct], self.lo[self.n_struct:] = lower, comp.slack_lo
-        self.hi[:self.n_struct], self.hi[self.n_struct:] = upper, comp.slack_hi
-        self.movable = (self.hi - self.lo) > 1e-12
+        self.lo[:n], self.hi[:n] = lower, upper
+        self.movable = comp.movable.copy()
+        self.movable[:n] = (upper - lower) > 1e-12
         # where a nonbasic column rests: its box, a slack's implied bounds
-        self.rest = self.box.copy()
-        self.rest[AT_LO, self.n_struct:] = comp.implied_lo
-        self.rest[AT_UP, self.n_struct:] = comp.implied_hi
+        self.rest = comp.rest.copy()
+        self.rest[AT_LO, :n], self.rest[AT_UP, :n] = lower, upper
         self.cost = comp.cost  # perturbed into a copy while the dual stalls
         self.true_cost = comp.cost
         self.rhs = comp.rhs
@@ -353,16 +379,25 @@ class _Simplex:
         than those with status BASIC.  The carried inverse is used (shared
         until the first pivot) when beta's residual and Freivalds' check
         hold, else the basis is refactorized; an inverse with non-finite or
-        overflowing entries fails them."""
+        overflowing entries fails them.  A Basis exported over this very
+        CompiledLp with its inverse is taken unchecked: its solve checked
+        that read-only inverse against the same arrays at its optimum, or
+        formed it fresh."""
         m = self.m
         basic, status = warm.basic, warm.status
-        if (basic.shape != (m,) or status.shape != (self.n_cols,)
+        trusted = warm._solved_over is self.comp and warm.binv is not None
+        if not trusted and (
+                basic.shape != (m,) or status.shape != (self.n_cols,)
                 or status.min(initial=BASIC) < BASIC or status.max(initial=BASIC) > AT_UP
                 or not np.array_equal(np.flatnonzero(status == BASIC), np.sort(basic))):
             return False
         self.vstat = status.copy()
         self.basic = basic.copy()
         self.dirn = _DIRECTION[self.vstat] * self.movable
+        if trusted:
+            self.binv, self.binv_shared = warm.binv, True
+            self._set_values()
+            return True
         try:
             binv = warm.binv
             if binv is not None and binv.shape == (m, m):
@@ -570,7 +605,9 @@ class _Simplex:
         children of a branch-and-bound node share it."""
         for arr in (self.basic, self.vstat, self.binv):
             arr.flags.writeable = False
-        return Basis(self.basic, self.vstat, self.binv)
+        basis = Basis(self.basic, self.vstat, self.binv)
+        object.__setattr__(basis, "_solved_over", self.comp)
+        return basis
 
 
 def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,

@@ -189,12 +189,32 @@ class TestTrainEvaluate:
         assert code == 2
         assert f"{data}: a label column is not accepted" in capsys.readouterr().err
         assert not (out / "report.json").exists()
+        # the inputs are read before the manifest is echoed
+        assert not (out / "manifest.json").exists()
 
     def test_missing_data_file(self, tmp_path):
-        out = self._generated(tmp_path)
-        code = run(["evaluate", "--sensor", str(out / "sensor.json"),
-                    "--data", str(out / "absent.csv"), "--out-dir", str(out)])
+        src = self._generated(tmp_path)
+        assert run(["train", "--method", "sis", "--out-dir", str(src)]) == 0
+        out = tmp_path / "fresh"
+        code = run(["evaluate", "--sensor", str(src / "sensor.json"),
+                    "--data", str(src / "absent.csv"), "--out-dir", str(out)])
         assert code == 4
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("command, expected", [
+        (["train", "--method", "sis", "--data", "{src}/absent.csv"], 4),
+        (["train", "--method", "sis", "--data", "{src}/train.csv",
+          "--scaler", "{src}/bad_scaler.json"], 2),
+        (["evaluate", "--sensor", "{src}/absent.json", "--data", "{src}/test.csv"], 4),
+    ], ids=["train-data", "train-scaler", "evaluate-sensor"])
+    def test_refused_input_leaves_no_manifest(self, tmp_path, command, expected):
+        src = self._generated(tmp_path)
+        assert run(["train", "--method", "sis", "--out-dir", str(src)]) == 0
+        (src / "bad_scaler.json").write_text('{"schema": 1}')
+        out = tmp_path / "fresh"
+        code = run([arg.format(src=src) for arg in command] + ["--out-dir", str(out)])
+        assert code == expected
+        assert not (out / "manifest.json").exists()
 
     def test_train_respects_milp_flags(self, tmp_path):
         out = self._generated(tmp_path)

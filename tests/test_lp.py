@@ -93,9 +93,10 @@ def random_lp(rng):
     return make_lp(c, cons, lo, hi)
 
 
-def branch_children(seed, tries=150):
-    """Random LPs solved to optimality, each paired with a child that fixes
-    one variable at one of its ends, as a branch-and-bound branch does."""
+def branch_families(seed, tries=150):
+    """Random LPs solved to optimality, each with a child that fixes one
+    variable at one of its ends, as a branch-and-bound branch does: the
+    parent LP, its solution and the child LP."""
     rng = np.random.default_rng(seed)
     for _ in range(tries):
         prob = random_lp(rng)
@@ -108,6 +109,12 @@ def branch_children(seed, tries=150):
                               prob.lower.copy(), prob.upper.copy())
         child.lower[j] = fix
         child.upper[j] = fix
+        yield prob, sol, child
+
+
+def branch_children(seed, tries=150):
+    """The parent solutions and child LPs of branch_families."""
+    for _, sol, child in branch_families(seed, tries):
         yield sol, child
 
 
@@ -170,6 +177,27 @@ def inverted(monkeypatch):
         return invert(a)
 
     monkeypatch.setattr(lp.linalg, "invert", counting)
+    return seen
+
+
+@pytest.fixture
+def early_checks(monkeypatch):
+    """One entry per Freivalds check (_inverse_ok) that a simplex makes
+    before its first pivot, in call order."""
+    seen = []
+    inverse_ok, pivot = lp._Simplex._inverse_ok, lp._Simplex._pivot
+
+    def counting_check(simplex):
+        if not getattr(simplex, "pivoted", False):
+            seen.append(simplex)
+        return inverse_ok(simplex)
+
+    def marking_pivot(simplex, *args):
+        simplex.pivoted = True
+        return pivot(simplex, *args)
+
+    monkeypatch.setattr(lp._Simplex, "_inverse_ok", counting_check)
+    monkeypatch.setattr(lp._Simplex, "_pivot", marking_pivot)
     return seen
 
 
@@ -529,6 +557,88 @@ class TestWarmStart:
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
         assert_same_solve(sol, solve_lp(prob))  # the slack basis replaced it
+
+
+class TestTrustedBasis:
+    """A Basis exported by a solve over a CompiledLp is taken unchecked by a
+    warm start over that same CompiledLp; every other Basis is checked."""
+
+    def test_trusted_start_matches_the_checked_one(self, early_checks):
+        trusted = 0
+        for seed in (99, 8):
+            for prob, _, child in branch_families(seed, tries=300):
+                comp = lp.compile_lp(prob)
+                b = lp.solve_compiled(comp, prob.lower, prob.upper).basis
+                assert b._solved_over is comp
+                early_checks.clear()
+                sol = lp.solve_compiled(comp, child.lower, child.upper, b)
+                assert not early_checks  # taken as it is
+                plain = lp.solve_compiled(comp, child.lower, child.upper,
+                                          lp.Basis(b.basic, b.status, b.binv))
+                assert early_checks  # the hand-built Basis is checked
+                assert_same_solve(sol, plain)
+                if plain.status == Status.OPTIMAL:
+                    assert np.array_equal(sol.dual_values, plain.dual_values)
+                    assert np.array_equal(sol.reduced_costs, plain.reduced_costs)
+                trusted += 1
+        assert trusted >= 100
+
+    def test_the_mark_is_not_carried_over(self):
+        prob = make_lp([1.0, 1.0], [({0: 1.0, 1: 2.0}, ">=", 1.0)], [0.0, 0.0], [1.0, 1.0])
+        comp = lp.compile_lp(prob)
+        b = lp.solve_compiled(comp, prob.lower, prob.upper).basis
+        assert b._solved_over is comp
+        assert lp.Basis(b.basic, b.status, b.binv)._solved_over is None
+        assert dataclasses.replace(b)._solved_over is None
+        assert dataclasses.replace(b, binv=None)._solved_over is None
+        with pytest.raises(TypeError):
+            lp.Basis(b.basic, b.status, b.binv, comp)
+        with pytest.raises(TypeError):
+            lp.Basis(b.basic, b.status, b.binv, _solved_over=comp)
+        with pytest.raises(ValueError):
+            dataclasses.replace(b, _solved_over=comp)
+        assert b == lp.Basis(b.basic, b.status) and "_solved_over" not in repr(b)
+
+    def test_the_same_lp_compiled_again_is_checked(self, early_checks, inverted):
+        checked = 0
+        for prob, parent, child in branch_families(99):
+            assert parent.basis._solved_over is not None
+            early_checks.clear()
+            inverted.clear()
+            sol = lp.solve_compiled(lp.compile_lp(prob), child.lower, child.upper,
+                                    parent.basis)
+            assert early_checks
+            if sol.status == Status.OPTIMAL:
+                checked += 1
+                assert not inverted  # checked, and it passes
+        assert checked >= 20
+
+    def test_basis_of_another_compiled_lp_is_refactorized(self, inverted):
+        # same shapes, other rows: the inverse of the first LP's basic
+        # columns does not invert the second's, and the warm start finds out
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(300):
+            first = random_lp(rng)
+            second = make_lp(first.objective, [
+                ({j: v + 1.0 for j, v in con.coeffs}, con.sense, con.rhs)
+                for con in first.constraints], first.lower, first.upper)
+            comp = lp.compile_lp(second)
+            parent = lp.solve_compiled(lp.compile_lp(first), first.lower, first.upper)
+            if parent.status != Status.OPTIMAL:
+                continue
+            basic = list(parent.basis.basic)
+            if np.array_equal(comp.a[:, basic], lp.compile_lp(first).a[:, basic]):
+                continue  # the same basic columns: the inverse fits
+            inverted.clear()
+            sol = lp.solve_compiled(comp, second.lower, second.upper, parent.basis)
+            cold = lp.solve_compiled(comp, second.lower, second.upper)
+            assert inverted and np.array_equal(inverted[0], comp.a[:, basic])
+            assert sol.status == cold.status
+            if cold.status == Status.OPTIMAL:
+                checked += 1
+                assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+        assert checked >= 50
 
 
 class TestPhaseOne:
