@@ -12,8 +12,10 @@ slope the plane gets a tiny placeholder normal (a Hyperplane cannot have a
 zero one), so on normalized data its offset routes to the larger model.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
 MILP over the boxed model variables minimizes the summed absolute errors
-over labelings, then the labels are fixed and the final models come from
-the MIS-con refit, whose planes are again the models' differences.
+over labelings (point i may only join classes 1..i+1, which keeps each
+partition's first-occurrence numbering and, at two classes, no other one);
+then the labels are fixed and the final models come from the MIS-con
+refit, whose planes are again the models' differences.
 All four share one least-squares kernel, `linalg.least_squares`."""
 
 from __future__ import annotations
@@ -283,8 +285,12 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     """Big-M linearization of the optimal-labeling problem (L1 objective).
 
     Rows, in order: one labeling row-sum equality per point; two epigraph
-    rows per (point, class); offset-ordering symmetry breaking; and a
-    minimum class size of n_p + 1 points.  The variables are the models
+    rows per (point, class); and a minimum class size of n_p + 1 points.
+    Classes are interchangeable, so the z box breaks the symmetry: z_ij has
+    upper bound 0 for j > i + 1 (0-based point i).  Every partition keeps
+    its numbering by first occurrence; at n_cl = 2 that is the only one
+    left, and at n_cl >= 3 some others remain (Kaibel & Pfetsch, "Packing
+    and partitioning orbitopes", 2008).  The variables are the models
     (each parameter boxed by param_bound), the epigraph t (boxed by big-M,
     at least what any epigraph row asks) and the labeling z: the sensor's
     planes are the models' differences, so the program needs no plane
@@ -323,10 +329,7 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
             minus[lay.b_p(j)] = -1.0
             cons.append(Constraint.of(plus, ">=", float(y[i]) - big_m))
             cons.append(Constraint.of(minus, ">=", float(-y[i]) - big_m))
-    # (c) symmetry breaking: offsets in nondecreasing class order
-    for j in range(1, n_cl):
-        cons.append(Constraint.of({lay.b_p(j): 1.0, lay.b_p(j + 1): -1.0}, "<=", 0.0))
-    # (d) minimum class size
+    # (c) minimum class size
     for j in range(1, n_cl + 1):
         cons.append(Constraint.of({lay.z(i, j): 1.0 for i in range(n)}, ">=", float(n_p + 1)))
     objective = np.zeros(lay.n_vars)
@@ -338,6 +341,9 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
         lo[lay.t(i)], hi[lay.t(i)] = 0.0, big_m
     for j in lay.binaries:
         lo[j], hi[j] = 0.0, 1.0
+    for i in range(n_cl - 1):
+        for j in range(i + 2, n_cl + 1):
+            hi[lay.z(i, j)] = 0.0  # point i is in one of classes 1..i+1
     base = LinearProgram(objective, cons, lo, hi)
     return MixedIntegerProgram(base, lay.binaries)
 
@@ -346,13 +352,17 @@ def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
                           labels: LabelingMatrix) -> tuple[float | None, np.ndarray | None]:
     """Score a fixed labeling as a feasible point of the MILP (LP with Z pinned).
 
-    Returns (objective, full variable vector), or (None, None) when the
-    labeling is infeasible in the program (e.g. a class below minimum size).
+    The classes are first renumbered by first occurrence, a numbering the
+    program's z box always admits, so every numbering of a partition scores
+    the same.  Returns (objective, full variable vector), or (None, None) when
+    the labeling is infeasible in the program (e.g. a class below minimum
+    size).
     """
     lo = program.base.lower.copy()
     hi = program.base.upper.copy()
-    one_hot = np.zeros((lay.n, lay.n_cl))
-    one_hot[np.arange(lay.n), labels.assignments() - 1] = 1.0
+    one_hot = labels.entries
+    first = np.where(one_hot.any(axis=0), one_hot.argmax(axis=0), lay.n)
+    one_hot = one_hot[:, np.argsort(first, kind="stable")]
     z = slice(lay.n_continuous, lay.n_vars)  # the binaries, row-major over (i, j)
     lo[z] = hi[z] = one_hot.ravel()
     sol = solve_lp(LinearProgram(program.base.objective, program.base.constraints, lo, hi))
@@ -373,16 +383,11 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     kmeans_objective = None
     if cfg.n_cl > 1:
         km = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed)
-        memo: dict[bytes, AffineModel] = {}  # every class LAD fit of the hint search
-        # class indices are reordered so the symmetry-breaking rows do not
-        # penalize the hint's objective
-        kmeans_objective, hint = labeling_l1_objective(
-            program, lay, _order_labels(train, km.labels, memo))
+        kmeans_objective, hint = labeling_l1_objective(program, lay, km.labels)
         hint_objective = kmeans_objective
-        improved = improve_labeling(train, km.labels, seed=cfg.seed, memo=memo)
+        improved = improve_labeling(train, km.labels, seed=cfg.seed)
         if improved is not None:
-            better_obj, better = labeling_l1_objective(
-                program, lay, _order_labels(train, improved, memo))
+            better_obj, better = labeling_l1_objective(program, lay, improved)
             if better is not None and (hint_objective is None
                                        or better_obj < hint_objective - 1e-12):
                 hint_objective, hint = better_obj, better
@@ -409,21 +414,6 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
         "kkt_residual": refit.solver_stats["kkt_residual"],
     }
     return DesignReport(sensor, train_rmse, labels, stats)
-
-
-def _order_labels(train: Dataset, labels: LabelingMatrix,
-                  memo: dict[bytes, AffineModel]) -> LabelingMatrix:
-    """Permute class indices so per-class LAD offsets are nondecreasing.
-
-    The MILP's symmetry-breaking rows (c) order the offsets of its L1 fit,
-    so ordering by the same fit lets a heuristic labeling score its own L1
-    as the incumbent hint.
-    """
-    offsets = [m.b_p for m in _class_models(train, labels.assignments(), labels.n_cl, memo)]
-    order = np.argsort(np.asarray(offsets), kind="stable")  # old index per new slot
-    rename = np.empty(labels.n_cl, dtype=int)
-    rename[order] = np.arange(1, labels.n_cl + 1)
-    return LabelingMatrix.from_assignments(rename[labels.assignments() - 1], labels.n_cl)
 
 
 def _lad_fit(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:
@@ -550,9 +540,8 @@ def _split_merge_starts(train: Dataset, labels: LabelingMatrix) -> list[np.ndarr
     return proposals
 
 
-def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
-                     memo: dict[bytes, AffineModel] | None = None
-                     ) -> LabelingMatrix | None:
+def improve_labeling(train: Dataset, labels: LabelingMatrix,
+                     seed: int = 0) -> LabelingMatrix | None:
     """Multi-start L1 descent used to seed the labeling MILP.
 
     Starts from structured split-and-merge variants of the given labeling
@@ -561,8 +550,6 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
     itself is no start: polished, it won none of the benchmark draws.
     Returns None when the instance is too small to keep every class
     identifiable.  Only a hint source: the MILP still owns optimality.
-    `memo`, when given, holds the class fits to reuse and receives the new
-    ones.
     """
     n, n_p, n_cl = train.n, train.n_p, labels.n_cl
     if n_cl * (n_p + 1) > n:
@@ -577,7 +564,7 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix, seed: int = 0,
         starts.append(pert)
     best_assign = None
     best_obj = np.inf
-    memo = {} if memo is None else memo  # starts often reach the same classes
+    memo: dict[bytes, AffineModel] = {}  # starts often reach the same classes
     for start in starts:
         assign = _l1_descent(train, np.asarray(start, dtype=int), n_cl, memo)
         sizes = np.bincount(assign, minlength=n_cl + 1)[1:]

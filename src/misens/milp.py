@@ -7,9 +7,12 @@ parent's simplex basis, which carries its inverse, so a child skips the
 refactorization; both children share the parent's one inverse.  Once the
 open list holds as many nodes as BINV_STORE_BYTES allows inverses, a node
 pushed onto it keeps its basis without the inverse.  The default mode is
-fully deterministic: node order depends only on the instance and the
-limits, never on wall-clock time (a time limit, when set, naturally breaks
-run-to-run reproducibility).
+fully deterministic: node order depends only on the instance, the limits
+and the BLAS thread count, never on wall-clock time.  A threaded BLAS sums
+products in another order, and the roundoff can break pricing ties
+another way; pin it to one thread before numpy is imported (as
+perfbench/workloads.py does) to repeat a search exactly.  A time limit,
+when set, naturally breaks run-to-run reproducibility.
 
 Every variable is boxed (the LP layer refuses an infinite bound), so the
 root relaxation is infeasible or has an optimum.  The LP is compiled once

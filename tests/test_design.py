@@ -344,8 +344,12 @@ class TestMilpBuild:
         rng = np.random.default_rng(9)
         train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=2))
-        # 8 row sums + 32 epigraph + 1 symmetry + 2 size
-        assert len(prog.base.constraints) == 43
+        # 8 row sums + 32 epigraph + 2 size
+        assert len(prog.base.constraints) == 42
+        # the z box breaks the symmetry: point i may only join classes 1..i+1
+        lay = VariableLayout(8, 2, 2)
+        assert [prog.base.upper[lay.z(i, j)] for i in range(8) for j in (1, 2)] == [
+            0.0 if j > i + 1 else 1.0 for i in range(8) for j in (1, 2)]
 
     def test_big_m_invariant_enforced(self):
         assert required_big_m(10.0, 2) == pytest.approx(62.0)
@@ -412,24 +416,32 @@ class TestMilpBuild:
         design_mis_con_lab(train, cfg)
         assert len(hints) == 1 and hints[0] is not None
         assert np.all(hints[0][ts] >= 0.0) and np.all(hints[0][ts] < big_m)
+        # within the 1e-9 that solve_milp's hint check allows
+        assert np.all(hints[0] >= program.base.lower - 1e-9)
+        assert np.all(hints[0] <= program.base.upper + 1e-9)
 
 
-class TestOrderLabels:
-    @pytest.mark.parametrize("kind, seed, n_cl", [("uniform", 3, 2), ("clustered", 1, 3)])
-    def test_kmeans_hint_scores_its_best_class_order(self, kind, seed, n_cl):
-        # the symmetry rows (c) order the offsets of the MILP's L1 fit, so a
-        # hint ordered by another fit's offsets can score above its own L1;
-        # on these draws the least-squares order did (0.44027 for 0.42395
-        # on uniform-30 seed 3)
+class TestLabelingObjective:
+    @pytest.mark.parametrize("kind, seed, n_cl", [("uniform", 3, 2), ("clustered", 1, 3),
+                                                  ("uniform", 1, 3)])
+    def test_every_class_numbering_scores_the_same_point_in_the_box(self, kind, seed, n_cl):
+        # the program's z box admits every partition numbered by first
+        # occurrence but not every other numbering, so the score renumbers
+        # first: any numbering of the k-means labeling gives the same
+        # objective and a point inside the program's bounds, to the 1e-9
+        # that solve_milp's hint check allows (a basic t_i can read -5e-16)
         train = generate_scenario(ScenarioConfig(kind=kind, n_total=30, seed=seed))[0]
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=n_cl))
         lay = VariableLayout(train.n, train.n_p, n_cl)
         labels = kmeans(train.inputs, n_cl, seed=1).labels
-        scores = [labeling_l1_objective(prog, lay, LabelingMatrix.from_assignments(
-                      np.array(perm)[labels.assignments() - 1], n_cl))[0]
-                  for perm in itertools.permutations(range(1, n_cl + 1))]
-        ordered, _ = labeling_l1_objective(prog, lay, design._order_labels(train, labels, {}))
-        assert ordered == pytest.approx(min(scores), abs=1e-9)
+        objectives = []
+        for perm in itertools.permutations(range(1, n_cl + 1)):
+            obj, values = labeling_l1_objective(prog, lay, LabelingMatrix.from_assignments(
+                np.array(perm)[labels.assignments() - 1], n_cl))
+            assert np.all(values >= prog.base.lower - 1e-9)
+            assert np.all(values <= prog.base.upper + 1e-9)
+            objectives.append(obj)
+        assert all(obj == objectives[0] for obj in objectives)
 
 
 class TestMisConLab:
@@ -638,8 +650,8 @@ class TestImproveLabelingMemo:
         np.testing.assert_array_equal(memoized.assignments(), unmemoized.assignments())
 
     def test_one_design_fits_each_row_set_once(self, monkeypatch):
-        # the hint's ordering of the k-means and the improved labeling reuses
-        # the fits of the descent
+        # the hint scores the k-means and the improved labeling without a
+        # fit, so every fit of a design is the descent's
         train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
         fits = []
         lad_fit = design._lad_fit
