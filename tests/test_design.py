@@ -421,15 +421,16 @@ class TestMilpBuild:
         assert np.all(hints[0] <= program.base.upper + 1e-9)
 
 
-class TestLabelingObjective:
+class TestOrderLabels:
     @pytest.mark.parametrize("kind, seed, n_cl", [("uniform", 3, 2), ("clustered", 1, 3),
                                                   ("uniform", 1, 3)])
-    def test_every_class_numbering_scores_the_same_point_in_the_box(self, kind, seed, n_cl):
+    def test_kmeans_hint_scores_its_best_class_order(self, kind, seed, n_cl):
         # the program's z box admits every partition numbered by first
         # occurrence but not every other numbering, so the score renumbers
-        # first: any numbering of the k-means labeling gives the same
-        # objective and a point inside the program's bounds, to the 1e-9
-        # that solve_milp's hint check allows (a basic t_i can read -5e-16)
+        # first: any numbering of the k-means labeling, the hint's own among
+        # them, gives the same (so the best) objective and a point inside the
+        # program's bounds, to the 1e-9 that solve_milp's hint check allows
+        # (a basic t_i can read -5e-16)
         train = generate_scenario(ScenarioConfig(kind=kind, n_total=30, seed=seed))[0]
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=n_cl))
         lay = VariableLayout(train.n, train.n_p, n_cl)
