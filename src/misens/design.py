@@ -130,14 +130,15 @@ def design_sis(train: Dataset, scaler: Scaler | None = None) -> DesignReport:
     return DesignReport(sensor, train_rmse, labels, {"timings": watch.laps})
 
 
-def design_mis_std(train: Dataset, cfg: DesignConfig,
-                   scaler: Scaler | None = None) -> DesignReport:
+def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = None,
+                   labels: LabelingMatrix | None = None) -> DesignReport:
     """Standard three-step pipeline: k-means, one-vs-one SVM, per-region LS.
 
-    Each region's training subset is the set of points the trained switching
-    logic routes to it (not the raw k-means labels), so training data and
-    deploy-time routing agree.  Regions left with fewer than n_p + 1 points
-    fall back to the global single-model fit.
+    `labels` is the k-means labeling of `train` under `cfg`, computed here
+    when not given.  Each region's training subset is the set of points the
+    trained switching logic routes to it (not the raw k-means labels), so
+    training data and deploy-time routing agree.  Regions left with fewer
+    than n_p + 1 points fall back to the global single-model fit.
     """
     if cfg.n_cl == 1:
         return design_sis(train, scaler)
@@ -145,9 +146,10 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
         raise ValueError(
             f"need at least {cfg.n_cl * (train.n_p + 1)} points for n_cl={cfg.n_cl}")
     watch = _Stopwatch()
-    km = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed)
+    if labels is None:
+        labels = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed).labels
     watch.lap("label")
-    logic, kkt = train_multiclass_svm(train.inputs, km.labels, cfg.gamma)
+    logic, kkt = train_multiclass_svm(train.inputs, labels, cfg.gamma)
     watch.lap("classify")
     regions = assign_regions(train.inputs, logic)
     global_model = None
@@ -165,11 +167,9 @@ def design_mis_std(train: Dataset, cfg: DesignConfig,
     watch.lap("train")
     sensor = SensorModel(tuple(models), logic, scaler, {"method": "mis-std"})
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
-    labels = LabelingMatrix.from_assignments(regions, cfg.n_cl)
-    stats = {"timings": watch.laps, "kmeans_sse": km.sse,
-             "kmeans_iterations": km.iterations, "region_fallbacks": fallbacks,
-             "kkt_residual": kkt}
-    return DesignReport(sensor, train_rmse, labels, stats)
+    used = LabelingMatrix.from_assignments(regions, cfg.n_cl)
+    stats = {"timings": watch.laps, "region_fallbacks": fallbacks, "kkt_residual": kkt}
+    return DesignReport(sensor, train_rmse, used, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +371,15 @@ def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
     return sol.objective_value, sol.values
 
 
-def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
-                       scaler: Scaler | None = None) -> DesignReport:
-    """Optimal-labeling design: MILP for Z, then the MIS-con refit."""
+def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = None,
+                       labels: LabelingMatrix | None = None) -> DesignReport:
+    """Optimal-labeling design: MILP for Z, then the MIS-con refit.
+
+    `labels`, the k-means labeling of `train` under `cfg` (computed here
+    when not given), and its improvement seed the MILP as its incumbent
+    hint.  `hint_l1_objective` is the objective of the hint the MILP took,
+    None when it took none.
+    """
     watch = _Stopwatch()
     program = build_mis_con_lab_milp(train, cfg)
     lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
@@ -382,10 +388,11 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     hint_objective = None
     kmeans_objective = None
     if cfg.n_cl > 1:
-        km = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed)
-        kmeans_objective, hint = labeling_l1_objective(program, lay, km.labels)
+        if labels is None:
+            labels = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed).labels
+        kmeans_objective, hint = labeling_l1_objective(program, lay, labels)
         hint_objective = kmeans_objective
-        improved = improve_labeling(train, km.labels, seed=cfg.seed)
+        improved = improve_labeling(train, labels, seed=cfg.seed)
         if improved is not None:
             better_obj, better = labeling_l1_objective(program, lay, improved)
             if better is not None and (hint_objective is None
@@ -398,8 +405,8 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
     if result.values is None:
         raise NoIncumbentError("no feasible labeling found within the MILP limits")
     z_block = result.values[list(lay.binaries)].reshape(lay.n, lay.n_cl)
-    labels = LabelingMatrix.from_assignments(z_block.argmax(axis=1) + 1, lay.n_cl)
-    refit = design_mis_con(train, labels, scaler)
+    milp_labels = LabelingMatrix.from_assignments(z_block.argmax(axis=1) + 1, lay.n_cl)
+    refit = design_mis_con(train, milp_labels, scaler)
     watch.lap("refit")
     sensor = SensorModel(refit.sensor.models, refit.sensor.switching, scaler,
                          {"method": "mis-con-lab"})
@@ -410,10 +417,10 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
         "milp_timed_out": result.status == MipStatus.TIMED_OUT,
         "l1_objective": result.objective_value,
         "kmeans_labeling_l1_objective": kmeans_objective,
-        "hint_l1_objective": hint_objective,
+        "hint_l1_objective": hint_objective if result.hint_used else None,
         "kkt_residual": refit.solver_stats["kkt_residual"],
     }
-    return DesignReport(sensor, train_rmse, labels, stats)
+    return DesignReport(sensor, train_rmse, milp_labels, stats)
 
 
 def _lad_fit(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:

@@ -1,12 +1,11 @@
-"""Dense linear-algebra kernels: QR and its column updates, least squares
-(minimum-norm when underdetermined), Cholesky, triangular solves, inverse.
+"""Dense linear-algebra kernels: QR, least squares (minimum-norm when
+underdetermined), Cholesky, triangular solves, inverse.
 
 Every factorization is one LAPACK call through `numpy.linalg`: `np.linalg.qr`
-for `householder_qr`, `least_squares`, `qr_columns`, `qr_append` and
-`qr_delete`; `np.linalg.cholesky` for `cholesky_factor`; `np.linalg.inv`
-for `invert`; `np.linalg.solve` for the triangular solves (whose factors of
-a triangle are the triangle itself; see `solve_upper`).  What misens adds
-around each call:
+for `householder_qr` and `least_squares`; `np.linalg.cholesky` for
+`cholesky_factor`; `np.linalg.inv` for `invert`; `np.linalg.solve` for the
+triangular solves (whose factors of a triangle are the triangle itself; see
+`solve_upper`).  What misens adds around each call:
 - a matrix passed in to be factored is checked for shape and finiteness,
   and S for symmetry within 1e-10;
 - `least_squares` applies its own rank test, |R_jj| below RANK_TOL times
@@ -14,10 +13,9 @@ around each call:
 - `cholesky_factor` names the first non-positive pivot;
 - every failure is a `LinAlgError`.
 All instances in this project are tiny (a few hundred rows at most), so
-dense storage and O(n^3) factorizations are fine; the dual QP factors Q
-once by Cholesky and keeps the factors of its active rows current with the
-column updates `qr_append` and `qr_delete`, which do not need the left
-factor to be orthogonal.
+dense storage and O(n^3) factorizations are fine; the dual QP (`qp`)
+factors Q once by Cholesky and its active rows afresh by `np.linalg.qr`
+at every change of its active set.
 """
 
 from __future__ import annotations
@@ -55,67 +53,10 @@ def householder_qr(a) -> tuple[np.ndarray, np.ndarray]:
     """Full QR of an m x n matrix: A = Q @ R, Q m x m orthogonal and R
     m x n upper triangular, with exact zeros below its diagonal.
 
-    No solver uses it; the tests of the QR updates do.
+    No solver uses it: the benchmark's tracer wraps it by name, and its own
+    test checks it.
     """
     return np.linalg.qr(_as_matrix(a), mode="complete")
-
-
-def qr_append(q, r, a) -> tuple[np.ndarray, np.ndarray]:
-    """QR factors of [A a] from those of an m x w matrix A with Q' A = [R; 0].
-
-    Q is m x m and R the w x w upper triangle; for orthogonal Q this is
-    A = Q[:, :w] @ R.  Returns new arrays (the inputs are left alone):
-    Q with its trailing columns Q[:, w:] turned by `qr_columns` of a, and
-    the (w+1) x (w+1) R whose last diagonal entry is +-||Q[:, w:]' a||, the
-    part of a outside the range of A.  Q need not be orthogonal: the dual
-    QP keeps J' N = [R; 0] this way, from J = L^{-T}.
-    """
-    m, w = q.shape[0], r.shape[0]
-    if w >= m:
-        raise LinAlgError(f"cannot append a column to a full {m} x {w} factorization")
-    a = _as_vector(a, "a")
-    q = q.copy()
-    q[:, w:], tail = qr_columns(q[:, w:], a[:, None])
-    r_new = np.zeros((w + 1, w + 1))
-    r_new[:w, :w] = r
-    r_new[:w, w] = q[:, :w].T @ a
-    r_new[w, w] = tail[0, 0]
-    return q, r_new
-
-
-def qr_columns(q, a) -> tuple[np.ndarray, np.ndarray]:
-    """The factors k `qr_append` calls build from (Q, empty R), in one step.
-
-    A is m x k with k <= m.  Returns Q H and the k x k upper triangle R
-    with (Q H)' A = [R; 0], where H and R are the QR factors of Q' A from
-    `np.linalg.qr` (LAPACK).  The signs of R's rows, and of the matching
-    columns of Q H, may differ from those of the appends.  Q need not be
-    orthogonal; the inputs are left alone.
-    """
-    q = _as_matrix(q, "q")
-    a = _as_matrix(a, "a")
-    m, k = a.shape
-    if k > m:
-        raise LinAlgError(f"cannot factor {k} columns of length {m}")
-    h, r = np.linalg.qr(q.T @ a, mode="complete")
-    return q @ h, r[:k]
-
-
-def qr_delete(q, r, k) -> tuple[np.ndarray, np.ndarray]:
-    """QR factors of A with column k removed, from Q' A = [R; 0].
-
-    Removing column k leaves R upper Hessenberg from column k on.  The QR
-    factors H, T of that trailing block (rows and columns k on, from
-    `np.linalg.qr`) restore the triangle, and H turns columns k..w-1 of Q.
-    Returns new arrays: Q, and the (w-1) x (w-1) R.
-    """
-    q = q.copy()
-    r = np.delete(r, k, axis=1)
-    w = r.shape[0]
-    if k < w - 1:
-        h, r[k:, k:] = np.linalg.qr(r[k:, k:], mode="complete")
-        q[:, k:w] = q[:, k:w] @ h
-    return q, r[:w - 1]
 
 
 @functools.lru_cache(maxsize=64)

@@ -125,6 +125,7 @@ class MipResult:
     nodes_explored: int
     best_bound: float
     node_lps_cut_off: int = 0  # node LPs the dual simplex stopped at the incumbent
+    hint_used: bool = False    # the incumbent_hint passed the check and seeded the search
 
     @property
     def abs_gap(self) -> float:
@@ -206,9 +207,11 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
 
     inc_val: np.ndarray | None = None
     inc_obj = np.inf
+    hint_used = False
     if incumbent_hint is not None:
         obj = _check_hint(prob, comp, incumbent_hint, lower, upper)
-        if obj is not None:
+        hint_used = obj is not None
+        if hint_used:
             inc_val = np.asarray(incumbent_hint, dtype=float).copy()
             inc_obj = obj
             log.info("accepted incumbent hint with objective %.9g", obj)
@@ -342,6 +345,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         status = MipStatus.INFEASIBLE if exhausted else MipStatus.TIMED_OUT
 
     result = MipResult(status, inc_val, inc_obj if inc_val is not None else None,
-                       gap, nodes_explored, bound_global, node_lps_cut_off)
+                       gap, nodes_explored, bound_global, node_lps_cut_off, hint_used)
     log.info("finished: %s", result.summary())
     return result

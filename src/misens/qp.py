@@ -4,29 +4,27 @@ dual active-set method of Goldfarb & Idnani, Math. Prog. 27 (1983).
 `solve_qp(q, c, g, h)` minimizes 0.5 * v @ Q @ v + c @ v subject to
 G v >= h, with Q positive definite.  There are no equality rows, and a bound
 on a variable is a row of G like any other.  The solve factors Q = L L'
-once and starts at the unconstrained minimum -Q^{-1} c, which is dual
-feasible with no row active, so no feasible start is needed.  It then adds
-the most violated row until no row is violated: each step moves the point
-along z = J2 J2' n, which keeps the active rows at equality, and the
-multipliers along -R^{-1} J1' n.  A partial step drops the active row whose
-multiplier reaches zero first; a full step makes the new row active.
-J = [J1 J2] and R satisfy J' N = [R; 0] for the active normals N, starting
-from J = L^{-T}; J is not orthogonal, but `linalg.qr_append` and
-`linalg.qr_delete` update it and R all the same.  A violated row that
-depends on the active rows (J2' n = 0) gets no primal step: partial steps
-make room for it, or it proves the QP infeasible.
+once, forms J0 = L^{-T} (so J0' Q J0 = I) and G J0, and starts at the
+unconstrained minimum -J0 J0' c, which is dual feasible with no row active,
+so no feasible start is needed.  It then adds the most violated row n until
+no row is violated.  The start and every change of the active set A factor
+its rows afresh by one complete QR, (G J0)_A' = H [R; 0]; no factor is
+updated.  A step splits d = H' J0' n into d1 (its first |A| entries) and
+d2, moves the point along J0 H2 d2, which keeps the active rows at
+equality, and the multipliers along -R^{-1} d1.  A partial step drops the
+active row whose multiplier reaches zero first; a full step makes the new
+row active.  A violated row that depends on the active rows
+(||d2|| <= RANK_TOL ||d||) gets no primal step: partial steps make room for
+it, or it proves the QP infeasible.
 
 A caller that knows a better start offers rows of G in `active` (a warm
-active set).  `linalg.qr_columns` factors them from J = L^{-T} in one step,
-as appends would, and the solve starts at x0 = J1 R^{-T} h_A - J2 J2' c,
-the minimum with those rows held at equality, with multipliers
-u0 = R^{-1} J1'(Q x0 + c).  It keeps that start only when the rows are
-independent and u0 >= 0, which makes it dual feasible; otherwise it starts
-at the unconstrained minimum, so the answer never depends on the offer.
-That minimum is the same start with no rows: the complete QR of an n x 0
-block is H = I, so J stays L^{-T} and x0 = -J J' c.
-The start's factorization is no step: `iterations` counts full and partial
-steps only.
+active set).  Factored as above, they give x0 = J0 (H1 z - H2 H2' J0' c)
+with R'z = h_A, the minimum with those rows held at equality, and the
+multipliers u0 = R^{-1}(z + H1' J0' c).  The solve keeps that start only
+when the rows are independent and u0 >= 0, which makes it dual feasible;
+otherwise it starts at the unconstrained minimum, the same start with no
+rows (the complete QR of an n x 0 block is H = I), so the answer never
+depends on the offer.  `iterations` counts full and partial steps only.
 """
 
 from __future__ import annotations
@@ -92,30 +90,36 @@ def _active_rows(active, m: int) -> np.ndarray:
     return rows.astype(int)
 
 
-def _warm_start(j_mat, c, g, h, rows):
-    """J, R, x and u with `rows` of G active, or None when they are no
+def _factor(gj: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """H and the triangle R of (G J0)_A' = H [R; 0] for the rows A."""
+    h_mat, r_mat = np.linalg.qr(gj[rows].T, mode="complete")
+    return h_mat, r_mat[:len(rows)]
+
+
+def _warm_start(gj, j0, cj, h, rows):
+    """H, R, x and u with `rows` of G active, or None when they are no
     dual-feasible start: dependent rows, or a negative multiplier.
 
-    Factoring the rows' normals N from J gives J' N = [R; 0].  With
-    R'z = h_A, the point x = J1 z - J2 J2' c holds the rows at equality and
-    minimizes the objective on them, and u = R^{-1}(z + J1' c), which
-    equals R^{-1} J1'(Q x + c), are their multipliers.
+    With (G J0)_A' = H [R; 0] and R'z = h_A, the point
+    x = J0 (H1 z - H2 H2' cj), cj = J0' c, holds the rows at equality and
+    minimizes the objective on them, and u = R^{-1}(z + H1' cj), which
+    equals R^{-1} H1' J0'(Q x + c), are their multipliers.
     """
     k = rows.size
-    if k > c.shape[0]:
+    if k > cj.shape[0]:
         return None
-    j_mat, r_mat = linalg.qr_columns(j_mat, g[rows].T)
+    h_mat, r_mat = _factor(gj, rows)
     # |R_ii| is the part of row i outside the rows before it, and the norm
     # of R's column i that of the whole row: the step loop's dependence test
     if np.any(np.abs(np.diag(r_mat)) <= linalg.RANK_TOL * np.linalg.norm(r_mat, axis=0)):
         return None
     z = linalg.solve_lower(r_mat.T, h[rows])
-    j1, j2 = j_mat[:, :k], j_mat[:, k:]
-    x = j1 @ z - j2 @ (j2.T @ c)
-    u = linalg.solve_upper(r_mat, z + j1.T @ c)
+    h1, h2 = h_mat[:, :k], h_mat[:, k:]
+    x = j0 @ (h1 @ z - h2 @ (h2.T @ cj))
+    u = linalg.solve_upper(r_mat, z + h1.T @ cj)
     if u.min(initial=0.0) < 0.0:
         return None
-    return j_mat, r_mat, x, u
+    return h_mat, r_mat, x, u
 
 
 def solve_qp(q, c, g, h, active=None) -> QpSolution:
@@ -128,7 +132,6 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
     _validate(q, c, g, h)
     rows = _active_rows([] if active is None else active, g.shape[0])
     n = c.shape[0]
-    # J = L^{-T} for Q = L L', so that J'QJ = I
     try:
         l_mat = linalg.cholesky_factor(q)
     except linalg.LinAlgError:
@@ -136,17 +139,16 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
     if l_mat is None or np.diag(l_mat).min() ** 2 <= PD_TOL * np.diag(q).max():
         raise ValueError(f"q is not positive definite (Cholesky pivot at most "
                          f"{PD_TOL:g} of its largest diagonal entry)")
-    j_mat = linalg.solve_upper(l_mat.T, np.eye(n))
+    j0 = linalg.solve_upper(l_mat.T, np.eye(n))   # J0 = L^{-T}
+    gj, cj = g @ j0, j0.T @ c
     abs_g, abs_h = np.abs(g), np.abs(h) + 1.0
-    # with no rows, the start is the unconstrained minimum -J J' c
-    start = _warm_start(j_mat, c, g, h, rows)
+    # with no rows, the start is the unconstrained minimum -J0 J0' c
+    start = _warm_start(gj, j0, cj, h, rows)
     if start is None:
         rows = rows[:0]
-        start = _warm_start(j_mat, c, g, h, rows)
-    j_mat, r_mat, x, u = start   # u: the multipliers of the active rows
+        start = _warm_start(gj, j0, cj, h, rows)
+    h_mat, r_mat, x, u = start   # u: the multipliers of the active rows
     active = rows.tolist()
-    is_active = np.zeros(g.shape[0], dtype=bool)
-    is_active[active] = True
     iterations = 0               # steps taken
     while True:
         # a residual within 1e-10 of its roundoff scale counts as 0: at a
@@ -154,14 +156,14 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
         # dependent row, and so as infeasibility
         s = g @ x - h
         s[np.abs(s) <= 1e-10 * (abs_g @ np.abs(x) + abs_h)] = 0.0
-        s[is_active] = 0.0
+        s[active] = 0.0
         if not s.size or s.min() >= 0.0:
             break
         p = int(np.argmin(s))
         n_p, s_p, u_p = g[p], s[p], 0.0
         while True:
             w = len(active)
-            d = j_mat.T @ n_p
+            d = h_mat.T @ gj[p]
             dependent = np.linalg.norm(d[w:]) <= linalg.RANK_TOL * np.linalg.norm(d)
             r = linalg.solve_upper(r_mat, d[:w])
             # partial step: the first active row whose multiplier hits 0
@@ -178,16 +180,16 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
             iterations += 1
             u, u_p = u - t * r, u_p + t
             if not dependent:
-                x = x + t * (j_mat[:, w:] @ d[w:])
+                x = x + t * (j0 @ (h_mat[:, w:] @ d[w:]))
             if t == t2:
-                j_mat, r_mat = linalg.qr_append(j_mat, r_mat, n_p)
                 active.append(p)
-                is_active[p] = True
                 u = np.append(u, u_p)
+            else:
+                active.pop(drop)
+                u = np.delete(u, drop)
+            h_mat, r_mat = _factor(gj, active)
+            if t == t2:
                 break
-            j_mat, r_mat = linalg.qr_delete(j_mat, r_mat, drop)
-            is_active[active.pop(drop)] = False
-            u = np.delete(u, drop)
             s_p = float(n_p @ x - h[p])
     # KKT residual: stationarity, primal feasibility, and the sign of the
     # active rows' multipliers

@@ -507,6 +507,34 @@ class TestMisConLab:
         assert stats["milp"]["status"] == "feasible"
         assert stats["milp_timed_out"] is False
 
+    @pytest.mark.parametrize("outside", [False, True])
+    def test_a_refused_hint_is_not_reported(self, monkeypatch, outside):
+        # a scored labeling moved outside the z box (point 0 in class 2, which
+        # the first-occurrence box forbids) is refused by solve_milp, and the
+        # report then claims no hint; a taken hint is reported and bounds the
+        # incumbent
+        rng = np.random.default_rng(17)
+        train = dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12))
+        cfg = DesignConfig(n_cl=2, param_bound=4.0, milp_limits=MilpLimits(node_cap=200))
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
+        score = design.labeling_l1_objective
+
+        def outside_the_z_box(program, layout, labels):
+            objective, values = score(program, layout, labels)
+            if values is not None:
+                values = values.copy()
+                values[[lay.z(0, 1), lay.z(0, 2)]] = 0.0, 1.0
+            return objective, values
+
+        if outside:
+            monkeypatch.setattr(design, "labeling_l1_objective", outside_the_z_box)
+        stats = design_mis_con_lab(train, cfg).solver_stats
+        assert stats["kmeans_labeling_l1_objective"] is not None
+        if outside:
+            assert stats["hint_l1_objective"] is None
+        else:
+            assert stats["l1_objective"] <= stats["hint_l1_objective"] + 1e-9
+
     def test_no_incumbent_raises(self):
         rng = np.random.default_rng(16)
         train, _ = sample_two_piece(rng, 12)

@@ -101,51 +101,6 @@ def test_cholesky_solve_residual_tolerance():
         assert np.max(np.abs(s @ x - r)) <= 1e-9 * scale
 
 
-def test_qr_updates_match_a_fresh_factorization():
-    # 200 random column appends and deletes on a 20-row matrix A, whose
-    # factors must stay those of householder_qr(A) up to column signs
-    rng = np.random.default_rng(17)
-    m = 20
-    q, r = np.eye(m), np.zeros((0, 0))
-    cols = []
-    for _ in range(200):
-        if cols and (len(cols) == m or rng.random() < 0.45):
-            k = int(rng.integers(len(cols)))
-            q, r = linalg.qr_delete(q, r, k)
-            del cols[k]
-        else:
-            cols.append(rng.normal(size=m))
-            q, r = linalg.qr_append(q, r, cols[-1])
-        a = np.array(cols).T if cols else np.zeros((m, 0))
-        w = a.shape[1]
-        assert r.shape == (w, w)
-        assert np.max(np.abs(q.T @ q - np.eye(m))) <= 1e-12
-        assert np.max(np.abs(q[:, :w] @ r - a), initial=0.0) <= 1e-12
-        assert np.max(np.abs(np.tril(r, -1)), initial=0.0) == 0.0
-        _, r_fresh = linalg.householder_qr(a)
-        assert np.allclose(np.abs(np.diag(r)), np.abs(np.diag(r_fresh[:w, :w])),
-                           rtol=1e-10, atol=1e-12)
-
-
-def test_qr_append_measures_the_new_direction():
-    # appending e1 + 2 e2 to span{e1}: the part outside the span has norm 2
-    q, r = linalg.qr_append(np.eye(3), np.zeros((0, 0)), [1.0, 0.0, 0.0])
-    q2, r2 = linalg.qr_append(q, r, [1.0, 2.0, 0.0])
-    assert abs(r2[1, 1]) == pytest.approx(2.0, abs=1e-15)
-    assert abs(r2[0, 1]) == pytest.approx(1.0, abs=1e-15)
-    # a column inside the span leaves a zero diagonal; the inputs are untouched
-    q_before, r_before = q.copy(), r.copy()
-    _, r3 = linalg.qr_append(q, r, [-3.0, 0.0, 0.0])
-    assert abs(r3[1, 1]) <= 1e-15
-    assert np.array_equal(q, q_before) and np.array_equal(r, r_before)
-
-
-def test_qr_append_rejects_a_full_factorization():
-    q, r = linalg.householder_qr(np.eye(2))
-    with pytest.raises(linalg.LinAlgError, match="full"):
-        linalg.qr_append(q, r, [1.0, 1.0])
-
-
 def well_conditioned_triangles(rng, n):
     """An upper and a lower triangle with diagonals of size about n."""
     upper = np.triu(rng.normal(size=(n, n))) + n * np.eye(n)
@@ -203,33 +158,3 @@ def test_triangular_solves_reject_a_zero_pivot():
                        (linalg.solve_lower, [[0.0, 0.0], [2.0, 1.0]])):
         with pytest.raises(linalg.LinAlgError, match="singular"):
             solve(tri, [1.0, 1.0])
-
-
-def test_qr_columns_matches_the_appends():
-    # the one-step factors of k columns are those of k qr_append calls up to
-    # the signs of R's rows, from an orthogonal Q and from a triangular one
-    rng = np.random.default_rng(29)
-    m, k = 12, 7
-    a = rng.normal(size=(m, k))
-    for q0 in (np.eye(m), np.triu(rng.normal(size=(m, m))) + 4.0 * np.eye(m)):
-        q_seq, r_seq = q0, np.zeros((0, 0))
-        for j in range(k):
-            q_seq, r_seq = linalg.qr_append(q_seq, r_seq, a[:, j])
-        q0_before = q0.copy()
-        q, r = linalg.qr_columns(q0, a)
-        assert np.array_equal(q0, q0_before)
-        assert r.shape == (k, k) and np.max(np.abs(np.tril(r, -1))) == 0.0
-        assert np.max(np.abs(q.T @ a - np.vstack([r, np.zeros((m - k, k))]))) <= 1e-12
-        assert np.allclose(np.abs(r), np.abs(r_seq), rtol=1e-10, atol=1e-12)
-    with pytest.raises(linalg.LinAlgError, match="cannot factor"):
-        linalg.qr_columns(np.eye(2), np.ones((2, 3)))
-
-
-@pytest.mark.parametrize("m", [1, 2, 5, 12])
-def test_qr_columns_of_no_columns_leaves_q_as_it_is(m):
-    # LAPACK's complete QR of an m x 0 block is H = I, so Q H is Q to the
-    # bit: solve_qp's unconstrained start is its warm start with no rows
-    rng = np.random.default_rng(m)
-    for q0 in (np.eye(m), rng.normal(size=(m, m))):
-        q, r = linalg.qr_columns(q0, np.zeros((m, 0)))
-        assert np.array_equal(q, q0) and r.shape == (0, 0)

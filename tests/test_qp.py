@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from misens import linalg
+from misens import linalg, qp
 from misens.qp import QpStatus, solve_qp
 
 
@@ -175,25 +175,33 @@ class TestInequalities:
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-8)
 
 
+def record_factored_rows(monkeypatch):
+    """The active sets, as lists of rows of G, that solve_qp factors, in order."""
+    factored = []
+    factor = qp._factor
+
+    def recording_factor(gj, rows):
+        factored.append(list(rows))
+        return factor(gj, rows)
+
+    monkeypatch.setattr(qp, "_factor", recording_factor)
+    return factored
+
+
 class TestCounters:
     def test_box_projection_counts(self, monkeypatch):
         # min ||v - (4, -1)||^2 on the unit box.  The unconstrained minimum
         # (4, -1) violates v0 <= 1 by 3 and v1 >= 0 by 1; the most violated
         # row goes first.  Each full step moves along the null space of the
-        # rows already active, so two steps end at the vertex (1, 0).
-        appended = []
-        qr_append = linalg.qr_append
-
-        def recording_append(q, r, a):
-            appended.append(a.tolist())
-            return qr_append(q, r, a)
-
-        monkeypatch.setattr(linalg, "qr_append", recording_append)
+        # rows already active, so two steps end at the vertex (1, 0).  Each
+        # active set the solve reaches is factored afresh, the start's too.
+        factored = record_factored_rows(monkeypatch)
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(*prob)
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
         assert sol.iterations == 2
-        assert appended == [[-1.0, 0.0], [0.0, 1.0]]  # v0 <= 1, then v1 >= 0
+        assert prob[2][[1, 2]].tolist() == [[-1.0, 0.0], [0.0, 1.0]]
+        assert factored == [[], [1], [1, 2]]  # v0 <= 1, then v1 >= 0
 
 
 def planted_qp(seed, n, n_singular=0, duplicate=False):
@@ -315,20 +323,14 @@ class TestWarmActiveSet:
         # the box projection of TestCounters.  Held at v0 = 0 the minimum is
         # (0, -1), where the gradient (-8, 0) gives the row v0 >= 0 the
         # multiplier -8: no dual feasible start.  Four rows in two variables
-        # are dependent.  Each offer solves as the cold start does: two steps
-        appended = []
-        qr_append = linalg.qr_append
-
-        def recording_append(q, r, a):
-            appended.append(a.tolist())
-            return qr_append(q, r, a)
-
-        monkeypatch.setattr(linalg, "qr_append", recording_append)
+        # are dependent and not even factored.  Each offer solves as the cold
+        # start does: two steps, v0 <= 1 (row 1) and then v1 >= 0 (row 2)
+        factored = record_factored_rows(monkeypatch)
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(*prob, active=offered)
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
         assert sol.iterations == 2
-        assert appended == [[-1.0, 0.0], [0.0, 1.0]]
+        assert factored == ([[0]] if offered == [0] else []) + [[], [1], [1, 2]]
 
     @pytest.mark.parametrize("offered, message", [
         ([4], "outside"), ([-1], "outside"), ([1, 1], "repeats"),
@@ -337,3 +339,12 @@ class TestWarmActiveSet:
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         with pytest.raises(ValueError, match=f"^active .*{message}"):
             solve_qp(*prob, active=offered)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 12])
+def test_no_active_rows_factor_to_the_identity(m):
+    # LAPACK's complete QR of an m x 0 block is H = I to the bit, so the
+    # unconstrained start -J0 J0' c is the warm start with no rows
+    rng = np.random.default_rng(m)
+    h_mat, r_mat = qp._factor(rng.normal(size=(3, m)), [])
+    assert np.array_equal(h_mat, np.eye(m)) and r_mat.shape == (0, 0)

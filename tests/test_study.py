@@ -3,12 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from misens import design, study
+from misens.classify import kmeans
 from misens.design import DesignConfig
 from misens.milp import MilpLimits
 from misens.study import (
     CLUSTER_CENTRES,
     CLUSTER_SPREAD,
     H_V,
+    METHODS,
     P_REF,
     R,
     ScenarioConfig,
@@ -16,6 +19,7 @@ from misens.study import (
     generate_scenario,
     pct,
     run_comparison,
+    run_method,
     run_montecarlo,
 )
 
@@ -137,6 +141,28 @@ class TestComparison:
             mr, ms = sensor.models[r - 1], sensor.models[s - 1]
             assert np.array_equal(hp.w, mr.p - ms.p)
             assert hp.b_w == mr.b_p - ms.b_p
+
+    def test_the_kmeans_labeling_is_computed_once_per_draw(self, monkeypatch):
+        # mis-std, mis-con and mis-con-lab share one k-means labeling, and
+        # each reports what it reports when run alone
+        calls = []
+
+        def counting_kmeans(*args, **kwargs):
+            calls.append(args)
+            return kmeans(*args, **kwargs)
+
+        for module in (study, design):
+            monkeypatch.setattr(module, "kmeans", counting_kmeans)
+        scenario = ScenarioConfig(kind="uniform", n_total=24, seed=4)
+        cfg = DesignConfig(n_cl=2, seed=4, milp_limits=MilpLimits(node_cap=50))
+        report = run_comparison(scenario, list(METHODS), cfg, timing="fixed")
+        assert len(calls) == 1
+        assert [r.status for r in report.rows] == ["ok"] * 4
+        train, _, scaler = generate_scenario(scenario)
+        for row in report.rows:
+            alone = run_method(row.method, train, cfg, scaler)
+            assert row.train_rmse == alone.train_rmse
+        assert len(calls) == 4  # run alone, each labeled method runs k-means once
 
     def test_method_failure_recorded_others_run(self):
         # n_total=12 -> 6 training points cannot host 3 classes of 3 for the
