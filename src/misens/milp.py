@@ -1,8 +1,19 @@
 """Branch-and-bound mixed-integer linear programming over binary variables.
 
 Search order is best-bound-first with a depth-first dive every 10 nodes to
-find incumbents early; branching picks the binary whose relaxation value is
-closest to 0.5 (ties to the lowest index).  Child nodes warm-start from the
+find incumbents early.  Branching works on groups, found once per solve: an
+equality row with right-hand side 1 whose only entries are binaries with
+coefficient 1 (the labeling rows sum_j z_ij = 1 of MIS-con-lab).  Each group
+with a fractional member is scored by its cheapest completion: set one
+member to 1, the others to 0, leave every other variable at its LP value,
+and take the least total violation of the group's local rows (the other
+rows whose binary entries all lie in the group) over those choices.  On the
+labeling MILP that is max(0, min_j |y_i - f_j(x_i)| - t_i), how far the
+relaxation underestimates point i's error.  The search branches on the
+lowest-index fractional member of the highest-scoring group (ties to the
+lower group).  With no fractional grouped binary, it branches on the binary
+whose relaxation value is closest to 0.5 (ties to the lowest index), so a
+program without groups searches as before.  Child nodes warm-start from the
 parent's simplex basis, which carries its inverse, so a child skips the
 refactorization; both children share the parent's one inverse.  Once the
 open list holds as many nodes as BINV_STORE_BYTES allows inverses, a node
@@ -177,6 +188,85 @@ def _materialize(lo0, hi0, fixes):
     return lo, hi
 
 
+class _Groups:
+    """The branching groups of a compiled MILP, found once per solve.
+
+    A group is an equality row with right-hand side 1 whose only entries
+    are binaries with coefficient 1 (the labeling rows sum_j z_ij = 1).  Its
+    local rows are the other rows with a binary entry, all of them in the
+    group.  A completion of a group sets one member to 1 and the others to
+    0, every other variable at its value; a group's score is the least
+    total violation of its local rows' slack boxes over its completions.
+    Every (group, local row, member) triple is one entry of the flat arrays
+    below, so `pick` scores all groups in one vectorized pass; the local
+    rows' activities are computed once per pass and read by each triple.
+    """
+
+    def __init__(self, comp: CompiledLp, binaries: np.ndarray):
+        n = comp.n_struct
+        rows = comp.a[:, :n]
+        binary = np.zeros(n, dtype=bool)
+        binary[binaries] = True
+        nonzero = rows != 0.0
+        on_binaries = nonzero & binary
+        is_group = ((comp.slack_lo == 0.0) & (comp.slack_hi == 0.0) & (comp.rhs == 1.0)
+                    & nonzero.any(axis=1) & ~(nonzero & ~binary).any(axis=1)
+                    & ((rows == 1.0) | ~nonzero).all(axis=1))
+        group_rows = np.flatnonzero(is_group)
+        self.n_groups = group_rows.size
+        if not self.n_groups:
+            return
+        in_group = on_binaries[group_rows]                      # groups x n
+        # binary entries of each row outside each group
+        outside = on_binaries.astype(float) @ (~in_group).T.astype(float)
+        local = (outside == 0.0) & on_binaries.any(axis=1)[:, None]
+        local[group_rows, np.arange(self.n_groups)] = False     # rows x groups
+        members = [np.flatnonzero(g) for g in in_group]
+        sizes = np.array([k.size for k in members])
+        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.member = np.concatenate(members)                   # one per choice
+        row, choice, col = [], [], []
+        for g, k in enumerate(members):
+            for r in np.flatnonzero(local[:, g]):
+                row += [r] * k.size
+                choice += range(self.starts[g], self.starts[g] + k.size)
+                col += k.tolist()
+        row, self.choice, col = (np.array(x, dtype=int) for x in (row, choice, col))
+        place = np.empty(n, dtype=int)
+        place[binaries] = np.arange(binaries.size)
+        self.member_at = place[self.member]                     # its place in binaries
+        # the local rows without their binary entries, each once, and each
+        # triple's box on its row's activity less the member's entry: the
+        # completion that sets the member to 1 violates the row by how far
+        # (a_rest @ v)[row] lies outside [act_lo, act_hi]
+        local_rows, self.row = np.unique(row, return_inverse=True)
+        self.a_rest = np.where(binary, 0.0, rows[local_rows])
+        base = comp.rhs[row] - rows[row, col]
+        self.act_lo, self.act_hi = base - comp.slack_hi[row], base - comp.slack_lo[row]
+
+    def pick(self, values: np.ndarray, upper: np.ndarray,
+             fractional: np.ndarray) -> int | None:
+        """The lowest-index fractional member of the group whose cheapest
+        completion costs most (ties to the lower group); None when no
+        group has a fractional member.  `fractional` flags the binaries
+        with a fractional value; a member whose upper bound is 0 is not
+        completed to 1."""
+        if not self.n_groups:
+            return None
+        fractional = fractional[self.member_at]
+        act = (self.a_rest @ values)[self.row]
+        violation = np.maximum(np.maximum(self.act_lo - act, act - self.act_hi), 0.0)
+        cost = np.bincount(self.choice, weights=violation, minlength=self.member.size)
+        cost[upper[self.member] < 0.5] = np.inf
+        score = np.where(np.logical_or.reduceat(fractional, self.starts),
+                         np.minimum.reduceat(cost, self.starts), -1.0)
+        g = int(score.argmax())
+        if score[g] < 0.0:
+            return None
+        start = self.starts[g]
+        return int(self.member[start + int(fractional[start:].argmax())])
+
+
 def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
                 lower: np.ndarray, upper: np.ndarray) -> float | None:
     """Objective of a hint that is integral and feasible in the rows and in
@@ -203,6 +293,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     lower, upper = prob.bounds()
     comp = compile_lp(prob.base)
     binaries = np.array(prob.binary_vars, dtype=int)
+    groups = _Groups(comp, binaries)
     t_start = time.perf_counter()
 
     inc_val: np.ndarray | None = None
@@ -240,14 +331,16 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         heapq.heappush(heap, (key, seq, node))
         seq += 1
 
-    def frac_branch_var(values) -> int | None:
+    def branch_var(values, node_upper) -> int | None:
         v = values[binaries]
-        frac = np.abs(v - np.round(v))
-        cand = np.nonzero(frac > INT_TOL)[0]
-        if cand.size == 0:
+        fractional = np.abs(v - np.round(v)) > INT_TOL
+        if not fractional.any():
             return None
-        scores = np.abs(v[cand] - 0.5)
-        return int(binaries[cand[int(scores.argmin())]])
+        j = groups.pick(values, node_upper, fractional)
+        if j is not None:
+            return j
+        cand = np.flatnonzero(fractional)
+        return int(binaries[cand[int(np.abs(v[cand] - 0.5).argmin())]])
 
     def consider_incumbent(sol):
         nonlocal inc_val, inc_obj
@@ -267,7 +360,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         return False
 
     # root handling
-    j = frac_branch_var(root_sol.values)
+    j = branch_var(root_sol.values, upper)
     if j is None:
         consider_incumbent(root_sol)
         bound_global = inc_obj
@@ -311,7 +404,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 break
             if sol.objective_value >= inc_obj - CUTOFF_TOL:
                 break  # dominated: the cutoff is tested on infeasible iterates only
-            j = frac_branch_var(sol.values)
+            j = branch_var(sol.values, hi)
             if j is None:
                 consider_incumbent(sol)
                 break

@@ -9,11 +9,12 @@ unconstrained minimum -J0 J0' c, which is dual feasible with no row active,
 so no feasible start is needed.  It then adds the most violated row n until
 no row is violated.  The start and every change of the active set A factor
 its rows afresh by one complete QR, (G J0)_A' = H [R; 0]; no factor is
-updated.  A step splits d = H' J0' n into d1 (its first |A| entries) and
-d2, moves the point along J0 H2 d2, which keeps the active rows at
-equality, and the multipliers along -R^{-1} d1.  A partial step drops the
-active row whose multiplier reaches zero first; a full step makes the new
-row active.  A violated row that depends on the active rows
+updated, and the active set a full step ends at is factored only when
+another step follows.  A step splits d = H' J0' n into d1 (its first |A|
+entries) and d2, moves the point along J0 H2 d2, which keeps the active
+rows at equality, and the multipliers along -R^{-1} d1.  A partial step
+drops the active row whose multiplier reaches zero first; a full step makes
+the new row active.  A violated row that depends on the active rows
 (||d2|| <= RANK_TOL ||d||) gets no primal step: partial steps make room for
 it, or it proves the QP infeasible.
 
@@ -160,6 +161,8 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
         if not s.size or s.min() >= 0.0:
             break
         p = int(np.argmin(s))
+        if h_mat is None:  # the last full step's active set, not yet factored
+            h_mat, r_mat = _factor(gj, active)
         n_p, s_p, u_p = g[p], s[p], 0.0
         while True:
             w = len(active)
@@ -184,12 +187,11 @@ def solve_qp(q, c, g, h, active=None) -> QpSolution:
             if t == t2:
                 active.append(p)
                 u = np.append(u, u_p)
-            else:
-                active.pop(drop)
-                u = np.delete(u, drop)
-            h_mat, r_mat = _factor(gj, active)
-            if t == t2:
+                h_mat = None  # factored only if another step follows
                 break
+            active.pop(drop)
+            u = np.delete(u, drop)
+            h_mat, r_mat = _factor(gj, active)
             s_p = float(n_p @ x - h[p])
     # KKT residual: stationarity, primal feasibility, and the sign of the
     # active rows' multipliers

@@ -395,6 +395,18 @@ class TestMilpBuild:
         ts = [VariableLayout(train.n, train.n_p, n_cl).t(i) for i in range(train.n)]
         assert np.all(res.values[ts] < required_big_m(cfg.param_bound, train.n_p))
 
+    @pytest.mark.parametrize("seed, n, n_cl", [
+        (1, 6, 2), (2, 7, 2), (3, 8, 2), (4, 8, 2), (5, 7, 2),
+        (6, 6, 3), (7, 7, 3), (8, 6, 3), (9, 7, 3), (10, 8, 3)])
+    def test_milp_matches_brute_force_on_random_draws(self, seed, n, n_cl):
+        rng = np.random.default_rng(seed)
+        train = dataset(rng.uniform(size=(n, 1)), rng.uniform(size=n))
+        cfg = DesignConfig(n_cl=n_cl, param_bound=2.0)
+        res = solve_milp(build_mis_con_lab_milp(train, cfg))
+        assert res.status == MipStatus.OPTIMAL
+        assert res.objective_value == pytest.approx(l1_oracle_over_labelings(train, cfg),
+                                                    abs=1e-6)
+
     def test_bounds_are_finite_and_the_hint_stays_inside(self, monkeypatch):
         # the capped benchmark's draw: uniform-30, seed 1, n_cl = 3.  Every
         # t_i is boxed by big-M, which the hint's t_i stay below

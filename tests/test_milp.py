@@ -6,7 +6,7 @@ import pytest
 
 from misens import lp, milp
 from misens.core import Dataset
-from misens.design import DesignConfig, build_mis_con_lab_milp
+from misens.design import DesignConfig, VariableLayout, build_mis_con_lab_milp
 from misens.lp import Constraint, LinearProgram, solve_lp, Status
 from misens.milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
 
@@ -341,3 +341,62 @@ class TestCutoffSearch:
         # that slack would prune nodes this search explores
         mip = TestInverseStore()._labeling_mip(seed=14)
         assert self._assert_same_search(monkeypatch, mip) > 0
+
+
+class TestBranching:
+    """Which binary the first branching fixes, read from the first node LP
+    after the root: its bounds differ from the root's at that binary."""
+
+    @staticmethod
+    def _first_branch(monkeypatch, mip):
+        calls = []
+        solve = milp.solve_compiled
+
+        def recording(comp, lower, upper, warm=None, cutoff=np.inf):
+            sol = solve(comp, lower, upper, warm, cutoff=cutoff)
+            calls.append((np.array(lower), np.array(upper), sol))
+            return sol
+
+        monkeypatch.setattr(milp, "solve_compiled", recording)
+        solve_milp(mip, MilpLimits(node_cap=2))
+        (root_lo, root_hi, root), (lo, hi, _) = calls[:2]
+        changed = np.flatnonzero((lo != root_lo) | (hi != root_hi))
+        assert changed.size == 1
+        return int(changed[0]), root.values
+
+    @staticmethod
+    def _closest_to_half(mip, values):
+        bins = np.array(mip.binary_vars)
+        v = values[bins]
+        cand = np.flatnonzero(np.abs(v - np.round(v)) > milp.INT_TOL)
+        return int(bins[cand[np.argmin(np.abs(v[cand] - 0.5))]])
+
+    def test_labeling_branches_on_the_point_the_relaxation_underestimates_most(
+            self, monkeypatch):
+        # seed 12: the root LP's z value closest to 0.5 is point 6's, but the
+        # relaxation underestimates point 1's error most
+        n, n_cl = 8, 2
+        mip = TestInverseStore()._labeling_mip(seed=12)
+        lay = VariableLayout(n, 1, n_cl)
+        rng = np.random.default_rng(12)
+        x, y = rng.uniform(size=(n, 1))[:, 0], rng.uniform(size=n)
+        j, v = self._first_branch(monkeypatch, mip)
+        z = v[list(lay.binaries)].reshape(n, n_cl)
+        fractional = (np.abs(z - np.round(z)) > milp.INT_TOL).any(axis=1)
+        # each point's cheapest completion: max(0, min_j |y_i - f_j(x_i)| - t_i)
+        fits = np.array([[v[lay.p(c, 0)] * x[i] + v[lay.b_p(c)] for c in (1, 2)]
+                         for i in range(n)])
+        t = v[[lay.t(i) for i in range(n)]]
+        score = np.maximum(np.abs(y[:, None] - fits).min(axis=1) - t, 0.0)
+        worst = int(np.argmax(np.where(fractional, score, -1.0)))
+        assert worst == 1
+        assert np.sort(score[fractional])[-2] < score[worst] - 0.1
+        assert (self._closest_to_half(mip, v) - lay.z(0, 1)) // n_cl == 6
+        # the lowest-index fractional z of that point (z_11 + z_12 = 1)
+        assert j == lay.z(worst, 1)
+
+    def test_without_groups_the_binary_closest_to_half(self, monkeypatch):
+        mip = TestLimitsAndHints()._bigger_mip()
+        assert milp._Groups(lp.compile_lp(mip.base), np.array(mip.binary_vars)).n_groups == 0
+        j, v = self._first_branch(monkeypatch, mip)
+        assert j == self._closest_to_half(mip, v)

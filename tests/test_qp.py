@@ -194,14 +194,15 @@ class TestCounters:
         # (4, -1) violates v0 <= 1 by 3 and v1 >= 0 by 1; the most violated
         # row goes first.  Each full step moves along the null space of the
         # rows already active, so two steps end at the vertex (1, 0).  Each
-        # active set the solve reaches is factored afresh, the start's too.
+        # active set a step starts from is factored afresh, the start's too;
+        # the final [1, 2] is not, since no step follows it.
         factored = record_factored_rows(monkeypatch)
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(*prob)
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
         assert sol.iterations == 2
         assert prob[2][[1, 2]].tolist() == [[-1.0, 0.0], [0.0, 1.0]]
-        assert factored == [[], [1], [1, 2]]  # v0 <= 1, then v1 >= 0
+        assert factored == [[], [1]]  # v0 <= 1, then v1 >= 0
 
 
 def planted_qp(seed, n, n_singular=0, duplicate=False):
@@ -324,13 +325,14 @@ class TestWarmActiveSet:
         # (0, -1), where the gradient (-8, 0) gives the row v0 >= 0 the
         # multiplier -8: no dual feasible start.  Four rows in two variables
         # are dependent and not even factored.  Each offer solves as the cold
-        # start does: two steps, v0 <= 1 (row 1) and then v1 >= 0 (row 2)
+        # start does: two steps, v0 <= 1 (row 1) and then v1 >= 0 (row 2),
+        # and the final [1, 2] is not factored
         factored = record_factored_rows(monkeypatch)
         prob = make_qp(2.0 * np.eye(2), [-8.0, 2.0], lo=[0.0, 0.0], hi=[1.0, 1.0])
         sol = solve_qp(*prob, active=offered)
         assert np.allclose(sol.values, [1.0, 0.0], atol=1e-12)
         assert sol.iterations == 2
-        assert factored == ([[0]] if offered == [0] else []) + [[], [1], [1, 2]]
+        assert factored == ([[0]] if offered == [0] else []) + [[], [1]]
 
     @pytest.mark.parametrize("offered, message", [
         ([4], "outside"), ([-1], "outside"), ([1, 1], "repeats"),
