@@ -39,6 +39,7 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 
 MANIFEST_SCHEMA = 1
+SCALER_SCHEMA = 1
 
 
 class ConfigError(ValueError):
@@ -225,9 +226,20 @@ def cmd_generate(args, cfg: RunConfig) -> int:
     train, test, scaler = generate_scenario(cfg.scenario)
     core.save_dataset(train, out / "train.csv")
     core.save_dataset(test, out / "test.csv")
-    core.write_json(out / "scaler.json", {"schema": 1, **scaler.to_dict()})
+    core.write_json(out / "scaler.json", {"schema": SCALER_SCHEMA, **scaler.to_dict()})
     print(f"wrote {train.n} training and {test.n} testing rows to {out}")
     return EXIT_OK
+
+
+def _load_scaler(path: Path) -> core.Scaler:
+    """A scaler document that `generate` writes; SchemaError unless its
+    schema is SCALER_SCHEMA."""
+    doc = json.loads(path.read_text())
+    found = doc.get("schema") if isinstance(doc, dict) else None
+    if found != SCALER_SCHEMA:
+        raise core.SchemaError(f"{path}: scaler document schema mismatch: "
+                               f"expected {SCALER_SCHEMA}, found {found}")
+    return core.Scaler.from_dict(doc)
 
 
 def cmd_train(args, cfg: RunConfig) -> int:
@@ -235,11 +247,12 @@ def cmd_train(args, cfg: RunConfig) -> int:
     out = Path(cfg.output_dir)
     data_path = Path(args.data) if args.data else out / "train.csv"
     train = core.load_dataset(data_path)
+    # an explicit --scaler must exist; the default one is optional
     scaler = None
-    scaler_path = Path(args.scaler) if args.scaler else out / "scaler.json"
-    if scaler_path.exists():
-        doc = json.loads(scaler_path.read_text())
-        scaler = core.Scaler.from_dict(doc)
+    if args.scaler:
+        scaler = _load_scaler(Path(args.scaler))
+    elif (out / "scaler.json").exists():
+        scaler = _load_scaler(out / "scaler.json")
     _prepare_out(cfg)
     report = run_method(method, train, cfg.design, scaler)
     core.save_sensor(report.sensor, out / "sensor.json")

@@ -18,10 +18,9 @@ the compiled box, which branch and bound only tightens.
 There is one method.  Any basis is dual feasible once each nonbasic column
 rests on the bound that the sign of its reduced cost picks, so a solve
 prices its starting basis, puts the columns there and runs the dual
-simplex until the basic values lie in their boxes.  A cold solve starts
-from the all-slack basis (inverse = I), a warm one from the caller's
-Basis; a Basis that does not fit (shapes, ranges, a repeated column) is
-replaced by the slack basis.  When no column can enter, the row is formed
+simplex until the basic values lie in their boxes.  A solve starts from
+the all-slack basis (inverse = I) unless it is given a Basis exported by a
+solve over the same CompiledLp.  When no column can enter, the row is formed
 again from a refactorized inverse: if its reach over the real boxes falls
 short of the violated bound by more than FEAS_TOL, it is a Farkas
 certificate (INFEASIBLE), else the pivot is the usable column of largest
@@ -36,10 +35,10 @@ An optimal Basis carries its inverse in read-only arrays, shared by the
 children of a branch-and-bound node, and the mark of the CompiledLp it was
 solved over.  A child solved over that same CompiledLp takes the inverse
 as it is, because the parent's solve checked it against the same arrays at
-its optimum or formed it fresh, and copies it at its first pivot.  Any
-other Basis (built by hand, made by `dataclasses.replace`, or exported over
-another CompiledLp) is checked: it is refactorized when the basic values
-it gives, or the inverse itself (Freivalds' check), fail a residual test.
+its optimum or formed it fresh, and copies it at its first pivot; a Basis
+whose inverse was dropped (`Basis.without_inverse`) is refactorized once.
+Any other Basis (built by hand, made by `dataclasses.replace`, or exported
+over another CompiledLp) is ignored: the solve is the cold one.
 
 Under an objective `cutoff` the cost of each iterate is a lower bound on
 the optimum while the costs are true and the basis dual feasible; once it
@@ -51,7 +50,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -151,36 +150,27 @@ class LinearProgram:
 
 @dataclass(frozen=True, eq=False)
 class Basis:
-    """Warm-start state: basic column per row plus status per column.
+    """Warm-start state a solve exports: basic column per row, status per
+    column and the inverse of the basic columns (None once dropped).
 
     Columns are indexed over structural variables followed by one slack per
-    constraint row; status codes are BASIC/AT_LO/AT_UP.  `basic` and
-    `status` are int arrays (sequences are converted).  `binv`, when set,
-    is the inverse of the basic columns; it is left out of comparisons.  A
-    warm start checks it against the basic columns of its own LP and
-    refactorizes when it does not fit, unless the Basis was exported by a
-    solve over that very CompiledLp, which checked it there.  An exported
-    Basis is shared by the children of its branch-and-bound node, so its
-    arrays are read-only.
+    constraint row; status codes are BASIC/AT_LO/AT_UP.  Only a solve over
+    the CompiledLp that exported the Basis starts from it; see the module
+    docstring.  It is shared by the children of its branch-and-bound node,
+    so its arrays are read-only.
     """
 
     basic: np.ndarray
     status: np.ndarray
     binv: np.ndarray | None = field(default=None, repr=False)
-    # the CompiledLp an exported Basis was solved over; neither the
-    # constructor nor dataclasses.replace carries it
-    _solved_over: CompiledLp | None = field(default=None, init=False, compare=False,
-                                            repr=False)
+    # the CompiledLp it was exported over; set by the solver alone
+    _solved_over: CompiledLp | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "basic", np.asarray(self.basic, dtype=int))
-        object.__setattr__(self, "status", np.asarray(self.status, dtype=int))
-
-    def __eq__(self, other):
-        if not isinstance(other, Basis):
-            return NotImplemented
-        return (np.array_equal(self.basic, other.basic)
-                and np.array_equal(self.status, other.status))
+    def without_inverse(self) -> Basis:
+        """This Basis, still a start for its CompiledLp, with no inverse."""
+        basis = replace(self, binv=None)
+        object.__setattr__(basis, "_solved_over", self._solved_over)
+        return basis
 
 
 @dataclass
@@ -291,8 +281,7 @@ class _Simplex:
         self.iterations = 0
         self.refactorizations = 0
         self.pivots_since_refactor = 0
-        # state set up by _slack_basis or _try_warm_start: statuses, basic
-        # columns, the inverse and basic values
+        # set by _start: statuses, basic columns, the inverse and basic values
         self.vstat = self.basic = self.binv = self.beta = None
         self.binv_shared = False  # binv is a warm Basis's: the first pivot copies it
         self.x = None  # full values at the last beta set-up or residual check
@@ -363,52 +352,28 @@ class _Simplex:
 
     # -- start-up -----------------------------------------------------------
 
-    def _slack_basis(self) -> None:
-        """The all-slack basis, whose inverse is the identity."""
+    def _start(self, warm: Basis | None) -> None:
+        """Statuses, basic columns, inverse and values: a Basis exported over
+        this CompiledLp with its inverse (shared until the first pivot) or
+        refactorized; else, or when that is singular, the all-slack basis."""
+        if warm is not None and warm._solved_over is self.comp:
+            self.vstat, self.basic = warm.status.copy(), warm.basic.copy()
+            self.dirn = _DIRECTION[self.vstat] * self.movable
+            if warm.binv is not None:
+                self.binv, self.binv_shared = warm.binv, True
+                self._set_values()
+                return
+            try:
+                self._refactorize()
+                return
+            except linalg.LinAlgError:
+                pass
         self.basic = np.arange(self.n_struct, self.n_cols)
         self.vstat = np.full(self.n_cols, AT_LO)
         self.vstat[self.basic] = BASIC
-        self.binv = np.eye(self.m)
-        self.binv_shared = False
-        self.pivots_since_refactor = 0
-        self.x = None  # no values yet, whatever a warm start that failed left
-
-    def _try_warm_start(self, warm: Basis) -> bool:
-        """Take the caller's basis, or return False when it does not fit this
-        LP: wrong shapes, a status code out of range, or basic columns other
-        than those with status BASIC.  The carried inverse is used (shared
-        until the first pivot) when beta's residual and Freivalds' check
-        hold, else the basis is refactorized; an inverse with non-finite or
-        overflowing entries fails them.  A Basis exported over this very
-        CompiledLp with its inverse is taken unchecked: its solve checked
-        that read-only inverse against the same arrays at its optimum, or
-        formed it fresh."""
-        m = self.m
-        basic, status = warm.basic, warm.status
-        trusted = warm._solved_over is self.comp and warm.binv is not None
-        if not trusted and (
-                basic.shape != (m,) or status.shape != (self.n_cols,)
-                or status.min(initial=BASIC) < BASIC or status.max(initial=BASIC) > AT_UP
-                or not np.array_equal(np.flatnonzero(status == BASIC), np.sort(basic))):
-            return False
-        self.vstat = status.copy()
-        self.basic = basic.copy()
         self.dirn = _DIRECTION[self.vstat] * self.movable
-        if trusted:
-            self.binv, self.binv_shared = warm.binv, True
-            self._set_values()
-            return True
-        try:
-            binv = warm.binv
-            if binv is not None and binv.shape == (m, m):
-                self.binv, self.binv_shared = binv, True
-                with np.errstate(over="ignore", invalid="ignore"):
-                    if self._reproduces(self._set_values()) and self._inverse_ok():
-                        return True
-            self._refactorize()
-        except linalg.LinAlgError:
-            return False
-        return True
+        self.binv = np.eye(self.m)
+        self._set_values()
 
     def _statuses(self, d: np.ndarray) -> np.ndarray:
         """The dual feasible statuses for reduced costs d: each movable
@@ -426,13 +391,13 @@ class _Simplex:
         self.cost = self.true_cost
         self.d = self._reduced_costs()
         self.bounding = True
-        stale = self.x is not None and bool((np.abs(self.d[self.basic]) > OPT_TOL).any())
+        stale = bool((np.abs(self.d[self.basic]) > OPT_TOL).any())
         if stale:
             self._refactorize()
-        elif self.x is not None and not (self.d * self.dirn < -OPT_TOL).any():
+        elif not (self.d * self.dirn < -OPT_TOL).any():
             return False  # dual feasible as it stands
         side = self._statuses(self.d)
-        changed = stale or self.x is None or not np.array_equal(side, self.vstat)
+        changed = stale or not np.array_equal(side, self.vstat)
         self.vstat = side
         self.dirn = _DIRECTION[side] * self.movable
         if changed:
@@ -586,8 +551,7 @@ class _Simplex:
         inverse passes Freivalds' check when pivots have carried it since
         the last factorization, and a fresh pricing with the true costs
         moves no column."""
-        if warm is None or not self._try_warm_start(warm):
-            self._slack_basis()
+        self._start(warm)
         self._price_statuses()
         while True:
             status = self._dual()
@@ -631,10 +595,10 @@ def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
                       s.export_basis(), **counters)
 
 
-def solve_lp(prob: LinearProgram, warm: Basis | None = None) -> LpSolution:
+def solve_lp(prob: LinearProgram) -> LpSolution:
     """Solve min c @ v s.t. constraints, bounds.  See module docstring."""
     comp = compile_lp(prob)
-    return solve_compiled(comp, prob.lower, prob.upper, warm)
+    return solve_compiled(comp, prob.lower, prob.upper)
 
 
 def duality_gap(prob: LinearProgram, sol: LpSolution) -> float:

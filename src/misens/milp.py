@@ -51,7 +51,7 @@ import enum
 import heapq
 import logging
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -327,7 +327,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         if len(heap) >= BASIS_STORE_CAP:
             node.basis = None
         elif len(heap) >= binv_cap and node.basis.binv is not None:
-            node.basis = replace(node.basis, binv=None)
+            node.basis = node.basis.without_inverse()
         heapq.heappush(heap, (key, seq, node))
         seq += 1
 

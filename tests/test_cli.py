@@ -170,6 +170,13 @@ class TestTrainEvaluate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_scaler_schema_mismatch_names_versions(self, tmp_path, capsys):
+        out = self._generated(tmp_path)
+        doc = json.loads((out / "scaler.json").read_text())
+        (out / "scaler.json").write_text(json.dumps({**doc, "schema": 2}))
+        assert run(["train", "--method", "sis", "--out-dir", str(out)]) == 2
+        assert "scaler document schema mismatch: expected 1, found 2" in capsys.readouterr().err
+
     def test_malformed_scaler_is_a_validation_error(self, tmp_path, capsys):
         out = self._generated(tmp_path)
         doc = json.loads((out / "scaler.json").read_text())
@@ -205,12 +212,24 @@ class TestTrainEvaluate:
         (["train", "--method", "sis", "--data", "{src}/absent.csv"], 4),
         (["train", "--method", "sis", "--data", "{src}/train.csv",
           "--scaler", "{src}/bad_scaler.json"], 2),
+        (["train", "--method", "sis", "--data", "{src}/train.csv",
+          "--scaler", "{src}/absent.json"], 4),
+        (["train", "--method", "sis", "--data", "{src}/train.csv",
+          "--scaler", "{src}/scaler_schema_2.json"], 2),
+        (["train", "--method", "sis", "--data", "{src}/train.csv",
+          "--scaler", "{src}/scaler_no_schema.json"], 2),
         (["evaluate", "--sensor", "{src}/absent.json", "--data", "{src}/test.csv"], 4),
-    ], ids=["train-data", "train-scaler", "evaluate-sensor"])
+    ], ids=["train-data", "train-scaler", "train-absent-scaler", "train-scaler-schema-2",
+            "train-scaler-without-schema", "evaluate-sensor"])
     def test_refused_input_leaves_no_manifest(self, tmp_path, command, expected):
         src = self._generated(tmp_path)
         assert run(["train", "--method", "sis", "--out-dir", str(src)]) == 0
         (src / "bad_scaler.json").write_text('{"schema": 1}')
+        # a well-formed scaler under another schema, or under none
+        doc = json.loads((src / "scaler.json").read_text())
+        (src / "scaler_schema_2.json").write_text(json.dumps({**doc, "schema": 2}))
+        del doc["schema"]
+        (src / "scaler_no_schema.json").write_text(json.dumps(doc))
         out = tmp_path / "fresh"
         code = run([arg.format(src=src) for arg in command] + ["--out-dir", str(out)])
         assert code == expected
