@@ -67,10 +67,14 @@ class RunConfig:
                              f"found {self.jobs}")
         if self.runs < 1:
             raise ValueError(f"runs: expected at least 1, found {self.runs}")
-        for m in self.methods:
+        if not self.methods:
+            raise ValueError(f"methods: expected at least one of {', '.join(METHODS)}")
+        for i, m in enumerate(self.methods):
             if m not in METHODS:
                 raise ValueError(
                     f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
+            if m in self.methods[:i]:
+                raise ValueError(f"methods: {m!r} is listed twice")
 
     def to_manifest(self) -> dict:
         doc = {"schema": MANIFEST_SCHEMA}
@@ -136,7 +140,6 @@ FIELDS: tuple[tuple[str, str | None, object], ...] = (
     ("design.milp.gap_target", "gap", _float),
     ("design.milp.node_cap", "node_cap", _int),
     ("design.seed", "seed", _int),
-    ("design.milp_log_interval", "milp_log_every", _int),
     ("output_dir", "output_dir", _str),
     ("timing", "timing", _str),
     ("verbosity", "verbosity", _int),
@@ -340,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="MILP time limit in seconds")
         p.add_argument("--gap", type=float, help="MILP relative gap target")
         p.add_argument("--node-cap", dest="node_cap", type=int)
-        p.add_argument("--milp-log-every", dest="milp_log_every", type=int)
 
     p = sub.add_parser("generate", help="sample a scenario into train/test CSVs")
     common(p)

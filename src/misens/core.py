@@ -16,8 +16,6 @@ import numpy as np
 
 SENSOR_SCHEMA = 1
 
-NORM_TOL = 1e-12
-
 
 class SchemaError(ValueError):
     """Version field of a serialized document does not match."""
@@ -40,16 +38,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular training/testing data: inputs (n x n_p), outputs (n,), row ids.
-
-    `normalized=True` asserts every input and output entry lies in [0, 1]
-    (up to 1e-12); data carrying additive noise must not set the flag.
-    """
+    """Tabular training/testing data: inputs (n x n_p), outputs (n,), row ids."""
 
     inputs: np.ndarray
     outputs: np.ndarray
     ids: np.ndarray
-    normalized: bool = False
 
     def __post_init__(self):
         inputs = _freeze(np.atleast_2d(np.asarray(self.inputs, dtype=float)))
@@ -65,10 +58,6 @@ class Dataset:
             raise ValueError("inputs, outputs and ids disagree on the number of rows")
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
             raise ValueError("dataset contains non-finite entries")
-        if self.normalized:
-            vals = np.concatenate([inputs.ravel(), outputs])
-            if vals.min() < -NORM_TOL or vals.max() > 1.0 + NORM_TOL:
-                raise ValueError("normalized dataset has entries outside [0, 1]")
 
     @property
     def n(self) -> int:
@@ -275,14 +264,10 @@ class SensorModel:
         return float(self.scaler.denormalize_output(predict(x, self)))
 
 
-def assign_region(x, switching: SwitchingLogic) -> int:
-    """Pairwise-vote region rule: hyperplane k with pair (r, s) votes r when
-    w_k^T x + b_w >= 0 and s otherwise; ties break to the smallest class index."""
-    return int(assign_regions(x, switching)[0])
-
-
 def assign_regions(inputs, switching: SwitchingLogic) -> np.ndarray:
-    """assign_region over the rows of `inputs` (1-based classes)."""
+    """The 1-based class of each row of `inputs` by pairwise vote: hyperplane
+    k with pair (r, s) votes r when w_k^T x + b_w >= 0 and s otherwise; ties
+    break to the smallest class index."""
     x = np.atleast_2d(np.asarray(inputs, dtype=float))
     votes = np.zeros((x.shape[0], switching.n_cl), dtype=int)
     for h, (r, s) in zip(switching.hyperplanes, switching.pairs):
@@ -331,7 +316,7 @@ def normalize(raw: Dataset) -> tuple[Dataset, Scaler]:
     xmax = raw.inputs.max(axis=0)
     scaler = Scaler(xmin, xmax, raw.outputs.min(), raw.outputs.max())
     ds = Dataset(scaler.normalize_inputs(raw.inputs), scaler.normalize_output(raw.outputs),
-                 raw.ids, normalized=True)
+                 raw.ids)
     return ds, scaler
 
 
@@ -360,25 +345,34 @@ def save_dataset(ds: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV with columns x1..x{n_p}, y; a trailing `label`
-    column is refused."""
+    column is refused.  A row of the wrong width or a cell that is not a
+    number raises ValueError naming the path, the 1-based line and, for a
+    cell, its column."""
     with open(path, newline="") as fh:
         rd = csv.reader(fh)
         try:
             header = next(rd)
         except StopIteration:
             raise ValueError(f"{path}: empty file, expected a header row") from None
-        rows = [r for r in rd if r]
+        rows = [(rd.line_num, r) for r in rd if r]
     if header and header[-1].strip().lower() == "label":
         raise ValueError(f"{path}: a label column is not accepted; expected columns x1..xN, y")
     if not rows:
         raise ValueError(f"{path}: no data rows")
     width = len(header)
-    data = np.array([[float(v) for v in r] for r in rows])
-    if data.shape[1] != width:
-        raise ValueError(f"{path}: row width disagrees with header")
+    data = np.empty((len(rows), width))
+    for k, (line, row) in enumerate(rows):
+        if len(row) != width:
+            raise ValueError(f"{path}: line {line}: {len(row)} cells, the header has {width}")
+        for col, cell in enumerate(row):
+            try:
+                data[k, col] = float(cell)
+            except ValueError:
+                raise ValueError(f"{path}: line {line}, column {col + 1} ({header[col]}): "
+                                 f"expected a number, found {cell!r}") from None
     if width < 2:
         raise ValueError(f"{path}: expected at least one input column")
-    return Dataset(data[:, :-1], data[:, -1], np.arange(data.shape[0]))
+    return Dataset(data[:, :-1], data[:, -1], np.arange(len(rows)))
 
 
 def sensor_to_dict(sensor: SensorModel) -> dict:

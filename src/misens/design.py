@@ -41,7 +41,7 @@ from .core import (
     rmse,
 )
 from .lp import Constraint, LinearProgram, Status, solve_lp
-from .milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
+from .milp import MilpLimits, MixedIntegerProgram, solve_milp
 
 DESCENT_ROUNDS = 30      # reassign-and-refit rounds of one L1 descent
 RANDOM_STARTS = 6        # seeded random perturbations tried by improve_labeling
@@ -63,7 +63,6 @@ class DesignConfig:
     param_bound: float = 10.0
     milp_limits: MilpLimits = field(default_factory=MilpLimits)
     seed: int = 0
-    milp_log_interval: int = 0
 
     def __post_init__(self):
         if self.n_cl < 1:
@@ -72,8 +71,6 @@ class DesignConfig:
             raise ValueError("gamma must be positive and finite")
         if not (self.param_bound > 0 and np.isfinite(self.param_bound)):
             raise ValueError("param_bound must be positive and finite")
-        if self.milp_log_interval < 0:
-            raise ValueError("milp_log_interval must be 0 (no progress lines) or more")
 
 
 @dataclass
@@ -399,8 +396,7 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None 
                                        or better_obj < hint_objective - 1e-12):
                 hint_objective, hint = better_obj, better
     watch.lap("hint")
-    result = solve_milp(program, cfg.milp_limits, incumbent_hint=hint,
-                        log_interval=cfg.milp_log_interval)
+    result = solve_milp(program, cfg.milp_limits, incumbent_hint=hint)
     watch.lap("milp")
     if result.values is None:
         raise NoIncumbentError("no feasible labeling found within the MILP limits")
@@ -410,17 +406,15 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None 
     watch.lap("refit")
     sensor = SensorModel(refit.sensor.models, refit.sensor.switching, scaler,
                          {"method": "mis-con-lab"})
-    train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     stats = {
         "timings": watch.laps,
         "milp": result.summary(),
-        "milp_timed_out": result.status == MipStatus.TIMED_OUT,
         "l1_objective": result.objective_value,
         "kmeans_labeling_l1_objective": kmeans_objective,
         "hint_l1_objective": hint_objective if result.hint_used else None,
         "kkt_residual": refit.solver_stats["kkt_residual"],
     }
-    return DesignReport(sensor, train_rmse, milp_labels, stats)
+    return DesignReport(sensor, refit.train_rmse, milp_labels, stats)
 
 
 def _lad_fit(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:
@@ -529,20 +523,14 @@ def _split_merge_starts(train: Dataset, labels: LabelingMatrix) -> list[np.ndarr
         dists = {(a, b): float(np.sum((centroids[a - 1] - centroids[b - 1]) ** 2))
                  for ai, a in enumerate(others) for b in others[ai + 1:]}
         (ma, mb) = min(dists, key=dists.get)
-        new = np.empty(train.n, dtype=int)
         # classes: 1 and 2 are the split halves, 3 is the merged pair, and
         # the remaining classes fill 4 and up in order
-        remap = {ma: 3, mb: 3}
-        next_free = 4
-        for k in others:
-            if k not in (ma, mb):
-                remap[k] = next_free
-                next_free += 1
-        for i in range(train.n):
-            if assign[i] == j:
-                new[i] = 1 if train.inputs[i, dim] <= median else 2
-            else:
-                new[i] = remap[assign[i]]
+        remap = np.zeros(n_cl + 1, dtype=int)
+        remap[[ma, mb]] = 3
+        rest = [k for k in others if k not in (ma, mb)]
+        remap[rest] = np.arange(4, 4 + len(rest))
+        new = remap[assign]
+        new[rows] = np.where(sub[:, dim] <= median, 1, 2)
         proposals.append(new)
     return proposals
 

@@ -69,6 +69,7 @@ INT_TOL = 1e-6
 CUTOFF_TOL = 1e-9
 BASIS_STORE_CAP = 50_000  # stop attaching bases when the open list is huge
 BINV_STORE_BYTES = 12_000_000  # budget for basis inverses on the open list
+PROGRESS_EVERY = 1000  # nodes between progress lines, logged at DEBUG
 
 
 class MipStatus(enum.Enum):
@@ -286,7 +287,7 @@ def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
 
 
 def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
-               incumbent_hint=None, log_interval: int = 0) -> MipResult:
+               incumbent_hint=None) -> MipResult:
     """Solve min c @ v with the given binaries; see the module docstring."""
     limits = limits or MilpLimits()
     prob.validate()
@@ -386,14 +387,14 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         current = node
         while True:  # runs once unless diving
             nodes_explored += 1
-            if log_interval and nodes_explored % log_interval == 0:
-                log.info("nodes=%d open=%d incumbent=%s bound=%.9g gap=%.3g cut_off=%d",
-                         nodes_explored, len(heap),
-                         f"{inc_obj:.9g}" if inc_val is not None else "-",
-                         bound_global,
-                         _relative_gap(inc_obj, bound_global)
-                         if inc_val is not None else np.inf,
-                         node_lps_cut_off)
+            if nodes_explored % PROGRESS_EVERY == 0:
+                log.debug("nodes=%d open=%d incumbent=%s bound=%.9g gap=%.3g cut_off=%d",
+                          nodes_explored, len(heap),
+                          f"{inc_obj:.9g}" if inc_val is not None else "-",
+                          bound_global,
+                          _relative_gap(inc_obj, bound_global)
+                          if inc_val is not None else np.inf,
+                          node_lps_cut_off)
             lo, hi = _materialize(lower, upper, current.fixes)
             sol = solve_compiled(comp, lo, hi, warm=current.basis,
                                  cutoff=inc_obj - CUTOFF_TOL)

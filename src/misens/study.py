@@ -99,7 +99,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     """Sample a scenario; returns (train, test, scaler) in normalized units.
 
     Test outputs stay noise-free ground truth; training outputs carry the
-    additive noise, so only the test split is flagged `normalized`.
+    additive noise, so they can leave [0, 1].
     """
     rng_sample = np.random.default_rng([cfg.seed, 0])
     rng_split = np.random.default_rng([cfg.seed, 1])
@@ -130,9 +130,8 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     test_idx = np.sort(perm[n_train:])
     noise = rng_noise.normal(0.0, 1.0, size=n_train) * cfg.noise_sigma
     train = Dataset(norm.inputs[train_idx], norm.outputs[train_idx] + noise,
-                    norm.ids[train_idx], normalized=False)
-    test = Dataset(norm.inputs[test_idx], norm.outputs[test_idx],
-                   norm.ids[test_idx], normalized=True)
+                    norm.ids[train_idx])
+    test = Dataset(norm.inputs[test_idx], norm.outputs[test_idx], norm.ids[test_idx])
     return train, test, scaler
 
 
@@ -176,9 +175,6 @@ COMPARISON_COLUMNS = tuple(f.name for f in fields(MethodRow))
 class ComparisonReport:
     rows: list[MethodRow]
     sensors: dict[str, SensorModel]
-    train: Dataset
-    test: Dataset
-    scaler: Scaler
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -244,7 +240,7 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
             milp_gap=milp.get("gap"),
             milp_nodes=milp.get("nodes_explored"),
         ))
-    return ComparisonReport(rows, sensors, train, test, scaler)
+    return ComparisonReport(rows, sensors)
 
 
 def export_surface(sensors: dict[str, SensorModel], path) -> None:

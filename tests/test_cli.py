@@ -57,6 +57,7 @@ class TestGenerate:
         ({"design": {"milp": {"node_limit": 5}}}, "design.milp.node_limit"),
         ({"scenario": {"seeds": 3}}, "scenario.seeds"),
         ({"out_dir": "x"}, "out_dir"),
+        ({"design": {"milp_log_interval": 50}}, "design.milp_log_interval"),
     ])
     def test_unknown_manifest_key_names_its_path(self, tmp_path, capsys, doc, path):
         cfgfile = tmp_path / "m.json"
@@ -197,6 +198,21 @@ class TestTrainEvaluate:
         assert f"{data}: a label column is not accepted" in capsys.readouterr().err
         assert not (out / "report.json").exists()
         # the inputs are read before the manifest is echoed
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("row,message", [
+        ("0.4,0.5", "line 3: 2 cells, the header has 3"),
+        ("0.4,abc,0.6", "line 3, column 2 (x2): expected a number, found 'abc'"),
+        ("0.4,,0.6", "line 3, column 2 (x2): expected a number, found ''"),
+    ], ids=["short-row", "text-cell", "empty-cell"])
+    def test_bad_csv_row_names_its_line(self, tmp_path, capsys, row, message):
+        out = tmp_path / "o"
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x1,x2,y\n0.1,0.2,0.3\n{row}\n0.7,0.8,0.9\n")
+        code = run(["train", "--method", "sis", "--data", str(data),
+                    "--out-dir", str(out)])
+        assert code == 2
+        assert f"{data}: {message}" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_missing_data_file(self, tmp_path):
@@ -366,10 +382,19 @@ class TestRunSettingRefusals:
         self._refused(["generate", "--config", str(cfgfile), "--out-dir", str(out)],
                       "verbosity", out, capsys)
 
-    def test_negative_milp_log_interval(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command,methods", [
+        ("compare", ","), ("montecarlo", ","), ("compare", []), ("compare", "sis,sis")],
+        ids=["compare-flag", "montecarlo-flag", "manifest", "repeated"])
+    def test_empty_or_repeated_methods(self, tmp_path, capsys, command, methods):
         out = tmp_path / "o"
-        self._refused(["train", "--method", "mis-con-lab", "--milp-log-every", "-2",
-                       "--out-dir", str(out)], "milp_log_interval", out, capsys)
+        args = [command, "--runs", "1"] if command == "montecarlo" else [command]
+        if isinstance(methods, str):
+            args += ["--methods", methods]
+        else:
+            cfgfile = tmp_path / "m.json"
+            cfgfile.write_text(json.dumps({"methods": methods}))
+            args += ["--config", str(cfgfile)]
+        self._refused(args + ["--out-dir", str(out)], "methods", out, capsys)
 
 
 # a non-default manifest value and a different flag value (None: the field
@@ -389,7 +414,6 @@ SAMPLES = {
     "design.milp.gap_target": (0.001, 0.01),
     "design.milp.node_cap": (500, 40),
     "design.seed": (4, 9),
-    "design.milp_log_interval": (50, 5),
     "output_dir": ("from-manifest", "from-flag"),
     "timing": ("fixed", "wall"),
     "verbosity": (1, 2),

@@ -12,7 +12,6 @@ from misens.core import (
     Scaler,
     SensorModel,
     SwitchingLogic,
-    assign_region,
     assign_regions,
     normalize,
     predict,
@@ -25,6 +24,12 @@ def two_class_logic(w, b_w):
     return SwitchingLogic((Hyperplane(np.array(w, dtype=float), b_w),), 2)
 
 
+def region(x, logic) -> int:
+    """The class assign_regions gives the one point x."""
+    (r,) = assign_regions(x, logic)
+    return int(r)
+
+
 def make_sensor(models, switching=None, scaler=None):
     return SensorModel(tuple(AffineModel(np.array(p), b) for p, b in models), switching, scaler)
 
@@ -32,12 +37,12 @@ def make_sensor(models, switching=None, scaler=None):
 class TestAssignRegion:
     def test_binary_sign_convention(self):
         logic = two_class_logic([1.0], -1.0)
-        assert assign_region([2.0], logic) == 1
-        assert assign_region([0.0], logic) == 2
+        assert region([2.0], logic) == 1
+        assert region([0.0], logic) == 2
 
     def test_boundary_point_votes_lower_class(self):
         logic = two_class_logic([1.0], -1.0)
-        assert assign_region([1.0], logic) == 1  # w.x + b == 0 counts as class 1
+        assert region([1.0], logic) == 1  # w.x + b == 0 counts as class 1
 
     def test_unanimous_three_class_vote(self):
         # planes chosen so every pair votes for class 2 at the origin
@@ -47,7 +52,7 @@ class TestAssignRegion:
             Hyperplane(np.array([1.0, 0.0]), 1.0),   # (2,3): +1 >= 0 -> votes 2
         )
         logic = SwitchingLogic(hps, 3)
-        assert assign_region([0.0, 0.0], logic) == 2
+        assert region([0.0, 0.0], logic) == 2
 
     def test_circular_vote_tie_returns_class_one(self):
         # constructed (by searching over sign patterns) so the three pairwise
@@ -63,7 +68,7 @@ class TestAssignRegion:
         for h, (r, s) in zip(hps, logic.pairs):
             votes[r if h.w @ x + h.b_w >= 0 else s] += 1
         assert votes == {1: 1, 2: 1, 3: 1}
-        assert assign_region(x, logic) == 1
+        assert region(x, logic) == 1
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
@@ -71,7 +76,7 @@ class TestAssignRegion:
         logic = SwitchingLogic(hps, 3)
         xs = rng.normal(size=(40, 2))
         batch = assign_regions(xs, logic)
-        assert [assign_region(x, logic) for x in xs] == list(batch)
+        assert [region(x, logic) for x in xs] == list(batch)
 
 
 class TestPredict:
@@ -98,7 +103,7 @@ class TestPredict:
             x1, x2 = rng.normal(size=(2, 2))
             alpha = rng.uniform()
             xm = alpha * x1 + (1 - alpha) * x2
-            rs = {assign_region(x, logic) for x in (x1, x2, xm)}
+            rs = {region(x, logic) for x in (x1, x2, xm)}
             if len(rs) == 1:
                 lhs = predict(xm, sensor)
                 rhs = alpha * predict(x1, sensor) + (1 - alpha) * predict(x2, sensor)
@@ -138,7 +143,7 @@ class TestNormalize:
         ds = Dataset(np.array([[2000.0], [11000.0], [20000.0]]), [0.0, 1.0, 2.0], [0, 1, 2])
         norm, scaler = normalize(ds)
         assert np.allclose(norm.inputs[:, 0], [0.0, 0.5, 1.0])
-        assert norm.normalized
+        assert np.allclose(norm.outputs, [0.0, 0.5, 1.0])
 
     def test_unit_column_unchanged(self):
         ds = Dataset(np.array([[0.0], [0.25], [1.0]]), [0.0, 0.5, 1.0], [0, 1, 2])
@@ -184,10 +189,6 @@ class TestTypes:
         with pytest.raises(ValueError, match="hyperplanes"):
             SwitchingLogic((h,), 3)
 
-    def test_normalized_flag_checked(self):
-        with pytest.raises(ValueError, match="outside"):
-            Dataset(np.array([[0.5], [1.5]]), [0.0, 1.0], [0, 1], normalized=True)
-
     def test_vote_order_independent_of_hyperplane_storage(self):
         # aggregation is per class, so the stored order cannot matter; verify
         # by comparing against a manual tally on random logic
@@ -199,14 +200,13 @@ class TestTypes:
             votes = np.zeros(4, dtype=int)
             for h, (r, s) in zip(hps, logic.pairs):
                 votes[(r if h.w @ x + h.b_w >= 0 else s) - 1] += 1
-            assert assign_region(x, logic) == int(votes.argmax()) + 1
+            assert region(x, logic) == int(votes.argmax()) + 1
 
 
 class TestSerialization:
     def test_dataset_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        ds = Dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12), np.arange(12),
-                     normalized=True)
+        ds = Dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12), np.arange(12))
         path = tmp_path / "data.csv"
         core.save_dataset(ds, path)
         back = core.load_dataset(path)

@@ -420,9 +420,9 @@ class TestMilpBuild:
         hints = []
         solve = design.solve_milp
 
-        def recording(prob, limits=None, incumbent_hint=None, log_interval=0):
+        def recording(prob, limits=None, incumbent_hint=None):
             hints.append(incumbent_hint)
-            return solve(prob, limits, incumbent_hint, log_interval)
+            return solve(prob, limits, incumbent_hint)
 
         monkeypatch.setattr(design, "solve_milp", recording)
         design_mis_con_lab(train, cfg)
@@ -517,7 +517,7 @@ class TestMisConLab:
                            milp_limits=MilpLimits(node_cap=1))
         stats = design_mis_con_lab(train, cfg).solver_stats
         assert stats["milp"]["status"] == "feasible"
-        assert stats["milp_timed_out"] is False
+        assert "milp_timed_out" not in stats  # the status alone says it
 
     @pytest.mark.parametrize("outside", [False, True])
     def test_a_refused_hint_is_not_reported(self, monkeypatch, outside):

@@ -243,11 +243,14 @@ class TestLimitsAndHints:
             outcomes.add(rows_ok)
         assert outcomes == {True, False}
 
-    def test_progress_logging(self, caplog):
+    def test_progress_logging(self, caplog, monkeypatch):
         mip = self._bigger_mip()
-        with caplog.at_level(logging.INFO, logger="misens.milp"):
-            res = solve_milp(mip, MilpLimits(node_cap=50), log_interval=10)
-        assert any("nodes=" in r.message and "cut_off=" in r.message for r in caplog.records)
+        monkeypatch.setattr(milp, "PROGRESS_EVERY", 10)
+        with caplog.at_level(logging.DEBUG, logger="misens.milp"):
+            res = solve_milp(mip, MilpLimits(node_cap=50))
+        progress = [r for r in caplog.records
+                    if "nodes=" in r.getMessage() and "cut_off=" in r.getMessage()]
+        assert progress and all(r.levelno == logging.DEBUG for r in progress)
         assert res.summary()["schema"] == 1
         assert res.summary()["node_lps_cut_off"] == res.node_lps_cut_off
 
