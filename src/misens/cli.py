@@ -26,6 +26,7 @@ from .milp import MilpLimits
 from .study import (
     METHODS,
     ScenarioConfig,
+    check_methods,
     export_surface,
     generate_scenario,
     run_comparison,
@@ -67,14 +68,7 @@ class RunConfig:
                              f"found {self.jobs}")
         if self.runs < 1:
             raise ValueError(f"runs: expected at least 1, found {self.runs}")
-        if not self.methods:
-            raise ValueError(f"methods: expected at least one of {', '.join(METHODS)}")
-        for i, m in enumerate(self.methods):
-            if m not in METHODS:
-                raise ValueError(
-                    f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
-            if m in self.methods[:i]:
-                raise ValueError(f"methods: {m!r} is listed twice")
+        check_methods(self.methods)
 
     def to_manifest(self) -> dict:
         doc = {"schema": MANIFEST_SCHEMA}

@@ -18,18 +18,24 @@ the compiled box, which branch and bound only tightens.
 There is one method.  Any basis is dual feasible once each nonbasic column
 rests on the bound that the sign of its reduced cost picks, so a solve
 prices its starting basis, puts the columns there and runs the dual
-simplex until the basic values lie in their boxes.  A solve starts from
-the all-slack basis (inverse = I) unless it is given a Basis exported by a
-solve over the same CompiledLp.  When no column can enter, the row is formed
-again from a refactorized inverse: if its reach over the real boxes falls
-short of the violated bound by more than FEAS_TOL, it is a Farkas
-certificate (INFEASIBLE), else the pivot is the usable column of largest
-|alpha|.  When the dual objective stalls for STALL_PIVOTS pivots, the
-nonbasic costs are perturbed.  At the dual's optimum the basic values must
-reproduce the right-hand side and, after pivots, the inverse must pass
-Freivalds' check; the basis is priced afresh with the true costs, and a
-wrong-signed reduced cost moves its column to the other bound and the dual
-runs again.
+simplex until the basic values lie in their boxes.  Its ratio test is
+Harris's two passes (Harris, "Pivot selection methods of the Devex LP
+code", Math. Programming 5, 1973): the first bounds the step by the least
+(|d_j| + OPT_TOL) / |alpha_j| over the columns that can enter, the second
+takes the one of largest |alpha_j| whose ratio lies within that bound.  On
+degenerate LPs it takes fewer zero-length steps than the least ratio does,
+at the price of reduced costs wrong-signed by up to OPT_TOL, which the final
+pricing puts right.  A solve starts from the all-slack basis (inverse = I)
+unless it is given a Basis exported by a solve over the same CompiledLp.
+When no column can enter, the row is formed again from a refactorized
+inverse: if its reach over the real boxes falls short of the violated bound
+by more than FEAS_TOL, it is a Farkas certificate (INFEASIBLE), else the
+pivot is the usable column of largest |alpha|.  When the dual objective
+stalls for STALL_PIVOTS pivots, the nonbasic costs are perturbed.  At the
+dual's optimum the basic values must reproduce the right-hand side and,
+after pivots, the inverse must pass Freivalds' check; the basis is priced
+afresh with the true costs, and a wrong-signed reduced cost moves its
+column to the other bound and the dual runs again.
 
 An optimal Basis carries its inverse in read-only arrays, shared by the
 children of a branch-and-bound node, and the mark of the CompiledLp it was
@@ -40,10 +46,14 @@ whose inverse was dropped (`Basis.without_inverse`) is refactorized once.
 Any other Basis (built by hand, made by `dataclasses.replace`, or exported
 over another CompiledLp) is ignored: the solve is the cold one.
 
-Under an objective `cutoff` the cost of each iterate is a lower bound on
-the optimum while the costs are true and the basis dual feasible; once it
-reaches the cutoff, confirmed by the exact cost, the solve stops with
-Status.CUTOFF and no solution.
+Under an objective `cutoff` the solve stops with Status.CUTOFF and no
+solution once the dual objective it carries reaches the cutoff and the
+Lagrangian bound of the basis confirms it: with y = B^-T c_B for the true
+costs and d = c - A'y, y'rhs + sum_j min(d_j lo_j, d_j hi_j) over the boxes
+a nonbasic column rests in (a slack's stand-in side included).  Every box
+is finite and no feasible point lies outside them, so this bounds the
+optimum from below at any basis, dual feasible or not, perturbed costs or
+true; at a dual feasible basis it is the cost of the basic solution.
 """
 
 from __future__ import annotations
@@ -288,9 +298,6 @@ class _Simplex:
         self.d = None  # reduced costs, carried from pivot to pivot
         self.y = None  # B^-T c_B of the last pricing, None after a pivot
         self.dirn = None  # _DIRECTION of each movable column's status, else 0
-        # the cost of an iterate bounds the optimum from below: the costs are
-        # true and the basis is dual feasible
-        self.bounding = True
         self.outer = np.empty((self.m, self.m))  # rank-1 term of each pivot
 
     # -- state helpers ------------------------------------------------------
@@ -350,6 +357,17 @@ class _Simplex:
         self.y = self.binv.T @ self.cost[self.basic]
         return self.cost - self.a.T @ self.y
 
+    def _lower_bound(self) -> float:
+        """The Lagrangian bound of the basis: with y = B^-T c_B for the true
+        costs and d = c - A'y, y'rhs + sum_j min(d_j lo_j, d_j hi_j) over
+        the rest boxes.  Every feasible point lies in those boxes, so this
+        bounds the optimum from below for any y, whatever the signs of d; at
+        a dual feasible basis it is the cost of the basic solution."""
+        y = self.binv.T @ self.true_cost[self.basic]
+        d = self.true_cost - self.a.T @ y
+        least = np.minimum(d * self.rest[AT_LO], d * self.rest[AT_UP])
+        return float(y @ self.rhs + least.sum())
+
     # -- start-up -----------------------------------------------------------
 
     def _start(self, warm: Basis | None) -> None:
@@ -390,7 +408,6 @@ class _Simplex:
         beta residual misses where beta is 0) made it refactorize."""
         self.cost = self.true_cost
         self.d = self._reduced_costs()
-        self.bounding = True
         stale = bool((np.abs(self.d[self.basic]) > OPT_TOL).any())
         if stale:
             self._refactorize()
@@ -407,20 +424,24 @@ class _Simplex:
     # -- dual simplex -------------------------------------------------------
 
     def _entering(self, alpha: np.ndarray, below: bool) -> int | None:
-        """The dual ratio test on the pivot row alpha: among the columns
-        whose move off their bound moves the leaving row towards its
-        violated bound by more than ENTER_TOL per unit (g = alpha at the
-        upper, -alpha at the lower, negated when the row is below its box),
-        the one whose reduced cost reaches 0 first; the lowest index on
-        ties.  None when no column qualifies."""
+        """Harris's two-pass dual ratio test on the pivot row alpha.  The
+        candidates are the columns whose move off their bound moves the
+        leaving row towards its violated bound by more than ENTER_TOL per
+        unit (g = alpha at the upper, -alpha at the lower, negated when the
+        row is below its box).  Pass 1 bounds the step by the least
+        (|d_j| + OPT_TOL) / |alpha_j|; pass 2 takes, among the candidates
+        whose ratio |d_j| / |alpha_j| lies within that bound, the one of
+        largest |alpha_j|, the lowest index on ties.  None when no column
+        qualifies."""
         g = alpha * self.dirn
         if below:
             np.negative(g, out=g)
         idx = (g > ENTER_TOL).nonzero()[0]
         if not idx.size:
             return None
-        ratios = np.abs(self.d[idx] / alpha[idx])
-        return int(idx[ratios <= ratios.min() + 1e-12][0])
+        size, d = np.abs(alpha[idx]), np.abs(self.d[idx])
+        bound = ((d + OPT_TOL) / size).min()
+        return int(idx[np.where(d / size <= bound, size, -1.0).argmax()])
 
     def _out_of_reach(self, slot: int, below: bool, alpha: np.ndarray) -> int | None:
         """A row no column can enter, formed from a fresh inverse: None when
@@ -464,10 +485,9 @@ class _Simplex:
             slot = int(viol.argmax())
             if viol[slot] <= FEAS_TOL:
                 break
-            # the carried dual objective drifts, so the exact cost confirms it;
-            # only the true costs give a lower bound
-            if (dual_obj >= self.cutoff and self.bounding
-                    and float(self.cost @ self._full_values()) >= self.cutoff):
+            # the carried dual objective drifts and may be that of perturbed
+            # costs, so the Lagrangian bound of the basis confirms it
+            if dual_obj >= self.cutoff and self._lower_bound() >= self.cutoff:
                 return Status.CUTOFF
             if dual_obj > last_dual_obj + 1e-12 * max(1.0, abs(last_dual_obj)):
                 last_dual_obj = dual_obj
@@ -488,7 +508,6 @@ class _Simplex:
                 q = self._out_of_reach(slot, below, alpha)
                 if q is None:
                     return Status.INFEASIBLE
-                self.bounding = False  # this pivot may break dual feasibility
             delta = viol[slot] if not below else -viol[slot]
             w = self.binv @ self.a[:, q]
             t = delta / w[slot]
@@ -506,7 +525,6 @@ class _Simplex:
         shift = PERTURBATION * (1.0 + np.abs(self.true_cost)) * weight * self.dirn
         self.cost = self.true_cost + shift
         self.d = self.d + shift
-        self.bounding = False
 
     def _pivot(self, e: int, slot: int, leave_to: int, t: float, w: np.ndarray,
                alpha: np.ndarray) -> None:
@@ -599,21 +617,3 @@ def solve_lp(prob: LinearProgram) -> LpSolution:
     """Solve min c @ v s.t. constraints, bounds.  See module docstring."""
     comp = compile_lp(prob)
     return solve_compiled(comp, prob.lower, prob.upper)
-
-
-def duality_gap(prob: LinearProgram, sol: LpSolution) -> float:
-    """|primal - dual| for bounded-variable duality: the row duals times the
-    rhs, plus each column's reduced cost times the bound it is at, a slack's
-    implied bound included (its reduced cost is minus its row's dual)."""
-    if sol.status != Status.OPTIMAL:
-        raise ValueError("duality gap is defined for optimal solutions only")
-    comp = compile_lp(prob)
-    y, n = sol.dual_values, comp.n_struct
-    d = np.concatenate([sol.reduced_costs, -y])
-    v = np.concatenate([sol.values, comp.rhs - comp.a[:, :n] @ sol.values])
-    lo = np.concatenate([prob.lower, comp.implied_lo])
-    hi = np.concatenate([prob.upper, comp.implied_hi])
-    at_lo = (d > 0) & (v <= lo + 1e-6)
-    at_hi = (d < 0) & (v >= hi - 1e-6)
-    dual_obj = float(y @ comp.rhs) + float(d[at_lo] @ lo[at_lo] + d[at_hi] @ hi[at_hi])
-    return abs(sol.objective_value - dual_obj)

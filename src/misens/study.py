@@ -195,6 +195,17 @@ def _cell(v) -> str:
     return str(v)
 
 
+def check_methods(methods) -> None:
+    """Refuse an empty method list, an unknown method or a repeated one."""
+    if not methods:
+        raise ValueError(f"methods: expected at least one of {', '.join(METHODS)}")
+    for i, m in enumerate(methods):
+        if m not in METHODS:
+            raise ValueError(f"methods: unknown method {m!r}; valid: {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ValueError(f"methods: {m!r} is listed twice")
+
+
 def run_comparison(scenario: ScenarioConfig, methods: list[str],
                    cfg: DesignConfig, timing: str = "wall") -> ComparisonReport:
     """Train every method on one scenario draw and tabulate both splits.
@@ -205,11 +216,7 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
     timing="fixed" the wall-clock column is written as 0.0 so repeated runs
     are byte-identical.
     """
-    if not methods:
-        raise ValueError("methods list must not be empty")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; valid: {', '.join(METHODS)}")
+    check_methods(methods)
     train, test, scaler = generate_scenario(scenario)
     labels, labels_s = None, 0.0
     if set(methods) - {"sis"}:
@@ -338,6 +345,7 @@ def run_montecarlo(scenario: ScenarioConfig, runs: int, methods: list[str],
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    check_methods(methods)
     tasks = [(scenario, cfg, methods, run, timing) for run in range(runs)]
     outcomes = []
     if jobs > 1:

@@ -239,10 +239,27 @@ def assert_infeasible(prob, comp=None, warm=None):
     assert_farkas(comp, prob.lower, prob.upper, simplex.basic)
 
 
+def duality_gap(prob, sol):
+    """|primal - dual| for bounded-variable duality: the row duals times the
+    rhs, plus each column's reduced cost times the bound it is at, a slack's
+    implied bound included (its reduced cost is minus its row's dual)."""
+    assert sol.status == Status.OPTIMAL
+    comp = lp.compile_lp(prob)
+    y, n = sol.dual_values, comp.n_struct
+    d = np.concatenate([sol.reduced_costs, -y])
+    v = np.concatenate([sol.values, comp.rhs - comp.a[:, :n] @ sol.values])
+    lo = np.concatenate([prob.lower, comp.implied_lo])
+    hi = np.concatenate([prob.upper, comp.implied_hi])
+    at_lo = (d > 0) & (v <= lo + 1e-6)
+    at_hi = (d < 0) & (v >= hi - 1e-6)
+    dual_obj = float(y @ comp.rhs) + float(d[at_lo] @ lo[at_lo] + d[at_hi] @ hi[at_hi])
+    return abs(sol.objective_value - dual_obj)
+
+
 def assert_certified_optimum(comp, lower, upper, sol, prob):
     """An OPTIMAL solve closes its duality gap to 1e-9, is primal feasible
     within FEAS_TOL, and has the optimum of the slack-basis solve to 1e-9."""
-    assert lp.duality_gap(prob, sol) <= 1e-9
+    assert duality_gap(prob, sol) <= 1e-9
     x = sol.values
     assert np.all(x >= lower - lp.FEAS_TOL) and np.all(x <= upper + lp.FEAS_TOL)
     slack = comp.rhs - comp.a[:, :comp.n_struct] @ x
@@ -319,7 +336,7 @@ class TestBasics:
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-12)
         assert sol.basis.status[2] == lp.AT_LO and sol.dual_values[0] < -lp.OPT_TOL
-        assert lp.duality_gap(prob, sol) <= 1e-9
+        assert duality_gap(prob, sol) <= 1e-9
         assert solve_lp(prob).objective_value == pytest.approx(-2.0, abs=1e-12)
 
     def test_equality_row(self):
@@ -384,7 +401,7 @@ class TestRandomizedAgainstOracle:
             # complementary slackness
             assert abs(y * (act - con.rhs)) <= 1e-6 * max(1.0, abs(y))
         # strong duality with bound terms
-        assert lp.duality_gap(prob, sol) <= 1e-6
+        assert duality_gap(prob, sol) <= 1e-6
 
 
 class TestWarmStart:
@@ -769,41 +786,164 @@ class TestRoutedLabelingLp:
         assert optimal >= 5
 
 
+def record_node_lps(monkeypatch, train, cfg):
+    """Run the labeling design with the node LPs of its search recorded as
+    it solves them: its report, each node LP's (CompiledLp, lower, upper,
+    warm Basis, cutoff, solution) in order, and the positions of the node
+    LPs whose dual stalled and perturbed its costs."""
+    recorded, perturbed, solving = [], set(), []
+    solve, perturb = milp.solve_compiled, lp._Simplex._perturb
+
+    def recording(comp, lower, upper, warm=None, cutoff=np.inf):
+        solving.append(True)
+        try:
+            sol = solve(comp, lower, upper, warm, cutoff=cutoff)
+        finally:
+            solving.pop()
+        recorded.append((comp, lower.copy(), upper.copy(), warm, cutoff, sol))
+        return sol
+
+    def counted(self):
+        if solving:  # a node LP, not an LP of the hint or the refit
+            perturbed.add(len(recorded))
+        return perturb(self)
+
+    monkeypatch.setattr(milp, "solve_compiled", recording)
+    monkeypatch.setattr(lp._Simplex, "_perturb", counted)
+    return design_mis_con_lab(train, cfg), recorded, perturbed
+
+
+CAPPED = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=300))
+
+
+def uniform_30(seed):
+    return generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=seed))[0]
+
+
 class TestCappedSearchReplay:
     """The node LPs of the capped labeling search (uniform-30, scenario seed
     1, n_cl 3, design seed 1, 300 nodes), recorded as the search solves
-    them and checked one by one: the warm ones, the ones whose dual stalls
-    and perturbs its costs, and the root."""
+    them and checked one by one: the warm ones and the root."""
 
     def test_optimal_node_lps_are_certified(self, monkeypatch):
-        recorded, perturbed = [], []
-        solve, perturb = milp.solve_compiled, lp._Simplex._perturb
-
-        def recording(comp, lower, upper, warm=None, **kwargs):
-            sol = solve(comp, lower, upper, warm, **kwargs)
-            recorded.append((comp, lower.copy(), upper.copy(), warm, sol))
-            return sol
-
-        def counted(self):
-            perturbed.append(len(recorded))
-            return perturb(self)
-
-        monkeypatch.setattr(milp, "solve_compiled", recording)
-        monkeypatch.setattr(lp._Simplex, "_perturb", counted)
-        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
-        cfg = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=300))
-        report = design_mis_con_lab(train, cfg)
+        train = uniform_30(1)
+        report, recorded, perturbed = record_node_lps(monkeypatch, train, CAPPED)
         assert report.solver_stats["milp"]["nodes_explored"] == len(recorded) == 300
-        base = build_mis_con_lab_milp(train, cfg).base
+        base = build_mis_con_lab_milp(train, CAPPED).base
         certified = set()
-        for k, (comp, lower, upper, _, sol) in enumerate(recorded):
+        for k, (comp, lower, upper, _, _, sol) in enumerate(recorded):
             if sol.status == Status.OPTIMAL:
                 prob = LinearProgram(base.objective, base.constraints, lower, upper)
                 assert_certified_optimum(comp, lower, upper, sol, prob)
                 certified.add(k)
         assert recorded[0][3] is None and 0 in certified  # the root, a cold solve
-        # node LPs whose dual stalled and perturbed its costs are among them
-        assert len(certified) >= 250 and len(set(perturbed) & certified) >= 10
+        # the two-pass ratio test leaves few duals stalled long enough to
+        # perturb (TestFreeColumnsAndStalls covers perturbed solves)
+        assert len(certified) >= 250 and len(perturbed) <= 5
+
+
+class TestCutoffSoundness:
+    """A node LP stops at its cutoff only when its optimum reaches it.  The
+    solve confirms a cutoff by the Lagrangian bound of its basis
+    (`_Simplex._lower_bound`), which holds at any basis; the cost of the
+    basic solution holds only at a basis dual feasible for the true costs,
+    and the two-pass ratio test and the cost perturbation leave bases that
+    are not."""
+
+    # the capped search, and the six draws the certify benchmark solves to
+    # optimality (uniform-30, n_cl 2, design seed 1)
+    SEARCHES = {"capped": (1, CAPPED)} | {
+        f"certify-{s}": (s, DesignConfig(n_cl=2, seed=1, milp_limits=MilpLimits(node_cap=20_000)))
+        for s in range(1, 7)}
+
+    @pytest.mark.parametrize("search", sorted(SEARCHES))
+    def test_node_lps_cut_off_only_at_their_cutoff(self, monkeypatch, search):
+        seed, cfg = self.SEARCHES[search]
+        _, recorded, _ = record_node_lps(monkeypatch, uniform_30(seed), cfg)
+        cut = 0
+        for comp, lower, upper, _, cutoff, sol in recorded:
+            if sol.status == Status.CUTOFF:
+                cold = lp.solve_compiled(comp, lower, upper)
+                optimum = cold.objective_value if cold.status == Status.OPTIMAL else np.inf
+                assert optimum >= cutoff - 1e-9 * max(1.0, abs(cutoff))
+                cut += 1
+        assert cut >= 5
+        # each optimal node LP solved again from its warm Basis with a cutoff
+        # just above its optimum, every stall perturbing the costs: it is not
+        # cut off, and it reaches the same optimum
+        monkeypatch.setattr(lp, "STALL_PIVOTS", 0)
+        again = 0
+        for comp, lower, upper, warm, _, sol in recorded:
+            if sol.status == Status.OPTIMAL:
+                scale = max(1.0, abs(sol.objective_value))
+                got = lp.solve_compiled(comp, lower, upper, warm,
+                                        cutoff=sol.objective_value + 2e-9 * scale)
+                assert got.status == Status.OPTIMAL
+                assert got.objective_value == pytest.approx(sol.objective_value, abs=1e-9 * scale)
+                again += 1
+        assert again >= 50
+
+    @staticmethod
+    def _states(prob, entering=None, max_iter=1000):
+        """A cold solve of prob, with `entering(simplex, alpha, below)` as its
+        ratio test when given: after each pivot, the Lagrangian bound, the
+        true cost of the basic values, and whether the basis is dual
+        feasible for the true costs (each movable nonbasic column's reduced
+        cost, formed afresh, has the sign its bound asks)."""
+        comp = lp.compile_lp(prob)
+        simplex = lp._Simplex(comp, prob.lower, prob.upper, max_iter)
+        states, pivot = [], simplex._pivot
+
+        def recorded(*args):
+            pivot(*args)
+            basis = comp.a[:, simplex.basic]
+            y = np.linalg.solve(basis.T, comp.cost[simplex.basic])
+            d = comp.cost - comp.a.T @ y
+            states.append((simplex._lower_bound(), float(comp.cost @ simplex._full_values()),
+                           bool((d * simplex.dirn >= 0.0).all())))
+
+        simplex._pivot = recorded
+        if entering is not None:
+            simplex._entering = lambda alpha, below: entering(simplex, alpha, below)
+        try:
+            simplex.solve(None)
+        except (lp.SimplexStalledError, lp.linalg.LinAlgError):
+            pass
+        return states
+
+    def test_lower_bound_is_the_cost_at_dual_feasible_bases(self):
+        rng = np.random.default_rng(41)
+        checked = 0
+        for _ in range(300):
+            for bound, cost, dual_feasible in self._states(random_lp(rng)):
+                if dual_feasible:
+                    assert bound == pytest.approx(cost, rel=0, abs=1e-12 * max(1.0, abs(cost)))
+                    checked += 1
+        assert checked >= 300
+
+    def test_lower_bound_stays_below_the_optimum(self):
+        # the ratio test replaced by a random pick among the columns that can
+        # enter: many bases the dual visits are dual infeasible, and the cost
+        # of their basic values overshoots the optimum, but the bound does not
+        rng = np.random.default_rng(42)
+
+        def anywhere(simplex, alpha, below):
+            g = alpha * simplex.dirn * (-1.0 if below else 1.0)
+            idx = np.flatnonzero(g > lp.ENTER_TOL)
+            return int(rng.choice(idx)) if idx.size else None
+
+        infeasible = overshoots = 0
+        for _ in range(300):
+            prob = random_lp(rng)
+            sol = solve_lp(prob)
+            if sol.status != Status.OPTIMAL:
+                continue
+            tol = 1e-9 * max(1.0, abs(sol.objective_value))
+            for bound, cost, dual_feasible in self._states(prob, anywhere, max_iter=30):
+                assert bound <= sol.objective_value + tol
+                infeasible += not dual_feasible
+                overshoots += cost > sol.objective_value + tol
+        assert infeasible >= 100 and overshoots >= 20
 
 
 class TestPhaseTwo:
@@ -1066,7 +1206,7 @@ class TestFreeColumnsAndStalls:
             assert got.status == want.status
             if want.status == Status.OPTIMAL:
                 assert got.objective_value == pytest.approx(want.objective_value, abs=1e-8)
-                assert lp.duality_gap(prob, got) <= 1e-6
+                assert duality_gap(prob, got) <= 1e-6
                 assert np.all(np.abs(want.values) < WIDE)  # the box binds nothing
         assert stalled >= 50
 
@@ -1122,17 +1262,23 @@ class TestStatusMasks:
 
     @staticmethod
     def _entering(vstat, movable, alpha, d, below):
-        ratios = {}
+        """Harris's two-pass rule, column by column: the candidates' |d_j|
+        and |alpha_j|; the step bound, the least (|d_j| + OPT_TOL) /
+        |alpha_j|; among the candidates whose ratio is within it, the
+        largest |alpha_j|, the lowest index on ties."""
+        cands = {}
         for j, st in enumerate(vstat):
             if st == lp.BASIC or not movable[j]:
                 continue
             g = alpha[j] * (1.0 if st == lp.AT_LO else -1.0) * (-1.0 if below else 1.0)
             if g > lp.ENTER_TOL:
-                ratios[j] = abs(d[j] / alpha[j])
-        if not ratios:
+                cands[j] = (abs(d[j]), abs(alpha[j]))
+        if not cands:
             return None
-        least = min(ratios.values())
-        return min(j for j, r in ratios.items() if r <= least + 1e-12)
+        bound = min((dj + lp.OPT_TOL) / aj for dj, aj in cands.values())
+        within = [j for j, (dj, aj) in cands.items() if dj / aj <= bound]
+        largest = max(cands[j][1] for j in within)
+        return min(j for j in within if cands[j][1] == largest)
 
     def test_entering_column_matches_the_per_column_rule(self):
         rng = np.random.default_rng(22)
@@ -1145,8 +1291,16 @@ class TestStatusMasks:
             for below in (False, True):
                 expected = self._entering(simplex.vstat, simplex.movable, alpha, simplex.d, below)
                 assert simplex._entering(alpha, below) == expected
-                outcomes.add(expected is None)
-        assert outcomes == {True, False}
+                if expected is None:
+                    outcomes.add("none")
+                else:
+                    # the least ratio among the candidates, as a one-pass test takes it
+                    c = alpha * simplex.dirn * (-1.0 if below else 1.0) > lp.ENTER_TOL
+                    least = np.abs(simplex.d[c] / alpha[c]).min()
+                    ratio = abs(simplex.d[expected] / alpha[expected])
+                    outcomes.add("least" if ratio == least else "past the least")
+        # the two-pass rule steps past the least ratio to a larger |alpha|
+        assert outcomes == {"none", "least", "past the least"}
 
 
 class TestDegenerateAndScale:
@@ -1179,4 +1333,4 @@ class TestDegenerateAndScale:
             for i, v in con.coeffs:
                 a[i] += v
             assert a @ sol.values <= con.rhs + 1e-6
-        assert lp.duality_gap(prob, sol) <= 1e-6
+        assert duality_gap(prob, sol) <= 1e-6

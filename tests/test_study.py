@@ -192,6 +192,19 @@ class TestComparison:
 
 
 class TestMonteCarlo:
+    @pytest.mark.parametrize("methods,why", [
+        ([], "at least one"), (["sis", "sis"], "listed twice"), (["sis", "bogus"], "unknown")])
+    def test_refuses_an_empty_repeated_or_unknown_method_list(self, monkeypatch, methods, why):
+        # as the CLI does, and before any run is dispatched
+        dispatched = []
+        monkeypatch.setattr(study, "_montecarlo_one", lambda task: dispatched.append(task))
+        scenario = ScenarioConfig(kind="uniform", n_total=20, seed=10)
+        with pytest.raises(ValueError, match=f"methods: .*{why}"):
+            run_montecarlo(scenario, 2, methods, DesignConfig(n_cl=2))
+        with pytest.raises(ValueError, match=f"methods: .*{why}"):
+            run_comparison(scenario, methods, DesignConfig(n_cl=2))
+        assert not dispatched
+
     def test_single_run_quartiles_collapse(self):
         scenario = ScenarioConfig(kind="uniform", n_total=20, seed=10)
         report = run_montecarlo(scenario, 1, ["sis"], DesignConfig(n_cl=2))
