@@ -21,7 +21,7 @@ All four share one least-squares kernel, `linalg.least_squares`."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .core import (
     predict_batch,
     rmse,
 )
-from .lp import Constraint, LinearProgram, Status, solve_lp
+from .lp import LinearProgram, Status, solve_lp
 from .milp import MilpLimits, MixedIntegerProgram, solve_milp
 
 DESCENT_ROUNDS = 30      # reassign-and-refit rounds of one L1 descent
@@ -127,6 +127,13 @@ def design_sis(train: Dataset, scaler: Scaler | None = None) -> DesignReport:
     return DesignReport(sensor, train_rmse, labels, {"timings": watch.laps})
 
 
+def _check_labels(labels: LabelingMatrix | None, train: Dataset, cfg: DesignConfig) -> None:
+    """Refuse a labeling of other rows than train's or of other than cfg.n_cl classes."""
+    if labels is not None and (labels.n, labels.n_cl) != (train.n, cfg.n_cl):
+        raise ValueError(f"labels have {labels.n} rows and {labels.n_cl} classes, but "
+                         f"train has {train.n} rows and cfg.n_cl is {cfg.n_cl}")
+
+
 def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = None,
                    labels: LabelingMatrix | None = None) -> DesignReport:
     """Standard three-step pipeline: k-means, one-vs-one SVM, per-region LS.
@@ -137,6 +144,7 @@ def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = No
     training data and deploy-time routing agree.  Regions left with fewer
     than n_p + 1 points fall back to the global single-model fit.
     """
+    _check_labels(labels, train, cfg)
     if cfg.n_cl == 1:
         return design_sis(train, scaler)
     if train.n < cfg.n_cl * (train.n_p + 1):
@@ -309,40 +317,33 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
             f"big-M {big_m} could cut feasible labelings: point {worst} needs "
             f"M >= {need[worst]:.6g} (required_big_m assumes inputs and outputs "
             f"in [0, 1]; normalize the data)")
-    cons = []
-    # (a) unique labeling
-    for i in range(n):
-        cons.append(Constraint.of({lay.z(i, j): 1.0 for j in range(1, n_cl + 1)}, "=", 1.0))
-    # (b) epigraph rows with big-M deactivation
-    for i in range(n):
-        for j in range(1, n_cl + 1):
-            base = {lay.t(i): 1.0, lay.z(i, j): -big_m}
-            plus = dict(base)
-            minus = dict(base)
-            for d in range(n_p):
-                plus[lay.p(j, d)] = float(x[i, d])
-                minus[lay.p(j, d)] = float(-x[i, d])
-            plus[lay.b_p(j)] = 1.0
-            minus[lay.b_p(j)] = -1.0
-            cons.append(Constraint.of(plus, ">=", float(y[i]) - big_m))
-            cons.append(Constraint.of(minus, ">=", float(-y[i]) - big_m))
-    # (c) minimum class size
-    for j in range(1, n_cl + 1):
-        cons.append(Constraint.of({lay.z(i, j): 1.0 for i in range(n)}, ">=", float(n_p + 1)))
+    i = np.arange(n)[:, None]  # points down, classes across
+    j = np.arange(1, n_cl + 1)
+    z = lay.z(i, j)  # the column of z_ij
+    # (a) unique labeling, sum_j z_ij = 1, and (c) minimum class size
+    unique, sizes = np.zeros((n, lay.n_vars)), np.zeros((n_cl, lay.n_vars))
+    unique[i, z] = sizes[j - 1, z] = 1.0
+    # (b) epigraph rows with big-M deactivation, for each (i, j) the plus row
+    # then the minus row: t_i - M z_ij +- (x_i p_j + b_p,j) >= +-y_i - M
+    params = np.column_stack([lay.p(j[:, None], np.arange(n_p)), lay.b_p(j)])
+    model = np.zeros((n, n_cl, lay.n_vars))
+    model[:, j[:, None] - 1, params] = np.column_stack([x, np.ones(n)])[:, None, :]
+    base = np.zeros((n, n_cl, lay.n_vars))
+    base[i, :, lay.t(i)] = 1.0
+    base[i, j - 1, z] = -big_m
+    epigraph = np.stack([base + model, base - model], axis=2).reshape(-1, lay.n_vars)
+    epigraph_lo = np.repeat(np.column_stack([y - big_m, -y - big_m]), n_cl, axis=0).ravel()
+    a = np.vstack([unique, epigraph, sizes])
+    row_lo = np.concatenate([np.ones(n), epigraph_lo, np.full(n_cl, n_p + 1.0)])
+    row_hi = np.concatenate([np.ones(n), np.full(a.shape[0] - n, np.inf)])
     objective = np.zeros(lay.n_vars)
-    for i in range(n):
-        objective[lay.t(i)] = 1.0
+    objective[lay.t(i)] = 1.0
     lo = np.full(lay.n_vars, -cfg.param_bound)
     hi = np.full(lay.n_vars, cfg.param_bound)
-    for i in range(n):
-        lo[lay.t(i)], hi[lay.t(i)] = 0.0, big_m
-    for j in lay.binaries:
-        lo[j], hi[j] = 0.0, 1.0
-    for i in range(n_cl - 1):
-        for j in range(i + 2, n_cl + 1):
-            hi[lay.z(i, j)] = 0.0  # point i is in one of classes 1..i+1
-    base = LinearProgram(objective, cons, lo, hi)
-    return MixedIntegerProgram(base, lay.binaries)
+    lo[lay.t(i)], hi[lay.t(i)] = 0.0, big_m
+    lo[z], hi[z] = 0.0, 1.0
+    hi[z[j - 1 > i]] = 0.0  # point i is in one of classes 1..i+1
+    return MixedIntegerProgram(LinearProgram(objective, a, row_lo, row_hi, lo, hi), lay.binaries)
 
 
 def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
@@ -362,7 +363,7 @@ def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
     one_hot = one_hot[:, np.argsort(first, kind="stable")]
     z = slice(lay.n_continuous, lay.n_vars)  # the binaries, row-major over (i, j)
     lo[z] = hi[z] = one_hot.ravel()
-    sol = solve_lp(LinearProgram(program.base.objective, program.base.constraints, lo, hi))
+    sol = solve_lp(replace(program.base, lower=lo, upper=hi))
     if sol.status != Status.OPTIMAL:
         return None, None
     return sol.objective_value, sol.values
@@ -377,6 +378,7 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None 
     hint.  `hint_l1_objective` is the objective of the hint the MILP took,
     None when it took none.
     """
+    _check_labels(labels, train, cfg)
     watch = _Stopwatch()
     program = build_mis_con_lab_milp(train, cfg)
     lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
@@ -423,9 +425,8 @@ def _lad_fit(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:
     fit's parameters are minus the row duals.  Raises RuntimeError when the
     LP cannot be solved."""
     n, d = inputs.shape
-    cons = [Constraint(tuple(enumerate(column.tolist())), "=", 0.0)
-            for column in np.column_stack([inputs, np.ones(n)]).T]
-    prob = LinearProgram(-np.asarray(outputs, dtype=float), cons,
+    rows, zeros = np.column_stack([inputs, np.ones(n)]).T, np.zeros(d + 1)  # [X 1]'u = 0
+    prob = LinearProgram(-np.asarray(outputs, dtype=float), rows, zeros, zeros,
                          np.full(n, -1.0), np.ones(n))
     try:
         sol = solve_lp(prob)

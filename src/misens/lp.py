@@ -1,19 +1,19 @@
 """Linear programming over boxed variables by the bounded dual simplex.
 
-Constraints are held in equality form with one slack per row.  The basis
-inverse is kept explicitly and refactorized periodically; the reduced
-costs are carried from pivot to pivot with each pivot's row of B^-1 A
-(Koberstein, *The dual simplex method, techniques for a fast and stable
-implementation*, 2005).
-
-Every variable has a finite box (`LinearProgram.validate` refuses any
-other), so an LP is infeasible or has an optimum.  An inequality row's
-slack is bounded on one side only; `compile_lp` gives its other side a
-stand-in that cuts nothing, the range of the row over the compiled box
-(rhs - min a'v for a `<=` row, rhs - max a'v for a `>=` row, clamped at
-0).  A nonbasic slack whose reduced cost picks that side rests there; the
-leaving-row test keeps the real boxes.  A solve's bounds must lie within
-the compiled box, which branch and bound only tightens.
+A program is min c'v over dense rows row_lo <= A v <= row_hi and a finite
+box lower <= v <= upper (`LinearProgram.validate` refuses any other), so it
+is infeasible or has an optimum.  `compile_lp` gives each row a slack s =
+rhs - A v, with rhs the row's finite side (row_hi when finite, else
+row_lo), in the box [rhs - row_hi, rhs - row_lo].  A one-sided row's slack
+gets a stand-in for its open side that cuts nothing, the range of the row
+over the compiled box (rhs - min a'v for an open top, rhs - max a'v for an
+open bottom, clamped at 0).  A nonbasic slack whose reduced cost picks that
+side rests there; the leaving-row test keeps the real boxes.  A solve's
+bounds must lie within the compiled box, which branch and bound only
+tightens.  The basis inverse is kept explicitly and refactorized
+periodically; the reduced costs are carried from pivot to pivot with each
+pivot's row of B^-1 A (Koberstein, *The dual simplex method, techniques
+for a fast and stable implementation*, 2005).
 
 There is one method.  Any basis is dual feasible once each nonbasic column
 rests on the bound that the sign of its reduced cost picks, so a solve
@@ -61,6 +61,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,8 +82,6 @@ BASIC, AT_LO, AT_UP = 0, 1, 2
 # upper, 0 when basic
 _DIRECTION = np.array([0.0, 1.0, -1.0])
 
-SENSES = ("<=", "=", ">=")
-
 
 class SimplexStalledError(RuntimeError):
     """A solve exceeded its iteration cap."""
@@ -94,39 +93,22 @@ class Status(enum.Enum):
     CUTOFF = "cutoff"  # the dual simplex proved the optimum >= the cutoff
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """Sparse row `sum(coeff * v[idx]) sense rhs`."""
-
-    coeffs: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in SENSES:
-            raise ValueError(f"unknown sense {self.sense!r}")
-        object.__setattr__(self, "coeffs", tuple((int(i), float(v)) for i, v in self.coeffs))
-        object.__setattr__(self, "rhs", float(self.rhs))
-
-    @classmethod
-    def of(cls, coeffs: dict[int, float], sense: str, rhs: float) -> "Constraint":
-        return cls(tuple(sorted(coeffs.items())), sense, rhs)
-
-
 @dataclass
 class LinearProgram:
-    """min objective @ v subject to constraints and lower <= v <= upper,
-    every bound finite."""
+    """min objective @ v subject to row_lo <= a @ v <= row_hi and lower <= v
+    <= upper: `a` is rows x variables, an equality row has row_lo == row_hi,
+    every row has a finite side and every variable bound is finite."""
 
     objective: np.ndarray
-    constraints: list[Constraint]
+    a: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.lower = np.asarray(self.lower, dtype=float)
-        self.upper = np.asarray(self.upper, dtype=float)
+        for name in ("objective", "a", "row_lo", "row_hi", "lower", "upper"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
 
     @property
     def n_vars(self) -> int:
@@ -134,12 +116,33 @@ class LinearProgram:
 
     @property
     def n_rows(self) -> int:
-        return len(self.constraints)
+        return self.row_lo.shape[0]
+
+    @property
+    def constraints(self):
+        """Yields each row as a record (coeffs, sense, rhs): its nonzero (index,
+        value) pairs, "<=", "=" or ">=", and its finite side.  A read-only
+        view for the benchmark's oracle (`perfbench/oracles.mip_arrays`);
+        no solver reads it, and it goes once that oracle reads the fields
+        (ROADMAP item 1).  Raises ValueError on a ranged row."""
+        for k, (row, lo, hi) in enumerate(zip(self.a, self.row_lo, self.row_hi)):
+            if lo != hi and np.isfinite(lo) and np.isfinite(hi):
+                raise ValueError(f"row {k} is ranged: it has no single sense")
+            sense = "=" if lo == hi else "<=" if lo == -np.inf else ">="
+            (idx,) = np.nonzero(row)
+            yield SimpleNamespace(coeffs=tuple(zip(idx.tolist(), row[idx].tolist())),
+                                  sense=sense, rhs=float(lo if sense == ">=" else hi))
 
     def validate(self) -> None:
-        n = self.n_vars
+        n, m = self.n_vars, self.n_rows
+        if (self.objective.ndim != 1 or self.a.shape != (m, n)
+                or self.row_lo.shape != (m,) or self.row_hi.shape != (m,)):
+            raise ValueError("a must be rows x variables, one row_lo and row_hi per row")
         if not np.all(np.isfinite(self.objective)):
             raise ValueError("objective has non-finite coefficients")
+        bad = ~np.isfinite(self.a).all(axis=1)
+        if bad.any():
+            raise ValueError(f"row {int(bad.argmax())} has a non-finite coefficient")
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("bounds length must match the number of variables")
         bad = ~(np.isfinite(self.lower) & np.isfinite(self.upper))
@@ -148,14 +151,13 @@ class LinearProgram:
         if np.any(self.lower > self.upper):
             j = int(np.nonzero(self.lower > self.upper)[0][0])
             raise ValueError(f"variable {j} has lower bound above upper bound")
-        for k, con in enumerate(self.constraints):
-            if not np.isfinite(con.rhs):
-                raise ValueError(f"constraint {k} has non-finite rhs")
-            for i, v in con.coeffs:
-                if i < 0 or i >= n:
-                    raise ValueError(f"constraint {k} references variable {i} out of range")
-                if not np.isfinite(v):
-                    raise ValueError(f"constraint {k} has non-finite coefficient")
+        lo, hi = self.row_lo, self.row_hi
+        # lo = +inf or hi = -inf is either above the other side or both infinite
+        for bad, what in ((np.isnan(lo) | np.isnan(hi), "a NaN bound"),
+                          (lo > hi, "lower bound above upper bound"),
+                          (np.isinf(lo) & np.isinf(hi), "no finite bound")):
+            if bad.any():
+                raise ValueError(f"row {int(bad.argmax())} has {what}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,7 +166,7 @@ class Basis:
     column and the inverse of the basic columns (None once dropped).
 
     Columns are indexed over structural variables followed by one slack per
-    constraint row; status codes are BASIC/AT_LO/AT_UP.  Only a solve over
+    row; status codes are BASIC/AT_LO/AT_UP.  Only a solve over
     the CompiledLp that exported the Basis starts from it; see the module
     docstring.  It is shared by the children of its branch-and-bound node,
     so its arrays are read-only.
@@ -228,22 +230,17 @@ class CompiledLp:
 def compile_lp(prob: LinearProgram) -> CompiledLp:
     prob.validate()
     n, m = prob.n_vars, prob.n_rows
-    a = np.zeros((m, n + m))
-    for k, con in enumerate(prob.constraints):
-        for i, v in con.coeffs:
-            a[k, i] += v
-    a[:, n:] = np.eye(m)
-    rhs = np.array([con.rhs for con in prob.constraints], dtype=float)
-    sense = np.array([con.sense for con in prob.constraints], dtype="U2")
-    le, ge = sense == "<=", sense == ">="
-    rows = a[:, :n]
+    a = np.hstack([prob.a, np.eye(m)])
+    rhs = np.where(np.isfinite(prob.row_hi), prob.row_hi, prob.row_lo)
+    slack_lo, slack_hi = rhs - prob.row_hi, rhs - prob.row_lo
+    rows = prob.a
     least = np.where(rows > 0, rows * prob.lower, rows * prob.upper).sum(axis=1)
     most = np.where(rows > 0, rows * prob.upper, rows * prob.lower).sum(axis=1)
     cost = np.concatenate([prob.objective, np.zeros(m)])
-    return CompiledLp(a, rhs, cost, prob.lower.copy(), prob.upper.copy(),
-                      np.where(ge, -np.inf, 0.0), np.where(le, np.inf, 0.0),
-                      np.where(ge, np.minimum(rhs - most, 0.0), 0.0),
-                      np.where(le, np.maximum(rhs - least, 0.0), 0.0), n, m)
+    return CompiledLp(a, rhs, cost, prob.lower.copy(), prob.upper.copy(), slack_lo, slack_hi,
+                      np.where(np.isinf(slack_lo), np.minimum(rhs - most, 0.0), slack_lo),
+                      np.where(np.isinf(slack_hi), np.maximum(rhs - least, 0.0), slack_hi),
+                      n, m)
 
 
 @functools.lru_cache(maxsize=16)
@@ -614,6 +611,6 @@ def solve_compiled(comp: CompiledLp, lower, upper, warm: Basis | None = None, *,
 
 
 def solve_lp(prob: LinearProgram) -> LpSolution:
-    """Solve min c @ v s.t. constraints, bounds.  See module docstring."""
+    """Solve min c @ v over the rows and the bounds; see the module docstring."""
     comp = compile_lp(prob)
     return solve_compiled(comp, prob.lower, prob.upper)

@@ -2,7 +2,7 @@
 
 Search order is best-bound-first with a depth-first dive every 10 nodes to
 find incumbents early.  Branching works on groups, found once per solve: an
-equality row with right-hand side 1 whose only entries are binaries with
+equality row with both bounds 1 whose only entries are binaries with
 coefficient 1 (the labeling rows sum_j z_ij = 1 of MIS-con-lab).  Each group
 with a fractional member is scored by its cheapest completion: set one
 member to 1, the others to 0, leave every other variable at its LP value,
@@ -12,18 +12,18 @@ labeling MILP that is max(0, min_j |y_i - f_j(x_i)| - t_i), how far the
 relaxation underestimates point i's error.  The search branches on the
 lowest-index fractional member of the highest-scoring group (ties to the
 lower group).  With no fractional grouped binary, it branches on the binary
-whose relaxation value is closest to 0.5 (ties to the lowest index), so a
-program without groups searches as before.  Child nodes warm-start from the
-parent's simplex basis, which carries its inverse, so a child skips the
-refactorization; both children share the parent's one inverse.  Once the
-open list holds as many nodes as BINV_STORE_BYTES allows inverses, a node
-pushed onto it keeps its basis without the inverse.  The default mode is
-fully deterministic: node order depends only on the instance, the limits
-and the BLAS thread count, never on wall-clock time.  A threaded BLAS sums
-products in another order, and the roundoff can break pricing ties
-another way; pin it to one thread before numpy is imported (as
-perfbench/workloads.py does) to repeat a search exactly.  A time limit,
-when set, naturally breaks run-to-run reproducibility.
+whose relaxation value is closest to 0.5 (ties to the lowest index).  Child
+nodes warm-start from the parent's simplex basis, which carries its
+inverse, so a child skips the refactorization; both children share the
+parent's one inverse.  Once the open list holds as many nodes as
+BINV_STORE_BYTES allows inverses, a node pushed onto it keeps its basis
+without the inverse.  The default mode is fully deterministic: node order
+depends only on the instance, the limits and the BLAS thread count, never
+on wall-clock time.  A threaded BLAS sums products in another order, and
+the roundoff can break pricing ties another way; pin it to one thread
+before numpy is imported (as perfbench/workloads.py does) to repeat a
+search exactly.  A time limit, when set, naturally breaks run-to-run
+reproducibility.
 
 Every variable is boxed (the LP layer refuses an infinite bound), so the
 root relaxation is infeasible or has an optimum.  The LP is compiled once
@@ -270,10 +270,11 @@ class _Groups:
 
 def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
                 lower: np.ndarray, upper: np.ndarray) -> float | None:
-    """Objective of a hint that is integral and feasible in the rows and in
-    the bounds `lower`/`upper`; None when the hint is unusable."""
+    """Objective of a hint that is finite, integral and feasible in the rows
+    and in the bounds `lower`/`upper`; None when the hint is unusable (every
+    comparison with a NaN is false, so a NaN entry passes all the others)."""
     v = np.asarray(hint, dtype=float)
-    if v.shape != (prob.base.n_vars,):
+    if v.shape != (prob.base.n_vars,) or not np.isfinite(v).all():
         return None
     if np.any(v < lower - 1e-9) or np.any(v > upper + 1e-9):
         return None

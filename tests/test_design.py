@@ -21,7 +21,7 @@ from misens.design import (
     labeling_l1_objective,
     required_big_m,
 )
-from misens.lp import OPT_TOL, Constraint, LinearProgram, Status, solve_lp
+from misens.lp import OPT_TOL, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
 from misens.study import ScenarioConfig, generate_scenario
 
@@ -97,16 +97,15 @@ def l1_oracle_over_labelings(train, cfg):
             return n_cl * (n_p + 1) + i
 
         nv = n_cl * (n_p + 1) + n
-        cons = []
+        # for each point the rows t_i +- (x_i p_j + b_p,j) >= +-y_i
+        a = np.zeros((n, 2, nv))
         for i in range(n):
             j = assign[i]
-            plus = {t(i): 1.0, b_p(j): 1.0}
-            minus = {t(i): 1.0, b_p(j): -1.0}
-            for d in range(n_p):
-                plus[p(j, d)] = float(train.inputs[i, d])
-                minus[p(j, d)] = float(-train.inputs[i, d])
-            cons.append(Constraint.of(plus, ">=", float(train.outputs[i])))
-            cons.append(Constraint.of(minus, ">=", float(-train.outputs[i])))
+            model = [p(j, d) for d in range(n_p)] + [b_p(j)]
+            a[i, :, t(i)] = 1.0
+            a[i, 0, model] += np.append(train.inputs[i], 1.0)
+            a[i, 1, model] -= np.append(train.inputs[i], 1.0)
+        row_lo = np.column_stack([train.outputs, -train.outputs]).ravel()
         c = np.zeros(nv)
         lo = np.full(nv, -pb)
         hi = np.full(nv, pb)
@@ -114,7 +113,8 @@ def l1_oracle_over_labelings(train, cfg):
             c[t(i)] = 1.0
             reach = abs(train.outputs[i]) + pb * (np.abs(train.inputs[i]).sum() + 1.0)
             lo[t(i)], hi[t(i)] = 0.0, reach + 1.0
-        sol = solve_lp(LinearProgram(c, cons, lo, hi))
+        sol = solve_lp(LinearProgram(c, a.reshape(2 * n, nv), row_lo, np.full(2 * n, np.inf),
+                                     lo, hi))
         if sol.status == Status.OPTIMAL:
             ts = [t(i) for i in range(n)]
             assert np.all(sol.values[ts] < hi[ts])
@@ -334,6 +334,24 @@ class TestMisCon:
         assert_planes_are_model_differences(report.sensor)
 
 
+class TestGivenLabels:
+    """MIS-std and MIS-con-lab take the k-means labeling of `train` under
+    `cfg`; a labeling of other rows or with another class count is refused
+    (tests/test_study.py passes them the shared k-means labeling)."""
+
+    @pytest.mark.parametrize("design_fn", [design_mis_std, design_mis_con_lab],
+                             ids=["mis-std", "mis-con-lab"])
+    @pytest.mark.parametrize("rows,n_cl", [(14, 3), (16, 3), (15, 2), (15, 4)])
+    def test_labels_that_do_not_fit_are_refused(self, design_fn, rows, n_cl):
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        assert train.n == 15
+        cfg = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=1))
+        labels = LabelingMatrix.from_assignments(np.arange(rows) % n_cl + 1, n_cl)
+        with pytest.raises(ValueError, match=f"labels have {rows} rows and {n_cl} classes, "
+                                             "but train has 15 rows and cfg.n_cl is 3"):
+            design_fn(train, cfg, labels=labels)
+
+
 class TestMilpBuild:
     def test_variable_counts_for_example_instance(self):
         lay = VariableLayout(8, 2, 2)
@@ -345,11 +363,48 @@ class TestMilpBuild:
         train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
         prog = build_mis_con_lab_milp(train, DesignConfig(n_cl=2))
         # 8 row sums + 32 epigraph + 2 size
-        assert len(prog.base.constraints) == 42
+        assert prog.base.n_rows == prog.base.a.shape[0] == 42
         # the z box breaks the symmetry: point i may only join classes 1..i+1
         lay = VariableLayout(8, 2, 2)
         assert [prog.base.upper[lay.z(i, j)] for i in range(8) for j in (1, 2)] == [
             0.0 if j > i + 1 else 1.0 for i in range(8) for j in (1, 2)]
+
+    @pytest.mark.parametrize("seed,n_cl", [(1, 3), (2, 2)])
+    def test_rows_follow_their_formulas_in_order(self, seed, n_cl):
+        # the documented rows, one at a time and in this order: (a) sum_j
+        # z_ij = 1 for each point; (b) for each (i, j) the plus row, then the
+        # minus row, t_i - M z_ij +- (x_i p_j + b_p,j) >= +-y_i - M; (c) sum_i
+        # z_ij >= n_p + 1 for each class.  The order decides the pivots
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=seed))[0]
+        cfg = DesignConfig(n_cl=n_cl)
+        base = build_mis_con_lab_milp(train, cfg).base
+        n, n_p = train.n, train.n_p
+        lay = VariableLayout(n, n_p, n_cl)
+        big_m = required_big_m(cfg.param_bound, n_p)
+        classes = range(1, n_cl + 1)
+        rows, row_lo, row_hi = [], [], []
+
+        def row(entries, lo, hi):
+            r = np.zeros(lay.n_vars)
+            for k, v in entries:
+                r[k] += v
+            rows.append(r)
+            row_lo.append(lo)
+            row_hi.append(hi)
+
+        for i in range(n):
+            row([(lay.z(i, j), 1.0) for j in classes], 1.0, 1.0)
+        for i in range(n):
+            for j in classes:
+                for sign in (1.0, -1.0):
+                    model = [(lay.p(j, d), sign * train.inputs[i, d]) for d in range(n_p)]
+                    row([(lay.t(i), 1.0), (lay.z(i, j), -big_m), (lay.b_p(j), sign)] + model,
+                        sign * train.outputs[i] - big_m, np.inf)
+        for j in classes:
+            row([(lay.z(i, j), 1.0) for i in range(n)], n_p + 1.0, np.inf)
+        np.testing.assert_array_equal(base.a, np.array(rows))
+        np.testing.assert_array_equal(base.row_lo, row_lo)
+        np.testing.assert_array_equal(base.row_hi, row_hi)
 
     def test_big_m_invariant_enforced(self):
         assert required_big_m(10.0, 2) == pytest.approx(62.0)
@@ -593,18 +648,16 @@ def epigraph_lad_optimum(inputs, outputs):
     its box has a reduced cost within OPT_TOL."""
     n, d = inputs.shape
     bound = 1e4
-    cons = []
-    for i in range(n):
-        row = {j: float(inputs[i, j]) for j in range(d)}
-        row[d] = 1.0
-        cons.append(Constraint.of({**row, d + 1 + i: 1.0}, ">=", float(outputs[i])))
-        cons.append(Constraint.of({**{j: -v for j, v in row.items()}, d + 1 + i: 1.0},
-                                  ">=", float(-outputs[i])))
+    # for each point the rows t_i +- (x_i p + b) >= +-y_i
+    xb = np.column_stack([inputs, np.ones(n)])
+    a = np.hstack([np.stack([xb, -xb], axis=1).reshape(2 * n, d + 1),
+                   np.repeat(np.eye(n), 2, axis=0)])
+    row_lo = np.column_stack([outputs, -outputs]).ravel()
     c = np.concatenate([np.zeros(d + 1), np.ones(n)])
     reach = np.abs(outputs) + bound * (np.abs(inputs).sum(axis=1) + 1.0)
     lo = np.concatenate([np.full(d + 1, -bound), np.zeros(n)])
     hi = np.concatenate([np.full(d + 1, bound), reach])
-    sol = solve_lp(LinearProgram(c, cons, lo, hi))
+    sol = solve_lp(LinearProgram(c, a, row_lo, np.full(2 * n, np.inf), lo, hi))
     assert sol.status == Status.OPTIMAL
     v, head = sol.values, slice(0, d + 1)
     assert np.all(v[d + 1:] < reach)

@@ -8,61 +8,55 @@ from misens import lp, milp
 from misens.design import (DesignConfig, VariableLayout, build_mis_con_lab_milp,
                            design_mis_con_lab)
 from misens.milp import MilpLimits
-from misens.lp import Constraint, LinearProgram, Status, solve_lp
+from misens.lp import LinearProgram, Status, solve_lp
 from misens.study import ScenarioConfig, generate_scenario
 
+INF = np.inf
 
-def make_lp(c, cons, lo, hi):
-    constraints = [Constraint.of(coeffs, sense, rhs) for coeffs, sense, rhs in cons]
-    return LinearProgram(np.array(c, dtype=float), constraints,
-                         np.array(lo, dtype=float), np.array(hi, dtype=float))
+
+def make_lp(c, a, row_lo, row_hi, lo, hi):
+    """LinearProgram with `a` read as len(row_lo) x len(c), so that [] is no rows."""
+    return LinearProgram(c, np.reshape(np.asarray(a, dtype=float), (len(row_lo), len(c))),
+                         row_lo, row_hi, lo, hi)
+
+
+def row_bounds(side, rhs):
+    """(row_lo, row_hi) of a random row by the side drawn for it: 0 or 2 is
+    <= rhs, 1 or 3 is >= rhs and 4 is = rhs."""
+    return [(-INF, rhs), (rhs, INF), (-INF, rhs), (rhs, INF), (rhs, rhs)][side]
 
 
 def enumerate_vertices(prob):
-    """Brute-force oracle: intersect every n-subset of constraint/bound rows.
+    """Brute-force oracle: intersect every n-subset of the rows' and the
+    bounds' finite sides.
 
     Valid for problems whose bounds make the feasible region bounded.
     Returns (status, objective) with status "optimal" or "infeasible".
     """
     n = prob.n_vars
-    rows = []
-    eq_rows = []
-    for con in prob.constraints:
-        a = np.zeros(n)
-        for i, v in con.coeffs:
-            a[i] += v
-        rows.append((a, con.sense, con.rhs))
-        if con.sense == "=":
-            eq_rows.append(len(rows) - 1)
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        if np.isfinite(prob.lower[j]):
-            rows.append((ej, ">=", prob.lower[j]))
-        if np.isfinite(prob.upper[j]):
-            rows.append((ej, "<=", prob.upper[j]))
+    eye = np.eye(n)
+    # one (a, value) per finite side, the equality rows first
+    equal = prob.row_lo == prob.row_hi
+    sides = [(prob.a[k], prob.row_lo[k]) for k in np.flatnonzero(equal)]
+    for a, lo, hi in zip(prob.a[~equal], prob.row_lo[~equal], prob.row_hi[~equal]):
+        sides += [(a, v) for v in (lo, hi) if np.isfinite(v)]
+    sides += [(eye[j], v) for j in range(n) for v in (prob.lower[j], prob.upper[j])]
+    n_eq = int(equal.sum())
 
     def feasible(x):
-        for a, sense, rhs in rows:
-            v = a @ x
-            if sense == "<=" and v > rhs + 1e-9:
-                return False
-            if sense == ">=" and v < rhs - 1e-9:
-                return False
-            if sense == "=" and abs(v - rhs) > 1e-9:
-                return False
-        return True
+        act = prob.a @ x
+        return bool(np.all(act >= prob.row_lo - 1e-9) and np.all(act <= prob.row_hi + 1e-9)
+                    and np.all(x >= prob.lower - 1e-9) and np.all(x <= prob.upper + 1e-9))
 
     best = None
-    free_rows = [k for k in range(len(rows)) if k not in eq_rows]
-    if len(eq_rows) > n:
+    if n_eq > n:
         picks = []
     else:
-        picks = itertools.combinations(free_rows, n - len(eq_rows))
+        picks = itertools.combinations(range(n_eq, len(sides)), n - n_eq)
     for pick in picks:
-        active = list(eq_rows) + list(pick)
-        a_mat = np.array([rows[k][0] for k in active])
-        b_vec = np.array([rows[k][2] for k in active])
+        active = list(range(n_eq)) + list(pick)
+        a_mat = np.array([sides[k][0] for k in active])
+        b_vec = np.array([sides[k][1] for k in active])
         try:
             x = np.linalg.solve(a_mat, b_vec)
         except np.linalg.LinAlgError:
@@ -82,15 +76,17 @@ def random_lp(rng):
     c = rng.integers(-3, 4, size=n).astype(float)
     lo = np.zeros(n)
     hi = rng.uniform(0.5, 2.0, size=n)
-    cons = []
-    for _ in range(m):
+    a = np.zeros((m, n))
+    row_lo, row_hi = np.empty(m), np.empty(m)
+    for k in range(m):
         nz = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        coeffs = {int(j): float(rng.integers(-3, 4)) for j in nz}
-        coeffs = {j: v for j, v in coeffs.items() if v != 0.0} or {int(nz[0]): 1.0}
-        sense = rng.choice(["<=", ">=", "<=", ">=", "="])
-        rhs = float(np.round(rng.uniform(-2, 3), 3))
-        cons.append((coeffs, str(sense), rhs))
-    return make_lp(c, cons, lo, hi)
+        for j in nz:
+            a[k, j] = rng.integers(-3, 4)
+        if not a[k].any():
+            a[k, nz[0]] = 1.0
+        side = int(rng.choice(5))
+        row_lo[k], row_hi[k] = row_bounds(side, float(np.round(rng.uniform(-2, 3), 3)))
+    return LinearProgram(c, a, row_lo, row_hi, lo, hi)
 
 
 def branch_families(seed, tries=150):
@@ -106,8 +102,7 @@ def branch_families(seed, tries=150):
             continue
         j = int(rng.integers(prob.n_vars))
         fix = float(rng.choice([prob.lower[j], prob.upper[j]]))
-        child = LinearProgram(prob.objective, prob.constraints,
-                              prob.lower.copy(), prob.upper.copy())
+        child = dataclasses.replace(prob, lower=prob.lower.copy(), upper=prob.upper.copy())
         child.lower[j] = fix
         child.upper[j] = fix
         yield prob, comp, sol, child
@@ -144,19 +139,21 @@ def random_free_lp(rng, degenerate=False):
     `degenerate` sets the rhs of random_lp's rows to 0, so that many of them
     meet at the origin."""
     prob = random_lp(rng)
+    row_lo, row_hi = prob.row_lo, prob.row_hi
     if degenerate:
-        prob.constraints = [Constraint(con.coeffs, con.sense, 0.0) for con in prob.constraints]
+        row_lo, row_hi = (np.where(np.isfinite(r), 0.0, r) for r in (row_lo, row_hi))
     n = prob.n_vars
     free = rng.random(n) < 0.5
     c = prob.objective.copy()
     c[free & (rng.random(n) < 0.5)] = 0.0
     lo, hi = prob.lower.copy(), prob.upper.copy()
     lo[free], hi[free] = -WIDE, WIDE
-    cons = list(prob.constraints)
-    for j in np.nonzero(free)[0]:
-        cons.append(Constraint.of({int(j): 1.0}, "<=", 2.0))
-        cons.append(Constraint.of({int(j): 1.0}, ">=", -2.0))
-    return LinearProgram(c, cons, lo, hi)
+    # for each free variable the rows v_j <= 2, then v_j >= -2
+    rows = np.eye(n)[np.repeat(np.flatnonzero(free), 2)]
+    pairs = np.count_nonzero(free)
+    return LinearProgram(c, np.vstack([prob.a, rows]),
+                         np.concatenate([row_lo, np.tile([-INF, -2.0], pairs)]),
+                         np.concatenate([row_hi, np.tile([2.0, INF], pairs)]), lo, hi)
 
 
 def free_children(seed, tries=300):
@@ -171,8 +168,7 @@ def free_children(seed, tries=300):
         if sol.status != Status.OPTIMAL:
             continue
         j = int(rng.integers(prob.n_vars))
-        child = LinearProgram(prob.objective, prob.constraints,
-                              prob.lower.copy(), prob.upper.copy())
+        child = dataclasses.replace(prob, lower=prob.lower.copy(), upper=prob.upper.copy())
         if prob.lower[j] == -WIDE:
             if rng.random() < 0.5:
                 child.lower[j] = sol.values[j] + 0.5
@@ -272,28 +268,25 @@ def assert_certified_optimum(comp, lower, upper, sol, prob):
 
 class TestBasics:
     def test_min_x_above_three(self):
-        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        prob = make_lp([1.0], [[1.0]], [3.0], [INF], [0.0], [10.0])
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
         assert sol.values[0] == pytest.approx(3.0, abs=1e-9)
 
     def test_segment_optimum(self):
-        prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.0)],
-                       [0.0, 0.0], [10.0, 10.0])
+        prob = make_lp([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [10.0, 10.0])
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
         assert np.all(sol.values < prob.upper)  # the row binds, not the box
 
     def test_infeasible_witness(self):
-        prob = make_lp([1.0], [({0: 1.0}, ">=", 5.0), ({0: 1.0}, "<=", 1.0)],
-                       [0.0], [10.0])
+        prob = make_lp([1.0], [[1.0], [1.0]], [5.0, -INF], [INF, 1.0], [0.0], [10.0])
         assert_infeasible(prob)
 
     def test_infeasible_via_bounds(self):
-        prob = make_lp([0.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 10.0)],
-                       [0.0, 0.0], [1.0, 1.0])
+        prob = make_lp([0.0, 0.0], [[1.0, 1.0]], [10.0], [10.0], [0.0, 0.0], [1.0, 1.0])
         assert_infeasible(prob)
 
     @pytest.mark.parametrize("side", ["lower", "upper"])
@@ -301,7 +294,7 @@ class TestBasics:
     def test_validate_refuses_non_finite_bounds(self, side, value):
         # an LP is boxed: one that could be unbounded, or has a free column,
         # is refused before any solve, naming the first such variable
-        prob = make_lp([-1.0, 1.0, 0.0], [({1: 1.0}, ">=", 0.0)],
+        prob = make_lp([-1.0, 1.0, 0.0], [[0.0, 1.0, 0.0]], [0.0], [INF],
                        [0.0, -1.0, 0.0], [1.0, 1.0, 1.0])
         getattr(prob, side)[1:] = value
         with pytest.raises(ValueError, match="variable 1 has a non-finite bound"):
@@ -311,8 +304,7 @@ class TestBasics:
 
     def test_bounds_outside_the_compiled_box_are_refused(self):
         # the slacks' implied bounds hold over the compiled box only
-        prob = make_lp([1.0, 1.0], [({0: 1.0, 1: 1.0}, ">=", 1.0)],
-                       [0.0, 0.0], [2.0, 2.0])
+        prob = make_lp([1.0, 1.0], [[1.0, 1.0]], [1.0], [INF], [0.0, 0.0], [2.0, 2.0])
         comp = lp.compile_lp(prob)
         inside = lp.solve_compiled(comp, [0.0, 1.0], [1.0, 1.0])
         assert inside.status == Status.OPTIMAL
@@ -327,8 +319,7 @@ class TestBasics:
         # its implied bound -2.  From a basis with x basic and s nonbasic
         # there, the row dual is -1 and s's reduced cost 1; the dual
         # objective needs the term 1 * (-2) of that bound
-        prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 1.0}, ">=", 0.0)],
-                       [0.0, 0.0], [1.0, 1.0])
+        prob = make_lp([-1.0, -1.0], [[1.0, 1.0]], [0.0], [INF], [0.0, 0.0], [1.0, 1.0])
         comp = lp.compile_lp(prob)
         assert comp.implied_lo[0] == -2.0 and comp.implied_hi[0] == 0.0
         sol = lp.solve_compiled(comp, prob.lower, prob.upper,
@@ -340,14 +331,12 @@ class TestBasics:
         assert solve_lp(prob).objective_value == pytest.approx(-2.0, abs=1e-12)
 
     def test_equality_row(self):
-        prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0)],
-                       [0.0, 0.0], [1.0, 1.0])
+        prob = make_lp([1.0, 2.0], [[1.0, 1.0]], [1.0], [1.0], [0.0, 0.0], [1.0, 1.0])
         sol = solve_lp(prob)
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_iteration_cap_raises_stalled(self):
-        prob = make_lp([-1.0, -1.0], [({0: 1.0, 1: 2.0}, "<=", 4.0),
-                                      ({0: 2.0, 1: 1.0}, "<=", 4.0)],
+        prob = make_lp([-1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], [-INF, -INF], [4.0, 4.0],
                        [0.0, 0.0], [10.0, 10.0])
         assert np.all(solve_lp(prob).values < prob.upper)  # the rows bind, not the box
         # solve_lp's cap is 50 (n + m); set a cap of 1 on the simplex itself
@@ -356,11 +345,73 @@ class TestBasics:
 
     def test_validate_rejects_bad_bounds(self):
         with pytest.raises(ValueError, match="lower bound above upper"):
-            solve_lp(make_lp([1.0], [], [2.0], [1.0]))
+            solve_lp(make_lp([1.0], [], [], [], [2.0], [1.0]))
 
-    def test_validate_rejects_bad_index(self):
-        with pytest.raises(ValueError, match="out of range"):
-            solve_lp(make_lp([1.0], [({3: 1.0}, "<=", 1.0)], [0.0], [1.0]))
+    @pytest.mark.parametrize("a,row_lo,row_hi", [
+        ([[1.0, 0.0]], [0.0], [1.0]),        # a row wider than the variables
+        ([[1.0], [1.0]], [0.0], [1.0]),      # more rows than row bounds
+        ([[1.0]], [0.0], [1.0, 2.0]),        # row_hi longer than row_lo
+        ([1.0], [0.0], [1.0]),               # a not 2-d
+    ], ids=["wide-row", "rows-past-bounds", "row_hi-longer", "a-flat"])
+    def test_validate_rejects_bad_shapes(self, a, row_lo, row_hi):
+        prob = LinearProgram([1.0], a, row_lo, row_hi, [0.0], [1.0])
+        with pytest.raises(ValueError, match="rows x variables"):
+            solve_lp(prob)
+
+    @pytest.mark.parametrize("row_lo,row_hi,what", [
+        ([0.0, np.nan], [1.0, 1.0], "a NaN bound"),
+        ([0.0, 0.0], [1.0, np.nan], "a NaN bound"),
+        ([0.0, 2.0], [1.0, 1.0], "lower bound above upper bound"),
+        ([0.0, INF], [1.0, INF], "no finite bound"),
+        ([0.0, -INF], [1.0, -INF], "no finite bound"),
+        ([0.0, -INF], [1.0, INF], "no finite bound"),
+        ([0.0, INF], [1.0, -INF], "lower bound above upper bound"),
+        ([0.0, INF], [1.0, 5.0], "lower bound above upper bound"),
+        ([0.0, 5.0], [1.0, -INF], "lower bound above upper bound"),
+    ], ids=["lo-nan", "hi-nan", "lo-above-hi", "lo-plus-inf", "hi-minus-inf",
+            "both-infinite", "inf-over-minus-inf", "lo-plus-inf-hi-finite",
+            "hi-minus-inf-lo-finite"])
+    def test_validate_names_the_row_of_a_bad_row_bound(self, row_lo, row_hi, what):
+        prob = make_lp([1.0, 1.0], [[1.0, 1.0], [1.0, -1.0]], row_lo, row_hi,
+                       [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match=f"row 1 has {what}"):
+            solve_lp(prob)
+        with pytest.raises(ValueError, match=f"row 1 has {what}"):
+            lp.compile_lp(prob)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_validate_names_the_row_of_a_non_finite_coefficient(self, value):
+        a = np.ones((3, 2))
+        a[2, 1] = value
+        prob = make_lp([1.0, 1.0], a, [0.0] * 3, [INF] * 3, [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="row 2 has a non-finite coefficient"):
+            solve_lp(prob)
+
+    def test_ranged_row_solves_as_its_two_sides(self):
+        # 1 <= x + 2y <= 3 against the rows x + 2y >= 1 and x + 2y <= 3; each
+        # objective puts the optimum on a side of the range or inside it
+        for c in ([1.0, 1.0], [-1.0, -1.0], [1.0, -1.0], [-1.0, 0.5]):
+            ranged = make_lp(c, [[1.0, 2.0]], [1.0], [3.0], [0.0, 0.0], [2.0, 2.0])
+            sides = make_lp(c, [[1.0, 2.0], [1.0, 2.0]], [1.0, -INF], [INF, 3.0],
+                            [0.0, 0.0], [2.0, 2.0])
+            comp = lp.compile_lp(ranged)
+            assert (comp.rhs[0], comp.slack_lo[0], comp.slack_hi[0]) == (3.0, 0.0, 2.0)
+            got, want = solve_lp(ranged), solve_lp(sides)
+            assert got.status == want.status == Status.OPTIMAL
+            assert got.objective_value == pytest.approx(want.objective_value, abs=1e-12)
+            np.testing.assert_allclose(got.values, want.values, atol=1e-12)
+            assert duality_gap(ranged, got) <= 1e-9
+
+    def test_row_records_have_one_sense(self):
+        # the read-only (coeffs, sense, rhs) view of the rows has no ranged form
+        prob = make_lp([1.0, 1.0], [[1.0, 0.0], [0.0, 2.0], [3.0, 4.0], [1.0, 2.0]],
+                       [-INF, 1.0, 5.0, 1.0], [2.0, INF, 5.0, 3.0], [0.0, 0.0], [2.0, 2.0])
+        rows = prob.constraints
+        assert [(r.coeffs, r.sense, r.rhs) for r in itertools.islice(rows, 3)] == [
+            (((0, 1.0),), "<=", 2.0), (((1, 2.0),), ">=", 1.0),
+            (((0, 3.0), (1, 4.0)), "=", 5.0)]
+        with pytest.raises(ValueError, match="row 3 is ranged"):
+            next(rows)
 
 
 class TestRandomizedAgainstOracle:
@@ -385,21 +436,14 @@ class TestRandomizedAgainstOracle:
         # primal feasibility
         assert np.all(x >= prob.lower - 1e-7)
         assert np.all(x <= prob.upper + 1e-7)
-        for con, y in zip(prob.constraints, sol.dual_values):
-            a = np.zeros(prob.n_vars)
-            for i, v in con.coeffs:
-                a[i] += v
-            act = a @ x
-            if con.sense == "<=":
-                assert act <= con.rhs + 1e-7
-                assert y <= 1e-7
-            elif con.sense == ">=":
-                assert act >= con.rhs - 1e-7
-                assert y >= -1e-7
-            else:
-                assert act == pytest.approx(con.rhs, abs=1e-7)
-            # complementary slackness
-            assert abs(y * (act - con.rhs)) <= 1e-6 * max(1.0, abs(y))
+        act, y = prob.a @ x, sol.dual_values
+        assert np.all(act >= prob.row_lo - 1e-7) and np.all(act <= prob.row_hi + 1e-7)
+        # the dual of a row held from above is <= 0, from below >= 0
+        assert np.all(y[prob.row_lo == -INF] <= 1e-7)
+        assert np.all(y[prob.row_hi == INF] >= -1e-7)
+        # complementary slackness at the row's finite side
+        rhs = np.where(np.isfinite(prob.row_hi), prob.row_hi, prob.row_lo)
+        assert np.all(np.abs(y * (act - rhs)) <= 1e-6 * np.maximum(1.0, np.abs(y)))
         # strong duality with bound terms
         assert duality_gap(prob, sol) <= 1e-6
 
@@ -450,12 +494,13 @@ class TestWarmStart:
         rng = np.random.default_rng(1)
 
         def homogeneous_lp(c, hi, m):
-            cons = []
-            for _ in range(m):
-                coeffs = {j: float(v) for j, v in enumerate(rng.integers(-3, 4, size=c.size))
-                          if v} or {0: 1.0}
-                cons.append((coeffs, str(rng.choice(["<=", ">="])), 0.0))
-            return make_lp(c, cons, np.zeros(c.size), hi)
+            a, row_lo, row_hi = np.zeros((m, c.size)), np.empty(m), np.empty(m)
+            for k in range(m):
+                a[k] = rng.integers(-3, 4, size=c.size)
+                if not a[k].any():
+                    a[k, 0] = 1.0
+                row_lo[k], row_hi[k] = row_bounds(int(rng.choice(2)), 0.0)
+            return make_lp(c, a, row_lo, row_hi, np.zeros(c.size), hi)
 
         checked = 0
         for _ in range(300):
@@ -488,8 +533,8 @@ class TestWarmStart:
             before = [arr.copy() for arr in (basis.basic, basis.status, basis.binv)]
             j = int(rng.integers(prob.n_vars))
             for fix in (prob.lower[j], prob.upper[j]):
-                child = LinearProgram(prob.objective, prob.constraints,
-                                      prob.lower.copy(), prob.upper.copy())
+                child = dataclasses.replace(prob, lower=prob.lower.copy(),
+                                            upper=prob.upper.copy())
                 child.lower[j] = child.upper[j] = fix
                 sol = solve_child(comp, child, basis)
                 pivoted += sol.iterations > 1 and not sol.refactorizations
@@ -498,7 +543,7 @@ class TestWarmStart:
         assert pivoted >= 20
 
     def test_warm_start_without_rows(self):
-        prob = make_lp([1.0, -1.0], [], [0.0, 0.0], [1.0, 2.0])
+        prob = make_lp([1.0, -1.0], [], [], [], [0.0, 0.0], [1.0, 2.0])
         comp = lp.compile_lp(prob)
         sol = solve_child(comp, prob, solve_child(comp, prob).basis)
         assert sol.status == Status.OPTIMAL
@@ -509,11 +554,10 @@ class TestWarmStart:
         # x + y >= 1.5 out of reach and no column can enter the dual simplex:
         # the row is formed again from a refactorized inverse, and its reach
         # over the boxes proves the child infeasible
-        row = [({0: 1.0, 1: 1.0}, ">=", 1.5)]
-        prob = make_lp([1.0, 1.0], row, [0.0, 0.0], [1.0, 1.0])
+        prob = make_lp([1.0, 1.0], [[1.0, 1.0]], [1.5], [INF], [0.0, 0.0], [1.0, 1.0])
         comp = lp.compile_lp(prob)
         parent = solve_child(comp, prob)
-        child = make_lp([1.0, 1.0], row, [0.0, 0.0], [0.2, 1.0])
+        child = dataclasses.replace(prob, upper=np.array([0.2, 1.0]))
         inverted.clear()
         sol = solve_child(comp, child, parent.basis)
         assert sol.status == Status.INFEASIBLE
@@ -522,7 +566,7 @@ class TestWarmStart:
         assert_infeasible(child, comp, parent.basis)
 
     def test_warm_start_with_garbage_basis_falls_back(self):
-        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        prob = make_lp([1.0], [[1.0]], [3.0], [INF], [0.0], [10.0])
         comp = lp.compile_lp(prob)
         sol = solve_child(comp, prob, lp.Basis((0, 0), (0, 0, 0)))
         assert sol.status == Status.OPTIMAL
@@ -536,7 +580,7 @@ class TestWarmStart:
         ((-1,), (1, 0)),
     ], ids=["status-4", "status-negative", "column-past-end", "column-negative"])
     def test_warm_start_with_an_index_out_of_range_falls_back(self, basic, status):
-        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        prob = make_lp([1.0], [[1.0]], [3.0], [INF], [0.0], [10.0])
         comp = lp.compile_lp(prob)
         sol = solve_child(comp, prob, lp.Basis(np.array(basic), np.array(status)))
         assert sol.status == Status.OPTIMAL
@@ -544,7 +588,7 @@ class TestWarmStart:
         assert_same_solve(sol, solve_child(comp, prob))  # the slack basis replaced it
 
     def test_warm_start_with_a_repeated_basic_column_falls_back(self):
-        prob = make_lp([1.0, 1.0], [({0: 1.0}, ">=", 1.0), ({1: 1.0}, ">=", 1.0)],
+        prob = make_lp([1.0, 1.0], np.eye(2), [1.0, 1.0], [INF, INF],
                        [0.0, 0.0], [2.0, 2.0])
         comp = lp.compile_lp(prob)
         sol = solve_child(comp, prob, lp.Basis(np.array([0, 0]), np.array([0, 1, 1, 1])))
@@ -558,7 +602,7 @@ class TestTrustedBasis:
     CompiledLp, and from no other: the rest solve as the cold solve does."""
 
     def test_the_mark_is_not_carried_over(self):
-        prob = make_lp([1.0, 1.0], [({0: 1.0, 1: 2.0}, ">=", 1.0)], [0.0, 0.0], [1.0, 1.0])
+        prob = make_lp([1.0, 1.0], [[1.0, 2.0]], [1.0], [INF], [0.0, 0.0], [1.0, 1.0])
         comp = lp.compile_lp(prob)
         b = lp.solve_compiled(comp, prob.lower, prob.upper).basis
         assert b._solved_over is comp
@@ -618,9 +662,8 @@ class TestTrustedBasis:
         checked = 0
         for _ in range(300):
             first = random_lp(rng)
-            second = make_lp(first.objective, [
-                ({j: v + 1.0 for j, v in con.coeffs}, con.sense, con.rhs)
-                for con in first.constraints], first.lower, first.upper)
+            # each nonzero coefficient one greater
+            second = dataclasses.replace(first, a=np.where(first.a != 0.0, first.a + 1.0, 0.0))
             comp = lp.compile_lp(second)
             parent = lp.solve_compiled(lp.compile_lp(first), first.lower, first.upper)
             if parent.status != Status.OPTIMAL:
@@ -670,27 +713,24 @@ class TestPhaseOne:
     def test_row_short_by_a_millionth_is_infeasible(self):
         # x + y reaches at most 63 - 1e-6: a per-row violation of 10 FEAS_TOL,
         # below the tolerance once it is scaled by the right-hand side
-        prob = make_lp([0.0, 0.0], [({0: 1.0, 1: 1.0}, "=", 63.0)],
+        prob = make_lp([0.0, 0.0], [[1.0, 1.0]], [63.0], [63.0],
                        [0.0, 0.0], [1.0, 62.0 - 1e-6])
         assert_infeasible(prob)
 
     @pytest.mark.parametrize("c", [1.0, -1.0])
     def test_bound_past_a_row_is_infeasible(self, c):
-        prob = make_lp([c], [({0: 1.0}, "<=", 1000.0)], [1000.00001], [2000.0])
+        prob = make_lp([c], [[1.0]], [-INF], [1000.0], [1000.00001], [2000.0])
         assert_infeasible(prob)
 
     def test_redundant_equalities_keep_the_inverse(self, inverted):
-        prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0),
-                                    ({0: 2.0, 1: 2.0}, "=", 2.0)],
+        prob = make_lp([1.0, 2.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], [1.0, 2.0],
                        [0.0, 0.0], [1.0, 1.0])
         comp = lp.compile_lp(prob)
         parent = solve_child(comp, prob)
         assert parent.status == Status.OPTIMAL
         assert parent.objective_value == pytest.approx(1.0, abs=1e-12)
         assert parent.basis.binv is not None
-        child = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, "=", 1.0),
-                                     ({0: 2.0, 1: 2.0}, "=", 2.0)],
-                        [0.0, 0.0], [0.5, 1.0])
+        child = dataclasses.replace(prob, upper=np.array([0.5, 1.0]))
         inverted.clear()
         warm_sol = solve_child(comp, child, parent.basis)
         assert not inverted
@@ -740,16 +780,22 @@ class TestRoutedLabelingLp:
         cfg = DesignConfig(n_cl=3)
         program = build_mis_con_lab_milp(train, cfg)
         lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
-        cons = list(program.base.constraints)
+        dims = np.arange(train.n_p)
+        rows, row_lo = [], []
         for i, x in enumerate(train.inputs):
             big_m = eps + cfg.param_bound * (np.abs(x).sum() + 1.0)
             for j, k in itertools.permutations(range(1, cfg.n_cl + 1), 2):
-                row = {lay.b_p(j): 1.0, lay.b_p(k): -1.0, lay.z(i, j): -big_m}
-                for d in range(train.n_p):
-                    row[lay.p(j, d)], row[lay.p(k, d)] = float(x[d]), float(-x[d])
-                cons.append(Constraint.of(row, ">=", eps - big_m))
+                row = np.zeros(lay.n_vars)
+                row[lay.p(j, dims)] += x
+                row[lay.p(k, dims)] -= x
+                row[lay.b_p(j)], row[lay.b_p(k)], row[lay.z(i, j)] = 1.0, -1.0, -big_m
+                rows.append(row)
+                row_lo.append(eps - big_m)
+        base = program.base
         lower, upper = program.bounds()
-        prob = LinearProgram(program.base.objective, cons, lower, upper)
+        prob = LinearProgram(base.objective, np.vstack([base.a, rows]),
+                             np.concatenate([base.row_lo, row_lo]),
+                             np.concatenate([base.row_hi, np.full(len(rows), INF)]), lower, upper)
         return [TestRoutedLabelingLp._fix(prob, lay, fixed[:k]) for k in range(len(fixed) + 1)]
 
     @staticmethod
@@ -757,7 +803,7 @@ class TestRoutedLabelingLp:
         lower, upper = prob.lower.copy(), prob.upper.copy()
         for i, j, value in fixed:
             lower[lay.z(i, j)] = upper[lay.z(i, j)] = value
-        return LinearProgram(prob.objective, prob.constraints, lower, upper)
+        return dataclasses.replace(prob, lower=lower, upper=upper)
 
     @pytest.mark.parametrize("eps", sorted(FIXED))
     def test_cold_solve_decides_infeasible(self, eps):
@@ -833,7 +879,7 @@ class TestCappedSearchReplay:
         certified = set()
         for k, (comp, lower, upper, _, _, sol) in enumerate(recorded):
             if sol.status == Status.OPTIMAL:
-                prob = LinearProgram(base.objective, base.constraints, lower, upper)
+                prob = dataclasses.replace(base, lower=lower, upper=upper)
                 assert_certified_optimum(comp, lower, upper, sol, prob)
                 certified.add(k)
         assert recorded[0][3] is None and 0 in certified  # the root, a cold solve
@@ -985,8 +1031,8 @@ class TestPhaseTwo:
         # carried apart from the inverse and the basic prices miss 0 by
         # eps |y_i| |B' e_0| < OPT_TOL.  The duals, y_0 off by eps y_i, must
         # come from a refactorized inverse instead.
-        prob = make_lp([1.0, 2.0], [({0: 1.0, 1: 1.0}, ">=", 1.0),
-                                    ({0: 1.0, 1: -1.0}, "<=", 0.5)], [0, 0], [10, 10])
+        prob = make_lp([1.0, 2.0], [[1.0, 1.0], [1.0, -1.0]], [1.0, -INF], [INF, 0.5],
+                       [0, 0], [10, 10])
         plain = solve_lp(prob)
         assert plain.iterations > 1 and plain.refactorizations == 0
         dual = lp._Simplex._dual
@@ -1083,7 +1129,7 @@ class TestCarriedReducedCosts:
     def test_counters_report_the_cold_fallback(self):
         # a basis the solver did not export is replaced by the slack basis:
         # the counters are those of the cold solve
-        prob = make_lp([1.0], [({0: 1.0}, ">=", 3.0)], [0.0], [10.0])
+        prob = make_lp([1.0], [[1.0]], [3.0], [INF], [0.0], [10.0])
         fallback = solve_child(lp.compile_lp(prob), prob, lp.Basis((0, 0), (0, 0, 0)))
         cold = solve_lp(prob)
         assert (fallback.iterations, fallback.refactorizations) == (cold.iterations, 0)
@@ -1219,7 +1265,7 @@ class TestStatusMasks:
     def _simplex(rng, n):
         """A simplex over n columns and one row, with random boxes, statuses
         (column n basic) and directions."""
-        prob = make_lp(np.zeros(n), [({0: 1.0}, "<=", 1.0)], np.zeros(n), np.ones(n))
+        prob = make_lp(np.zeros(n), np.eye(1, n), [-INF], [1.0], np.zeros(n), np.ones(n))
         simplex = lp._Simplex(lp.compile_lp(prob), prob.lower, prob.upper, 100)
         lo = rng.choice([-np.inf, 0.0, 0.5], size=n + 1)
         simplex.box[lp.AT_LO] = lo
@@ -1305,10 +1351,10 @@ class TestStatusMasks:
 
 class TestDegenerateAndScale:
     def test_highly_degenerate_lp(self):
-        # many redundant constraints through the same vertex
-        cons = [({0: 1.0, 1: 1.0}, "<=", 1.0)]
-        cons += [({0: float(k), 1: float(k)}, "<=", float(k)) for k in range(2, 8)]
-        prob = make_lp([-1.0, -2.0], cons, [0.0, 0.0], [10.0, 10.0])
+        # many redundant rows through the same vertex
+        k = np.arange(1.0, 8.0)  # k x + k y <= k for k = 1, ..., 7
+        prob = make_lp([-1.0, -2.0], np.column_stack([k, k]), np.full(7, -INF), k,
+                       [0.0, 0.0], [10.0, 10.0])
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert sol.objective_value == pytest.approx(-2.0, abs=1e-8)
@@ -1318,19 +1364,14 @@ class TestDegenerateAndScale:
         rng = np.random.default_rng(5)
         n, m = 40, 30
         c = rng.normal(size=n)
-        cons = []
+        a, row_hi = np.empty((m, n)), np.empty(m)
         x_feas = rng.uniform(0.2, 0.8, size=n)
         for k in range(m):
-            a = rng.normal(size=n)
-            coeffs = {j: float(a[j]) for j in range(n)}
-            cons.append((coeffs, "<=", float(a @ x_feas + rng.uniform(0.1, 1.0))))
-        prob = make_lp(c, cons, np.zeros(n), np.ones(n))
+            a[k] = rng.normal(size=n)
+            row_hi[k] = a[k] @ x_feas + rng.uniform(0.1, 1.0)
+        prob = make_lp(c, a, np.full(m, -INF), row_hi, np.zeros(n), np.ones(n))
         sol = solve_lp(prob)
         assert sol.status == Status.OPTIMAL
         assert np.all(sol.values >= -1e-7) and np.all(sol.values <= 1 + 1e-7)
-        for con, y in zip(prob.constraints, sol.dual_values):
-            a = np.zeros(n)
-            for i, v in con.coeffs:
-                a[i] += v
-            assert a @ sol.values <= con.rhs + 1e-6
+        assert np.all(a @ sol.values <= row_hi + 1e-6)
         assert duality_gap(prob, sol) <= 1e-6

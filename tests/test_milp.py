@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 
@@ -5,17 +6,18 @@ import numpy as np
 import pytest
 
 from misens import lp, milp
-from misens.core import Dataset
-from misens.design import DesignConfig, VariableLayout, build_mis_con_lab_milp
-from misens.lp import Constraint, LinearProgram, solve_lp, Status
+from misens.core import Dataset, LabelingMatrix
+from misens.design import (DesignConfig, VariableLayout, build_mis_con_lab_milp,
+                           labeling_l1_objective)
+from misens.lp import LinearProgram, solve_lp, Status
 from misens.milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
+from misens.study import ScenarioConfig, generate_scenario
+
+INF = np.inf
 
 
-def make_mip(c, cons, lo, hi, binaries):
-    constraints = [Constraint.of(coeffs, sense, rhs) for coeffs, sense, rhs in cons]
-    base = LinearProgram(np.array(c, dtype=float), constraints,
-                         np.array(lo, dtype=float), np.array(hi, dtype=float))
-    return MixedIntegerProgram(base, tuple(binaries))
+def make_mip(c, a, row_lo, row_hi, lo, hi, binaries):
+    return MixedIntegerProgram(LinearProgram(c, a, row_lo, row_hi, lo, hi), tuple(binaries))
 
 
 def brute_force_binary(prob: MixedIntegerProgram):
@@ -27,7 +29,7 @@ def brute_force_binary(prob: MixedIntegerProgram):
         hi = prob.base.upper.copy()
         for j, b in zip(bins, bits):
             lo[j] = hi[j] = b
-        sol = solve_lp(LinearProgram(prob.base.objective, prob.base.constraints, lo, hi))
+        sol = solve_lp(dataclasses.replace(prob.base, lower=lo, upper=hi))
         if sol.status == Status.OPTIMAL:
             if best is None or sol.objective_value < best:
                 best = sol.objective_value
@@ -36,21 +38,17 @@ def brute_force_binary(prob: MixedIntegerProgram):
 
 class TestSmall:
     def test_forced_binaries_equal_plain_lp(self):
-        cons = [({0: 1.0}, "=", 1.0), ({1: 1.0}, "=", 1.0),
-                ({0: 2.0, 1: 1.0, 2: 1.0}, "<=", 4.0)]
-        mip = make_mip([-3.0, -4.0, -1.0], cons, [0.0, 0.0, 0.0],
-                       [1.0, 1.0, 5.0], [0, 1])
+        a = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 1.0, 1.0]]
+        mip = make_mip([-3.0, -4.0, -1.0], a, [1.0, 1.0, -INF], [1.0, 1.0, 4.0],
+                       [0.0, 0.0, 0.0], [1.0, 1.0, 5.0], [0, 1])
         res = solve_milp(mip)
-        lp_fixed = solve_lp(LinearProgram(np.array([-3.0, -4.0, -1.0]),
-                                          mip.base.constraints,
-                                          np.array([1.0, 1.0, 0.0]),
-                                          np.array([1.0, 1.0, 5.0])))
+        lp_fixed = solve_lp(dataclasses.replace(mip.base, lower=np.array([1.0, 1.0, 0.0])))
         assert res.status == MipStatus.OPTIMAL
         assert res.objective_value == pytest.approx(lp_fixed.objective_value, abs=1e-9)
 
     def test_knapsack_against_enumeration(self):
         # max 3a+4b+2c s.t. 2a+3b+c <= 4  ->  minimize the negative
-        mip = make_mip([-3.0, -4.0, -2.0], [({0: 2.0, 1: 3.0, 2: 1.0}, "<=", 4.0)],
+        mip = make_mip([-3.0, -4.0, -2.0], [[2.0, 3.0, 1.0]], [-INF], [4.0],
                        [0.0] * 3, [1.0] * 3, [0, 1, 2])
         oracle = brute_force_binary(mip)
         res = solve_milp(mip)
@@ -59,19 +57,19 @@ class TestSmall:
         assert res.objective_value == pytest.approx(-6.0, abs=1e-9)  # b=1,c=1: weight 4, value 6
 
     def test_infeasible_root(self):
-        mip = make_mip([1.0], [({0: 1.0}, ">=", 2.0)], [0.0], [1.0], [0])
+        mip = make_mip([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [0])
         assert solve_milp(mip).status == MipStatus.INFEASIBLE
 
     def test_unbounded_relaxation_raises(self):
         # every LP is boxed: a variable that could make the relaxation
         # unbounded is refused before the root is solved
-        mip = make_mip([-1.0, 0.0], [({1: 1.0}, "<=", 1.0)],
+        mip = make_mip([-1.0, 0.0], [[0.0, 1.0]], [-INF], [1.0],
                        [0.0, 0.0], [np.inf, 1.0], [1])
         with pytest.raises(ValueError, match="variable 0 has a non-finite bound"):
             solve_milp(mip)
 
     def test_integral_binaries_in_result(self):
-        mip = make_mip([-1.0, -1.0, 0.5], [({0: 1.0, 1: 2.0, 2: 1.0}, "<=", 2.0)],
+        mip = make_mip([-1.0, -1.0, 0.5], [[1.0, 2.0, 1.0]], [-INF], [2.0],
                        [0.0] * 3, [1.0] * 3, [0, 1, 2])
         res = solve_milp(mip)
         bins = res.values[[0, 1, 2]]
@@ -80,9 +78,9 @@ class TestSmall:
     def test_caller_bounds_are_left_as_they_are(self):
         # binaries boxed wider than [0, 1] are solved over [0, 1], on copies;
         # the hint (c = 4) is integral and inside the caller's box but not [0, 1]
-        knapsack = [({0: 2.0, 1: 3.0, 2: 1.0}, "<=", 4.0)]
-        wide = make_mip([-3.0, -4.0, -2.0], knapsack, [-5.0] * 3, [5.0] * 3, [0, 1, 2])
-        boxed = make_mip([-3.0, -4.0, -2.0], knapsack, [0.0] * 3, [1.0] * 3, [0, 1, 2])
+        knapsack = ([[2.0, 3.0, 1.0]], [-INF], [4.0])
+        wide = make_mip([-3.0, -4.0, -2.0], *knapsack, [-5.0] * 3, [5.0] * 3, [0, 1, 2])
+        boxed = make_mip([-3.0, -4.0, -2.0], *knapsack, [0.0] * 3, [1.0] * 3, [0, 1, 2])
         res = solve_milp(wide, incumbent_hint=np.array([0.0, 0.0, 4.0]))
         np.testing.assert_array_equal(wide.base.lower, [-5.0] * 3)
         np.testing.assert_array_equal(wide.base.upper, [5.0] * 3)
@@ -96,17 +94,19 @@ class TestRandomizedOracle:
     def _random_mip(self, rng, n_bin, n_cont):
         n = n_bin + n_cont
         c = rng.integers(-4, 5, size=n).astype(float)
-        cons = []
+        rows, row_lo, row_hi = [], [], []
         for _ in range(int(rng.integers(1, 5))):
             a = rng.integers(-3, 4, size=n).astype(float)
             if not a.any():
                 a[0] = 1.0
-            sense = str(rng.choice(["<=", ">="]))
+            below = rng.choice(2) == 0  # a <= row, else a >= row
             rhs = float(rng.integers(-3, 6))
-            cons.append(({j: float(a[j]) for j in range(n) if a[j]}, sense, rhs))
+            rows.append(a)
+            row_lo.append(-INF if below else rhs)
+            row_hi.append(rhs if below else INF)
         lo = np.zeros(n)
         hi = np.concatenate([np.ones(n_bin), rng.uniform(0.5, 2.0, size=n_cont)])
-        return make_mip(c, cons, lo, hi, range(n_bin))
+        return make_mip(c, rows, row_lo, row_hi, lo, hi, range(n_bin))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(42)
@@ -130,14 +130,8 @@ class TestRandomizedOracle:
     def _assert_feasible(self, mip, values):
         assert np.all(values >= mip.base.lower - 1e-6)
         assert np.all(values <= mip.base.upper + 1e-6)
-        for con in mip.base.constraints:
-            act = sum(v * values[i] for i, v in con.coeffs)
-            if con.sense == "<=":
-                assert act <= con.rhs + 1e-6
-            elif con.sense == ">=":
-                assert act >= con.rhs - 1e-6
-            else:
-                assert act == pytest.approx(con.rhs, abs=1e-6)
+        act = mip.base.a @ values
+        assert np.all(act >= mip.base.row_lo - 1e-6) and np.all(act <= mip.base.row_hi + 1e-6)
         bins = values[list(mip.binary_vars)]
         assert np.max(np.abs(bins - np.round(bins))) <= 1e-6
 
@@ -150,11 +144,10 @@ class TestRandomizedOracle:
             perm = rng.permutation(n)
             inv = np.empty(n, dtype=int)
             inv[perm] = np.arange(n)
-            cons2 = [Constraint.of({int(inv[i]): v for i, v in con.coeffs},
-                                   con.sense, con.rhs)
-                     for con in mip.base.constraints]
-            base2 = LinearProgram(mip.base.objective[perm], cons2,
-                                  mip.base.lower[perm], mip.base.upper[perm])
+            # variable k of the permuted program is variable perm[k]
+            base2 = dataclasses.replace(mip.base, objective=mip.base.objective[perm],
+                                        a=mip.base.a[:, perm], lower=mip.base.lower[perm],
+                                        upper=mip.base.upper[perm])
             mip2 = MixedIntegerProgram(base2, tuple(int(inv[j]) for j in mip.binary_vars))
             res2 = solve_milp(mip2)
             assert res.status == res2.status
@@ -168,8 +161,8 @@ class TestLimitsAndHints:
         n = 14
         c = -rng.uniform(1, 3, size=n)
         weights = rng.uniform(0.5, 2.0, size=n)
-        cons = [({j: float(weights[j]) for j in range(n)}, "<=", float(weights.sum() / 3))]
-        return make_mip(c, cons, np.zeros(n), np.ones(n), range(n))
+        return make_mip(c, [weights], [-INF], [weights.sum() / 3], np.zeros(n), np.ones(n),
+                        range(n))
 
     def test_node_cap_returns_feasible_with_gap(self):
         mip = self._bigger_mip()
@@ -182,8 +175,7 @@ class TestLimitsAndHints:
     def test_gap_is_relative_to_the_incumbent(self):
         # min t with t >= |0.6 x - 0.3|: the relaxation reaches 0 at x = 0.5,
         # every integer point costs 0.3, so one node leaves a 100% gap
-        mip = make_mip([0.0, 1.0],
-                       [({1: 1.0, 0: 0.6}, ">=", 0.3), ({1: 1.0, 0: -0.6}, ">=", -0.3)],
+        mip = make_mip([0.0, 1.0], [[0.6, 1.0], [-0.6, 1.0]], [0.3, -0.3], [INF, INF],
                        [0.0, 0.0], [1.0, 10.0], [0])
         res = solve_milp(mip, MilpLimits(node_cap=1), incumbent_hint=np.array([1.0, 0.3]))
         assert res.status == MipStatus.FEASIBLE
@@ -206,19 +198,42 @@ class TestLimitsAndHints:
         assert res.status == MipStatus.TIMED_OUT
 
     def test_incumbent_hint_is_used(self):
-        mip = make_mip([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.0)],
-                       [0.0, 0.0], [1.0, 1.0], [0, 1])
+        mip = make_mip([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [1.0, 1.0],
+                       [0, 1])
         hint = np.array([1.0, 0.0])
         res = solve_milp(mip, MilpLimits(node_cap=1), incumbent_hint=hint)
         assert res.values is not None
         assert res.objective_value <= -1.0 + 1e-9
 
     def test_bad_hint_ignored(self):
-        mip = make_mip([-1.0, -1.0], [({0: 1.0, 1: 1.0}, "<=", 1.0)],
-                       [0.0, 0.0], [1.0, 1.0], [0, 1])
+        mip = make_mip([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [1.0, 1.0],
+                       [0, 1])
         res = solve_milp(mip, incumbent_hint=np.array([1.0, 1.0]))  # violates the row
         assert res.status == MipStatus.OPTIMAL
         assert res.objective_value == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["all-nan", "one-nan"])
+    def test_non_finite_hint_is_refused(self, which):
+        # every comparison with NaN is false, so a NaN entry passes the box,
+        # integrality and row checks; the hint must be refused before them.
+        # The one-NaN hint is a feasible labeling's point with t_0 made NaN
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        cfg = DesignConfig(n_cl=2, seed=1)
+        mip = build_mis_con_lab_milp(train, cfg)
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
+        if which == "all-nan":
+            hint = np.full(mip.base.n_vars, np.nan)
+        else:
+            labels = LabelingMatrix.from_assignments(np.arange(train.n) % 2 + 1, 2)
+            _, hint = labeling_l1_objective(mip, lay, labels)
+            assert milp._check_hint(mip, lp.compile_lp(mip.base), hint, *mip.bounds()) is not None
+            hint[lay.t(0)] = np.nan
+        res = solve_milp(mip, incumbent_hint=hint)
+        plain = solve_milp(mip)
+        assert not res.hint_used
+        assert res.status == plain.status == MipStatus.OPTIMAL
+        assert res.summary() == plain.summary()
+        np.testing.assert_array_equal(res.values, plain.values)
 
     def test_hint_rows_match_the_per_row_rule(self):
         rng = np.random.default_rng(4)
@@ -229,10 +244,9 @@ class TestLimitsAndHints:
             hint = rng.integers(0, 2, size=n).astype(float)
             # right-hand sides within a few 1e-6 of the hint's activity
             rhs = a @ hint + rng.choice([-2e-6, -5e-7, 0.0, 5e-7, 2e-6, 1.0], size=m)
-            senses = rng.choice(["<=", "=", ">="], size=m)
-            mip = make_mip(np.ones(n), [({j: a[k, j] for j in range(n)}, str(senses[k]), rhs[k])
-                                        for k in range(m)],
-                           np.zeros(n), np.ones(n), range(n))
+            side = rng.choice(3, size=m)  # 0: a <= row, 1: a = row, 2: a >= row
+            mip = make_mip(np.ones(n), a, np.where(side == 0, -INF, rhs),
+                           np.where(side == 2, INF, rhs), np.zeros(n), np.ones(n), range(n))
             mip.validate()
             comp = lp.compile_lp(mip.base)
             act = comp.a[:, :n] @ hint
