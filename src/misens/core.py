@@ -38,24 +38,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Tabular training/testing data: inputs (n x n_p), outputs (n,), row ids."""
+    """Tabular training/testing data: inputs (n x n_p), outputs (n,)."""
 
     inputs: np.ndarray
     outputs: np.ndarray
-    ids: np.ndarray
 
     def __post_init__(self):
         inputs = _freeze(np.atleast_2d(np.asarray(self.inputs, dtype=float)))
         outputs = _freeze(np.asarray(self.outputs, dtype=float))
-        ids = _freeze(np.asarray(self.ids, dtype=int))
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "outputs", outputs)
-        object.__setattr__(self, "ids", ids)
         n, n_p = inputs.shape
         if n < 1 or n_p < 1:
             raise ValueError(f"dataset needs n >= 1 and n_p >= 1, got {n}x{n_p}")
-        if outputs.shape != (n,) or ids.shape != (n,):
-            raise ValueError("inputs, outputs and ids disagree on the number of rows")
+        if outputs.shape != (n,):
+            raise ValueError("inputs and outputs disagree on the number of rows")
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(outputs))):
             raise ValueError("dataset contains non-finite entries")
 
@@ -248,6 +245,13 @@ class SensorModel:
             raise ValueError("number of models must equal switching.n_cl")
         if self.switching is None and len(self.models) != 1:
             raise ValueError("multi-model sensor requires switching logic")
+        n_p = self.n_p
+        for k, m in enumerate(self.models[1:], 2):
+            if m.p.shape[0] != n_p:
+                raise ValueError(f"model {k} has {m.p.shape[0]} inputs, model 1 has {n_p}")
+        for h in self.switching.hyperplanes if self.switching is not None else ():
+            if h.w.shape[0] != n_p:
+                raise ValueError(f"hyperplanes have {h.w.shape[0]} inputs, the models {n_p}")
 
     @property
     def n_cl(self) -> int:
@@ -315,8 +319,7 @@ def normalize(raw: Dataset) -> tuple[Dataset, Scaler]:
     xmin = raw.inputs.min(axis=0)
     xmax = raw.inputs.max(axis=0)
     scaler = Scaler(xmin, xmax, raw.outputs.min(), raw.outputs.max())
-    ds = Dataset(scaler.normalize_inputs(raw.inputs), scaler.normalize_output(raw.outputs),
-                 raw.ids)
+    ds = Dataset(scaler.normalize_inputs(raw.inputs), scaler.normalize_output(raw.outputs))
     return ds, scaler
 
 
@@ -372,7 +375,7 @@ def load_dataset(path) -> Dataset:
                                  f"expected a number, found {cell!r}") from None
     if width < 2:
         raise ValueError(f"{path}: expected at least one input column")
-    return Dataset(data[:, :-1], data[:, -1], np.arange(len(rows)))
+    return Dataset(data[:, :-1], data[:, -1])
 
 
 def sensor_to_dict(sensor: SensorModel) -> dict:

@@ -1,7 +1,11 @@
 """Branch-and-bound mixed-integer linear programming over binary variables.
 
-Search order is best-bound-first with a depth-first dive every 10 nodes to
-find incumbents early.  Branching works on groups, found once per solve: an
+The search is one loop over an open list ordered by each node's key, its
+parent's LP optimum.  The root is the list's first node, with key -inf, no
+fixes and no basis, and is solved, pruned and branched like every other
+node.  Search order is best-bound-first with a depth-first dive every 10
+nodes to find incumbents early; the root never dives, so it pushes both
+children.  Branching works on groups, found once per solve: an
 equality row with both bounds 1 whose only entries are binaries with
 coefficient 1 (the labeling rows sum_j z_ij = 1 of MIS-con-lab).  Each group
 with a fractional member is scored by its cheapest completion: set one
@@ -30,7 +34,8 @@ root relaxation is infeasible or has an optimum.  The LP is compiled once
 over the program's box; a node only tightens it, fixing binaries, so the
 slacks' implied bounds of that compilation hold at every node.
 
-Each node LP gets the incumbent (less CUTOFF_TOL) as its objective cutoff:
+Each node LP, the root's included, gets the incumbent (less CUTOFF_TOL) as
+its objective cutoff:
 the dual simplex, warm or cold, stops with Status.CUTOFF as soon as the
 cost of a still infeasible iterate, a lower bound, reaches it, and the node
 is pruned without its optimum.  An LP whose cost reaches the cutoff only at
@@ -41,8 +46,13 @@ the LPs stopped early; the search is the same either way.
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
 cap stopped the search with an incumbent in hand; TIMED_OUT means the time
 limit stopped the search, or a limit stopped it before any incumbent was
-found; INFEASIBLE is a proof that no integer-feasible point exists.  The gap
-is relative to the incumbent: (incumbent - bound) / |incumbent|.
+found; INFEASIBLE is a proof that no integer-feasible point exists.  The
+limits are tested between nodes, once a node has been solved, so a time
+limit of 0 solves the root only.  `best_bound` is the incumbent once the
+search is exhausted (inf without one); at a gap or limit stop it is the
+larger of the last key popped and the open list's least key.  The gap is
+relative to the incumbent, (incumbent - bound) / |incumbent|, and inf
+without one.
 """
 
 from __future__ import annotations
@@ -81,9 +91,11 @@ class MipStatus(enum.Enum):
 
 @dataclass
 class MilpLimits:
-    time_limit_s: float | None = None   # 0: stop after the root node
+    # tested once a node has been solved: time limit 0 or node cap 1 solves
+    # the root only
+    time_limit_s: float | None = None
     gap_target: float = 1e-6
-    node_cap: int = 200_000
+    node_cap: int = 200_000  # nodes solved, the root included
 
     def __post_init__(self):
         if self.time_limit_s is not None and not (
@@ -133,11 +145,16 @@ class MipResult:
     status: MipStatus
     values: np.ndarray | None
     objective_value: float | None
-    gap: float
     nodes_explored: int
     best_bound: float
     node_lps_cut_off: int = 0  # node LPs the dual simplex stopped at the incumbent
     hint_used: bool = False    # the incumbent_hint passed the check and seeded the search
+
+    @property
+    def gap(self) -> float:
+        """(incumbent - best bound) / |incumbent|; inf without an incumbent."""
+        return _relative_gap(np.inf if self.objective_value is None
+                             else self.objective_value, self.best_bound)
 
     @property
     def abs_gap(self) -> float:
@@ -161,21 +178,14 @@ class MipResult:
 
 def _relative_gap(incumbent: float, bound: float) -> float:
     """(incumbent - bound) / |incumbent|: 0 once the bound reaches the
-    incumbent, inf when the incumbent is 0 and the bound is still below it."""
+    incumbent; inf without an incumbent (incumbent = inf), or when the
+    incumbent is 0 and the bound is still below it."""
     diff = incumbent - bound
-    if diff <= 0.0:
+    if diff <= 0.0:  # false for inf - inf
         return 0.0
-    if incumbent == 0.0:
+    if incumbent in (0.0, np.inf):
         return np.inf
     return diff / abs(incumbent)
-
-
-class _Node:
-    __slots__ = ("fixes", "basis")
-
-    def __init__(self, fixes, basis):
-        self.fixes = fixes          # linked chain: (var, value, parent_chain)
-        self.basis = basis
 
 
 def _materialize(lo0, hi0, fixes):
@@ -311,26 +321,24 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         else:
             log.info("incumbent hint rejected (infeasible or fractional)")
 
-    root_sol = solve_compiled(comp, lower, upper)
-    if root_sol.status == Status.INFEASIBLE:
-        return MipResult(MipStatus.INFEASIBLE, None, None, np.inf, 1, np.inf)
-
-    nodes_explored = 1
+    nodes_explored = 0
     node_lps_cut_off = 0
-    seq = 0
-    heap: list[tuple[float, int, _Node]] = []
-    bound_global = root_sol.objective_value
+    # an open node is (key, seq, fixes, basis): its parent's LP optimum, the
+    # push order, the chain of fixes (var, value, parent_chain) and the
+    # parent's basis to warm-start from; the root has neither
+    heap: list[tuple] = [(-np.inf, 0, None, None)]
+    seq = 1
+    bound_global = -np.inf
     timed_out = False
-    node_capped = False
     binv_cap = max(8, BINV_STORE_BYTES // max(1, 8 * comp.m * comp.m))
 
-    def push(key, node):
+    def push(key, fixes, basis):
         nonlocal seq
         if len(heap) >= BASIS_STORE_CAP:
-            node.basis = None
-        elif len(heap) >= binv_cap and node.basis.binv is not None:
-            node.basis = node.basis.without_inverse()
-        heapq.heappush(heap, (key, seq, node))
+            basis = None
+        elif len(heap) >= binv_cap and basis.binv is not None:
+            basis = basis.without_inverse()
+        heapq.heappush(heap, (key, seq, fixes, basis))
         seq += 1
 
     def branch_var(values, node_upper) -> int | None:
@@ -344,61 +352,33 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         cand = np.flatnonzero(fractional)
         return int(binaries[cand[int(np.abs(v[cand] - 0.5).argmin())]])
 
-    def consider_incumbent(sol):
-        nonlocal inc_val, inc_obj
-        if sol.objective_value < inc_obj - CUTOFF_TOL:
-            inc_val = sol.values.copy()
-            inc_obj = sol.objective_value
-            log.info("incumbent %.9g at node %d", inc_obj, nodes_explored)
-
     def limits_hit() -> bool:
-        nonlocal timed_out, node_capped
-        if limits.time_limit_s is not None and time.perf_counter() - t_start > limits.time_limit_s:
-            timed_out = True
-            return True
-        if nodes_explored >= limits.node_cap:
-            node_capped = True
-            return True
-        return False
+        nonlocal timed_out
+        timed_out = (limits.time_limit_s is not None
+                     and time.perf_counter() - t_start > limits.time_limit_s)
+        return timed_out or nodes_explored >= limits.node_cap
 
-    # root handling
-    j = branch_var(root_sol.values, upper)
-    if j is None:
-        consider_incumbent(root_sol)
-        bound_global = inc_obj
-    else:
-        for val in (0.0, 1.0):
-            push(root_sol.objective_value, _Node((j, val, None), root_sol.basis))
-
-    exhausted = not heap  # search proven complete (vs stopped by a limit/gap)
-    while heap:
-        if limits_hit():
+    while True:
+        if not heap or heap[0][0] >= inc_obj - CUTOFF_TOL:
+            bound_global = inc_obj  # exhausted; best-first: every open node is dominated
             break
-        key, _, node = heapq.heappop(heap)
-        bound_global = max(bound_global, key)
-        if inc_val is not None:
-            if key >= inc_obj - CUTOFF_TOL:
-                # best-first: every open node is dominated too
-                bound_global = max(bound_global, inc_obj - CUTOFF_TOL)
-                exhausted = True
-                break
-            if _relative_gap(inc_obj, bound_global) <= limits.gap_target:
-                break  # certified within the requested gap
-        dive = nodes_explored % 10 == 0
-        current = node
+        bound_global = max(bound_global, heap[0][0])
+        if _relative_gap(inc_obj, bound_global) <= limits.gap_target:
+            break  # certified within the requested gap
+        if nodes_explored and limits_hit():
+            break
+        _, _, fixes, basis = heapq.heappop(heap)
+        dive = fixes is not None and nodes_explored % 10 == 0  # never from the root
         while True:  # runs once unless diving
             nodes_explored += 1
             if nodes_explored % PROGRESS_EVERY == 0:
                 log.debug("nodes=%d open=%d incumbent=%s bound=%.9g gap=%.3g cut_off=%d",
                           nodes_explored, len(heap),
                           f"{inc_obj:.9g}" if inc_val is not None else "-",
-                          bound_global,
-                          _relative_gap(inc_obj, bound_global)
-                          if inc_val is not None else np.inf,
+                          bound_global, _relative_gap(inc_obj, bound_global),
                           node_lps_cut_off)
-            lo, hi = _materialize(lower, upper, current.fixes)
-            sol = solve_compiled(comp, lo, hi, warm=current.basis,
-                                 cutoff=inc_obj - CUTOFF_TOL)
+            lo, hi = _materialize(lower, upper, fixes)
+            sol = solve_compiled(comp, lo, hi, warm=basis, cutoff=inc_obj - CUTOFF_TOL)
             if sol.status != Status.OPTIMAL:
                 # cut off at the incumbent, or an infeasible subtree (children
                 # only tighten bounds)
@@ -408,38 +388,25 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 break  # dominated: the cutoff is tested on infeasible iterates only
             j = branch_var(sol.values, hi)
             if j is None:
-                consider_incumbent(sol)
+                inc_val, inc_obj = sol.values.copy(), sol.objective_value
+                log.info("incumbent %.9g at node %d", inc_obj, nodes_explored)
                 break
-            if not dive:
+            if not dive or limits_hit():  # a stopped dive leaves both children open
                 for val in (0.0, 1.0):
-                    push(sol.objective_value, _Node((j, val, current.fixes), sol.basis))
+                    push(sol.objective_value, (j, val, fixes), sol.basis)
                 break
             nearest = 1.0 if sol.values[j] >= 0.5 else 0.0
-            push(sol.objective_value, _Node((j, 1.0 - nearest, current.fixes), sol.basis))
-            current = _Node((j, nearest, current.fixes), sol.basis)
-            if limits_hit():
-                break
-        if timed_out or node_capped:
-            break
-    else:
-        exhausted = True
+            push(sol.objective_value, (j, 1.0 - nearest, fixes), sol.basis)
+            fixes, basis = (j, nearest, fixes), sol.basis
 
-    if exhausted:
-        bound_global = inc_obj if inc_val is not None else np.inf
-
-    if inc_val is not None:
-        gap = _relative_gap(inc_obj, bound_global)
-        if gap <= limits.gap_target:
-            status = MipStatus.OPTIMAL
-        elif timed_out:
-            status = MipStatus.TIMED_OUT
-        else:
-            status = MipStatus.FEASIBLE  # node cap with an incumbent in hand
+    if _relative_gap(inc_obj, bound_global) <= limits.gap_target:
+        status = MipStatus.OPTIMAL
+    elif inc_val is None:  # exhausted with no incumbent: the bound is inc_obj = inf
+        status = MipStatus.INFEASIBLE if bound_global == np.inf else MipStatus.TIMED_OUT
     else:
-        gap = np.inf
-        status = MipStatus.INFEASIBLE if exhausted else MipStatus.TIMED_OUT
+        status = MipStatus.TIMED_OUT if timed_out else MipStatus.FEASIBLE
 
     result = MipResult(status, inc_val, inc_obj if inc_val is not None else None,
-                       gap, nodes_explored, bound_global, node_lps_cut_off, hint_used)
+                       nodes_explored, bound_global, node_lps_cut_off, hint_used)
     log.info("finished: %s", result.summary())
     return result

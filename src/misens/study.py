@@ -121,7 +121,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
         p = np.concatenate(p_parts)
         t = np.concatenate(t_parts)
     y = np.array([pct(pi, ti) for pi, ti in zip(p, t)])
-    raw = Dataset(np.column_stack([p, t]), y, np.arange(cfg.n_total))
+    raw = Dataset(np.column_stack([p, t]), y)
     norm, scaler = normalize(raw)
     n_train = int(round(cfg.n_total * cfg.train_fraction))
     n_train = min(max(n_train, 1), cfg.n_total - 1)
@@ -129,9 +129,8 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
     noise = rng_noise.normal(0.0, 1.0, size=n_train) * cfg.noise_sigma
-    train = Dataset(norm.inputs[train_idx], norm.outputs[train_idx] + noise,
-                    norm.ids[train_idx])
-    test = Dataset(norm.inputs[test_idx], norm.outputs[test_idx], norm.ids[test_idx])
+    train = Dataset(norm.inputs[train_idx], norm.outputs[train_idx] + noise)
+    test = Dataset(norm.inputs[test_idx], norm.outputs[test_idx])
     return train, test, scaler
 
 

@@ -171,6 +171,17 @@ class TestTrainEvaluate:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_sensor_whose_models_disagree_on_inputs_is_refused(self, tmp_path, capsys):
+        out = self._generated(tmp_path)
+        assert run(["train", "--method", "mis-std", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "sensor.json").read_text())
+        doc["models"][1]["p"].append(0.5)
+        (out / "sensor.json").write_text(json.dumps(doc))
+        code = run(["evaluate", "--sensor", str(out / "sensor.json"),
+                    "--data", str(out / "train.csv"), "--out-dir", str(out)])
+        assert code == 2
+        assert "model 2 has 3 inputs, model 1 has 2" in capsys.readouterr().err
+
     def test_scaler_schema_mismatch_names_versions(self, tmp_path, capsys):
         out = self._generated(tmp_path)
         doc = json.loads((out / "scaler.json").read_text())

@@ -140,20 +140,19 @@ class TestRmse:
 
 class TestNormalize:
     def test_minmax_endpoints(self):
-        ds = Dataset(np.array([[2000.0], [11000.0], [20000.0]]), [0.0, 1.0, 2.0], [0, 1, 2])
+        ds = Dataset(np.array([[2000.0], [11000.0], [20000.0]]), [0.0, 1.0, 2.0])
         norm, scaler = normalize(ds)
         assert np.allclose(norm.inputs[:, 0], [0.0, 0.5, 1.0])
         assert np.allclose(norm.outputs, [0.0, 0.5, 1.0])
 
     def test_unit_column_unchanged(self):
-        ds = Dataset(np.array([[0.0], [0.25], [1.0]]), [0.0, 0.5, 1.0], [0, 1, 2])
+        ds = Dataset(np.array([[0.0], [0.25], [1.0]]), [0.0, 0.5, 1.0])
         norm, _ = normalize(ds)
         assert np.allclose(norm.inputs[:, 0], [0.0, 0.25, 1.0])
 
     def test_roundtrip(self):
         rng = np.random.default_rng(5)
-        ds = Dataset(rng.uniform(-3, 9, size=(20, 3)), rng.uniform(100, 200, size=20),
-                     np.arange(20))
+        ds = Dataset(rng.uniform(-3, 9, size=(20, 3)), rng.uniform(100, 200, size=20))
         norm, scaler = normalize(ds)
         # invert with the recorded min and max
         inputs = norm.inputs * (scaler.input_max - scaler.input_min) + scaler.input_min
@@ -162,7 +161,7 @@ class TestNormalize:
         assert np.max(np.abs(outputs - ds.outputs)) <= 1e-12 * 200.0
 
     def test_degenerate_column_rejected(self):
-        ds = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), [0.0, 1.0], [0, 1])
+        ds = Dataset(np.array([[1.0, 2.0], [1.0, 3.0]]), [0.0, 1.0])
         with pytest.raises(ValueError, match="column 0"):
             normalize(ds)
 
@@ -183,6 +182,14 @@ class TestTypes:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             Hyperplane(np.array([0.0, 1e-14]), 1.0)
+
+    def test_sensor_input_dimensions_must_agree(self):
+        with pytest.raises(ValueError, match="model 2 has 3 inputs, model 1 has 2"):
+            make_sensor([([1.0, 2.0], 0.0), ([1.0, 2.0, 3.0], 0.0)],
+                        two_class_logic([1.0, 0.0], 0.0))
+        with pytest.raises(ValueError, match="hyperplanes have 3 inputs, the models 2"):
+            make_sensor([([1.0, 2.0], 0.0), ([0.0, 1.0], 0.0)],
+                        two_class_logic([1.0, 0.0, 1.0], 0.0))
 
     def test_switching_pair_count(self):
         h = Hyperplane(np.array([1.0]), 0.0)
@@ -206,7 +213,7 @@ class TestTypes:
 class TestSerialization:
     def test_dataset_csv_roundtrip(self, tmp_path):
         rng = np.random.default_rng(7)
-        ds = Dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12), np.arange(12))
+        ds = Dataset(rng.uniform(size=(12, 2)), rng.uniform(size=12))
         path = tmp_path / "data.csv"
         core.save_dataset(ds, path)
         back = core.load_dataset(path)

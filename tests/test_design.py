@@ -28,7 +28,7 @@ from misens.study import ScenarioConfig, generate_scenario
 
 def dataset(inputs, outputs):
     inputs = np.atleast_2d(np.asarray(inputs, dtype=float))
-    return Dataset(inputs, np.asarray(outputs, dtype=float), np.arange(inputs.shape[0]))
+    return Dataset(inputs, np.asarray(outputs, dtype=float))
 
 
 def two_piece_truth():

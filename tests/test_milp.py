@@ -58,7 +58,10 @@ class TestSmall:
 
     def test_infeasible_root(self):
         mip = make_mip([1.0], [[1.0]], [2.0], [INF], [0.0], [1.0], [0])
-        assert solve_milp(mip).status == MipStatus.INFEASIBLE
+        res = solve_milp(mip)
+        assert (res.status, res.gap, res.nodes_explored, res.best_bound,
+                res.node_lps_cut_off) == (MipStatus.INFEASIBLE, INF, 1, INF, 0)
+        assert res.values is None and res.objective_value is None
 
     def test_unbounded_relaxation_raises(self):
         # every LP is boxed: a variable that could make the relaxation
@@ -192,10 +195,32 @@ class TestLimitsAndHints:
         with pytest.raises(ValueError, match=field):
             MilpLimits(**{field: value})
 
-    def test_time_limit_zero_stops_immediately(self):
+    def _assert_stopped_at_the_root(self, limits):
+        # the root relaxation is fractional and there is no hint: the search
+        # stops after the root with no incumbent and the root's LP bound
         mip = self._bigger_mip()
-        res = solve_milp(mip, MilpLimits(time_limit_s=0.0))
-        assert res.status == MipStatus.TIMED_OUT
+        res = solve_milp(mip, limits)
+        root = solve_lp(mip.base)
+        assert (res.status, res.nodes_explored, res.gap) == (MipStatus.TIMED_OUT, 1, INF)
+        assert res.values is None
+        assert res.best_bound == root.objective_value
+        assert root.objective_value == pytest.approx(-13.3722792499, abs=1e-9)
+
+    def test_time_limit_zero_stops_immediately(self):
+        self._assert_stopped_at_the_root(MilpLimits(time_limit_s=0.0))
+
+    def test_node_cap_one_stops_at_the_root(self):
+        self._assert_stopped_at_the_root(MilpLimits(node_cap=1))
+
+    def test_hint_the_root_cannot_beat_is_optimal_at_the_root(self):
+        # the LP optimum -1 equals the hint's objective, so the root proves it
+        mip = make_mip([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [1.0, 1.0],
+                       [0, 1])
+        hint = np.array([0.0, 1.0])
+        res = solve_milp(mip, incumbent_hint=hint)
+        assert (res.status, res.nodes_explored, res.hint_used) == (MipStatus.OPTIMAL, 1, True)
+        assert np.array_equal(res.values, hint)
+        assert res.objective_value == -1.0 and res.gap == 0.0
 
     def test_incumbent_hint_is_used(self):
         mip = make_mip([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [1.0, 1.0],
@@ -282,7 +307,7 @@ class TestInverseStore:
     def _labeling_mip(self, seed=12):
         rng = np.random.default_rng(seed)
         n = 8
-        train = Dataset(rng.uniform(size=(n, 1)), rng.uniform(size=n), np.arange(n))
+        train = Dataset(rng.uniform(size=(n, 1)), rng.uniform(size=n))
         return build_mis_con_lab_milp(train, DesignConfig(n_cl=2, param_bound=2.0))
 
     @pytest.mark.parametrize("which", ["knapsack", "labeling"])

@@ -55,8 +55,9 @@ class TestScenario:
         cfg = ScenarioConfig(kind="clustered", seed=1)
         train, test, scaler = generate_scenario(cfg)
         assert train.n == 45 and test.n == 45
-        assert set(train.ids) | set(test.ids) == set(range(90))
-        assert set(train.ids) & set(test.ids) == set()
+        # the split is a partition: no point is in both halves
+        points = np.vstack([train.inputs, test.inputs])
+        assert np.unique(points, axis=0).shape[0] == 90
 
     def test_normalized_columns_span_unit_interval(self):
         cfg = ScenarioConfig(kind="uniform", n_total=60, seed=2, noise_sigma=0.0)
@@ -96,20 +97,21 @@ class TestScenario:
         cfg = ScenarioConfig(kind="clustered", n_total=31, noise_sigma=0.0,
                              p_range=p_range, t_range=t_range, seed=4)
         train, test, scaler = generate_scenario(cfg)
-        ids = np.concatenate([train.ids, test.ids])
-        x = np.vstack([train.inputs, test.inputs])[np.argsort(ids)]
+        x = np.vstack([train.inputs, test.inputs])
         raw = x * (scaler.input_max - scaler.input_min) + scaler.input_min
         assert CLUSTER_SPREAD == 0.08
         assert CLUSTER_CENTRES == ((0.12, 0.88), (0.50, 0.50), (0.88, 0.12))
-        starts = [0, 11, 21, 31]
+        # the boxes are disjoint: each point lies in exactly one, 11/10/10
+        in_box = np.ones((len(CLUSTER_CENTRES), raw.shape[0]), dtype=bool)
         for k, (fp, ft) in enumerate(CLUSTER_CENTRES):
-            block = raw[starts[k]:starts[k + 1]]
             for col, (lo, hi), f in ((0, p_range, fp), (1, t_range, ft)):
                 width = hi - lo
                 centre = lo + f * width
                 # 1e-12: roundoff of the scaler round trip
-                assert np.all(np.abs(block[:, col] - centre) <= 0.08 * width * (1 + 1e-12))
-                assert np.all((block[:, col] >= lo) & (block[:, col] <= hi))
+                in_box[k] &= np.abs(raw[:, col] - centre) <= 0.08 * width * (1 + 1e-12)
+                assert np.all((raw[:, col] >= lo) & (raw[:, col] <= hi))
+        assert np.all(in_box.sum(axis=0) == 1)
+        assert in_box.sum(axis=1).tolist() == [11, 10, 10]
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
