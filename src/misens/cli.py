@@ -245,11 +245,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     data_path = Path(args.data) if args.data else out / "train.csv"
     train = core.load_dataset(data_path)
     # an explicit --scaler must exist; the default one is optional
-    scaler = None
-    if args.scaler:
-        scaler = _load_scaler(Path(args.scaler))
-    elif (out / "scaler.json").exists():
-        scaler = _load_scaler(out / "scaler.json")
+    scaler_path = Path(args.scaler) if args.scaler else out / "scaler.json"
+    scaler = _load_scaler(scaler_path) if args.scaler or scaler_path.exists() else None
+    if scaler is not None and scaler.input_min.shape[0] != train.n_p:
+        raise ValueError(f"{scaler_path}: scaler has {scaler.input_min.shape[0]} inputs, "
+                         f"the data {train.n_p}")
     _prepare_out(cfg)
     report = run_method(method, train, cfg.design, scaler)
     core.save_sensor(report.sensor, out / "sensor.json")

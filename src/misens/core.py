@@ -21,14 +21,22 @@ class SchemaError(ValueError):
     """Version field of a serialized document does not match."""
 
 
-def _field(doc, key: str, what: str):
+# the JSON type a serialized value may take, by the name a message gives it
+_KINDS = {"a number": (int, float), "a list": (list,), "a JSON object": (dict,)}
+
+
+def _field(doc, key: str, what: str, kind: str | None = None):
     """doc[key] of a serialized document; ValueError naming `what` and the
-    key when doc is not a JSON object or lacks the key."""
+    key when doc is not a JSON object, lacks the key or, given a `kind` of
+    _KINDS, holds a value of another JSON type (true is not a number)."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what}: expected a JSON object")
     if key not in doc:
         raise ValueError(f"{what}: missing key {key!r}")
-    return doc[key]
+    value = doc[key]
+    if kind is not None and (isinstance(value, bool) or not isinstance(value, _KINDS[kind])):
+        raise ValueError(f"{what}: key {key!r}: expected {kind}, found {json.dumps(value)}")
+    return value
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -194,6 +202,8 @@ class Scaler:
         object.__setattr__(self, "output_max", float(self.output_max))
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("scaler column records are inconsistent")
+        if not np.isfinite([*lo, *hi, self.output_min, self.output_max]).all():
+            raise ValueError("scaler has non-finite entries")
         bad = np.nonzero(hi <= lo)[0]
         if bad.size:
             raise ValueError(f"degenerate scaler range in input column {int(bad[0])}")
@@ -219,8 +229,10 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Scaler":
-        return cls(*(_field(d, key, "scaler")
-                     for key in ("input_min", "input_max", "output_min", "output_max")))
+        return cls(_field(d, "input_min", "scaler", "a list"),
+                   _field(d, "input_max", "scaler", "a list"),
+                   _field(d, "output_min", "scaler", "a number"),
+                   _field(d, "output_max", "scaler", "a number"))
 
 
 @dataclass(frozen=True)
@@ -252,6 +264,9 @@ class SensorModel:
         for h in self.switching.hyperplanes if self.switching is not None else ():
             if h.w.shape[0] != n_p:
                 raise ValueError(f"hyperplanes have {h.w.shape[0]} inputs, the models {n_p}")
+        if self.scaler is not None and self.scaler.input_min.shape[0] != n_p:
+            raise ValueError(f"scaler has {self.scaler.input_min.shape[0]} inputs, "
+                             f"the models {n_p}")
 
     @property
     def n_cl(self) -> int:
@@ -397,20 +412,24 @@ def sensor_from_dict(doc: dict) -> SensorModel:
     found = _field(doc, "schema", "sensor")
     if found != SENSOR_SCHEMA:
         raise SchemaError(f"sensor document schema mismatch: expected {SENSOR_SCHEMA}, found {found}")
-    models = tuple(AffineModel(np.array(_field(m, "p", "model")), _field(m, "b_p", "model"))
-                   for m in _field(doc, "models", "sensor"))
+    models = tuple(AffineModel(np.array(_field(m, "p", "model")),
+                               _field(m, "b_p", "model", "a number"))
+                   for m in _field(doc, "models", "sensor", "a list"))
     switching = None
     if len(models) > 1:
         hps = tuple(Hyperplane(np.array(_field(h, "w", "hyperplane")),
-                               _field(h, "b_w", "hyperplane"))
-                    for h in _field(doc, "hyperplanes", "sensor"))
-        pairs = tuple((int(r), int(s)) for r, s in _field(doc, "pairs", "sensor"))
-        if pairs != expected_pairs(len(models)):
+                               _field(h, "b_w", "hyperplane", "a number"))
+                    for h in _field(doc, "hyperplanes", "sensor", "a list"))
+        pairs = _field(doc, "pairs", "sensor", "a list")
+        if pairs != [list(pair) for pair in expected_pairs(len(models))]:
             raise ValueError(f"pairs: expected the lexicographic 2-combinations of "
-                             f"1..{len(models)}, found {doc['pairs']}")
+                             f"1..{len(models)}, found {json.dumps(pairs)}")
         switching = SwitchingLogic(hps, len(models))
-    scaler = Scaler.from_dict(doc["scaler"]) if doc.get("scaler") else None
-    return SensorModel(models, switching, scaler, dict(doc.get("metadata", {})))
+    scaler = None if doc.get("scaler") is None else Scaler.from_dict(doc["scaler"])
+    metadata = {}
+    if "metadata" in doc:
+        metadata = _field(doc, "metadata", "sensor", "a JSON object")
+    return SensorModel(models, switching, scaler, dict(metadata))
 
 
 def save_sensor(sensor: SensorModel, path) -> None:

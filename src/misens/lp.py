@@ -8,12 +8,13 @@ row_lo), in the box [rhs - row_hi, rhs - row_lo].  A one-sided row's slack
 gets a stand-in for its open side that cuts nothing, the range of the row
 over the compiled box (rhs - min a'v for an open top, rhs - max a'v for an
 open bottom, clamped at 0).  A nonbasic slack whose reduced cost picks that
-side rests there; the leaving-row test keeps the real boxes.  A solve's
-bounds must lie within the compiled box, which branch and bound only
-tightens.  The basis inverse is kept explicitly and refactorized
-periodically; the reduced costs are carried from pivot to pivot with each
-pivot's row of B^-1 A (Koberstein, *The dual simplex method, techniques
-for a fast and stable implementation*, 2005).
+side rests there; the leaving-row test keeps the real boxes.
+`CompiledLp.rest` is `CompiledLp.box` with each infinite slack side
+replaced by that range.  A solve's bounds must lie within the compiled box,
+which branch and bound only tightens.  The basis inverse is kept explicitly
+and refactorized periodically; the reduced costs are carried from pivot to
+pivot with each pivot's row of B^-1 A (Koberstein, *The dual simplex
+method, techniques for a fast and stable implementation*, 2005).
 
 There is one method.  Any basis is dual feasible once each nonbasic column
 rests on the bound that the sign of its reduced cost picks, so a solve
@@ -206,25 +207,15 @@ class CompiledLp:
     cost: np.ndarray       # extended, slacks cost 0
     lower: np.ndarray      # the structural box; a solve's bounds must lie within it
     upper: np.ndarray
-    slack_lo: np.ndarray
-    slack_hi: np.ndarray
-    implied_lo: np.ndarray  # slack boxes, each infinite side the row's range over the box
-    implied_hi: np.ndarray
     n_struct: int
     m: int
-    # each solve's tables (_Simplex) with their slack columns filled in; a
-    # solve copies them and writes its structural bounds
-    box: np.ndarray = field(init=False, repr=False)
-    rest: np.ndarray = field(init=False, repr=False)
-    movable: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        n = self.n_struct
-        self.box = np.zeros((3, self.a.shape[1]))
-        self.box[AT_LO, n:], self.box[AT_UP, n:] = self.slack_lo, self.slack_hi
-        self.rest = self.box.copy()
-        self.rest[AT_LO, n:], self.rest[AT_UP, n:] = self.implied_lo, self.implied_hi
-        self.movable = (self.box[AT_UP] - self.box[AT_LO]) > 1e-12
+    # each solve's tables (_Simplex) with their slack columns filled in: the
+    # real boxes, `rest` (`box` with each infinite slack side replaced by the
+    # row's range over the box) and `movable`; a solve copies them and
+    # writes its structural bounds
+    box: np.ndarray = field(repr=False)
+    rest: np.ndarray = field(repr=False)
+    movable: np.ndarray = field(repr=False)
 
 
 def compile_lp(prob: LinearProgram) -> CompiledLp:
@@ -236,11 +227,14 @@ def compile_lp(prob: LinearProgram) -> CompiledLp:
     rows = prob.a
     least = np.where(rows > 0, rows * prob.lower, rows * prob.upper).sum(axis=1)
     most = np.where(rows > 0, rows * prob.upper, rows * prob.lower).sum(axis=1)
+    box = np.zeros((3, n + m))
+    box[AT_LO, n:], box[AT_UP, n:] = slack_lo, slack_hi
+    rest = box.copy()
+    rest[AT_LO, n:] = np.where(np.isinf(slack_lo), np.minimum(rhs - most, 0.0), slack_lo)
+    rest[AT_UP, n:] = np.where(np.isinf(slack_hi), np.maximum(rhs - least, 0.0), slack_hi)
     cost = np.concatenate([prob.objective, np.zeros(m)])
-    return CompiledLp(a, rhs, cost, prob.lower.copy(), prob.upper.copy(), slack_lo, slack_hi,
-                      np.where(np.isinf(slack_lo), np.minimum(rhs - most, 0.0), slack_lo),
-                      np.where(np.isinf(slack_hi), np.maximum(rhs - least, 0.0), slack_hi),
-                      n, m)
+    return CompiledLp(a, rhs, cost, prob.lower.copy(), prob.upper.copy(), n, m,
+                      box, rest, (box[AT_UP] - box[AT_LO]) > 1e-12)
 
 
 @functools.lru_cache(maxsize=16)

@@ -5,18 +5,19 @@ parent's LP optimum.  The root is the list's first node, with key -inf, no
 fixes and no basis, and is solved, pruned and branched like every other
 node.  Search order is best-bound-first with a depth-first dive every 10
 nodes to find incumbents early; the root never dives, so it pushes both
-children.  Branching works on groups, found once per solve: an
-equality row with both bounds 1 whose only entries are binaries with
-coefficient 1 (the labeling rows sum_j z_ij = 1 of MIS-con-lab).  Each group
-with a fractional member is scored by its cheapest completion: set one
-member to 1, the others to 0, leave every other variable at its LP value,
-and take the least total violation of the group's local rows (the other
-rows whose binary entries all lie in the group) over those choices.  On the
-labeling MILP that is max(0, min_j |y_i - f_j(x_i)| - t_i), how far the
-relaxation underestimates point i's error.  The search branches on the
-lowest-index fractional member of the highest-scoring group (ties to the
-lower group).  With no fractional grouped binary, it branches on the binary
-whose relaxation value is closest to 0.5 (ties to the lowest index).  Child
+children.  Branching works on groups, read once per solve from the
+program's own rows: a row with both bounds 1 whose only entries are
+binaries with coefficient 1 (the labeling rows sum_j z_ij = 1 of
+MIS-con-lab).  Each group with a fractional member is scored by its
+cheapest completion: set one member to 1, the others to 0, leave every
+other variable at its LP value, and take the least total violation of the
+group's local rows (the other rows whose binary entries all lie in the
+group) over those choices.  On the labeling MILP that is max(0, min_j
+|y_i - f_j(x_i)| - t_i), how far the relaxation underestimates point i's
+error.  The search branches on the lowest-index fractional member of the
+highest-scoring group (ties to the lower group).  With no fractional
+grouped binary, it branches on the binary whose relaxation value is
+closest to 0.5 (ties to the lowest index).  Child
 nodes warm-start from the parent's simplex basis, which carries its
 inverse, so a child skips the refactorization; both children share the
 parent's one inverse.  Once the open list holds as many nodes as
@@ -66,7 +67,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
-    CompiledLp,
     LinearProgram,
     Status,
     compile_lp,
@@ -200,27 +200,27 @@ def _materialize(lo0, hi0, fixes):
 
 
 class _Groups:
-    """The branching groups of a compiled MILP, found once per solve.
+    """The branching groups of a MILP's rows, found once per solve.
 
-    A group is an equality row with right-hand side 1 whose only entries
-    are binaries with coefficient 1 (the labeling rows sum_j z_ij = 1).  Its
-    local rows are the other rows with a binary entry, all of them in the
-    group.  A completion of a group sets one member to 1 and the others to
-    0, every other variable at its value; a group's score is the least
-    total violation of its local rows' slack boxes over its completions.
+    A group is a row with both bounds 1 whose only entries are binaries
+    with coefficient 1 (the labeling rows sum_j z_ij = 1).  Its local rows
+    are the other rows with a binary entry, all of them in the group.  A
+    completion of a group sets one member to 1 and the others to 0, every
+    other variable at its value; a group's score is the least total
+    violation of its local rows' bounds over its completions.
     Every (group, local row, member) triple is one entry of the flat arrays
     below, so `pick` scores all groups in one vectorized pass; the local
     rows' activities are computed once per pass and read by each triple.
     """
 
-    def __init__(self, comp: CompiledLp, binaries: np.ndarray):
-        n = comp.n_struct
-        rows = comp.a[:, :n]
+    def __init__(self, prob: LinearProgram, binaries: np.ndarray):
+        n = prob.n_vars
+        rows = prob.a
         binary = np.zeros(n, dtype=bool)
         binary[binaries] = True
         nonzero = rows != 0.0
         on_binaries = nonzero & binary
-        is_group = ((comp.slack_lo == 0.0) & (comp.slack_hi == 0.0) & (comp.rhs == 1.0)
+        is_group = ((prob.row_lo == 1.0) & (prob.row_hi == 1.0)
                     & nonzero.any(axis=1) & ~(nonzero & ~binary).any(axis=1)
                     & ((rows == 1.0) | ~nonzero).all(axis=1))
         group_rows = np.flatnonzero(is_group)
@@ -252,8 +252,8 @@ class _Groups:
         # (a_rest @ v)[row] lies outside [act_lo, act_hi]
         local_rows, self.row = np.unique(row, return_inverse=True)
         self.a_rest = np.where(binary, 0.0, rows[local_rows])
-        base = comp.rhs[row] - rows[row, col]
-        self.act_lo, self.act_hi = base - comp.slack_hi[row], base - comp.slack_lo[row]
+        entry = rows[row, col]
+        self.act_lo, self.act_hi = prob.row_lo[row] - entry, prob.row_hi[row] - entry
 
     def pick(self, values: np.ndarray, upper: np.ndarray,
              fractional: np.ndarray) -> int | None:
@@ -278,7 +278,7 @@ class _Groups:
         return int(self.member[start + int(fractional[start:].argmax())])
 
 
-def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
+def _check_hint(prob: MixedIntegerProgram, hint,
                 lower: np.ndarray, upper: np.ndarray) -> float | None:
     """Objective of a hint that is finite, integral and feasible in the rows
     and in the bounds `lower`/`upper`; None when the hint is unusable (every
@@ -291,8 +291,8 @@ def _check_hint(prob: MixedIntegerProgram, comp: CompiledLp, hint,
     bins = v[list(prob.binary_vars)]
     if np.max(np.abs(bins - np.round(bins))) > INT_TOL:
         return None
-    slack = comp.rhs - comp.a[:, :comp.n_struct] @ v
-    if np.any(slack < comp.slack_lo - 1e-6) or np.any(slack > comp.slack_hi + 1e-6):
+    act = prob.base.a @ v
+    if np.any(act < prob.base.row_lo - 1e-6) or np.any(act > prob.base.row_hi + 1e-6):
         return None
     return float(prob.base.objective @ v)
 
@@ -305,14 +305,14 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     lower, upper = prob.bounds()
     comp = compile_lp(prob.base)
     binaries = np.array(prob.binary_vars, dtype=int)
-    groups = _Groups(comp, binaries)
+    groups = _Groups(prob.base, binaries)
     t_start = time.perf_counter()
 
     inc_val: np.ndarray | None = None
     inc_obj = np.inf
     hint_used = False
     if incumbent_hint is not None:
-        obj = _check_hint(prob, comp, incumbent_hint, lower, upper)
+        obj = _check_hint(prob, incumbent_hint, lower, upper)
         hint_used = obj is not None
         if hint_used:
             inc_val = np.asarray(incumbent_hint, dtype=float).copy()
@@ -330,7 +330,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     seq = 1
     bound_global = -np.inf
     timed_out = False
-    binv_cap = max(8, BINV_STORE_BYTES // max(1, 8 * comp.m * comp.m))
+    binv_cap = max(8, BINV_STORE_BYTES // max(1, 8 * prob.base.n_rows ** 2))
 
     def push(key, fixes, basis):
         nonlocal seq

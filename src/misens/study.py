@@ -85,14 +85,21 @@ class ScenarioConfig:
             raise ValueError(f"unknown scenario kind {self.kind!r}")
         if self.n_total < 2:
             raise ValueError("n_total must be at least 2")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma must be nonnegative and finite, "
+                             f"found {self.noise_sigma}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        if self.p_range[0] >= self.p_range[1]:
-            raise ValueError("p_range minimum must be below its maximum")
-        if self.t_range[0] >= self.t_range[1]:
-            raise ValueError("t_range minimum must be below its maximum")
+        for name, (lo, hi) in (("p_range", self.p_range), ("t_range", self.t_range)):
+            if not 0.0 < lo < hi < np.inf:
+                raise ValueError(f"{name}: expected 0 < minimum < maximum < inf, "
+                                 f"found [{lo}, {hi}]")
+        # the PCT denominator is smallest at the lowest pressure and the
+        # highest temperature, so the corner decides the whole box
+        try:
+            pct(self.p_range[0], self.t_range[1])
+        except ValueError as exc:
+            raise ValueError(f"p_range, t_range: {exc}") from None
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
@@ -274,15 +281,6 @@ def export_surface(sensors: dict[str, SensorModel], path) -> None:
 # Monte Carlo
 
 @dataclass
-class MonteCarloRecord:
-    run: int
-    method: str
-    split: str        # "train" | "test"
-    rmse: float
-    t_comp_s: float
-
-
-@dataclass
 class BoxplotRow:
     method: str
     split: str
@@ -295,16 +293,23 @@ class BoxplotRow:
 
 @dataclass
 class MonteCarloReport:
-    records: list[MonteCarloRecord]
-    failures: list[tuple[int, str, str]]   # (run, method, message)
+    rows: list[tuple[int, MethodRow]]   # (run, comparison row), in run order
     boxplot: list[BoxplotRow]
 
+    @property
+    def failures(self) -> list[tuple[int, str, str]]:
+        """(run, method, message) of each failed method-run."""
+        return [(run, r.method, r.status) for run, r in self.rows if r.status != "ok"]
+
     def write_csv(self, path) -> None:
+        """One line per ok row and split: its train line, then its test line."""
         with open(path, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["run", "method", "split", "rmse", "t_comp_s"])
-            for r in self.records:
-                wr.writerow([r.run, r.method, r.split, repr(r.rmse), repr(r.t_comp_s)])
+            for run, r in self.rows:
+                if r.status == "ok":
+                    wr.writerow([run, r.method, "train", repr(r.train_rmse), repr(r.t_comp_s)])
+                    wr.writerow([run, r.method, "test", repr(r.test_rmse), repr(r.t_comp_s)])
 
     def write_boxplot_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -317,21 +322,10 @@ class MonteCarloReport:
                              b.n_runs])
 
 
-def _montecarlo_one(args) -> tuple[int, list[MonteCarloRecord], list[tuple[int, str, str]]]:
+def _montecarlo_one(args) -> list[tuple[int, MethodRow]]:
     scenario, cfg, methods, run, timing = args
     per_run = replace(scenario, seed=scenario.seed + run)
-    report = run_comparison(per_run, methods, cfg, timing=timing)
-    records = []
-    failures = []
-    for row in report.rows:
-        if row.status != "ok":
-            failures.append((run, row.method, row.status))
-            continue
-        records.append(MonteCarloRecord(run, row.method, "train", row.train_rmse,
-                                        row.t_comp_s))
-        records.append(MonteCarloRecord(run, row.method, "test", row.test_rmse,
-                                        row.t_comp_s))
-    return run, records, failures
+    return [(run, row) for row in run_comparison(per_run, methods, cfg, timing=timing).rows]
 
 
 def run_montecarlo(scenario: ScenarioConfig, runs: int, methods: list[str],
@@ -339,29 +333,27 @@ def run_montecarlo(scenario: ScenarioConfig, runs: int, methods: list[str],
                    timing: str = "wall") -> MonteCarloReport:
     """Repeat run_comparison over seeds scenario.seed + 0..runs-1.
 
-    Runs are independent (each owns its RNG streams); aggregation sorts by
-    run index, so worker scheduling cannot change the output.
+    Runs are independent (each owns its RNG streams).  `map`, serial or
+    over the worker pool, returns them in run order, so worker scheduling
+    cannot change the output and nothing is sorted.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")
     check_methods(methods)
     tasks = [(scenario, cfg, methods, run, timing) for run in range(runs)]
-    outcomes = []
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_montecarlo_one, tasks))
     else:
-        outcomes = [_montecarlo_one(t) for t in tasks]
-    outcomes.sort(key=lambda o: o[0])
-    records = [r for _, recs, _ in outcomes for r in recs]
-    failures = [f for _, _, fails in outcomes for f in fails]
+        outcomes = map(_montecarlo_one, tasks)
+    rows = [pair for pairs in outcomes for pair in pairs]
     boxplot = []
     for method in methods:
         for split in ("train", "test"):
-            vals = np.array([r.rmse for r in records
-                             if r.method == method and r.split == split])
+            vals = np.array([getattr(r, f"{split}_rmse") for _, r in rows
+                             if r.method == method and r.status == "ok"])
             if vals.size == 0:
                 continue
             q1, med, q3 = np.percentile(vals, [25.0, 50.0, 75.0])
@@ -370,4 +362,4 @@ def run_montecarlo(scenario: ScenarioConfig, runs: int, methods: list[str],
             outliers = tuple(sorted(float(v) for v in vals if v < lo or v > hi))
             boxplot.append(BoxplotRow(method, split, float(q1), float(med), float(q3),
                                       outliers, int(vals.size)))
-    return MonteCarloReport(records, failures, boxplot)
+    return MonteCarloReport(rows, boxplot)

@@ -46,6 +46,27 @@ class TestGenerate:
         assert code == 2
         assert "p_range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_is_refused_before_the_manifest(self, tmp_path, capsys, value):
+        out = tmp_path / "o"
+        assert run(["generate", "--noise-sigma", value, "--out-dir", str(out)]) == 2
+        assert "noise_sigma must be nonnegative and finite" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("p_range, message", [
+        ("[-5000.0, 20000.0]", "p_range: expected 0 < minimum < maximum < inf"),
+        ("[2000.0, 1e400]", "p_range: expected 0 < minimum < maximum < inf"),
+        ("[0.5, 20000.0]", "p_range, t_range: PCT undefined at P=0.5"),
+    ], ids=["negative", "overflow", "pct-undefined"])
+    def test_range_that_fails_the_scenario_is_refused_before_the_manifest(
+            self, tmp_path, capsys, p_range, message):
+        cfgfile = tmp_path / "m.json"
+        cfgfile.write_text(f'{{"scenario": {{"p_range": {p_range}}}}}')
+        out = tmp_path / "o"
+        assert run(["generate", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         code = run(["generate", "--config", str(tmp_path / "nope.json"),
                     "--out-dir", str(tmp_path / "o")])
@@ -181,6 +202,54 @@ class TestTrainEvaluate:
                     "--data", str(out / "train.csv"), "--out-dir", str(out)])
         assert code == 2
         assert "model 2 has 3 inputs, model 1 has 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(metadata=None),
+         "sensor: key 'metadata': expected a JSON object, found null"),
+        (lambda d: d["models"][0].update(b_p=None),
+         "model: key 'b_p': expected a number, found null"),
+        (lambda d: d.update(hyperplanes=None),
+         "sensor: key 'hyperplanes': expected a list, found null"),
+        (lambda d: d.update(pairs=None), "sensor: key 'pairs': expected a list, found null"),
+        (lambda d: d.update(models=5), "sensor: key 'models': expected a list, found 5"),
+        (lambda d: (d["scaler"]["input_min"].append(0.0), d["scaler"]["input_max"].append(1.0)),
+         "scaler has 3 inputs, the models 2"),
+    ], ids=["metadata-null", "b_p-null", "hyperplanes-null", "pairs-null", "models-number",
+            "scaler-width"])
+    def test_wrong_typed_or_wrong_width_sensor_is_refused(self, tmp_path, capsys, edit,
+                                                          message):
+        out = self._generated(tmp_path)
+        assert run(["train", "--method", "mis-std", "--out-dir", str(out)]) == 0
+        doc = json.loads((out / "sensor.json").read_text())
+        edit(doc)
+        (out / "sensor.json").write_text(json.dumps(doc))
+        fresh = tmp_path / "fresh"
+        code = run(["evaluate", "--sensor", str(out / "sensor.json"),
+                    "--data", str(out / "test.csv"), "--out-dir", str(fresh)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (fresh / "manifest.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(output_min=None),
+         "scaler: key 'output_min': expected a number, found null"),
+        (lambda d: d.update(output_min=[1]),
+         "scaler: key 'output_min': expected a number, found [1]"),
+        (lambda d: (d["input_min"].append(0.0), d["input_max"].append(1.0)),
+         "scaler.json: scaler has 3 inputs, the data 2"),
+    ], ids=["output_min-null", "output_min-list", "width"])
+    def test_wrong_typed_or_wrong_width_scaler_is_refused(self, tmp_path, capsys, edit,
+                                                          message):
+        src = self._generated(tmp_path)
+        doc = json.loads((src / "scaler.json").read_text())
+        edit(doc)
+        (tmp_path / "scaler.json").write_text(json.dumps(doc))
+        out = tmp_path / "o"
+        code = run(["train", "--method", "sis", "--data", str(src / "train.csv"),
+                    "--scaler", str(tmp_path / "scaler.json"), "--out-dir", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
 
     def test_scaler_schema_mismatch_names_versions(self, tmp_path, capsys):
         out = self._generated(tmp_path)

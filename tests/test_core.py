@@ -191,6 +191,14 @@ class TestTypes:
             make_sensor([([1.0, 2.0], 0.0), ([0.0, 1.0], 0.0)],
                         two_class_logic([1.0, 0.0, 1.0], 0.0))
 
+    def test_scaler_width_must_match_the_models(self):
+        scaler = Scaler(np.zeros(3), np.ones(3), 0.0, 1.0)
+        with pytest.raises(ValueError, match="scaler has 3 inputs, the models 2"):
+            make_sensor([([1.0, 2.0], 0.0)], scaler=scaler)
+        with pytest.raises(ValueError, match="scaler has 3 inputs, the models 2"):
+            make_sensor([([1.0, 2.0], 0.0), ([0.0, 1.0], 0.0)],
+                        two_class_logic([1.0, 0.0], 0.0), scaler)
+
     def test_switching_pair_count(self):
         h = Hyperplane(np.array([1.0]), 0.0)
         with pytest.raises(ValueError, match="hyperplanes"):
@@ -287,6 +295,51 @@ class TestSerialization:
             Scaler.from_dict(doc)
         with pytest.raises(ValueError, match="scaler: expected a JSON object"):
             Scaler.from_dict([doc])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(metadata=None),
+         "sensor: key 'metadata': expected a JSON object, found null"),
+        (lambda d: d.update(models=5), "sensor: key 'models': expected a list, found 5"),
+        (lambda d: d["models"][1].update(b_p=None),
+         "model: key 'b_p': expected a number, found null"),
+        (lambda d: d["models"][0].update(b_p="0.5"),
+         "model: key 'b_p': expected a number, found \"0.5\""),
+        (lambda d: d.update(hyperplanes=None),
+         "sensor: key 'hyperplanes': expected a list, found null"),
+        (lambda d: d["hyperplanes"][0].update(b_w=True),
+         "hyperplane: key 'b_w': expected a number, found true"),
+        (lambda d: d.update(pairs=None), "sensor: key 'pairs': expected a list, found null"),
+        (lambda d: d.update(pairs=[[None, 2]]), r"pairs: .*found \[\[null, 2\]\]"),
+        (lambda d: d.update(scaler=0), "scaler: expected a JSON object"),
+        (lambda d: d.update(scaler=[]), "scaler: expected a JSON object"),
+    ], ids=["metadata-null", "models-number", "b_p-null", "b_p-string", "hyperplanes-null",
+            "b_w-bool", "pairs-null", "pair-null", "scaler-number", "scaler-empty-list"])
+    def test_sensor_value_of_the_wrong_type_is_named(self, edit, message):
+        doc = core.sensor_to_dict(make_sensor([([1.0, 2.0], 0.5), ([0.0, -1.0], 1.5)],
+                                              two_class_logic([0.5, -1.5], 0.25)))
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
+            core.sensor_from_dict(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("output_min", None, "expected a number, found null"),
+        ("output_max", [1], "expected a number, found \\[1\\]"),
+        ("input_min", 0.0, "expected a list, found 0.0"),
+        ("input_max", None, "expected a list, found null"),
+    ], ids=["output_min-null", "output_max-list", "input_min-number", "input_max-null"])
+    def test_scaler_value_of_the_wrong_type_is_named(self, key, value, message):
+        doc = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0).to_dict()
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"scaler: key '{key}': {message}"):
+            Scaler.from_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("input_min", [None]), ("output_max", np.inf)],
+                             ids=["input_min-null-entry", "output_max-inf"])
+    def test_scaler_with_a_non_finite_entry_is_refused(self, key, value):
+        doc = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0).to_dict()
+        doc[key] = value
+        with pytest.raises(ValueError, match="scaler has non-finite entries"):
+            Scaler.from_dict(doc)
 
     def test_predict_raw_uses_scaler(self):
         scaler = Scaler(np.array([0.0]), np.array([10.0]), 100.0, 200.0)

@@ -205,8 +205,14 @@ def assert_same_solve(sol, plain):
         np.testing.assert_array_equal(sol.basis.status, plain.basis.status)
 
 
+def slack_sides(comp, table):
+    """The (lower, upper) sides of the slack columns of comp.box or comp.rest."""
+    return table[lp.AT_LO, comp.n_struct:], table[lp.AT_UP, comp.n_struct:]
+
+
 def real_boxes(comp, lower, upper):
-    return (np.concatenate([lower, comp.slack_lo]), np.concatenate([upper, comp.slack_hi]))
+    slack_lo, slack_hi = slack_sides(comp, comp.box)
+    return np.concatenate([lower, slack_lo]), np.concatenate([upper, slack_hi])
 
 
 def assert_farkas(comp, lower, upper, basic):
@@ -244,8 +250,8 @@ def duality_gap(prob, sol):
     y, n = sol.dual_values, comp.n_struct
     d = np.concatenate([sol.reduced_costs, -y])
     v = np.concatenate([sol.values, comp.rhs - comp.a[:, :n] @ sol.values])
-    lo = np.concatenate([prob.lower, comp.implied_lo])
-    hi = np.concatenate([prob.upper, comp.implied_hi])
+    rest_lo, rest_hi = slack_sides(comp, comp.rest)
+    lo, hi = np.concatenate([prob.lower, rest_lo]), np.concatenate([prob.upper, rest_hi])
     at_lo = (d > 0) & (v <= lo + 1e-6)
     at_hi = (d < 0) & (v >= hi - 1e-6)
     dual_obj = float(y @ comp.rhs) + float(d[at_lo] @ lo[at_lo] + d[at_hi] @ hi[at_hi])
@@ -259,8 +265,9 @@ def assert_certified_optimum(comp, lower, upper, sol, prob):
     x = sol.values
     assert np.all(x >= lower - lp.FEAS_TOL) and np.all(x <= upper + lp.FEAS_TOL)
     slack = comp.rhs - comp.a[:, :comp.n_struct] @ x
-    assert np.all(slack >= comp.slack_lo - lp.FEAS_TOL)
-    assert np.all(slack <= comp.slack_hi + lp.FEAS_TOL)
+    slack_lo, slack_hi = slack_sides(comp, comp.box)
+    assert np.all(slack >= slack_lo - lp.FEAS_TOL)
+    assert np.all(slack <= slack_hi + lp.FEAS_TOL)
     cold = lp.solve_compiled(comp, lower, upper)
     assert cold.status == Status.OPTIMAL
     assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
@@ -321,7 +328,7 @@ class TestBasics:
         # objective needs the term 1 * (-2) of that bound
         prob = make_lp([-1.0, -1.0], [[1.0, 1.0]], [0.0], [INF], [0.0, 0.0], [1.0, 1.0])
         comp = lp.compile_lp(prob)
-        assert comp.implied_lo[0] == -2.0 and comp.implied_hi[0] == 0.0
+        assert comp.rest[lp.AT_LO, 2] == -2.0 and comp.rest[lp.AT_UP, 2] == 0.0
         sol = lp.solve_compiled(comp, prob.lower, prob.upper,
                                 exported(comp, [0], [lp.BASIC, lp.AT_UP, lp.AT_LO]))
         assert sol.status == Status.OPTIMAL
@@ -329,6 +336,34 @@ class TestBasics:
         assert sol.basis.status[2] == lp.AT_LO and sol.dual_values[0] < -lp.OPT_TOL
         assert duality_gap(prob, sol) <= 1e-9
         assert solve_lp(prob).objective_value == pytest.approx(-2.0, abs=1e-12)
+
+    def test_rest_takes_each_open_slack_side_from_the_row_range(self):
+        # slack s = rhs - a'v: an open top (a row a'v <= rhs) rests at
+        # rhs - min a'v, an open bottom (a'v >= rhs) at rhs - max a'v, both
+        # over the box and clamped at 0; every finite side is the real box's
+        rng = np.random.default_rng(7)
+        lower, upper = np.array([-1.0, 0.0, 0.5]), np.array([2.0, 1.0, 3.0])
+        corners = np.array(list(itertools.product(*zip(lower, upper))))
+        for _ in range(50):
+            a = rng.integers(-3, 4, size=(6, 3)).astype(float)
+            rhs = rng.uniform(-4.0, 4.0, size=6)
+            row_lo, row_hi = map(np.array, zip(*(row_bounds(side, r) for side, r in
+                                                  zip(rng.choice(5, size=6), rhs))))
+            comp = lp.compile_lp(make_lp(np.zeros(3), a, row_lo, row_hi, lower, upper))
+            box_lo, box_hi = slack_sides(comp, comp.box)
+            rest_lo, rest_hi = slack_sides(comp, comp.rest)
+            np.testing.assert_array_equal(box_lo, comp.rhs - row_hi)
+            np.testing.assert_array_equal(box_hi, comp.rhs - row_lo)
+            act = corners @ a.T
+            open_lo, open_hi = np.isinf(box_lo), np.isinf(box_hi)
+            np.testing.assert_allclose(rest_lo[open_lo], np.minimum(
+                comp.rhs - act.max(axis=0), 0.0)[open_lo], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rest_hi[open_hi], np.maximum(
+                comp.rhs - act.min(axis=0), 0.0)[open_hi], rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(rest_lo[~open_lo], box_lo[~open_lo])
+            np.testing.assert_array_equal(rest_hi[~open_hi], box_hi[~open_hi])
+            assert np.isfinite(comp.rest).all()
+            np.testing.assert_array_equal(comp.rest[:, :3], 0.0)
 
     def test_equality_row(self):
         prob = make_lp([1.0, 2.0], [[1.0, 1.0]], [1.0], [1.0], [0.0, 0.0], [1.0, 1.0])
@@ -395,7 +430,7 @@ class TestBasics:
             sides = make_lp(c, [[1.0, 2.0], [1.0, 2.0]], [1.0, -INF], [INF, 3.0],
                             [0.0, 0.0], [2.0, 2.0])
             comp = lp.compile_lp(ranged)
-            assert (comp.rhs[0], comp.slack_lo[0], comp.slack_hi[0]) == (3.0, 0.0, 2.0)
+            assert (comp.rhs[0], comp.box[lp.AT_LO, 2], comp.box[lp.AT_UP, 2]) == (3.0, 0.0, 2.0)
             got, want = solve_lp(ranged), solve_lp(sides)
             assert got.status == want.status == Status.OPTIMAL
             assert got.objective_value == pytest.approx(want.objective_value, abs=1e-12)

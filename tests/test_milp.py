@@ -251,7 +251,7 @@ class TestLimitsAndHints:
         else:
             labels = LabelingMatrix.from_assignments(np.arange(train.n) % 2 + 1, 2)
             _, hint = labeling_l1_objective(mip, lay, labels)
-            assert milp._check_hint(mip, lp.compile_lp(mip.base), hint, *mip.bounds()) is not None
+            assert milp._check_hint(mip, hint, *mip.bounds()) is not None
             hint[lay.t(0)] = np.nan
         res = solve_milp(mip, incumbent_hint=hint)
         plain = solve_milp(mip)
@@ -273,11 +273,10 @@ class TestLimitsAndHints:
             mip = make_mip(np.ones(n), a, np.where(side == 0, -INF, rhs),
                            np.where(side == 2, INF, rhs), np.zeros(n), np.ones(n), range(n))
             mip.validate()
-            comp = lp.compile_lp(mip.base)
-            act = comp.a[:, :n] @ hint
-            rows_ok = all(comp.slack_lo[k] - 1e-6 <= comp.rhs[k] - act[k]
-                          <= comp.slack_hi[k] + 1e-6 for k in range(m))
-            got = milp._check_hint(mip, comp, hint, mip.base.lower, mip.base.upper)
+            act = a @ hint
+            rows_ok = all(mip.base.row_lo[k] - 1e-6 <= act[k] <= mip.base.row_hi[k] + 1e-6
+                          for k in range(m))
+            got = milp._check_hint(mip, hint, mip.base.lower, mip.base.upper)
             assert (got is not None) == rows_ok
             outcomes.add(rows_ok)
         assert outcomes == {True, False}
@@ -439,6 +438,6 @@ class TestBranching:
 
     def test_without_groups_the_binary_closest_to_half(self, monkeypatch):
         mip = TestLimitsAndHints()._bigger_mip()
-        assert milp._Groups(lp.compile_lp(mip.base), np.array(mip.binary_vars)).n_groups == 0
+        assert milp._Groups(mip.base, np.array(mip.binary_vars)).n_groups == 0
         j, v = self._first_branch(monkeypatch, mip)
         assert j == self._closest_to_half(mip, v)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -113,6 +114,27 @@ class TestScenario:
         assert np.all(in_box.sum(axis=0) == 1)
         assert in_box.sum(axis=1).tolist() == [11, 10, 10]
 
+    @pytest.mark.parametrize("noise_sigma", [np.inf, np.nan, -0.1])
+    def test_noise_sigma_must_be_finite_and_nonnegative(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma must be nonnegative and finite"):
+            ScenarioConfig(noise_sigma=noise_sigma)
+
+    @pytest.mark.parametrize("field, bounds", [
+        ("p_range", (-5000.0, 20000.0)), ("p_range", (0.0, 20000.0)),
+        ("p_range", (2000.0, np.inf)), ("p_range", (np.nan, 20000.0)),
+        ("p_range", (5000.0, 2000.0)), ("t_range", (-1.0, 573.15)),
+        ("t_range", (523.15, np.inf))],
+        ids=["p-negative", "p-zero", "p-inf", "p-nan", "p-decreasing", "t-negative", "t-inf"])
+    def test_range_must_be_positive_finite_and_increasing(self, field, bounds):
+        with pytest.raises(ValueError, match=f"{field}: expected 0 < minimum < maximum < inf"):
+            ScenarioConfig(**{field: bounds})
+
+    def test_box_where_pct_is_undefined_is_refused(self):
+        # at 573.15 K the PCT denominator reaches 0 at 1.159 Pa
+        ScenarioConfig(p_range=(1.2, 2.0), t_range=(523.15, 573.15))
+        with pytest.raises(ValueError, match="p_range, t_range: PCT undefined at P=1.1"):
+            ScenarioConfig(p_range=(1.1, 2000.0), t_range=(523.15, 573.15))
+
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="kind"):
             ScenarioConfig(kind="banana")
@@ -218,9 +240,31 @@ class TestMonteCarlo:
         scenario = ScenarioConfig(kind="uniform", n_total=20, seed=11)
         report = run_montecarlo(scenario, 3, ["sis", "mis-std"],
                                 DesignConfig(n_cl=2, seed=11))
-        assert len(report.records) == 3 * 2 * 2 - 2 * len(report.failures)
-        runs = {r.run for r in report.records}
-        assert runs == {0, 1, 2}
+        assert [(run, r.method) for run, r in report.rows] == \
+               [(run, m) for run in range(3) for m in ("sis", "mis-std")]
+        ok = [r for _, r in report.rows if r.status == "ok"]
+        assert len(ok) == 3 * 2 - len(report.failures)
+        assert report.failures == [(run, r.method, r.status) for run, r in report.rows
+                                   if r.status != "ok"]
+
+    @pytest.mark.parametrize("n_cl", [2, 5], ids=["all-ok", "mis-std-fails"])
+    def test_csv_lists_each_ok_comparison_row_train_then_test(self, tmp_path, n_cl):
+        # n_total 20 leaves 10 training points, too few for MIS-std at n_cl 5
+        # (15 needed): every MIS-std row fails there and only SIS is written
+        scenario = ScenarioConfig(kind="uniform", n_total=20, seed=15)
+        cfg = DesignConfig(n_cl=n_cl, seed=15)
+        methods = ["mis-std", "sis"]
+        report = run_montecarlo(scenario, 2, methods, cfg, timing="fixed")
+        report.write_csv(tmp_path / "mc.csv")
+        want = ["run,method,split,rmse,t_comp_s"]
+        for run in range(2):
+            per_run = dataclasses.replace(scenario, seed=scenario.seed + run)
+            for r in run_comparison(per_run, methods, cfg, timing="fixed").rows:
+                if r.status == "ok":
+                    want += [f"{run},{r.method},train,{r.train_rmse!r},0.0",
+                             f"{run},{r.method},test,{r.test_rmse!r},0.0"]
+        assert (tmp_path / "mc.csv").read_text().splitlines() == want
+        assert len(report.failures) == (0 if n_cl == 2 else 2)
 
     def test_deterministic_bytes(self, tmp_path):
         scenario = ScenarioConfig(kind="uniform", n_total=20, seed=12)
@@ -241,8 +285,8 @@ class TestMonteCarlo:
         cfg = DesignConfig(n_cl=2, seed=13)
         serial = run_montecarlo(scenario, 3, ["sis"], cfg, jobs=1, timing="fixed")
         parallel = run_montecarlo(scenario, 3, ["sis"], cfg, jobs=2, timing="fixed")
-        assert [(r.run, r.method, r.split, r.rmse) for r in serial.records] == \
-               [(r.run, r.method, r.split, r.rmse) for r in parallel.records]
+        assert [(run, r.method, r.train_rmse, r.test_rmse) for run, r in serial.rows] == \
+               [(run, r.method, r.train_rmse, r.test_rmse) for run, r in parallel.rows]
 
     def test_sis_is_least_accurate_on_uniform(self):
         scenario = ScenarioConfig(kind="uniform", n_total=30, seed=14)
