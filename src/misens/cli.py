@@ -263,6 +263,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
 def cmd_evaluate(args, cfg: RunConfig) -> int:
     sensor = core.load_sensor(args.sensor)
     data = core.load_dataset(args.data)
+    if data.n_p != sensor.n_p:
+        raise ValueError(f"{args.data}: the data has {data.n_p} inputs, the sensor {sensor.n_p}")
     out = _prepare_out(cfg)
     preds = core.predict_batch(data.inputs, sensor)
     value = core.rmse(data.outputs, preds)

@@ -415,21 +415,29 @@ def sensor_from_dict(doc: dict) -> SensorModel:
     models = tuple(AffineModel(np.array(_field(m, "p", "model")),
                                _field(m, "b_p", "model", "a number"))
                    for m in _field(doc, "models", "sensor", "a list"))
-    switching = None
-    if len(models) > 1:
-        hps = tuple(Hyperplane(np.array(_field(h, "w", "hyperplane")),
-                               _field(h, "b_w", "hyperplane", "a number"))
-                    for h in _field(doc, "hyperplanes", "sensor", "a list"))
-        pairs = _field(doc, "pairs", "sensor", "a list")
-        if pairs != [list(pair) for pair in expected_pairs(len(models))]:
-            raise ValueError(f"pairs: expected the lexicographic 2-combinations of "
-                             f"1..{len(models)}, found {json.dumps(pairs)}")
-        switching = SwitchingLogic(hps, len(models))
+    hps = tuple(Hyperplane(np.array(_field(h, "w", "hyperplane")),
+                           _field(h, "b_w", "hyperplane", "a number"))
+                for h in _field(doc, "hyperplanes", "sensor", "a list"))
+    pairs = _field(doc, "pairs", "sensor", "a list")
+    expected = expected_pairs(len(models))
+    if pairs != [list(pair) for pair in expected]:
+        raise ValueError(f"pairs: expected the lexicographic 2-combinations of "
+                         f"1..{len(models)}, found {json.dumps(pairs)}")
+    if len(hps) != len(expected):
+        raise ValueError(f"sensor: key 'hyperplanes': expected {len(expected)}, one per "
+                         f"pair of models, found {len(hps)}")
+    switching = SwitchingLogic(hps, len(models)) if len(models) > 1 else None
     scaler = None if doc.get("scaler") is None else Scaler.from_dict(doc["scaler"])
     metadata = {}
     if "metadata" in doc:
         metadata = _field(doc, "metadata", "sensor", "a JSON object")
-    return SensorModel(models, switching, scaler, dict(metadata))
+    sensor = SensorModel(models, switching, scaler, dict(metadata))
+    for key in ("n_cl", "n_p"):
+        found = _field(doc, key, "sensor", "a number")
+        if found != getattr(sensor, key):
+            raise ValueError(f"sensor: key {key!r}: the models give {getattr(sensor, key)}, "
+                             f"found {json.dumps(found)}")
+    return sensor
 
 
 def save_sensor(sensor: SensorModel, path) -> None:

@@ -8,16 +8,16 @@ nodes to find incumbents early; the root never dives, so it pushes both
 children.  Branching works on groups, read once per solve from the
 program's own rows: a row with both bounds 1 whose only entries are
 binaries with coefficient 1 (the labeling rows sum_j z_ij = 1 of
-MIS-con-lab).  Each group with a fractional member is scored by its
-cheapest completion: set one member to 1, the others to 0, leave every
-other variable at its LP value, and take the least total violation of the
-group's local rows (the other rows whose binary entries all lie in the
-group) over those choices.  On the labeling MILP that is max(0, min_j
-|y_i - f_j(x_i)| - t_i), how far the relaxation underestimates point i's
-error.  The search branches on the lowest-index fractional member of the
-highest-scoring group (ties to the lower group).  With no fractional
-grouped binary, it branches on the binary whose relaxation value is
-closest to 0.5 (ties to the lowest index).  Child
+MIS-con-lab).  A member's own rows are the other rows whose one binary
+entry is that member (the epigraph rows of z_ij).  Each group with a
+fractional member is scored by its cheapest completion: the least, over
+its members, of the total violation of the member's own rows with that
+member at 1 and every other variable at its LP value.  On the labeling
+MILP that is max(0, min_j |y_i - f_j(x_i)| - t_i), how far the relaxation
+underestimates point i's error.  The search branches on the lowest-index
+fractional member of the highest-scoring group (ties to the lower group).
+With no fractional grouped binary, it branches on the binary whose
+relaxation value is closest to 0.5 (ties to the lowest index).  Child
 nodes warm-start from the parent's simplex basis, which carries its
 inverse, so a child skips the refactorization; both children share the
 parent's one inverse.  Once the open list holds as many nodes as
@@ -31,9 +31,11 @@ search exactly.  A time limit, when set, naturally breaks run-to-run
 reproducibility.
 
 Every variable is boxed (the LP layer refuses an infinite bound), so the
-root relaxation is infeasible or has an optimum.  The LP is compiled once
-over the program's box; a node only tightens it, fixing binaries, so the
-slacks' implied bounds of that compilation hold at every node.
+root relaxation is infeasible or has an optimum.  A binary's box is [0, 1]
+or a fixing, [0, 0] or [1, 1]; `validate` refuses any other, naming the
+binary.  The LP is compiled once over the program's box; a node only fixes
+binaries, so the slacks' implied bounds of that compilation hold at every
+node.
 
 Each node LP, the root's included, gets the incumbent (less CUTOFF_TOL) as
 its objective cutoff:
@@ -125,19 +127,10 @@ class MixedIntegerProgram:
             if j in seen:
                 raise ValueError(f"binary variable index {j} repeated")
             seen.add(j)
-        lower, upper = self.bounds()
-        for j in self.binary_vars:
-            if lower[j] > upper[j]:
-                raise ValueError(f"binary variable {j} has contradictory bounds")
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the variable bounds with each binary's box intersected
-        with [0, 1]; the program's own bounds are left as they are."""
-        lower, upper = self.base.lower.copy(), self.base.upper.copy()
-        bins = list(self.binary_vars)
-        lower[bins] = np.maximum(lower[bins], 0.0)
-        upper[bins] = np.minimum(upper[bins], 1.0)
-        return lower, upper
+            box = (float(self.base.lower[j]), float(self.base.upper[j]))
+            if box not in ((0.0, 1.0), (0.0, 0.0), (1.0, 1.0)):
+                raise ValueError(f"binary variable {j} has box [{box[0]:g}, {box[1]:g}]; "
+                                 "a binary's box is [0, 1], [0, 0] or [1, 1]")
 
 
 @dataclass
@@ -203,57 +196,41 @@ class _Groups:
     """The branching groups of a MILP's rows, found once per solve.
 
     A group is a row with both bounds 1 whose only entries are binaries
-    with coefficient 1 (the labeling rows sum_j z_ij = 1).  Its local rows
-    are the other rows with a binary entry, all of them in the group.  A
-    completion of a group sets one member to 1 and the others to 0, every
-    other variable at its value; a group's score is the least total
-    violation of its local rows' bounds over its completions.
-    Every (group, local row, member) triple is one entry of the flat arrays
-    below, so `pick` scores all groups in one vectorized pass; the local
-    rows' activities are computed once per pass and read by each triple.
+    with coefficient 1 (the labeling rows sum_j z_ij = 1).  A member's own
+    rows are the other rows whose one binary entry is that member; a
+    binary in two groups scores its own rows in each.  A completion sets
+    one member to 1 and costs the total violation of its own rows' bounds,
+    every other variable at its value; a group's score is its cheapest
+    completion.  The rows of the members left at 0 are not read: on the
+    labeling MILP they are big-M rows that `design.required_big_m` keeps
+    satisfied, so they would add an exact 0.
     """
 
     def __init__(self, prob: LinearProgram, binaries: np.ndarray):
-        n = prob.n_vars
         rows = prob.a
-        binary = np.zeros(n, dtype=bool)
+        binary = np.zeros(prob.n_vars, dtype=bool)
         binary[binaries] = True
         nonzero = rows != 0.0
         on_binaries = nonzero & binary
         is_group = ((prob.row_lo == 1.0) & (prob.row_hi == 1.0)
                     & nonzero.any(axis=1) & ~(nonzero & ~binary).any(axis=1)
                     & ((rows == 1.0) | ~nonzero).all(axis=1))
-        group_rows = np.flatnonzero(is_group)
-        self.n_groups = group_rows.size
+        members = [np.flatnonzero(g) for g in on_binaries[is_group]]
+        self.n_groups = len(members)
         if not self.n_groups:
             return
-        in_group = on_binaries[group_rows]                      # groups x n
-        # binary entries of each row outside each group
-        outside = on_binaries.astype(float) @ (~in_group).T.astype(float)
-        local = (outside == 0.0) & on_binaries.any(axis=1)[:, None]
-        local[group_rows, np.arange(self.n_groups)] = False     # rows x groups
-        members = [np.flatnonzero(g) for g in in_group]
-        sizes = np.array([k.size for k in members])
-        self.starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+        self.starts = np.cumsum([0] + [k.size for k in members[:-1]])
         self.member = np.concatenate(members)                   # one per choice
-        row, choice, col = [], [], []
-        for g, k in enumerate(members):
-            for r in np.flatnonzero(local[:, g]):
-                row += [r] * k.size
-                choice += range(self.starts[g], self.starts[g] + k.size)
-                col += k.tolist()
-        row, self.choice, col = (np.array(x, dtype=int) for x in (row, choice, col))
-        place = np.empty(n, dtype=int)
+        place = np.empty(prob.n_vars, dtype=int)
         place[binaries] = np.arange(binaries.size)
         self.member_at = place[self.member]                     # its place in binaries
-        # the local rows without their binary entries, each once, and each
-        # triple's box on its row's activity less the member's entry: the
-        # completion that sets the member to 1 violates the row by how far
-        # (a_rest @ v)[row] lies outside [act_lo, act_hi]
-        local_rows, self.row = np.unique(row, return_inverse=True)
-        self.a_rest = np.where(binary, 0.0, rows[local_rows])
-        entry = rows[row, col]
-        self.act_lo, self.act_hi = prob.row_lo[row] - entry, prob.row_hi[row] - entry
+        # each own row without its binary entry, and the box on that rest's
+        # activity that holds the row with its owner at 1
+        own = np.flatnonzero(~is_group & (on_binaries.sum(axis=1) == 1))
+        self.owner = on_binaries[own].argmax(axis=1)
+        entry = rows[own, self.owner]
+        self.a_rest = np.where(binary, 0.0, rows[own])
+        self.act_lo, self.act_hi = prob.row_lo[own] - entry, prob.row_hi[own] - entry
 
     def pick(self, values: np.ndarray, upper: np.ndarray,
              fractional: np.ndarray) -> int | None:
@@ -265,9 +242,9 @@ class _Groups:
         if not self.n_groups:
             return None
         fractional = fractional[self.member_at]
-        act = (self.a_rest @ values)[self.row]
+        act = self.a_rest @ values
         violation = np.maximum(np.maximum(self.act_lo - act, act - self.act_hi), 0.0)
-        cost = np.bincount(self.choice, weights=violation, minlength=self.member.size)
+        cost = np.bincount(self.owner, weights=violation, minlength=values.size)[self.member]
         cost[upper[self.member] < 0.5] = np.inf
         score = np.where(np.logical_or.reduceat(fractional, self.starts),
                          np.minimum.reduceat(cost, self.starts), -1.0)
@@ -278,15 +255,14 @@ class _Groups:
         return int(self.member[start + int(fractional[start:].argmax())])
 
 
-def _check_hint(prob: MixedIntegerProgram, hint,
-                lower: np.ndarray, upper: np.ndarray) -> float | None:
+def _check_hint(prob: MixedIntegerProgram, hint) -> float | None:
     """Objective of a hint that is finite, integral and feasible in the rows
-    and in the bounds `lower`/`upper`; None when the hint is unusable (every
-    comparison with a NaN is false, so a NaN entry passes all the others)."""
+    and the bounds; None when the hint is unusable (every comparison with a
+    NaN is false, so a NaN entry passes all the others)."""
     v = np.asarray(hint, dtype=float)
     if v.shape != (prob.base.n_vars,) or not np.isfinite(v).all():
         return None
-    if np.any(v < lower - 1e-9) or np.any(v > upper + 1e-9):
+    if np.any(v < prob.base.lower - 1e-9) or np.any(v > prob.base.upper + 1e-9):
         return None
     bins = v[list(prob.binary_vars)]
     if np.max(np.abs(bins - np.round(bins))) > INT_TOL:
@@ -302,7 +278,6 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     """Solve min c @ v with the given binaries; see the module docstring."""
     limits = limits or MilpLimits()
     prob.validate()
-    lower, upper = prob.bounds()
     comp = compile_lp(prob.base)
     binaries = np.array(prob.binary_vars, dtype=int)
     groups = _Groups(prob.base, binaries)
@@ -312,7 +287,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
     inc_obj = np.inf
     hint_used = False
     if incumbent_hint is not None:
-        obj = _check_hint(prob, incumbent_hint, lower, upper)
+        obj = _check_hint(prob, incumbent_hint)
         hint_used = obj is not None
         if hint_used:
             inc_val = np.asarray(incumbent_hint, dtype=float).copy()
@@ -377,7 +352,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                           f"{inc_obj:.9g}" if inc_val is not None else "-",
                           bound_global, _relative_gap(inc_obj, bound_global),
                           node_lps_cut_off)
-            lo, hi = _materialize(lower, upper, fixes)
+            lo, hi = _materialize(prob.base.lower, prob.base.upper, fixes)
             sol = solve_compiled(comp, lo, hi, warm=basis, cutoff=inc_obj - CUTOFF_TOL)
             if sol.status != Status.OPTIMAL:
                 # cut off at the incumbent, or an infeasible subtree (children

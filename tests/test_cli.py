@@ -214,8 +214,10 @@ class TestTrainEvaluate:
         (lambda d: d.update(models=5), "sensor: key 'models': expected a list, found 5"),
         (lambda d: (d["scaler"]["input_min"].append(0.0), d["scaler"]["input_max"].append(1.0)),
          "scaler has 3 inputs, the models 2"),
+        (lambda d: d.update(n_cl=2), "sensor: key 'n_cl': the models give 3, found 2"),
+        (lambda d: d.update(n_p=7), "sensor: key 'n_p': the models give 2, found 7"),
     ], ids=["metadata-null", "b_p-null", "hyperplanes-null", "pairs-null", "models-number",
-            "scaler-width"])
+            "scaler-width", "n_cl-edited", "n_p-edited"])
     def test_wrong_typed_or_wrong_width_sensor_is_refused(self, tmp_path, capsys, edit,
                                                           message):
         out = self._generated(tmp_path)
@@ -293,6 +295,18 @@ class TestTrainEvaluate:
                     "--out-dir", str(out)])
         assert code == 2
         assert f"{data}: {message}" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
+    def test_data_of_another_width_leaves_no_manifest(self, tmp_path, capsys):
+        src = self._generated(tmp_path)
+        assert run(["train", "--method", "sis", "--out-dir", str(src)]) == 0
+        data = tmp_path / "wide.csv"
+        data.write_text("x1,x2,x3,y\n0.1,0.2,0.3,0.4\n0.5,0.6,0.7,0.8\n")
+        out = tmp_path / "fresh"
+        code = run(["evaluate", "--sensor", str(src / "sensor.json"), "--data", str(data),
+                    "--out-dir", str(out)])
+        assert code == 2
+        assert f"{data}: the data has 3 inputs, the sensor 2" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_missing_data_file(self, tmp_path):

@@ -266,7 +266,7 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"pairs: .*found \[\[1, 3\], \[1, 2\], \[2, 3\]\]"):
             core.sensor_from_dict(doc)
 
-    @pytest.mark.parametrize("key", ["models", "hyperplanes", "pairs", "schema"])
+    @pytest.mark.parametrize("key", ["models", "hyperplanes", "pairs", "schema", "n_cl", "n_p"])
     def test_sensor_missing_key_is_named(self, key):
         hps = tuple(Hyperplane(np.array([1.0, float(k)]), 0.0) for k in range(1, 4))
         sensor = make_sensor([([1.0, 0.0], 0.0), ([0.0, 1.0], 0.0), ([1.0, 1.0], 0.0)],
@@ -274,6 +274,24 @@ class TestSerialization:
         doc = core.sensor_to_dict(sensor)
         del doc[key]
         with pytest.raises(ValueError, match=f"sensor: missing key '{key}'"):
+            core.sensor_from_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.update(n_cl=2), "sensor: key 'n_cl': the models give 1, found 2"),
+        (lambda d: d.update(n_p=7), "sensor: key 'n_p': the models give 2, found 7"),
+        (lambda d: d.update(n_cl=True), "sensor: key 'n_cl': expected a number, found true"),
+        (lambda d: d.update(hyperplanes=[{"w": [1.0, 0.0], "b_w": 0.0}]),
+         "sensor: key 'hyperplanes': expected 0, one per pair of models, found 1"),
+        (lambda d: d.update(pairs=[[1, 2]]), r"pairs: .*found \[\[1, 2\]\]"),
+        (lambda d: d.update(n_cl=2, n_p=7, hyperplanes=[{"w": [1.0, 0.0], "b_w": 0.0}],
+                            pairs=[[1, 2]]), r"pairs: .*found \[\[1, 2\]\]"),
+    ], ids=["n_cl", "n_p", "n_cl-bool", "hyperplane", "pair", "two-class-claim"])
+    def test_one_model_document_must_agree_with_its_model(self, edit, message):
+        doc = core.sensor_to_dict(make_sensor([([1.0, 2.0], 0.5)]))
+        assert (doc["n_cl"], doc["n_p"], doc["hyperplanes"], doc["pairs"]) == (1, 2, [], [])
+        core.sensor_from_dict(doc)
+        edit(doc)
+        with pytest.raises(ValueError, match=message):
             core.sensor_from_dict(doc)
 
     @pytest.mark.parametrize("doc", [[], "sensor", None])

@@ -827,10 +827,10 @@ class TestRoutedLabelingLp:
                 rows.append(row)
                 row_lo.append(eps - big_m)
         base = program.base
-        lower, upper = program.bounds()
         prob = LinearProgram(base.objective, np.vstack([base.a, rows]),
                              np.concatenate([base.row_lo, row_lo]),
-                             np.concatenate([base.row_hi, np.full(len(rows), INF)]), lower, upper)
+                             np.concatenate([base.row_hi, np.full(len(rows), INF)]),
+                             base.lower, base.upper)
         return [TestRoutedLabelingLp._fix(prob, lay, fixed[:k]) for k in range(len(fixed) + 1)]
 
     @staticmethod

@@ -8,7 +8,7 @@ import pytest
 from misens import lp, milp
 from misens.core import Dataset, LabelingMatrix
 from misens.design import (DesignConfig, VariableLayout, build_mis_con_lab_milp,
-                           labeling_l1_objective)
+                           design_mis_con_lab, labeling_l1_objective)
 from misens.lp import LinearProgram, solve_lp, Status
 from misens.milp import MilpLimits, MipStatus, MixedIntegerProgram, solve_milp
 from misens.study import ScenarioConfig, generate_scenario
@@ -79,18 +79,45 @@ class TestSmall:
         assert np.max(np.abs(bins - np.round(bins))) <= 1e-6
 
     def test_caller_bounds_are_left_as_they_are(self):
-        # binaries boxed wider than [0, 1] are solved over [0, 1], on copies;
-        # the hint (c = 4) is integral and inside the caller's box but not [0, 1]
+        # binaries boxed wider than [0, 1] are refused, not clipped, even with
+        # a hint (c = 4) that is integral and inside the caller's box
         knapsack = ([[2.0, 3.0, 1.0]], [-INF], [4.0])
         wide = make_mip([-3.0, -4.0, -2.0], *knapsack, [-5.0] * 3, [5.0] * 3, [0, 1, 2])
-        boxed = make_mip([-3.0, -4.0, -2.0], *knapsack, [0.0] * 3, [1.0] * 3, [0, 1, 2])
-        res = solve_milp(wide, incumbent_hint=np.array([0.0, 0.0, 4.0]))
+        with pytest.raises(ValueError, match=r"binary variable 0 has box \[-5, 5\]"):
+            solve_milp(wide, incumbent_hint=np.array([0.0, 0.0, 4.0]))
         np.testing.assert_array_equal(wide.base.lower, [-5.0] * 3)
         np.testing.assert_array_equal(wide.base.upper, [5.0] * 3)
-        ref = solve_milp(boxed)
-        assert res.status == ref.status == MipStatus.OPTIMAL
-        assert res.objective_value == ref.objective_value == pytest.approx(-6.0, abs=1e-9)
-        np.testing.assert_array_equal(res.values, ref.values)
+        boxed = make_mip([-3.0, -4.0, -2.0], *knapsack, [0.0] * 3, [1.0] * 3, [0, 1, 2])
+        res = solve_milp(boxed)
+        assert res.status == MipStatus.OPTIMAL
+        assert res.objective_value == pytest.approx(-6.0, abs=1e-9)
+
+    @pytest.mark.parametrize("box", [(0.0, 0.5), (0.2, 0.7), (-5.0, 5.0)],
+                             ids=["0-0.5", "0.2-0.7", "-5-5"])
+    def test_binary_box_must_be_unit_or_a_fixing(self, monkeypatch, box):
+        # a binary's box is [0, 1], [0, 0] or [1, 1]; any other is refused,
+        # naming the binary, before any LP is solved
+        solved = []
+        monkeypatch.setattr(milp, "solve_compiled", lambda *args, **kw: solved.append(args))
+        lo, hi = [0.0] * 3, [1.0] * 3
+        lo[1], hi[1] = box
+        mip = make_mip([-3.0, -4.0, -2.0], [[2.0, 3.0, 1.0]], [-INF], [4.0], lo, hi, [0, 1, 2])
+        message = rf"binary variable 1 has box \[{box[0]:g}, {box[1]:g}\]"
+        with pytest.raises(ValueError, match=message):
+            mip.validate()
+        with pytest.raises(ValueError, match=message):
+            solve_milp(mip)
+        assert not solved
+
+    @pytest.mark.parametrize("value,optimum", [(0.0, -5.0), (1.0, -6.0)], ids=["0", "1"])
+    def test_fixed_binaries_are_accepted(self, value, optimum):
+        # the knapsack with b fixed: a + c (weight 3) without b, b + c with it
+        mip = make_mip([-3.0, -4.0, -2.0], [[2.0, 3.0, 1.0]], [-INF], [4.0],
+                       [0.0, value, 0.0], [1.0, value, 1.0], [0, 1, 2])
+        res = solve_milp(mip)
+        assert res.status == MipStatus.OPTIMAL
+        assert res.values[1] == value
+        assert res.objective_value == pytest.approx(optimum, abs=1e-9)
 
 
 class TestRandomizedOracle:
@@ -251,7 +278,7 @@ class TestLimitsAndHints:
         else:
             labels = LabelingMatrix.from_assignments(np.arange(train.n) % 2 + 1, 2)
             _, hint = labeling_l1_objective(mip, lay, labels)
-            assert milp._check_hint(mip, hint, *mip.bounds()) is not None
+            assert milp._check_hint(mip, hint) is not None
             hint[lay.t(0)] = np.nan
         res = solve_milp(mip, incumbent_hint=hint)
         plain = solve_milp(mip)
@@ -276,7 +303,7 @@ class TestLimitsAndHints:
             act = a @ hint
             rows_ok = all(mip.base.row_lo[k] - 1e-6 <= act[k] <= mip.base.row_hi[k] + 1e-6
                           for k in range(m))
-            got = milp._check_hint(mip, hint, mip.base.lower, mip.base.upper)
+            got = milp._check_hint(mip, hint)
             assert (got is not None) == rows_ok
             outcomes.add(rows_ok)
         assert outcomes == {True, False}
@@ -384,6 +411,52 @@ class TestCutoffSearch:
         assert self._assert_same_search(monkeypatch, mip) > 0
 
 
+class LocalRowsRule:
+    """The earlier group scorer, kept as a reference: a group's local rows
+    are the other rows whose binary entries all lie in the group, and a
+    completion sets one member to 1 and the others to 0 and costs the
+    violation of every local row, summed in row order.  The arithmetic is
+    the earlier one: each row's activity without its binary entries against
+    its bounds less the member's entry."""
+
+    def __init__(self, prob: LinearProgram, binaries):
+        self.prob, self.binaries = prob, np.asarray(binaries)
+        binary = np.zeros(prob.n_vars, dtype=bool)
+        binary[self.binaries] = True
+        self.a_rest = np.where(binary, 0.0, prob.a)
+        on_binaries = (prob.a != 0.0) & binary
+        self.groups = []  # (members, local rows) of each group, in row order
+        for g, row in enumerate(prob.a):
+            nonzero = row != 0.0
+            if (prob.row_lo[g] == prob.row_hi[g] == 1.0 and nonzero.any()
+                    and binary[nonzero].all() and (row[nonzero] == 1.0).all()):
+                local = [r for r in range(prob.n_rows) if r != g and on_binaries[r].any()
+                         and not (on_binaries[r] & ~nonzero).any()]
+                self.groups.append((np.flatnonzero(nonzero), local))
+
+    def pick(self, values, upper, fractional):
+        is_fractional = dict(zip(self.binaries.tolist(), fractional.tolist()))
+        act = self.a_rest @ values
+        best, chosen = -1.0, None
+        for members, local in self.groups:
+            flags = [is_fractional[int(k)] for k in members]
+            if not any(flags):
+                continue
+            score = np.inf
+            for k in members:
+                if upper[k] < 0.5:
+                    continue
+                cost = 0.0
+                for r in local:
+                    entry = self.prob.a[r, k]
+                    lo, hi = self.prob.row_lo[r] - entry, self.prob.row_hi[r] - entry
+                    cost += max(lo - act[r], act[r] - hi, 0.0)
+                score = min(score, cost)
+            if score > best:
+                best, chosen = score, int(members[flags.index(True)])
+        return chosen
+
+
 class TestBranching:
     """Which binary the first branching fixes, read from the first node LP
     after the root: its bounds differ from the root's at that binary."""
@@ -435,6 +508,42 @@ class TestBranching:
         assert (self._closest_to_half(mip, v) - lay.z(0, 1)) // n_cl == 1
         # the lowest-index fractional z of that point (z_11 + z_12 = 1)
         assert j == lay.z(worst, 1)
+
+    @pytest.mark.parametrize("case", ["capped", "certify-1"])
+    def test_own_rows_pick_what_local_rows_picked(self, monkeypatch, case):
+        # every node LP of the search, replayed: the member's own rows and
+        # all of the group's local rows choose the same binary
+        seed, n_cl, cap, nodes = {"capped": (1, 3, 300, 300),
+                                  "certify-1": (1, 2, 20_000, 273)}[case]
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=seed))[0]
+        cfg = DesignConfig(n_cl=n_cl, seed=1, milp_limits=MilpLimits(node_cap=cap))
+        recorded = []
+        solve = milp.solve_compiled
+
+        def recording(comp, lower, upper, warm=None, cutoff=np.inf):
+            sol = solve(comp, lower, upper, warm, cutoff=cutoff)
+            recorded.append((upper.copy(), sol))
+            return sol
+
+        monkeypatch.setattr(milp, "solve_compiled", recording)
+        report = design_mis_con_lab(train, cfg)
+        assert report.solver_stats["milp"]["nodes_explored"] == len(recorded) == nodes
+        mip = build_mis_con_lab_milp(train, cfg)
+        binaries = np.array(mip.binary_vars)
+        groups = milp._Groups(mip.base, binaries)
+        reference = LocalRowsRule(mip.base, binaries)
+        assert groups.n_groups == len(reference.groups) == train.n
+        picked = 0
+        for upper, sol in recorded:
+            if sol.status != Status.OPTIMAL:
+                continue
+            v = sol.values[binaries]
+            fractional = np.abs(v - np.round(v)) > milp.INT_TOL
+            if fractional.any():
+                j = groups.pick(sol.values, upper, fractional)
+                assert j == reference.pick(sol.values, upper, fractional)
+                picked += j is not None
+        assert picked >= nodes * 3 // 4
 
     def test_without_groups_the_binary_closest_to_half(self, monkeypatch):
         mip = TestLimitsAndHints()._bigger_mip()
