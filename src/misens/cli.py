@@ -104,12 +104,6 @@ def _str(value) -> str:
     return value
 
 
-def _pair(value) -> tuple[float, float]:
-    if not isinstance(value, list) or len(value) != 2:
-        raise TypeError(f"expected a list of two numbers, found {json.dumps(value)}")
-    return _float(value[0]), _float(value[1])
-
-
 def _strings(value) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
         raise TypeError(f"expected a list of strings, found {json.dumps(value)}")
@@ -117,15 +111,13 @@ def _strings(value) -> tuple[str, ...]:
 
 
 # One entry per configuration field: its dotted manifest path, the argparse
-# dest of the flag that overrides it (None: manifest only) and the cast of
-# its manifest value.  `--seed` sets both seeds.
-FIELDS: tuple[tuple[str, str | None, object], ...] = (
+# dest of the flag that overrides it and the cast of its manifest value.
+# `--seed` sets both seeds.
+FIELDS: tuple[tuple[str, str, object], ...] = (
     ("scenario.kind", "kind", _str),
     ("scenario.n_total", "n_total", _int),
     ("scenario.noise_sigma", "noise_sigma", _float),
     ("scenario.train_fraction", "train_fraction", _float),
-    ("scenario.p_range", None, _pair),
-    ("scenario.t_range", None, _pair),
     ("scenario.seed", "seed", _int),
     ("design.n_cl", "n_cl", _int),
     ("design.gamma", "gamma", _float),
@@ -202,7 +194,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"{path}: {exc}") from None
     _build(values)
     flags = {path: getattr(args, dest) for path, dest, _ in FIELDS
-             if dest and getattr(args, dest, None) is not None}
+             if getattr(args, dest, None) is not None}
     if "methods" in flags:
         flags["methods"] = tuple(m.strip() for m in flags["methods"].split(",") if m.strip())
     return _build({**values, **flags})

@@ -11,11 +11,12 @@ the design samples no points to re-check it.  Where two models share a
 slope the plane gets a tiny placeholder normal (a Hyperplane cannot have a
 zero one), so on normalized data its offset routes to the larger model.
 MIS-con-lab additionally optimizes the labeling itself: an epigraph/big-M
-MILP over the boxed model variables minimizes the summed absolute errors
-over labelings (point i may only join classes 1..i+1, which keeps each
-partition's first-occurrence numbering and, at two classes, no other one);
-then the labels are fixed and the final models come from the MIS-con
-refit, whose planes are again the models' differences.
+MILP over the boxed model variables, its M the least the data needs,
+minimizes the summed absolute errors over labelings (point i may only join
+classes 1..i+1, which keeps each partition's first-occurrence numbering
+and, at two classes, no other one); then the labels are fixed and the
+final models come from the MIS-con refit, whose planes are again the
+models' differences.
 All four share one least-squares kernel, `linalg.least_squares`."""
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ RANDOM_STARTS = 6        # seeded random perturbations tried by improve_labeling
 
 class NoIncumbentError(RuntimeError):
     """The MILP limits expired before any feasible labeling was found."""
-
-
-def required_big_m(param_bound: float, n_p: int) -> float:
-    """Smallest M that can never cut a feasible labeling given the variable box."""
-    return 2.0 * (param_bound * (n_p + 1) + 1.0)
 
 
 @dataclass
@@ -296,27 +292,21 @@ def build_mis_con_lab_milp(train: Dataset, cfg: DesignConfig) -> MixedIntegerPro
     its numbering by first occurrence; at n_cl = 2 that is the only one
     left, and at n_cl >= 3 some others remain (Kaibel & Pfetsch, "Packing
     and partitioning orbitopes", 2008).  The variables are the models
-    (each parameter boxed by param_bound), the epigraph t (boxed by big-M,
-    at least what any epigraph row asks) and the labeling z: the sensor's
-    planes are the models' differences, so the program needs no plane
-    variables and no rows tying them to the models.  Raises
-    ValueError when big-M is below |y_i| + param_bound * (||x_i||_1 + 1) for
-    some point i (data outside the unit box that `required_big_m` assumes).
+    (each parameter boxed by B = param_bound), the epigraph t and the
+    labeling z: the sensor's planes are the models' differences, so the
+    program needs no plane variables and no rows tying them to the models.
+    M is read from the data, as in Roll, Bemporad & Ljung (Automatica 40,
+    2004): max_i |y_i| + B (||x_i||_1 + 1), the most |y_i - f_j(x_i)| can be
+    in the box, which also boxes t.  So with z_ij = 0 a row asks t_i >=
+    +-(y_i - f_j(x_i)) - M, which is <= 0, and with z_ij = 1 M cancels: the
+    feasible labelings and the optimum are those without M, in any units.
     """
     n, n_p, n_cl = train.n, train.n_p, cfg.n_cl
     if n < n_cl * (n_p + 1):
         raise ValueError(f"need at least {n_cl * (n_p + 1)} points for n_cl={n_cl}")
-    big_m = required_big_m(cfg.param_bound, n_p)
     lay = VariableLayout(n, n_p, n_cl)
     x, y = train.inputs, train.outputs
-    # a row with z_ij = 0 cuts nothing only if M >= |y_i| + B (||x_i||_1 + 1)
-    need = np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)
-    worst = int(np.argmax(need))
-    if big_m < need[worst]:
-        raise ValueError(
-            f"big-M {big_m} could cut feasible labelings: point {worst} needs "
-            f"M >= {need[worst]:.6g} (required_big_m assumes inputs and outputs "
-            f"in [0, 1]; normalize the data)")
+    big_m = float(np.max(np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)))
     i = np.arange(n)[:, None]  # points down, classes across
     j = np.arange(1, n_cl + 1)
     z = lay.z(i, j)  # the column of z_ij

@@ -17,7 +17,10 @@ MILP that is max(0, min_j |y_i - f_j(x_i)| - t_i), how far the relaxation
 underestimates point i's error.  The search branches on the lowest-index
 fractional member of the highest-scoring group (ties to the lower group).
 With no fractional grouped binary, it branches on the binary whose
-relaxation value is closest to 0.5 (ties to the lowest index).  Child
+relaxation value is closest to 0.5 (ties to the lowest index).  A node
+whose binaries all lie within INT_TOL of an integer is an incumbent only
+if it passes the hint check; else the search branches on the unfixed
+binary farthest from its integer.  Child
 nodes warm-start from the parent's simplex basis, which carries its
 inverse, so a child skips the refactorization; both children share the
 parent's one inverse.  Once the open list holds as many nodes as
@@ -202,8 +205,8 @@ class _Groups:
     one member to 1 and costs the total violation of its own rows' bounds,
     every other variable at its value; a group's score is its cheapest
     completion.  The rows of the members left at 0 are not read: on the
-    labeling MILP they are big-M rows that `design.required_big_m` keeps
-    satisfied, so they would add an exact 0.
+    labeling MILP they are big-M rows, and M is the most any of them asks
+    over the parameter box, so with z_ij = 0 each would add an exact 0.
     """
 
     def __init__(self, prob: LinearProgram, binaries: np.ndarray):
@@ -256,18 +259,20 @@ class _Groups:
 
 
 def _check_hint(prob: MixedIntegerProgram, hint) -> float | None:
-    """Objective of a hint that is finite, integral and feasible in the rows
-    and the bounds; None when the hint is unusable (every comparison with a
-    NaN is false, so a NaN entry passes all the others)."""
+    """Objective of a point that is finite, integral and feasible in the bounds
+    and, its binaries rounded, in the rows (M scales a binary's distance from
+    its integer in a big-M row); None when the point is unusable (every
+    comparison with a NaN is false, so a NaN entry passes all the others)."""
     v = np.asarray(hint, dtype=float)
     if v.shape != (prob.base.n_vars,) or not np.isfinite(v).all():
         return None
     if np.any(v < prob.base.lower - 1e-9) or np.any(v > prob.base.upper + 1e-9):
         return None
-    bins = v[list(prob.binary_vars)]
-    if np.max(np.abs(bins - np.round(bins))) > INT_TOL:
+    bins = list(prob.binary_vars)
+    off = np.round(v[bins]) - v[bins]
+    if np.max(np.abs(off)) > INT_TOL:
         return None
-    act = prob.base.a @ v
+    act = prob.base.a @ v + prob.base.a[:, bins] @ off  # the binaries rounded
     if np.any(act < prob.base.row_lo - 1e-6) or np.any(act > prob.base.row_hi + 1e-6):
         return None
     return float(prob.base.objective @ v)
@@ -316,11 +321,15 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         heapq.heappush(heap, (key, seq, fixes, basis))
         seq += 1
 
-    def branch_var(values, node_upper) -> int | None:
+    def branch_var(values, node_lower, node_upper) -> int | None:
         v = values[binaries]
-        fractional = np.abs(v - np.round(v)) > INT_TOL
-        if not fractional.any():
-            return None
+        off = np.abs(v - np.round(v))
+        fractional = off > INT_TOL
+        if not fractional.any():  # an incumbent if it passes the hint check
+            off[node_lower[binaries] == node_upper[binaries]] = 0.0  # fixed by the node
+            if not off.any() or _check_hint(prob, values) is not None:
+                return None
+            return int(binaries[off.argmax()])
         j = groups.pick(values, node_upper, fractional)
         if j is not None:
             return j
@@ -361,7 +370,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                 break
             if sol.objective_value >= inc_obj - CUTOFF_TOL:
                 break  # dominated: the cutoff is tested on infeasible iterates only
-            j = branch_var(sol.values, hi)
+            j = branch_var(sol.values, lo, hi)
             if j is None:
                 inc_val, inc_obj = sol.values.copy(), sol.objective_value
                 log.info("incumbent %.9g at node %d", inc_obj, nodes_explored)

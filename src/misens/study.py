@@ -76,8 +76,6 @@ class ScenarioConfig:
     n_total: int = 90
     noise_sigma: float = 0.005         # std of Gaussian noise on normalized PCT
     train_fraction: float = 0.5
-    p_range: tuple[float, float] = P_RANGE
-    t_range: tuple[float, float] = T_RANGE
     seed: int = 0
 
     def __post_init__(self):
@@ -90,16 +88,6 @@ class ScenarioConfig:
                              f"found {self.noise_sigma}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError("train_fraction must lie strictly between 0 and 1")
-        for name, (lo, hi) in (("p_range", self.p_range), ("t_range", self.t_range)):
-            if not 0.0 < lo < hi < np.inf:
-                raise ValueError(f"{name}: expected 0 < minimum < maximum < inf, "
-                                 f"found [{lo}, {hi}]")
-        # the PCT denominator is smallest at the lowest pressure and the
-        # highest temperature, so the corner decides the whole box
-        try:
-            pct(self.p_range[0], self.t_range[1])
-        except ValueError as exc:
-            raise ValueError(f"p_range, t_range: {exc}") from None
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
@@ -112,10 +100,10 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     rng_split = np.random.default_rng([cfg.seed, 1])
     rng_noise = np.random.default_rng([cfg.seed, 2])
     if cfg.kind == "uniform":
-        p = rng_sample.uniform(cfg.p_range[0], cfg.p_range[1], size=cfg.n_total)
-        t = rng_sample.uniform(cfg.t_range[0], cfg.t_range[1], size=cfg.n_total)
+        p = rng_sample.uniform(P_RANGE[0], P_RANGE[1], size=cfg.n_total)
+        t = rng_sample.uniform(T_RANGE[0], T_RANGE[1], size=cfg.n_total)
     else:
-        (p0, p1), (t0, t1) = cfg.p_range, cfg.t_range
+        (p0, p1), (t0, t1) = P_RANGE, T_RANGE
         pw, tw = p1 - p0, t1 - t0
         sp, st = CLUSTER_SPREAD * pw, CLUSTER_SPREAD * tw
         k = len(CLUSTER_CENTRES)

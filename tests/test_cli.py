@@ -38,33 +38,24 @@ class TestGenerate:
         assert len((out / "train.csv").read_text().splitlines()) == 16
 
     def test_invalid_range_names_field(self, tmp_path, capsys):
+        # the operating box is the constants P_RANGE and T_RANGE; a manifest
+        # that sets a range is refused, naming the key
         cfgfile = tmp_path / "m.json"
         cfgfile.write_text(json.dumps(
             {"scenario": {"kind": "uniform", "p_range": [5000.0, 2000.0]}}))
         code = run(["generate", "--config", str(cfgfile),
                     "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "p_range" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "p_range" in err
+        assert "scenario.p_range: unknown key" in err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_noise_is_refused_before_the_manifest(self, tmp_path, capsys, value):
         out = tmp_path / "o"
         assert run(["generate", "--noise-sigma", value, "--out-dir", str(out)]) == 2
         assert "noise_sigma must be nonnegative and finite" in capsys.readouterr().err
-        assert not (out / "manifest.json").exists()
-
-    @pytest.mark.parametrize("p_range, message", [
-        ("[-5000.0, 20000.0]", "p_range: expected 0 < minimum < maximum < inf"),
-        ("[2000.0, 1e400]", "p_range: expected 0 < minimum < maximum < inf"),
-        ("[0.5, 20000.0]", "p_range, t_range: PCT undefined at P=0.5"),
-    ], ids=["negative", "overflow", "pct-undefined"])
-    def test_range_that_fails_the_scenario_is_refused_before_the_manifest(
-            self, tmp_path, capsys, p_range, message):
-        cfgfile = tmp_path / "m.json"
-        cfgfile.write_text(f'{{"scenario": {{"p_range": {p_range}}}}}')
-        out = tmp_path / "o"
-        assert run(["generate", "--config", str(cfgfile), "--out-dir", str(out)]) == 2
-        assert message in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
 
     def test_missing_config_file_is_io_error(self, tmp_path):
@@ -89,12 +80,16 @@ class TestGenerate:
         assert f"{path}: unknown key" in capsys.readouterr().err
 
     def test_removed_big_m_key_names_its_path(self, tmp_path, capsys):
-        cfgfile = tmp_path / "m.json"
-        cfgfile.write_text(json.dumps({"design": {"big_m": 62.0}}))
-        code = run(["generate", "--config", str(cfgfile),
-                    "--out-dir", str(tmp_path / "o")])
-        assert code == 2
-        assert "design.big_m: unknown key" in capsys.readouterr().err
+        # big-M is read from the data and the operating box is a constant
+        for doc, path in (({"design": {"big_m": 62.0}}, "design.big_m"),
+                          ({"scenario": {"p_range": [2000.0, 20000.0]}}, "scenario.p_range"),
+                          ({"scenario": {"t_range": [523.15, 573.15]}}, "scenario.t_range")):
+            cfgfile = tmp_path / "m.json"
+            cfgfile.write_text(json.dumps(doc))
+            code = run(["generate", "--config", str(cfgfile),
+                        "--out-dir", str(tmp_path / "o")])
+            assert code == 2
+            assert f"{path}: unknown key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("doc,path,expected", [
         ({"scenario": {"n_total": 30.7}}, "scenario.n_total", "an integer"),
@@ -410,6 +405,20 @@ class TestCompare:
         for name in ("comparison.csv", "comparison.json", "surface.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_a_failed_method_exits_3_and_keeps_its_row(self, tmp_path, capsys):
+        # 4 training points cannot hold 3 classes of n_p + 1: MIS-std fails,
+        # SIS does not, and the table still records both
+        out = tmp_path / "cmp"
+        code = run(["compare", "--kind", "uniform", "--n-total", "8", "--n-cl", "3",
+                    "--methods", "sis,mis-std", "--out-dir", str(out)])
+        assert code == 3
+        assert "methods failed: mis-std" in capsys.readouterr().err
+        rows = {r[0]: r for r in
+                (line.split(",") for line in (out / "comparison.csv").read_text().splitlines())}
+        assert list(rows) == ["method", "sis", "mis-std"]
+        assert rows["sis"][1] == "ok" and rows["sis"][2] != ""
+        assert rows["mis-std"][1] == "error: need at least 9 points for n_cl=3"
+
 
 class TestMonteCarlo:
     def test_boxplot_rows(self, tmp_path):
@@ -491,15 +500,13 @@ class TestRunSettingRefusals:
         self._refused(args + ["--out-dir", str(out)], "methods", out, capsys)
 
 
-# a non-default manifest value and a different flag value (None: the field
-# has no flag) for every field of FIELDS
+# a non-default manifest value and a different flag value for every field
+# of FIELDS
 SAMPLES = {
     "scenario.kind": ("uniform", "clustered"),
     "scenario.n_total": (24, 40),
     "scenario.noise_sigma": (0.01, 0.02),
     "scenario.train_fraction": (0.6, 0.4),
-    "scenario.p_range": ([2100.0, 4900.0], None),
-    "scenario.t_range": ([310.0, 390.0], None),
     "scenario.seed": (7, 9),
     "design.n_cl": (2, 4),
     "design.gamma": (5.0, 2.5),
@@ -562,7 +569,7 @@ class TestFields:
         assert run(["generate", "--config", str(cfgfile)]) == 0
         assert json.loads((tmp_path / "echo" / "manifest.json").read_text()) == doc
 
-    @pytest.mark.parametrize("path,dest", [(p, d) for p, d, _ in FIELDS if d])
+    @pytest.mark.parametrize("path,dest", [(p, d) for p, d, _ in FIELDS])
     def test_flag_overrides_the_manifest(self, tmp_path, path, dest):
         cfgfile = tmp_path / "m.json"
         cfgfile.write_text(json.dumps(_sample_manifest("from-manifest")))

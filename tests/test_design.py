@@ -19,7 +19,6 @@ from misens.design import (
     design_sis,
     improve_labeling,
     labeling_l1_objective,
-    required_big_m,
 )
 from misens.lp import OPT_TOL, LinearProgram, Status, solve_lp
 from misens.milp import MilpLimits, MipStatus, solve_milp
@@ -67,6 +66,13 @@ def assert_planes_are_model_differences(sensor):
             w[0] = 1e-9
         assert np.array_equal(hp.w, w)
         assert hp.b_w == mr.b_p - ms.b_p
+
+
+def data_big_m(train, cfg):
+    """The most |y_i - f_j(x_i)| can be over the parameter box, at the worst
+    point: max_i |y_i| + B (||x_i||_1 + 1)."""
+    reach = np.abs(train.outputs) + cfg.param_bound * (np.abs(train.inputs).sum(axis=1) + 1.0)
+    return float(reach.max())
 
 
 def l1_oracle_over_labelings(train, cfg):
@@ -380,7 +386,7 @@ class TestMilpBuild:
         base = build_mis_con_lab_milp(train, cfg).base
         n, n_p = train.n, train.n_p
         lay = VariableLayout(n, n_p, n_cl)
-        big_m = required_big_m(cfg.param_bound, n_p)
+        big_m = data_big_m(train, cfg)
         classes = range(1, n_cl + 1)
         rows, row_lo, row_hi = [], [], []
 
@@ -407,19 +413,45 @@ class TestMilpBuild:
         np.testing.assert_array_equal(base.row_hi, row_hi)
 
     def test_big_m_invariant_enforced(self):
-        assert required_big_m(10.0, 2) == pytest.approx(62.0)
+        # M is the least value with M >= |y_i| + B (||x_i||_1 + 1) at every
+        # point: it boxes each t_i and deactivates every epigraph row
+        rng = np.random.default_rng(10)
+        train = dataset(rng.uniform(-3.0, 2.0, size=(8, 2)), rng.uniform(-5.0, 1.0, size=8))
+        cfg = DesignConfig(n_cl=2, param_bound=4.0)
+        base = build_mis_con_lab_milp(train, cfg).base
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
+        need = np.abs(train.outputs) + 4.0 * (np.abs(train.inputs).sum(axis=1) + 1.0)
+        big_m = base.upper[lay.t(0)]
+        assert np.all(need <= big_m) and big_m == need.max()
+        assert np.all(base.upper[[lay.t(i) for i in range(train.n)]] == big_m)
+        assert np.all(base.a[train.n:-cfg.n_cl, lay.binaries].sum(axis=1) == -big_m)
 
-    def test_raw_unit_data_rejected(self):
-        # x in the thousands: a big-M row with z_ij = 0 could cut a feasible
-        # labeling, so the build refuses and names the worst point
+    def test_raw_unit_data_accepted(self):
+        # x in the thousands, outside the unit box: M grows with the data,
+        # so the build accepts the draw and certifies the least summed
+        # per-class L1 fit over the labelings with classes of n_p + 1 points.
+        # M is about 9e4 here, so a z of 9e-7 (inside INT_TOL) would loosen
+        # a row by 0.08: taken as integral, it certified 0.0606
         rng = np.random.default_rng(10)
         x = rng.uniform(1000.0, 5000.0, size=(8, 2))
-        y = x @ np.array([0.01, -0.02]) + 3.0
+        y = x @ np.array([0.01, -0.02]) + 3.0 + rng.normal(0.0, 0.5, size=8)
+        train = dataset(x, y)
         cfg = DesignConfig(n_cl=2)
-        need = np.abs(y) + cfg.param_bound * (np.abs(x).sum(axis=1) + 1.0)
-        worst = int(np.argmax(need))
-        with pytest.raises(ValueError, match=rf"point {worst} needs M >= {need[worst]:.6g}"):
-            build_mis_con_lab_milp(dataset(x, y), cfg)
+        res = solve_milp(build_mis_con_lab_milp(train, cfg))
+        assert res.status == MipStatus.OPTIMAL
+        oracle = l1_oracle_over_labelings(train, cfg)
+        assert oracle > 0.05  # the noise leaves no exact fit
+        assert res.objective_value == pytest.approx(oracle, abs=1e-6)
+
+    def test_labeling_with_a_class_below_minimum_size_scores_none(self):
+        # n_p = 2, so a class needs 3 points; class 2 holds 2
+        rng = np.random.default_rng(5)
+        train = dataset(rng.uniform(size=(8, 2)), rng.uniform(size=8))
+        cfg = DesignConfig(n_cl=2)
+        prog = build_mis_con_lab_milp(train, cfg)
+        lay = VariableLayout(train.n, train.n_p, cfg.n_cl)
+        labels = LabelingMatrix.from_assignments(np.array([1, 1, 2, 1, 1, 2, 1, 1]), 2)
+        assert labeling_l1_objective(prog, lay, labels) == (None, None)
 
     def test_fixed_z_matches_l1_regression(self):
         rng = np.random.default_rng(5)  # both classes above the minimum size
@@ -448,7 +480,7 @@ class TestMilpBuild:
         assert res.objective_value == pytest.approx(oracle, abs=1e-6)
         # t_i <= big-M binds nothing
         ts = [VariableLayout(train.n, train.n_p, n_cl).t(i) for i in range(train.n)]
-        assert np.all(res.values[ts] < required_big_m(cfg.param_bound, train.n_p))
+        assert np.all(res.values[ts] < data_big_m(train, cfg))
 
     @pytest.mark.parametrize("seed, n, n_cl", [
         (1, 6, 2), (2, 7, 2), (3, 8, 2), (4, 8, 2), (5, 7, 2),
@@ -469,7 +501,7 @@ class TestMilpBuild:
         cfg = DesignConfig(n_cl=3, seed=1, milp_limits=MilpLimits(node_cap=1))
         program = build_mis_con_lab_milp(train, cfg)
         assert np.all(np.isfinite(program.base.lower)) and np.all(np.isfinite(program.base.upper))
-        big_m = required_big_m(cfg.param_bound, train.n_p)
+        big_m = data_big_m(train, cfg)
         ts = [VariableLayout(train.n, train.n_p, cfg.n_cl).t(i) for i in range(train.n)]
         assert np.all(program.base.upper[ts] == big_m)
         hints = []
@@ -513,6 +545,19 @@ class TestOrderLabels:
 
 
 class TestMisConLab:
+    def test_one_class_is_one_model_without_switching(self):
+        # n_cl = 1 has one labeling: the MILP's optimum is the L1 fit of all
+        # points in the parameter box, and the sensor has no switching logic
+        rng = np.random.default_rng(6)
+        train = dataset(rng.uniform(size=(9, 2)), rng.uniform(size=9))
+        cfg = DesignConfig(n_cl=1)
+        report = design_mis_con_lab(train, cfg)
+        assert len(report.sensor.models) == 1 and report.sensor.switching is None
+        assert report.sensor.metadata == {"method": "mis-con-lab"}
+        assert report.solver_stats["milp"]["status"] == "optimal"
+        assert report.solver_stats["l1_objective"] == pytest.approx(
+            l1_oracle_over_labelings(train, cfg), abs=1e-9)
+
     def test_recovers_piecewise_truth_and_beats_kmeans_labeling(self):
         rng = np.random.default_rng(13)
         train, _ = sample_two_piece(rng, 14)

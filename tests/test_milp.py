@@ -71,6 +71,19 @@ class TestSmall:
         with pytest.raises(ValueError, match="variable 0 has a non-finite bound"):
             solve_milp(mip)
 
+    def test_big_m_row_does_not_turn_a_near_integral_binary_into_a_cut(self):
+        # min t + z with t + M z >= 1: the relaxation takes z = 1/M = 5e-7,
+        # inside INT_TOL, and t = 0.  Rounded, that z breaks the row, so the
+        # search branches on it; both binary values cost 1
+        big_m = 2e6
+        mip = make_mip([1.0, 1.0], [[1.0, big_m]], [1.0], [INF], [0.0, 0.0], [1.0, 1.0], [1])
+        assert solve_lp(mip.base).values[1] == pytest.approx(1.0 / big_m, rel=1e-9)
+        assert milp._check_hint(mip, np.array([0.0, 1.0 / big_m])) is None
+        res = solve_milp(mip)
+        assert res.status == MipStatus.OPTIMAL
+        assert res.objective_value == pytest.approx(1.0, abs=1e-9)
+        assert res.values[1] in (0.0, 1.0)
+
     def test_integral_binaries_in_result(self):
         mip = make_mip([-1.0, -1.0, 0.5], [[1.0, 2.0, 1.0]], [-INF], [2.0],
                        [0.0] * 3, [1.0] * 3, [0, 1, 2])
@@ -287,6 +300,29 @@ class TestLimitsAndHints:
         assert res.summary() == plain.summary()
         np.testing.assert_array_equal(res.values, plain.values)
 
+    def test_gap_target_stops_before_the_open_list_is_exhausted(self):
+        # certify draw 1 (uniform-30, seed 1, n_cl 2) takes 273 nodes to
+        # exhaust; a 50 % gap target certifies sooner, around the optimum
+        train = generate_scenario(ScenarioConfig(kind="uniform", n_total=30, seed=1))[0]
+        cfg = DesignConfig(n_cl=2, seed=1, milp_limits=MilpLimits(gap_target=0.5))
+        summary = design_mis_con_lab(train, cfg).solver_stats["milp"]
+        assert summary["status"] == MipStatus.OPTIMAL.value
+        assert summary["gap"] <= 0.5
+        assert summary["nodes_explored"] < 273
+        assert summary["best_bound"] <= 0.133324 <= summary["objective_value"]
+
+    def test_hint_with_a_fractional_binary_is_refused(self):
+        # the hint keeps the row and the box, but x_0 = 0.5 is no binary value
+        mip = make_mip([-1.0, -1.0], [[1.0, 1.0]], [-INF], [1.0], [0.0, 0.0], [1.0, 1.0],
+                       [0, 1])
+        hint = np.array([0.5, 0.0])
+        assert milp._check_hint(mip, hint) is None
+        res = solve_milp(mip, incumbent_hint=hint)
+        plain = solve_milp(mip)
+        assert not res.hint_used
+        assert res.status == plain.status == MipStatus.OPTIMAL
+        assert res.objective_value == plain.objective_value == pytest.approx(-1.0, abs=1e-9)
+
     def test_hint_rows_match_the_per_row_rule(self):
         rng = np.random.default_rng(4)
         n, m = 4, 6
@@ -487,7 +523,7 @@ class TestBranching:
 
     def test_labeling_branches_on_the_point_the_relaxation_underestimates_most(
             self, monkeypatch):
-        # seed 18: the root LP's z value closest to 0.5 is point 1's, but the
+        # seed 18: the root LP's z value closest to 0.5 is point 5's, but the
         # relaxation underestimates point 4's error most
         n, n_cl = 8, 2
         mip = TestInverseStore()._labeling_mip(seed=18)
@@ -505,7 +541,7 @@ class TestBranching:
         worst = int(np.argmax(np.where(fractional, score, -1.0)))
         assert worst == 4
         assert np.sort(score[fractional])[-2] < score[worst] - 0.1
-        assert (self._closest_to_half(mip, v) - lay.z(0, 1)) // n_cl == 1
+        assert (self._closest_to_half(mip, v) - lay.z(0, 1)) // n_cl == 5
         # the lowest-index fractional z of that point (z_11 + z_12 = 1)
         assert j == lay.z(worst, 1)
 
