@@ -16,7 +16,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import core
@@ -117,7 +117,6 @@ FIELDS: tuple[tuple[str, str, object], ...] = (
     ("scenario.kind", "kind", _str),
     ("scenario.n_total", "n_total", _int),
     ("scenario.noise_sigma", "noise_sigma", _float),
-    ("scenario.train_fraction", "train_fraction", _float),
     ("scenario.seed", "seed", _int),
     ("design.n_cl", "n_cl", _int),
     ("design.gamma", "gamma", _float),
@@ -243,7 +242,8 @@ def cmd_train(args, cfg: RunConfig) -> int:
         raise ValueError(f"{scaler_path}: scaler has {scaler.input_min.shape[0]} inputs, "
                          f"the data {train.n_p}")
     _prepare_out(cfg)
-    report = run_method(method, train, cfg.design, scaler)
+    report = run_method(method, train, cfg.design)
+    report.sensor = replace(report.sensor, scaler=scaler)
     core.save_sensor(report.sensor, out / "sensor.json")
     doc = report.to_dict(timing=cfg.timing)
     doc["method"] = method
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--kind", choices=["clustered", "uniform"])
         p.add_argument("--n-total", dest="n_total", type=int)
         p.add_argument("--noise-sigma", dest="noise_sigma", type=float)
-        p.add_argument("--train-fraction", dest="train_fraction", type=float)
 
     def design_flags(p):
         p.add_argument("--n-cl", dest="n_cl", type=int)

@@ -17,7 +17,8 @@ classes 1..i+1, which keeps each partition's first-occurrence numbering
 and, at two classes, no other one); then the labels are fixed and the
 final models come from the MIS-con refit, whose planes are again the
 models' differences.
-All four share one least-squares kernel, `linalg.least_squares`."""
+All four share one least-squares kernel, `linalg.least_squares`, and
+return a sensor without a scaler, in the units of their training data."""
 
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .core import (
     Dataset,
     Hyperplane,
     LabelingMatrix,
-    Scaler,
     SensorModel,
     SwitchingLogic,
     assign_regions,
@@ -110,14 +110,14 @@ def _fit_affine(inputs: np.ndarray, outputs: np.ndarray) -> AffineModel:
     return AffineModel(coef[:-1], float(coef[-1]))
 
 
-def design_sis(train: Dataset, scaler: Scaler | None = None) -> DesignReport:
+def design_sis(train: Dataset) -> DesignReport:
     """Single-model inferential sensor: one affine least-squares fit."""
     if train.n < train.n_p + 1:
         raise ValueError(f"need at least {train.n_p + 1} points, got {train.n}")
     watch = _Stopwatch()
     model = _fit_affine(train.inputs, train.outputs)
     watch.lap("train")
-    sensor = SensorModel((model,), None, scaler, {"method": "sis"})
+    sensor = SensorModel((model,), metadata={"method": "sis"})
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     labels = LabelingMatrix.from_assignments(np.ones(train.n, dtype=int), 1)
     return DesignReport(sensor, train_rmse, labels, {"timings": watch.laps})
@@ -130,7 +130,7 @@ def _check_labels(labels: LabelingMatrix | None, train: Dataset, cfg: DesignConf
                          f"train has {train.n} rows and cfg.n_cl is {cfg.n_cl}")
 
 
-def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = None,
+def design_mis_std(train: Dataset, cfg: DesignConfig,
                    labels: LabelingMatrix | None = None) -> DesignReport:
     """Standard three-step pipeline: k-means, one-vs-one SVM, per-region LS.
 
@@ -142,7 +142,7 @@ def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = No
     """
     _check_labels(labels, train, cfg)
     if cfg.n_cl == 1:
-        return design_sis(train, scaler)
+        return design_sis(train)
     if train.n < cfg.n_cl * (train.n_p + 1):
         raise ValueError(
             f"need at least {cfg.n_cl * (train.n_p + 1)} points for n_cl={cfg.n_cl}")
@@ -166,7 +166,7 @@ def design_mis_std(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = No
         else:
             models.append(_fit_affine(train.inputs[rows], train.outputs[rows]))
     watch.lap("train")
-    sensor = SensorModel(tuple(models), logic, scaler, {"method": "mis-std"})
+    sensor = SensorModel(tuple(models), logic, metadata={"method": "mis-std"})
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     used = LabelingMatrix.from_assignments(regions, cfg.n_cl)
     stats = {"timings": watch.laps, "region_fallbacks": fallbacks, "kkt_residual": kkt}
@@ -222,12 +222,10 @@ class VariableLayout:
 # ---------------------------------------------------------------------------
 # MIS-con: per-class least squares, planes the differences of the models
 
-def _extract_sensor(models: tuple[AffineModel, ...], scaler, method: str) -> SensorModel:
+def _extract_sensor(models: tuple[AffineModel, ...], method: str) -> SensorModel:
     """The models, and as the plane of each pair (r, s) model r minus model
     s, so both models agree wherever that plane switches."""
     n_cl = len(models)
-    if n_cl == 1:
-        return SensorModel(models, None, scaler, {"method": method})
     hyperplanes = []
     for r, s in expected_pairs(n_cl):
         mr, ms = models[r - 1], models[s - 1]
@@ -238,12 +236,11 @@ def _extract_sensor(models: tuple[AffineModel, ...], scaler, method: str) -> Sen
             w = np.zeros(w.shape[0])
             w[0] = 1e-9
         hyperplanes.append(Hyperplane(w, b_w))
-    logic = SwitchingLogic(tuple(hyperplanes), n_cl)
-    return SensorModel(models, logic, scaler, {"method": method})
+    logic = SwitchingLogic(tuple(hyperplanes), n_cl) if n_cl > 1 else None
+    return SensorModel(models, logic, metadata={"method": method})
 
 
-def design_mis_con(train: Dataset, labels: LabelingMatrix,
-                   scaler: Scaler | None = None) -> DesignReport:
+def design_mis_con(train: Dataset, labels: LabelingMatrix) -> DesignReport:
     """Continuity-coupled least-squares training.
 
     Each class gets the least-squares affine fit of its points, the
@@ -273,7 +270,7 @@ def design_mis_con(train: Dataset, labels: LabelingMatrix,
         sse += float(resid @ resid)
         models.append(model)
     watch.lap("train")
-    sensor = _extract_sensor(tuple(models), scaler, "mis-con")
+    sensor = _extract_sensor(tuple(models), "mis-con")
     train_rmse = rmse(train.outputs, predict_batch(train.inputs, sensor))
     stats = {"timings": watch.laps, "kkt_residual": kkt, "objective_value": sse}
     return DesignReport(sensor, train_rmse, labels, stats)
@@ -359,7 +356,7 @@ def labeling_l1_objective(program: MixedIntegerProgram, lay: VariableLayout,
     return sol.objective_value, sol.values
 
 
-def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None = None,
+def design_mis_con_lab(train: Dataset, cfg: DesignConfig,
                        labels: LabelingMatrix | None = None) -> DesignReport:
     """Optimal-labeling design: MILP for Z, then the MIS-con refit.
 
@@ -394,10 +391,9 @@ def design_mis_con_lab(train: Dataset, cfg: DesignConfig, scaler: Scaler | None 
         raise NoIncumbentError("no feasible labeling found within the MILP limits")
     z_block = result.values[list(lay.binaries)].reshape(lay.n, lay.n_cl)
     milp_labels = LabelingMatrix.from_assignments(z_block.argmax(axis=1) + 1, lay.n_cl)
-    refit = design_mis_con(train, milp_labels, scaler)
+    refit = design_mis_con(train, milp_labels)
     watch.lap("refit")
-    sensor = SensorModel(refit.sensor.models, refit.sensor.switching, scaler,
-                         {"method": "mis-con-lab"})
+    sensor = replace(refit.sensor, metadata={"method": "mis-con-lab"})
     stats = {
         "timings": watch.laps,
         "milp": result.summary(),
@@ -459,34 +455,37 @@ def _l1_descent(train: Dataset, assign: np.ndarray, n_cl: int,
     best-fitting model, keeping each class at the minimum identifiable size
     (n_p + 1).  Deterministic coordinate descent on the labeling objective.
     """
-    n, n_p = train.n, train.n_p
-    min_size = n_p + 1
     assign = assign.copy()
     for _ in range(DESCENT_ROUNDS):
         models = _class_models(train, assign, n_cl, memo)
         resid = np.abs(np.stack(
             [train.inputs @ m.p + m.b_p - train.outputs for m in models], axis=1))
         new_assign = resid.argmin(axis=1) + 1
-        # repair classes that fell below the minimum size: pull in the
-        # points that lose the least by switching, never draining a donor
-        sizes = np.bincount(new_assign, minlength=n_cl + 1)
-        repaired = True
-        for j in range(1, n_cl + 1):
-            while sizes[j] < min_size and repaired:
-                penalty = resid[:, j - 1] - resid[np.arange(n), new_assign - 1]
-                repaired = False
-                for i in np.argsort(penalty, kind="stable"):
-                    src = new_assign[i]
-                    if src != j and sizes[src] > min_size:
-                        new_assign[i] = j
-                        sizes[src] -= 1
-                        sizes[j] += 1
-                        repaired = True
-                        break
-        if not repaired or np.array_equal(new_assign, assign):
+        filled = _fill_classes(resid, new_assign, train.n_p + 1)
+        if not filled or np.array_equal(new_assign, assign):
             break
         assign = new_assign
     return assign
+
+
+def _fill_classes(resid: np.ndarray, assign: np.ndarray, min_size: int) -> bool:
+    """Fill each class of `assign` (resid is points x classes) below min_size,
+    in place, never draining a donor: one pass over the points by what the
+    switch costs them, as a move changes only the moved point's cost and puts
+    it in the class.  False at once when a class cannot be filled."""
+    sizes = np.bincount(assign, minlength=resid.shape[1] + 1)
+    for j in 1 + np.flatnonzero(sizes[1:] < min_size):
+        penalty = resid[:, j - 1] - resid[np.arange(assign.size), assign - 1]
+        for i in np.argsort(penalty, kind="stable"):
+            if assign[i] != j and sizes[assign[i]] > min_size:
+                sizes[assign[i]] -= 1
+                sizes[j] += 1
+                assign[i] = j
+                if sizes[j] == min_size:
+                    break
+        else:
+            return False
+    return True
 
 
 def _split_merge_starts(train: Dataset, labels: LabelingMatrix) -> list[np.ndarray]:
@@ -534,8 +533,9 @@ def improve_labeling(train: Dataset, labels: LabelingMatrix,
     and from seeded random perturbations of it; every start is polished by
     `_l1_descent` and the best per-class LAD objective wins.  The labeling
     itself is no start: polished, it won none of the benchmark draws.
-    Returns None when the instance is too small to keep every class
-    identifiable.  Only a hint source: the MILP still owns optimality.
+    Returns None, drawing no start, when the instance is too small to keep
+    every class identifiable (one point cannot be perturbed, and an empty
+    class has no centroid).  Only a hint source: the MILP owns optimality.
     """
     n, n_p, n_cl = train.n, train.n_p, labels.n_cl
     if n_cl * (n_p + 1) > n:

@@ -31,12 +31,14 @@ unless it is given a Basis exported by a solve over the same CompiledLp.
 When no column can enter, the row is formed again from a refactorized
 inverse: if its reach over the real boxes falls short of the violated bound
 by more than FEAS_TOL, it is a Farkas certificate (INFEASIBLE), else the
-pivot is the usable column of largest |alpha|.  When the dual objective
-stalls for STALL_PIVOTS pivots, the nonbasic costs are perturbed.  At the
-dual's optimum the basic values must reproduce the right-hand side and,
-after pivots, the inverse must pass Freivalds' check; the basis is priced
-afresh with the true costs, and a wrong-signed reduced cost moves its
-column to the other bound and the dual runs again.
+pivot is the usable column of largest |alpha|.  A carried inverse whose
+B^-1 a_q misses the row's alpha_q at the pivot by more than PIVOT_TOL
+(1 + |alpha_q|) is refactorized and the row formed again.  When the dual
+objective stalls for STALL_PIVOTS pivots, the nonbasic costs are
+perturbed.  At the dual's optimum the basic values must reproduce the
+right-hand side and, after pivots, the inverse must pass Freivalds' check;
+the basis is priced afresh with the true costs, and a wrong-signed reduced
+cost moves its column to the other bound and the dual runs again.
 
 An optimal Basis carries its inverse in read-only arrays, shared by the
 children of a branch-and-bound node, and the mark of the CompiledLp it was
@@ -297,11 +299,6 @@ class _Simplex:
         """x_N: each column at the bound its status names, 0 when basic."""
         return self.rest[self.vstat, _columns(self.n_cols)]
 
-    def _full_values(self) -> np.ndarray:
-        x = self._nonbasic_values()
-        x[self.basic] = self.beta
-        return x
-
     def _set_values(self, fresh: bool = True) -> np.ndarray:
         """The full values in self.x: x_N, and beta at the basic columns,
         formed afresh as B^-1 (rhs - A x_N) when `fresh`.  Returns the
@@ -487,7 +484,8 @@ class _Simplex:
                 since_progress += 1
                 if since_progress > STALL_PIVOTS and self.cost is self.true_cost:
                     self._perturb()
-                    dual_obj = last_dual_obj = float(self.cost @ self._full_values())
+                    self._set_values(fresh=False)
+                    dual_obj = last_dual_obj = float(self.cost @ self.x)
                     since_progress = 0
             below = self.beta[slot] < lo_b[slot]
             alpha = self.a.T @ self.binv[slot]
@@ -499,8 +497,13 @@ class _Simplex:
                 q = self._out_of_reach(slot, below, alpha)
                 if q is None:
                     return Status.INFEASIBLE
-            delta = viol[slot] if not below else -viol[slot]
             w = self.binv @ self.a[:, q]
+            # w[slot] is alpha[q] formed another way: agreeing, it is not 0 or NaN
+            if (self.pivots_since_refactor or self.binv_shared) and not (
+                    abs(w[slot] - alpha[q]) <= PIVOT_TOL * (1.0 + abs(alpha[q]))):
+                self._refactorize()
+                continue  # form the row again from a fresh inverse
+            delta = viol[slot] if not below else -viol[slot]
             t = delta / w[slot]
             dual_obj += abs(self.d[q] / alpha[q]) * abs(delta)
             self._pivot(q, slot, AT_LO if below else AT_UP, t, w, alpha)

@@ -40,14 +40,13 @@ binary.  The LP is compiled once over the program's box; a node only fixes
 binaries, so the slacks' implied bounds of that compilation hold at every
 node.
 
-Each node LP, the root's included, gets the incumbent (less CUTOFF_TOL) as
-its objective cutoff:
-the dual simplex, warm or cold, stops with Status.CUTOFF as soon as the
-cost of a still infeasible iterate, a lower bound, reaches it, and the node
-is pruned without its optimum.  An LP whose cost reaches the cutoff only at
-its optimum (one whose starting basis is already primal feasible, say) is
-pruned as dominated once that optimum is known.  `node_lps_cut_off` counts
-the LPs stopped early; the search is the same either way.
+Each node LP, the root's included, gets the incumbent as its objective
+cutoff: the dual simplex, warm or cold, stops with Status.CUTOFF as soon as
+the cost of a still infeasible iterate, a lower bound, reaches it, and the
+node is pruned without its optimum.  An LP whose cost reaches the cutoff
+only at its optimum (one whose starting basis is already primal feasible,
+say) is pruned as dominated once that optimum is known.  `node_lps_cut_off`
+counts the LPs stopped early; the search is the same either way.
 
 Status meaning: OPTIMAL proves gap <= gap_target; FEASIBLE means the node
 cap stopped the search with an incumbent in hand; TIMED_OUT means the time
@@ -81,7 +80,6 @@ from .lp import (
 log = logging.getLogger("misens.milp")
 
 INT_TOL = 1e-6
-CUTOFF_TOL = 1e-9
 BASIS_STORE_CAP = 50_000  # stop attaching bases when the open list is huge
 BINV_STORE_BYTES = 12_000_000  # budget for basis inverses on the open list
 PROGRESS_EVERY = 1000  # nodes between progress lines, logged at DEBUG
@@ -343,7 +341,7 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
         return timed_out or nodes_explored >= limits.node_cap
 
     while True:
-        if not heap or heap[0][0] >= inc_obj - CUTOFF_TOL:
+        if not heap or heap[0][0] >= inc_obj:
             bound_global = inc_obj  # exhausted; best-first: every open node is dominated
             break
         bound_global = max(bound_global, heap[0][0])
@@ -362,13 +360,13 @@ def solve_milp(prob: MixedIntegerProgram, limits: MilpLimits | None = None,
                           bound_global, _relative_gap(inc_obj, bound_global),
                           node_lps_cut_off)
             lo, hi = _materialize(prob.base.lower, prob.base.upper, fixes)
-            sol = solve_compiled(comp, lo, hi, warm=basis, cutoff=inc_obj - CUTOFF_TOL)
+            sol = solve_compiled(comp, lo, hi, warm=basis, cutoff=inc_obj)
             if sol.status != Status.OPTIMAL:
                 # cut off at the incumbent, or an infeasible subtree (children
                 # only tighten bounds)
                 node_lps_cut_off += sol.status == Status.CUTOFF
                 break
-            if sol.objective_value >= inc_obj - CUTOFF_TOL:
+            if sol.objective_value >= inc_obj:
                 break  # dominated: the cutoff is tested on infeasible iterates only
             j = branch_var(sol.values, lo, hi)
             if j is None:

@@ -75,7 +75,6 @@ class ScenarioConfig:
     kind: str = "clustered"            # "clustered" | "uniform"
     n_total: int = 90
     noise_sigma: float = 0.005         # std of Gaussian noise on normalized PCT
-    train_fraction: float = 0.5
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +85,6 @@ class ScenarioConfig:
         if not 0.0 <= self.noise_sigma < np.inf:
             raise ValueError(f"noise_sigma must be nonnegative and finite, "
                              f"found {self.noise_sigma}")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie strictly between 0 and 1")
 
 
 def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
@@ -118,8 +115,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
     y = np.array([pct(pi, ti) for pi, ti in zip(p, t)])
     raw = Dataset(np.column_stack([p, t]), y)
     norm, scaler = normalize(raw)
-    n_train = int(round(cfg.n_total * cfg.train_fraction))
-    n_train = min(max(n_train, 1), cfg.n_total - 1)
+    n_train = round(cfg.n_total / 2)  # 1 .. n_total - 1, as n_total >= 2
     perm = rng_split.permutation(cfg.n_total)
     train_idx = np.sort(perm[:n_train])
     test_idx = np.sort(perm[n_train:])
@@ -133,21 +129,20 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[Dataset, Dataset, Scaler]:
 # method dispatch and comparison tables
 
 def run_method(method: str, train: Dataset, cfg: DesignConfig,
-               scaler: Scaler | None = None,
                labels: LabelingMatrix | None = None) -> DesignReport:
     """Train one method.  `labels` is the k-means labeling of `train` under
     `cfg` that every method but SIS starts from; it is computed (once) when
     not given."""
     if method == "sis":
-        return design_sis(train, scaler)
+        return design_sis(train)
     if method == "mis-std":
-        return design_mis_std(train, cfg, scaler, labels)
+        return design_mis_std(train, cfg, labels)
     if method == "mis-con":
         if labels is None:
             labels = kmeans(train.inputs, cfg.n_cl, seed=cfg.seed).labels
-        return design_mis_con(train, labels, scaler)
+        return design_mis_con(train, labels)
     if method == "mis-con-lab":
-        return design_mis_con_lab(train, cfg, scaler, labels)
+        return design_mis_con_lab(train, cfg, labels)
     raise ValueError(f"unknown method {method!r}; valid: {', '.join(METHODS)}")
 
 
@@ -205,13 +200,14 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
     """Train every method on one scenario draw and tabulate both splits.
 
     The k-means labeling is computed once and shared by the methods that
-    start from it; its time counts in each of their `t_comp_s`.  A method
+    start from it; its time counts in each of their `t_comp_s`.  The
+    sensors, without a scaler, predict in normalized units.  A method
     failure is recorded in its row; the remaining methods still run.  With
     timing="fixed" the wall-clock column is written as 0.0 so repeated runs
     are byte-identical.
     """
     check_methods(methods)
-    train, test, scaler = generate_scenario(scenario)
+    train, test, _ = generate_scenario(scenario)
     labels, labels_s = None, 0.0
     if set(methods) - {"sis"}:
         t0 = time.perf_counter()
@@ -225,7 +221,7 @@ def run_comparison(scenario: ScenarioConfig, methods: list[str],
     for method in methods:
         t0 = time.perf_counter()
         try:
-            report = run_method(method, train, cfg, scaler, labels)
+            report = run_method(method, train, cfg, labels)
         except Exception as exc:  # failure stays in the table
             rows.append(MethodRow(method, status=f"error: {exc}"))
             continue

@@ -80,16 +80,19 @@ class TestGenerate:
         assert f"{path}: unknown key" in capsys.readouterr().err
 
     def test_removed_big_m_key_names_its_path(self, tmp_path, capsys):
-        # big-M is read from the data and the operating box is a constant
+        # big-M is read from the data, the operating box is a constant and the
+        # split is the paper's 50/50; each is refused before the manifest
         for doc, path in (({"design": {"big_m": 62.0}}, "design.big_m"),
                           ({"scenario": {"p_range": [2000.0, 20000.0]}}, "scenario.p_range"),
-                          ({"scenario": {"t_range": [523.15, 573.15]}}, "scenario.t_range")):
+                          ({"scenario": {"t_range": [523.15, 573.15]}}, "scenario.t_range"),
+                          ({"scenario": {"train_fraction": 0.5}}, "scenario.train_fraction")):
             cfgfile = tmp_path / "m.json"
             cfgfile.write_text(json.dumps(doc))
             code = run(["generate", "--config", str(cfgfile),
                         "--out-dir", str(tmp_path / "o")])
             assert code == 2
             assert f"{path}: unknown key" in capsys.readouterr().err
+            assert not (tmp_path / "o" / "manifest.json").exists()
 
     @pytest.mark.parametrize("doc,path,expected", [
         ({"scenario": {"n_total": 30.7}}, "scenario.n_total", "an integer"),
@@ -141,6 +144,16 @@ class TestTrainEvaluate:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["rmse"] == pytest.approx(report["train_rmse"], rel=1e-12)
         assert metrics["method"] == "sis"
+
+    @pytest.mark.parametrize("method", ["sis", "mis-std", "mis-con", "mis-con-lab"])
+    def test_train_writes_the_scaler_it_read_into_the_sensor(self, tmp_path, method):
+        out = self._generated(tmp_path, n_total=24)
+        assert run(["train", "--method", method, "--n-cl", "2", "--node-cap", "20",
+                    "--out-dir", str(out)]) == 0
+        scaler = json.loads((out / "scaler.json").read_text())
+        del scaler["schema"]
+        assert json.loads((out / "sensor.json").read_text())["scaler"] == scaler
+        assert json.loads((out / "report.json").read_text())["sensor"]["scaler"] == scaler
 
     def test_train_mis_std(self, tmp_path):
         out = self._generated(tmp_path)
@@ -506,7 +519,6 @@ SAMPLES = {
     "scenario.kind": ("uniform", "clustered"),
     "scenario.n_total": (24, 40),
     "scenario.noise_sigma": (0.01, 0.02),
-    "scenario.train_fraction": (0.6, 0.4),
     "scenario.seed": (7, 9),
     "design.n_cl": (2, 4),
     "design.gamma": (5.0, 2.5),

@@ -10,6 +10,7 @@ from misens.design import (
     DesignConfig,
     VariableLayout,
     _class_models,
+    _fill_classes,
     _lad_fit,
     _split_merge_starts,
     build_mis_con_lab_milp,
@@ -803,3 +804,63 @@ class TestImproveLabelingMemo:
         design_mis_con_lab(train, DesignConfig(n_cl=3, seed=1,
                                                milp_limits=MilpLimits(node_cap=5)))
         assert fits and len(fits) == len(set(fits))
+
+
+def rescanning_fill(resid, assign, min_size):
+    """The class repair as a rescanning loop: after each move the points are
+    ranked by what the switch costs them again and scanned from the first.
+    Returns whether every class was filled; stops at the first that cannot
+    be."""
+    n, n_cl = resid.shape
+    sizes = np.bincount(assign, minlength=n_cl + 1)
+    repaired = True
+    for j in range(1, n_cl + 1):
+        while sizes[j] < min_size and repaired:
+            penalty = resid[:, j - 1] - resid[np.arange(n), assign - 1]
+            repaired = False
+            for i in np.argsort(penalty, kind="stable"):
+                src = assign[i]
+                if src != j and sizes[src] > min_size:
+                    assign[i] = j
+                    sizes[src] -= 1
+                    sizes[j] += 1
+                    repaired = True
+                    break
+    return repaired
+
+
+class TestFillClasses:
+    def test_one_pass_moves_what_rescanning_moves(self):
+        rng = np.random.default_rng(8)
+        outcomes = set()
+        for _ in range(2000):
+            n, n_cl, min_size = (int(v) for v in rng.integers([2, 1, 1], [25, 5, 6]))
+            resid = rng.uniform(size=(n, n_cl))
+            if rng.random() < 0.3:
+                resid = np.round(resid, 1)  # tied costs: the stable order decides
+            if rng.random() < 0.5:
+                assign = resid.argmin(axis=1) + 1  # as the descent calls it
+            else:
+                assign = rng.integers(1, n_cl + 1, size=n)
+            one_pass, rescanned = assign.copy(), assign.copy()
+            filled = _fill_classes(resid, one_pass, min_size)
+            assert filled == rescanning_fill(resid, rescanned, min_size)
+            np.testing.assert_array_equal(one_pass, rescanned)
+            if filled:
+                assert np.bincount(one_pass, minlength=n_cl + 1)[1:].min() >= min_size
+            outcomes.add((filled, not np.array_equal(one_pass, assign)))
+        # filled with and without moves, and unfillable after some moves
+        assert {(True, True), (True, False), (False, True)} <= outcomes
+
+
+class TestImproveLabelingTooSmall:
+    def test_fewer_points_than_identifiable_classes_give_none(self):
+        # n < n_cl (n_p + 1): no start is drawn, as one point cannot be
+        # perturbed and a labeling of fewer points than classes leaves a
+        # class without a centroid (a RuntimeWarning, an error here)
+        rng = np.random.default_rng(3)
+        for n_cl in (1, 2, 3):
+            for n in range(1, n_cl * 3):
+                train = dataset(rng.uniform(size=(n, 2)), rng.uniform(size=n))
+                labels = LabelingMatrix.from_assignments(np.arange(n) % n_cl + 1, n_cl)
+                assert improve_labeling(train, labels, seed=0) is None

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -632,6 +633,41 @@ class TestWarmStart:
         assert_same_solve(sol, solve_child(comp, prob))  # the slack basis replaced it
 
 
+class TestVanishingPivot:
+    """w = B^-1 a_q and the pivot row alpha form the pivot element two ways;
+    off a carried inverse that lets them part, the solve refactorizes and
+    forms the row again instead of dividing by w[slot]."""
+
+    def test_a_pivot_element_that_vanishes_once_is_formed_again(self, inverted):
+        checked = 0
+        for comp, parent, child in branch_children(7, tries=600):
+            # the child's first B^-1 a_q off the shared parent inverse comes out 0
+            class VanishOnce(np.ndarray):
+                fired = 0
+
+                def __matmul__(self, other):
+                    out = np.asarray(super().__matmul__(other))
+                    if not VanishOnce.fired and other.ndim == 1 and other.base is comp.a:
+                        VanishOnce.fired += 1
+                        return np.zeros_like(out)
+                    return out
+
+            warm = dataclasses.replace(parent.basis, binv=parent.basis.binv.view(VanishOnce))
+            object.__setattr__(warm, "_solved_over", comp)  # still this LP's export
+            inverted.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a division by 0 warns
+                sol = solve_child(comp, child, warm)
+            cold = solve_child(comp, child)
+            assert sol.status == cold.status
+            if VanishOnce.fired:
+                assert len(inverted) >= 1  # the shared inverse was refactorized
+            if VanishOnce.fired and cold.status == Status.OPTIMAL:
+                checked += 1
+                assert sol.objective_value == pytest.approx(cold.objective_value, abs=1e-8)
+        assert checked >= 20
+
+
 class TestTrustedBasis:
     """A solve starts from a Basis exported by a solve over the same
     CompiledLp, and from no other: the rest solve as the cold solve does."""
@@ -980,7 +1016,9 @@ class TestCutoffSoundness:
             basis = comp.a[:, simplex.basic]
             y = np.linalg.solve(basis.T, comp.cost[simplex.basic])
             d = comp.cost - comp.a.T @ y
-            states.append((simplex._lower_bound(), float(comp.cost @ simplex._full_values()),
+            x = simplex._nonbasic_values()
+            x[simplex.basic] = simplex.beta
+            states.append((simplex._lower_bound(), float(comp.cost @ x),
                            bool((d * simplex.dirn >= 0.0).all())))
 
         simplex._pivot = recorded

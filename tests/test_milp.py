@@ -440,6 +440,17 @@ class TestCutoffSearch:
     def test_knapsack(self, monkeypatch):
         assert self._assert_same_search(monkeypatch, TestLimitsAndHints()._bigger_mip()) > 0
 
+    def test_an_optimum_just_below_the_hint_replaces_it(self):
+        # the hint x0 = 1 costs -1 and the optimum x1 = 1 costs 5e-10 less: a
+        # node is pruned only once its bound reaches the incumbent, so the
+        # root, whose LP optimum is that point, is not pruned as dominated
+        mip = make_mip([-1.0, -(1.0 + 5e-10)], [[1.0, 1.0]], [-INF], [1.0],
+                       [0.0, 0.0], [1.0, 1.0], [0, 1])
+        res = solve_milp(mip, incumbent_hint=np.array([1.0, 0.0]))
+        assert res.hint_used and res.status == MipStatus.OPTIMAL
+        np.testing.assert_array_equal(res.values, [0.0, 1.0])
+        assert res.objective_value == -(1.0 + 5e-10)
+
     def test_labeling_milp(self, monkeypatch):
         # seed 14: node bounds come within 1e-3 of the incumbent, so a cutoff
         # that slack would prune nodes this search explores

@@ -169,9 +169,9 @@ class TestComparison:
         report = run_comparison(scenario, list(METHODS), cfg, timing="fixed")
         assert len(calls) == 1
         assert [r.status for r in report.rows] == ["ok"] * 4
-        train, _, scaler = generate_scenario(scenario)
+        train, _, _ = generate_scenario(scenario)
         for row in report.rows:
-            alone = run_method(row.method, train, cfg, scaler)
+            alone = run_method(row.method, train, cfg)
             assert row.train_rmse == alone.train_rmse
         assert len(calls) == 4  # run alone, each labeled method runs k-means once
 
